@@ -98,14 +98,9 @@ class CevaGon:
             *(l.triple for l in self.cevians),
         )
         for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
-                raise DegenerateInput(
-                    f"consecutive vertices {i + 1} and {(i + 1) % n + 1} coincide"
-                )
-            if not incident(self.cevians[i], self.vertices[i], be):
-                raise DegenerateInput(
-                    f"cevian {i + 1} does not pass through vertex {i + 1}"
-                )
+            defect = _pair_defect(self, i) or _cevian_defect(self, i, be)
+            if defect:
+                raise DegenerateInput(defect)
 
     @property
     def n(self) -> int:
@@ -153,16 +148,11 @@ class MenelaosGon:
             *(p.triple for p in self.side_points),
         )
         for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            if a == b:
-                raise DegenerateInput(
-                    f"consecutive vertices {i + 1} and {(i + 1) % n + 1} coincide"
-                )
-            cut = self.side_points[i]
-            if not incident(join(a, b), cut, be):
-                raise DegenerateInput(f"cut {i + 1} is not on side {i + 1}")
-            if cut == a or cut == b:
-                raise DegenerateInput(f"cut {i + 1} coincides with a vertex")
+            defect = _pair_defect(self, i) or _cut_defect(
+                self, i, self.side(i + 1), be
+            )
+            if defect:
+                raise DegenerateInput(defect)
 
     @property
     def n(self) -> int:
@@ -185,6 +175,47 @@ class MenelaosGon:
             tuple(Point.from_json(p) for p in data["vertices"]),
             tuple(Point.from_json(p) for p in data["side_points"]),
         )
+
+
+# What the constructors reject at slot k (0-based), as the message text;
+# reduction steps run the same checks on the slots they create.
+
+
+def _pair_defect(gon, k: int) -> str | None:
+    n = gon.n
+    if gon.vertices[k] == gon.vertices[(k + 1) % n]:
+        return f"consecutive vertices {k + 1} and {(k + 1) % n + 1} coincide"
+    return None
+
+
+def _cevian_defect(gon: CevaGon, k: int, backend: Backend) -> str | None:
+    if not incident(gon.cevians[k], gon.vertices[k], backend):
+        return f"cevian {k + 1} does not pass through vertex {k + 1}"
+    return None
+
+
+def _cut_defect(
+    gon: MenelaosGon, k: int, side: Line, backend: Backend
+) -> str | None:
+    cut = gon.side_points[k]
+    if not incident(side, cut, backend):
+        return f"cut {k + 1} is not on side {k + 1}"
+    if cut == gon.vertices[k] or cut == gon.vertices[(k + 1) % gon.n]:
+        return f"cut {k + 1} coincides with a vertex"
+    return None
+
+
+def _trusted(cls, vertices: tuple, items: tuple):
+    """A gon built without __post_init__.
+
+    Only reduction steps use it: every slot a step carries over was
+    validated in the parent gon, and the step checks the slots it
+    creates.
+    """
+    gon = object.__new__(cls)
+    object.__setattr__(gon, "vertices", vertices)
+    object.__setattr__(gon, "cevians" if cls is CevaGon else "side_points", items)
+    return gon
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
@@ -261,13 +292,18 @@ def ceva_reduce_step(gon: CevaGon, i: int) -> CevaGon:
 
     The pair is replaced by the meet of its two outer sides; the new
     cevian joins the new vertex to the crossing of the two removed
-    cevians.  All other vertices and cevians carry over.
+    cevians.  All other vertices and cevians carry over.  Only the new
+    vertex and cevian are validated, since everything else was already
+    validated in the input gon; a degenerate result raises
+    DegenerateStep.
     """
-    gon2, _ = _ceva_step_traced(gon, i)
+    gon2, _ = _ceva_step_traced(gon, i, _verdict_backend(gon, None))
     return gon2
 
 
-def _ceva_step_traced(gon: CevaGon, i: int) -> tuple[CevaGon, "ReductionStep"]:
+def _ceva_step_traced(
+    gon: CevaGon, i: int, backend: Backend
+) -> tuple[CevaGon, "ReductionStep"]:
     m = gon.n
     if m < 4:
         raise ValueError("reduction steps need at least a 4-gon")
@@ -295,15 +331,21 @@ def _ceva_step_traced(gon: CevaGon, i: int) -> tuple[CevaGon, "ReductionStep"]:
         )
     if j0 == 0:
         # wrapped pair (m, 1): the replacement takes slot 1
+        k = 0
         new_vs = (new_vertex,) + A[1 : m - 1]
         new_gs = (new_line,) + g[1 : m - 1]
     else:
+        k = i0
         new_vs = A[:i0] + (new_vertex,) + A[j0 + 1 :]
         new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
-    try:
-        gon2 = CevaGon(new_vs, new_gs)
-    except DegenerateInput as exc:
-        raise DegenerateStep(f"reduced gon is degenerate: {exc}", i)
+    gon2 = _trusted(CevaGon, new_vs, new_gs)
+    # the slots that hold the new vertex, in the constructor's order
+    for s in sorted(((k - 1) % (m - 1), k)):
+        defect = _pair_defect(gon2, s)
+        if defect is None and s == k:
+            defect = _cevian_defect(gon2, k, backend)
+        if defect:
+            raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return gon2, ReductionStep(index=i, vertex=new_vertex, line=new_line)
 
 
@@ -312,14 +354,16 @@ def menelaos_reduce_step(gon: MenelaosGon, i: int) -> MenelaosGon:
 
     The cut on the merged side is the meet of that side with the line
     through the two removed cuts; all other vertices and cuts carry
-    over with their cyclic positions.
+    over with their cyclic positions.  Only the new cut is validated,
+    since everything else was already validated in the input gon; a
+    degenerate result raises DegenerateStep.
     """
-    gon2, _ = _menelaos_step_traced(gon, i)
+    gon2, _ = _menelaos_step_traced(gon, i, _verdict_backend(gon, None))
     return gon2
 
 
 def _menelaos_step_traced(
-    gon: MenelaosGon, i: int
+    gon: MenelaosGon, i: int, backend: Backend
 ) -> tuple[MenelaosGon, "ReductionStep"]:
     m = gon.n
     if m < 4:
@@ -339,15 +383,18 @@ def _menelaos_step_traced(
         raise DegenerateStep("cut transversal equals the merged side", i)
     new_point = meet(merged, transversal)
     if i0 == 0:
+        k = m - 2
         new_vs = A[1:]
         new_bs = B[1 : m - 1] + (new_point,)
     else:
+        k = i0 - 1
         new_vs = A[:i0] + A[i0 + 1 :]
         new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
-    try:
-        gon2 = MenelaosGon(new_vs, new_bs)
-    except DegenerateInput as exc:
-        raise DegenerateStep(f"reduced gon is degenerate: {exc}", i)
+    gon2 = _trusted(MenelaosGon, new_vs, new_bs)
+    # the merged side k already has distinct endpoints
+    defect = _cut_defect(gon2, k, merged, backend)
+    if defect:
+        raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return gon2, ReductionStep(index=i, point=new_point)
 
 
@@ -452,14 +499,24 @@ def _verdict_backend(gon, backend: Backend | None) -> Backend:
     return _gon_backend(*triples)
 
 
+def _step_fn(gon):
+    if isinstance(gon, CevaGon):
+        return "ceva", _ceva_step_traced
+    return "menelaos", _menelaos_step_traced
+
+
+def _triangle_verdict(tri: CevaGon | MenelaosGon, backend: Backend) -> bool:
+    if isinstance(tri, CevaGon):
+        return concurrent(*tri.cevians, backend)
+    return collinear(*tri.side_points, backend)
+
+
 def _run_reduction(
     gon: CevaGon | MenelaosGon,
     indices: Sequence[int],
     backend: Backend,
 ) -> tuple[bool, ReductionTrace]:
-    is_ceva = isinstance(gon, CevaGon)
-    kind = "ceva" if is_ceva else "menelaos"
-    step_fn = _ceva_step_traced if is_ceva else _menelaos_step_traced
+    kind, step_fn = _step_fn(gon)
     trace = ReductionTrace(kind=kind, start=gon)
     current = gon
     if len(indices) != gon.n - 3:
@@ -469,22 +526,72 @@ def _run_reduction(
         )
     for idx in indices:
         try:
-            current, step = step_fn(current, idx)
+            current, step = step_fn(current, idx, backend)
         except DegenerateStep as exc:
             exc.trace = trace
             raise
         trace.steps.append(step)
     trace.final = current
-    if is_ceva:
-        verdict = concurrent(*current.cevians, backend)
-    else:
-        verdict = collinear(*current.side_points, backend)
-    trace.verdict = verdict
-    return verdict, trace
+    trace.verdict = _triangle_verdict(current, backend)
+    return trace.verdict, trace
+
+
+def _run_exhaustive(
+    gon: CevaGon | MenelaosGon, backend: Backend
+) -> tuple[bool, ReductionTrace]:
+    """Every full order, walked depth-first as a prefix tree.
+
+    Children are visited in the lexicographic order of
+    all_reduction_orders, so the first success, the first disagreement
+    and the first DegenerateStep are those of a run over each order in
+    turn; but each shared prefix is reduced once.  A degenerate prefix
+    prunes its subtree, whose every order would raise the same error.
+    """
+    kind, step_fn = _step_fn(gon)
+    steps: list[ReductionStep] = []
+    first: tuple[bool, ReductionTrace] | None = None
+    first_degenerate: DegenerateStep | None = None
+
+    def walk(current) -> None:
+        nonlocal first, first_degenerate
+        if current.n == 3:
+            verdict = _triangle_verdict(current, backend)
+            if first is None:
+                first = verdict, ReductionTrace(
+                    kind, gon, list(steps), current, verdict
+                )
+            elif verdict != first[0]:
+                order = tuple(s.index for s in steps)
+                raise InconsistentOrders(
+                    f"order {order} gave {verdict}, "
+                    f"order {first[1].indices} gave {first[0]}"
+                )
+            return
+        for idx in range(1, current.n + 1):
+            try:
+                child, step = step_fn(current, idx, backend)
+            except DegenerateStep as exc:
+                if first_degenerate is None:
+                    exc.trace = ReductionTrace(kind, gon, list(steps))
+                    first_degenerate = exc
+                continue
+            steps.append(step)
+            walk(child)
+            steps.pop()
+
+    walk(gon)
+    if first is None:
+        raise first_degenerate
+    return first
 
 
 def all_reduction_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """Every full sequence of 1-based step choices for an n-gon."""
+    """Every full sequence of 1-based step choices for an n-gon, in
+    lexicographic order.
+
+    Exhaustive checking visits the orders in this order, but reduces
+    each shared prefix of step choices only once.
+    """
     ranges = [range(1, m + 1) for m in range(n, 3, -1)]
     yield from _iter_product(*ranges)
 
@@ -510,27 +617,7 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
         return _run_reduction(gon, resolved, be)
     if gon.n > 6:
         raise ValueError("exhaustive order checking is limited to n <= 6")
-    first: tuple[bool, ReductionTrace] | None = None
-    first_degenerate: DegenerateStep | None = None
-    for indices in all_reduction_orders(gon.n):
-        try:
-            verdict, trace = _run_reduction(gon, indices, be)
-        except DegenerateStep as exc:
-            if first_degenerate is None:
-                first_degenerate = exc
-            continue
-        if first is None:
-            first = (verdict, trace)
-        elif verdict != first[0]:
-            raise InconsistentOrders(
-                f"order {trace.indices} gave {verdict}, "
-                f"order {first[1].indices} gave {first[0]}"
-            )
-    if first is None:
-        if first_degenerate is not None:
-            raise first_degenerate
-        raise DegenerateStep("no reduction order succeeded")
-    return first
+    return _run_exhaustive(gon, be)
 
 
 def is_pseudo_concurrent(
@@ -542,6 +629,13 @@ def is_pseudo_concurrent(
     "exhaustive" (run every order, n <= 6, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
     1-based indices with one entry per step.
+
+    "exhaustive" reduces each prefix shared by several orders once.  It
+    returns the trace of the lexicographically first non-degenerate
+    order, raises InconsistentOrders at the first order whose verdict
+    differs from it, and when every order degenerates raises the
+    DegenerateStep of the first order, carrying that order's trace
+    prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -551,7 +645,10 @@ def is_pseudo_collinear(
 ) -> tuple[bool, ReductionTrace]:
     """Whether the side cuts reduce to a collinear triangle triple.
 
-    Accepts the same order strategies as is_pseudo_concurrent.
+    Accepts the same order strategies as is_pseudo_concurrent, and
+    "exhaustive" likewise shares step prefixes between orders and
+    returns the trace of the lexicographically first non-degenerate
+    order.
     """
     return _pseudo_check(gon, order, backend)
 

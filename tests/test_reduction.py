@@ -8,6 +8,7 @@ import pytest
 
 from harmonica.core import (
     DegenerateInput,
+    GeometryError,
     Line,
     Point,
     collinear,
@@ -19,6 +20,7 @@ from harmonica.core import (
 from harmonica.reduction import (
     CevaGon,
     DegenerateStep,
+    InconsistentOrders,
     MenelaosGon,
     ReductionTrace,
     ReplayMismatch,
@@ -110,6 +112,100 @@ def menelaos_gon_random(rng: Random, n: int) -> MenelaosGon:
             return MenelaosGon(vs, cuts)
         except Exception:
             continue
+
+
+def small_point(rng: Random) -> Point:
+    return Point.affine(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def small_gon(rng: Random, kind: str, n: int, floats: bool):
+    """Gon with integer coordinates in [-3, 3]: coincidences are common,
+    so orders degenerate or disagree often.  Optionally coerced to
+    floats after construction."""
+    while True:
+        vs = tuple(small_point(rng) for _ in range(n))
+        try:
+            if kind == "ceva":
+                items = tuple(join(v, small_point(rng)) for v in vs)
+            else:
+                items = tuple(
+                    meet(
+                        join(vs[i], vs[(i + 1) % n]),
+                        join(small_point(rng), small_point(rng)),
+                    )
+                    for i in range(n)
+                )
+            if floats:
+                vs, items = (
+                    tuple(type(o)(*map(float, o.triple)) for o in objs)
+                    for objs in (vs, items)
+                )
+            return (CevaGon if kind == "ceva" else MenelaosGon)(vs, items)
+        except GeometryError:
+            continue
+
+
+def rebuild(gon):
+    # the public constructor, which validates every slot
+    if isinstance(gon, CevaGon):
+        return CevaGon(gon.vertices, gon.cevians)
+    return MenelaosGon(gon.vertices, gon.side_points)
+
+
+def assert_steps_revalidate(gon) -> None:
+    """Every gon reached by any sequence of steps passes full
+    validation."""
+    if gon.n == 3:
+        return
+    step = ceva_reduce_step if isinstance(gon, CevaGon) else menelaos_reduce_step
+    for i in range(1, gon.n + 1):
+        try:
+            reduced = step(gon, i)
+        except DegenerateStep:
+            continue
+        rebuild(reduced)
+        assert_steps_revalidate(reduced)
+
+
+def assert_exhaustive_matches_explicit_orders(gon) -> str:
+    """Check order="exhaustive" against running every explicit order on
+    its own; return which outcome it had."""
+    check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
+    first = None
+    first_degenerate = None
+    disagreement = None
+    for order in all_reduction_orders(gon.n):
+        try:
+            verdict, trace = check(gon, order=order)
+        except DegenerateStep as exc:
+            first_degenerate = first_degenerate or exc
+            continue
+        if first is None:
+            first = verdict, trace
+        elif verdict != first[0] and disagreement is None:
+            disagreement = (
+                f"order {order} gave {verdict}, "
+                f"order {first[1].indices} gave {first[0]}"
+            )
+    if disagreement is not None:
+        with pytest.raises(InconsistentOrders) as info:
+            check(gon, order="exhaustive")
+        assert str(info.value) == disagreement
+        return "inconsistent"
+    if first is None:
+        with pytest.raises(DegenerateStep) as info:
+            check(gon, order="exhaustive")
+        got = info.value
+        assert (str(got), got.index, got.trace.to_json_lines()) == (
+            str(first_degenerate),
+            first_degenerate.index,
+            first_degenerate.trace.to_json_lines(),
+        )
+        return "degenerate"
+    verdict, trace = check(gon, order="exhaustive")
+    assert verdict == first[0]
+    assert trace.to_json_lines() == first[1].to_json_lines()
+    return "agree"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +322,25 @@ class TestStepOracles:
             for b in reduced.side_points:
                 assert incident(t, b)
 
+    def test_wrapped_pair_reports_lowest_coinciding_pair(self):
+        # vertices 2 and 4 coincide, so collapsing the wrapped pair (5, 1)
+        # puts the new vertex on vertex 2 = vertex 4, which become its
+        # neighbours in slots 2 and 4; the constructor's loop meets the
+        # pair (1, 2) before the pair (4, 1)
+        vs = (P(0, 0), P(1, 0), P(1, 1), P(1, 0), P(0, 1))
+        gon = CevaGon(
+            vs, (L(1, -1, 0), L(0, 1, 0), L(1, 0, -1), L(1, -1, -1), L(0, 1, -1))
+        )
+        message = "consecutive vertices 1 and 2 coincide"
+        with pytest.raises(DegenerateInput, match=message):
+            CevaGon((P(1, 0),) + vs[1:4], (L(1, 0, -1),) + gon.cevians[1:4])
+        with pytest.raises(DegenerateStep) as info:
+            ceva_reduce_step(gon, 5)
+        assert str(info.value) == f"reduced gon is degenerate: {message}"
+        assert info.value.index == 5
+        with pytest.raises(DegenerateStep, match=message):
+            is_pseudo_concurrent(gon, order=(5, 1))
+
     def test_step_needs_at_least_four_vertices(self):
         rng = Random(17)
         gon = ceva_gon_random(rng, 3)
@@ -317,6 +432,7 @@ class TestPseudoPredicates:
                 assert verdict, (n, order)
                 assert len(trace.steps) == n - 3
                 assert trace.verdict is True
+            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
 
     def test_negative_under_every_order_strategy(self):
         rng = Random(43)
@@ -339,6 +455,7 @@ class TestPseudoPredicates:
             gon = menelaos_gon_on_transversal(rng, n)
             verdict, _ = is_pseudo_collinear(gon, order="exhaustive")
             assert verdict
+            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
         found = 0
         while found < 3:
             gon = menelaos_gon_random(rng, 5)
@@ -388,6 +505,17 @@ class TestPseudoPredicates:
             assert verdict == (product == (-1) ** n)
             matched += 1
         assert matched >= 12
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    def test_exhaustive_matches_every_explicit_order(self, kind, floats):
+        rng = Random(107)
+        outcomes = set()
+        for _ in range(40):
+            gon = small_gon(rng, kind, rng.choice([4, 5, 6]), floats)
+            outcomes.add(assert_exhaustive_matches_explicit_orders(gon))
+            assert_steps_revalidate(gon)
+        assert "agree" in outcomes and len(outcomes) >= 2
 
     def test_all_orders_enumerated(self):
         assert list(all_reduction_orders(3)) == [()]
