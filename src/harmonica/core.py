@@ -12,6 +12,19 @@ triples are reduced (integer content divided out, or floats scaled to
 unit max-norm) so coordinates stay small through deep constructions,
 but equality is always the proportionality test, never a canonical
 form comparison.
+
+Each exact point and line also keeps an integer form, computed once
+when it is built: the primitive int triple that is a positive multiple
+of its coordinates (an int triple is its own integer form; a triple
+with a float has none).  join, meet, ==, incident, collinear,
+concurrent and lines_coincide compute on integer forms whenever every
+operand has one and the zero test is exact, so the exact lane
+multiplies ints, not Fractions.  A positive factor changes no zero or
+proportionality test and _tidy maps a scaled cross product to the same
+primitive triple, so verdicts and constructed triples are those of the
+given coordinates.  Anything else computes on the coordinates as
+given: float arithmetic, tolerance tests (whose max(1, scale) floor is
+not scale-free), and .triple, repr, to_json and the *_residual values.
 """
 
 from __future__ import annotations
@@ -152,24 +165,64 @@ def exact_div(num: Scalar, den: Scalar) -> Scalar:
 
 def _tidy(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
     # size control for constructed triples; projectively a no-op
+    if type(x) is int and type(y) is int and type(z) is int:
+        g = math.gcd(x, y, z)
+        if g > 1:
+            return x // g, y // g, z // g
+        return x, y, z
     if _is_float(x, y, z):
         m = max(abs(x), abs(y), abs(z))
         if m == 0 or not math.isfinite(m):
             return x, y, z
         return x / m, y / m, z / m
-    fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
-    lcm = fx.denominator
-    lcm = lcm * fy.denominator // math.gcd(lcm, fy.denominator)
-    lcm = lcm * fz.denominator // math.gcd(lcm, fz.denominator)
+    # ints and Fractions both carry numerator and denominator
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    lcm = math.lcm(dx, dy, dz)
     ix, iy, iz = (
-        fx.numerator * (lcm // fx.denominator),
-        fy.numerator * (lcm // fy.denominator),
-        fz.numerator * (lcm // fz.denominator),
+        x.numerator * (lcm // dx),
+        y.numerator * (lcm // dy),
+        z.numerator * (lcm // dz),
     )
-    g = math.gcd(math.gcd(ix, iy), iz)
+    g = math.gcd(ix, iy, iz)
     if g > 1:
         ix, iy, iz = ix // g, iy // g, iz // g
     return ix, iy, iz
+
+
+def _integer_form(
+    x: Scalar, y: Scalar, z: Scalar
+) -> tuple[int, int, int] | None:
+    """Primitive int triple that is a positive multiple of an exact triple.
+
+    An int triple is returned as it is; a triple with a float has no
+    integer form.
+    """
+    tx, ty, tz = type(x), type(y), type(z)
+    if tx is int and ty is int and tz is int:
+        return (x, y, z)
+    if tx is float or ty is float or tz is float or _is_float(x, y, z):
+        return None
+    return _tidy(x, y, z)
+
+
+# The triples a kernel computation runs on: the integer forms when the
+# backend's zero test is exact and every operand has one, otherwise the
+# coordinates as given.  Written out for two and three operands because
+# they run on every kernel call.
+
+
+def _pair_operands(a, b, backend: Backend = EXACT):
+    fa, fb = a._form, b._form
+    if fa is None or fb is None or backend.kind != "exact":
+        return a.triple, b.triple
+    return fa, fb
+
+
+def _trio_operands(a, b, c, backend: Backend):
+    fa, fb, fc = a._form, b._form, c._form
+    if fa is None or fb is None or fc is None or backend.kind != "exact":
+        return a.triple, b.triple, c.triple
+    return fa, fb, fc
 
 
 def _cross(
@@ -199,6 +252,14 @@ def _det3_scale(p, q, r) -> float:
         + a2 * (b1 * c3 + b3 * c1)
         + a3 * (b1 * c2 + b2 * c1)
     )
+
+
+def _incidence(
+    l: tuple[Scalar, Scalar, Scalar], p: tuple[Scalar, Scalar, Scalar]
+) -> tuple[Scalar, Scalar]:
+    value = l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
+    scale = abs(l[0] * p[0]) + abs(l[1] * p[1]) + abs(l[2] * p[2])
+    return value, scale
 
 
 def _proportional(p, q) -> bool:
@@ -249,6 +310,7 @@ class Point:
     def __post_init__(self) -> None:
         if self.x == 0 and self.y == 0 and self.w == 0:
             raise DegenerateInput("(0 : 0 : 0) is not a point")
+        object.__setattr__(self, "_form", _integer_form(self.x, self.y, self.w))
 
     @classmethod
     def affine(cls, x: Scalar, y: Scalar) -> "Point":
@@ -269,7 +331,7 @@ class Point:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
-        return _proportional(self.triple, other.triple)
+        return _proportional(*_pair_operands(self, other))
 
     def __repr__(self) -> str:
         return "Point(%s : %s : %s)" % tuple(map(_scalar_to_str, self.triple))
@@ -297,6 +359,7 @@ class Line:
     def __post_init__(self) -> None:
         if self.a == 0 and self.b == 0 and self.c == 0:
             raise DegenerateInput("(0 : 0 : 0) is not a line")
+        object.__setattr__(self, "_form", _integer_form(self.a, self.b, self.c))
 
     @property
     def triple(self) -> tuple[Scalar, Scalar, Scalar]:
@@ -308,7 +371,7 @@ class Line:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
             return NotImplemented
-        return _proportional(self.triple, other.triple)
+        return _proportional(*_pair_operands(self, other))
 
     def __repr__(self) -> str:
         return "Line(%s : %s : %s)" % tuple(map(_scalar_to_str, self.triple))
@@ -347,7 +410,7 @@ def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
 
 def join(p: Point, q: Point) -> Line:
     """Line through two distinct points."""
-    t = _cross(p.triple, q.triple)
+    t = _cross(*_pair_operands(p, q))
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
         raise CoincidentPoints(f"join of equal points {p}")
     return Line(*_tidy(*t))
@@ -355,7 +418,7 @@ def join(p: Point, q: Point) -> Line:
 
 def meet(l: Line, m: Line) -> Point:
     """Common point of two distinct lines."""
-    t = _cross(l.triple, m.triple)
+    t = _cross(*_pair_operands(l, m))
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
         raise CoincidentLines(f"meet of equal lines {l}")
     return Point(*_tidy(*t))
@@ -363,13 +426,11 @@ def meet(l: Line, m: Line) -> Point:
 
 def incidence_residual(l: Line, p: Point) -> tuple[Scalar, Scalar]:
     """Raw incidence value a*x + b*y + c*w and its magnitude scale."""
-    value = l.a * p.x + l.b * p.y + l.c * p.w
-    scale = abs(l.a * p.x) + abs(l.b * p.y) + abs(l.c * p.w)
-    return value, scale
+    return _incidence(l.triple, p.triple)
 
 
 def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:
-    value, scale = incidence_residual(l, p)
+    value, scale = _incidence(*_pair_operands(l, p, backend))
     return backend.zero(value, scale)
 
 
@@ -388,8 +449,8 @@ def collinear(p: Point, q: Point, r: Point, backend: Backend = EXACT) -> bool:
 
     A triple with two equal points counts as collinear.
     """
-    value, scale = collinearity_residual(p, q, r)
-    return backend.zero(value, scale)
+    t = _trio_operands(p, q, r, backend)
+    return backend.zero(_det3(*t), _det3_scale(*t))
 
 
 def concurrency_residual(l: Line, m: Line, n: Line) -> tuple[Scalar, Scalar]:
@@ -401,8 +462,20 @@ def concurrency_residual(l: Line, m: Line, n: Line) -> tuple[Scalar, Scalar]:
 
 def concurrent(l: Line, m: Line, n: Line, backend: Backend = EXACT) -> bool:
     """Whether three lines pass through one point (two equal lines count)."""
-    value, scale = concurrency_residual(l, m, n)
-    return backend.zero(value, scale)
+    t = _trio_operands(l, m, n, backend)
+    return backend.zero(_det3(*t), _det3_scale(*t))
+
+
+def lines_coincide(l: Line, m: Line, backend: Backend = EXACT) -> bool:
+    """Projective equality of two lines at the backend's tolerance.
+
+    Under the exact backend this is l == m; under a float backend each
+    component of the cross product is zero at the scale of the product
+    of the two triples' max-norms.
+    """
+    t, u = _pair_operands(l, m, backend)
+    scale = max(abs(v) for v in t) * max(abs(v) for v in u)
+    return all(backend.zero(v, scale) for v in _cross(t, u))
 
 
 def all_collinear(points: Sequence[Point], backend: Backend = EXACT) -> bool:

@@ -596,7 +596,6 @@ _FORCERS = {
     "triangle-transfer": _forced(_force_triangle_transfer),
     "free-quad": _forced(_force_free_quad),
     "quad-equivalence": _forced(_force_quad_equivalence),
-    "quad-ell-pairs": _forced(_force_quad_equivalence),
     "crossratio": _forced(_force_crossratio),
     "pappus4": _forced(_force_pappus4),
     "desargues": _forced(_force_desargues),

@@ -43,6 +43,7 @@ from .core import (
     fourth_harmonic_line,
     incident,
     join,
+    lines_coincide,
     meet,
     ratio_product,
     signed_ratio,
@@ -139,18 +140,22 @@ class SharedLineMissing(GeometryError):
 
 
 def cor2_collinear_triples(
-    p1: HarmonicPencil, p2: HarmonicPencil
+    p1: HarmonicPencil, p2: HarmonicPencil, backend: Backend = EXACT
 ) -> tuple[tuple[Point, Point, Point], tuple[Point, Point, Point]]:
     """Collinear triples for pencils sharing their first line.
 
     With a1 of both pencils equal to the join of the two vertices, the
     triples (a2*a2', g*g', h*h') and (a2*a2', g*h', h*g') are always
-    collinear, with no hypothesis on the remaining lines.
+    collinear, with no hypothesis on the remaining lines.  The shared
+    line is compared at the backend's tolerance.
     """
     if p1.vertex == p2.vertex:
         raise CoincidentPoints("pencils must sit at distinct vertices")
     shared = join(p1.vertex, p2.vertex)
-    if p1.a1 != shared or p2.a1 != shared:
+    if not (
+        lines_coincide(p1.a1, shared, backend)
+        and lines_coincide(p2.a1, shared, backend)
+    ):
         raise SharedLineMissing(
             "both pencils must have the join of the vertices as first line"
         )

@@ -33,6 +33,7 @@ from .core import (
     float_backend,
     incident,
     is_harmonic_pencil,
+    lines_coincide,
     meet,
 )
 from .generate import GenSpec, gen_hypothesis_forcing
@@ -65,15 +66,6 @@ class UnknownTheorem(GeometryError):
     """Requested id is not in the registry."""
 
 
-def _lines_coincide(l: Line, m: Line, backend: Backend) -> bool:
-    """Projective equality that respects the backend's tolerance."""
-    cx = l.b * m.c - l.c * m.b
-    cy = l.c * m.a - l.a * m.c
-    cz = l.a * m.b - l.b * m.a
-    scale = max(abs(v) for v in l.triple) * max(abs(v) for v in m.triple)
-    return all(backend.zero(v, scale) for v in (cx, cy, cz))
-
-
 # ---------------------------------------------------------------------------
 # per-theorem conclusion checks; each takes the forced config
 
@@ -87,7 +79,7 @@ def _check_two_pencils(config, backend, order):
 
 def _check_cor2(config, backend, order):
     p1, p2 = config["pencils"]
-    t1, t2 = cor2_collinear_triples(p1, p2)
+    t1, t2 = cor2_collinear_triples(p1, p2, backend)
     b1, b2 = all_collinear(t1, backend), all_collinear(t2, backend)
     return b1 and b2, {"triple_1": b1, "triple_2": b2}
 
@@ -137,7 +129,7 @@ def _check_crossratio(config, backend, order):
 def _check_pappus4(config, backend, order):
     a, b = config["first"], config["second"]
     lines = pappus_lines(a, b, backend)
-    coincide = all(_lines_coincide(lines[0], l, backend) for l in lines[1:])
+    coincide = all(lines_coincide(lines[0], l, backend) for l in lines[1:])
     crs_equal = backend.eq(
         cross_ratio_points(*a, backend), cross_ratio_points(*b, backend)
     )

@@ -134,9 +134,8 @@ class _Marker:
     hollow: bool
 
 
-def _collect(ast: SceneAst, backend: Backend):
+def _collect(ast: SceneAst, env: dict):
     """Strokes and markers in statement order, unclipped."""
-    env = evaluate(ast, backend).bindings
     strokes = []
     markers = []
     for st in ast.statements:
@@ -182,13 +181,13 @@ def _clipped_strokes(strokes, vp: Viewport):
 
 def auto_viewport(ast: SceneAst, backend: Backend = EXACT) -> Viewport:
     """Square box around the finite declared points, 15% margin."""
-    env = evaluate(ast, backend).bindings
-    coords = []
-    for st in ast.statements:
-        if isinstance(st, PointDecl):
-            at = _affine(env[st.name])
-            if at is not None:
-                coords.append(at)
+    _, markers = _collect(ast, evaluate(ast, backend).bindings)
+    return _box_around(markers)
+
+
+def _box_around(markers) -> Viewport:
+    # the markers are exactly the finite declared points
+    coords = [m.at for m in markers]
     if not coords:
         return Viewport(-5.0, -5.0, 5.0, 5.0)
     xs = [c[0] for c in coords]
@@ -271,8 +270,10 @@ def render_scene(
     """Figure text for a scene; fmt is "svg" or "tikz"."""
     if fmt not in ("svg", "tikz"):
         raise ValueError(f"unknown format {fmt!r}")
-    vp = viewport if viewport is not None else auto_viewport(ast, backend)
-    strokes, markers = _collect(ast, backend)
+    # one evaluation serves the strokes and the viewport; it also runs
+    # every assertion, so one that raises still fails the render
+    strokes, markers = _collect(ast, evaluate(ast, backend).bindings)
+    vp = viewport if viewport is not None else _box_around(markers)
     clipped = _clipped_strokes(strokes, vp)
     if fmt == "svg":
         return _render_svg(clipped, markers, vp)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -14,7 +15,10 @@ from harmonica.core import (
     Point,
     PointAtInfinity,
     TooFewDistinct,
+    _tidy,
     collinear,
+    collinearity_residual,
+    concurrency_residual,
     concurrent,
     cross_ratio_lines,
     cross_ratio_points,
@@ -23,10 +27,12 @@ from harmonica.core import (
     float_backend,
     fourth_harmonic_line,
     harmonic_conjugate,
+    incidence_residual,
     incident,
     is_harmonic_pencil,
     is_harmonic_points,
     join,
+    lines_coincide,
     meet,
     ratio_product,
     signed_area,
@@ -477,3 +483,273 @@ def test_point_json_roundtrip():
 def test_line_json_roundtrip():
     l = Line(Fraction(1, 2), 3, Fraction(-5, 4))
     assert Line.from_json(l.to_json()) == l
+
+
+# ---------------------------------------------------------------------------
+# integer forms: the exact kernel computes on them, results do not change
+#
+# The reference functions below compute on the coordinates as given,
+# the way the kernel did before points and lines kept an integer form.
+
+
+def _ref_tidy(x, y, z):
+    if any(isinstance(v, float) for v in (x, y, z)):
+        m = max(abs(x), abs(y), abs(z))
+        if m == 0 or not math.isfinite(m):
+            return x, y, z
+        return x / m, y / m, z / m
+    fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
+    lcm = fx.denominator
+    lcm = lcm * fy.denominator // math.gcd(lcm, fy.denominator)
+    lcm = lcm * fz.denominator // math.gcd(lcm, fz.denominator)
+    ix, iy, iz = (
+        fx.numerator * (lcm // fx.denominator),
+        fy.numerator * (lcm // fy.denominator),
+        fz.numerator * (lcm // fz.denominator),
+    )
+    g = math.gcd(math.gcd(ix, iy), iz)
+    if g > 1:
+        ix, iy, iz = ix // g, iy // g, iz // g
+    return ix, iy, iz
+
+
+def _ref_cross(p, q):
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def _ref_incidence(l, p):
+    value = l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
+    scale = abs(l[0] * p[0]) + abs(l[1] * p[1]) + abs(l[2] * p[2])
+    return value, scale
+
+
+def _ref_det3(p, q, r):
+    c = _ref_cross(q, r)
+    value = p[0] * c[0] + p[1] * c[1] + p[2] * c[2]
+    a, b, d = ([abs(v) for v in t] for t in (p, q, r))
+    scale = (
+        a[0] * (b[1] * d[2] + b[2] * d[1])
+        + a[1] * (b[0] * d[2] + b[2] * d[0])
+        + a[2] * (b[0] * d[1] + b[1] * d[0])
+    )
+    return value, scale
+
+
+def _ref_proportional(p, q):
+    return (
+        p[0] * q[1] == p[1] * q[0]
+        and p[0] * q[2] == p[2] * q[0]
+        and p[1] * q[2] == p[2] * q[1]
+    )
+
+
+def _ref_lines_coincide(l, m, backend):
+    scale = max(abs(v) for v in l) * max(abs(v) for v in m)
+    return all(backend.zero(v, scale) for v in _ref_cross(l, m))
+
+
+def _typed(triple):
+    return [(type(v), v) for v in triple]
+
+
+_BACKENDS = (EXACT, FloatBackend(1e-9))
+
+
+def _coordinate(rng, kind):
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "fraction":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    if kind == "float":
+        return rng.choice([0.0, float(rng.randint(-4, 4)), rng.uniform(-5, 5)])
+    return _coordinate(rng, rng.choice(["int", "fraction"]))  # mixed
+
+
+def _triple(rng, kind):
+    while True:
+        if kind == "float-mixed":
+            t = [_coordinate(rng, "mixed") for _ in range(3)]
+            t[rng.randrange(3)] = _coordinate(rng, "float")
+        else:
+            t = [_coordinate(rng, kind) for _ in range(3)]
+        if rng.random() < 0.2:
+            t[2] = 0 * t[2]  # at infinity, keeping the coordinate's type
+        if any(v != 0 for v in t):
+            return tuple(t)
+
+
+def _scaled(rng, triple):
+    """The same projective object with other coordinates."""
+    factor = rng.choice([-3, 2, Fraction(-2, 7), Fraction(5, 3)])
+    return tuple(v * factor for v in triple)
+
+
+def _pool(cls, rng, size=30):
+    kinds = ("int", "fraction", "mixed", "float", "float-mixed")
+    objs = []
+    for i in range(size):
+        t = _triple(rng, kinds[i % len(kinds)])
+        objs.append(cls(*t))
+        if i % 3 == 0:
+            objs.append(cls(*_scaled(rng, t)))
+    return objs
+
+
+def _with_incidences(rng, points, lines):
+    """Add joins and meets of pool members, so equal and incident pairs
+    occur among them as well as generic ones."""
+    for _ in range(24):
+        p, q = rng.sample(points, 2)
+        l, m = rng.sample(lines, 2)
+        try:
+            lines.append(join(p, q))
+        except CoincidentPoints:
+            pass
+        try:
+            points.append(meet(l, m))
+        except CoincidentLines:
+            pass
+
+
+@pytest.fixture(scope="module")
+def kernel_pool():
+    rng = Random(20181)
+    points, lines = _pool(Point, rng), _pool(Line, rng)
+    _with_incidences(rng, points, lines)
+    return rng, points, lines
+
+
+def test_tidy_int_fast_path_matches_fraction_path():
+    rng = Random(4)
+    for _ in range(2000):
+        big = rng.choice([5, 60, 2**70])
+        t = tuple(rng.randint(-big, big) for _ in range(3))
+        if rng.random() < 0.5:
+            f = rng.randint(1, 12)
+            t = tuple(v * f for v in t)
+        assert _typed(_tidy(*t)) == _typed(_ref_tidy(*t))
+    for t in [(0, 0, 5), (0, -4, 0), (-6, 9, -12), (7, 0, 0), (0, 0, 0)]:
+        assert _typed(_tidy(*t)) == _typed(_ref_tidy(*t))
+
+
+def test_tidy_exact_and_float_paths_unchanged():
+    rng = Random(5)
+    for kind in ("fraction", "mixed", "float", "float-mixed"):
+        for _ in range(300):
+            t = _triple(rng, kind)
+            assert _typed(_tidy(*t)) == _typed(_ref_tidy(*t))
+
+
+def test_integer_form_is_positive_primitive_multiple(kernel_pool):
+    _, points, lines = kernel_pool
+    for obj in points + lines:
+        t, form = obj.triple, obj._form
+        if any(isinstance(v, float) for v in t):
+            assert form is None
+            continue
+        assert all(type(v) is int for v in form)
+        if all(type(v) is int for v in t):
+            assert form == t
+            continue
+        assert math.gcd(*form) == 1
+        # a positive multiple: proportional, and every sign kept
+        assert _ref_proportional(t, form)
+        assert all((a > 0) == (b > 0) and (a < 0) == (b < 0) for a, b in zip(t, form))
+
+
+def test_join_and_meet_triples_match_coordinates(kernel_pool):
+    _, points, lines = kernel_pool
+    for build, objs, error in (
+        (join, points, CoincidentPoints),
+        (meet, lines, CoincidentLines),
+    ):
+        for a in objs:
+            for b in objs:
+                t = _ref_cross(a.triple, b.triple)
+                if all(v == 0 for v in t):
+                    with pytest.raises(error):
+                        build(a, b)
+                else:
+                    assert _typed(build(a, b).triple) == _typed(_ref_tidy(*t))
+
+
+def test_equality_matches_coordinates(kernel_pool):
+    _, points, lines = kernel_pool
+    equal = 0
+    for objs in (points, lines):
+        for a in objs:
+            for b in objs:
+                expected = _ref_proportional(a.triple, b.triple)
+                assert (a == b) is expected
+                assert (a != b) is not expected
+                equal += expected and a is not b
+    assert equal > 20
+
+
+def test_predicates_match_coordinates(kernel_pool):
+    rng, points, lines = kernel_pool
+    hits = 0
+    for backend in _BACKENDS:
+        for l in lines:
+            for p in points:
+                expected = backend.zero(*_ref_incidence(l.triple, p.triple))
+                assert incident(l, p, backend) is expected
+                hits += expected
+        for _ in range(1500):
+            l, m = rng.choice(lines), rng.choice(lines)
+            expected = _ref_lines_coincide(l.triple, m.triple, backend)
+            assert lines_coincide(l, m, backend) is expected
+            for pred, objs in ((collinear, points), (concurrent, lines)):
+                a, b, c = (rng.choice(objs) for _ in range(3))
+                expected = backend.zero(*_ref_det3(a.triple, b.triple, c.triple))
+                assert pred(a, b, c, backend) is expected
+                hits += expected
+    assert hits > 200
+
+
+def test_float_backend_on_exact_data_tests_given_coordinates():
+    # the tolerance floor max(1, scale) is not scale-free, so a float
+    # backend must see these tiny exact residuals as they are: zero
+    be = FloatBackend(1e-9)
+    tiny = Fraction(1, 10**12)
+    p = Point(tiny, 0, 1)
+    assert incident(Line(1, 0, 0), p, be)
+    assert collinear(Point(0, 0, 1), Point(0, 1, 1), p, be)
+    assert concurrent(Line(1, 0, 0), Line(1, 1, 0), Line(1, 0, tiny), be)
+    assert lines_coincide(Line(tiny, tiny, 1), Line(0, 0, 1), be)
+    assert not incident(Line(1, 0, 0), p)
+    assert not lines_coincide(Line(tiny, tiny, 1), Line(0, 0, 1))
+
+
+def test_residuals_use_given_coordinates(kernel_pool):
+    rng, points, lines = kernel_pool
+    for _ in range(500):
+        l, m, n = (rng.choice(lines) for _ in range(3))
+        p, q, r = (rng.choice(points) for _ in range(3))
+        assert _typed(incidence_residual(l, p)) == _typed(
+            _ref_incidence(l.triple, p.triple)
+        )
+        assert _typed(collinearity_residual(p, q, r)) == _typed(
+            _ref_det3(p.triple, q.triple, r.triple)
+        )
+        assert _typed(concurrency_residual(l, m, n)) == _typed(
+            _ref_det3(l.triple, m.triple, n.triple)
+        )
+    # a scaled copy reports its own residual, not its integer form's
+    half = Line(Fraction(1, 2), Fraction(-1, 2), 0)
+    assert incidence_residual(half, Point(Fraction(1, 3), 0, 1)) == (
+        Fraction(1, 6),
+        Fraction(1, 6),
+    )
+
+
+def test_coordinates_survive_integer_form():
+    p = Point(Fraction(2, 4), Fraction(-1, 3), 1)
+    assert p.triple == (Fraction(1, 2), Fraction(-1, 3), 1)
+    assert p._form == (3, -2, 6)
+    assert repr(p) == "Point(1/2 : -1/3 : 1)"
+    assert p.to_json() == {"x": "1/2", "y": "-1/3", "w": "1"}

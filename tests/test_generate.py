@@ -213,11 +213,6 @@ class TestHypothesisForcing:
             assert quad_zeta(config) == 1
             assert quad_diag_product(config) == 1
 
-    def test_quad_ell_pairs_alias(self):
-        forced = gen_hypothesis_forcing("quad-ell-pairs", GenSpec(seed=33))
-        assert forced["theorem"] == "quad-ell-pairs"
-        assert quad_diag_product(forced["config"]) == 1
-
     def test_crossratio_matched(self):
         forced = gen_hypothesis_forcing("crossratio", GenSpec(seed=34))
         a, b = forced["first"], forced["second"]

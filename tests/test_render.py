@@ -2,7 +2,8 @@
 
 import pytest
 
-from harmonica.dsl import parse
+from harmonica import render as render_module
+from harmonica.dsl import EvaluationError, parse
 from harmonica.render import Viewport, auto_viewport, render_scene
 
 # Every coordinate sits inside the explicit viewport used below, so
@@ -160,6 +161,34 @@ class TestDeterminism:
 
 
 class TestAutoViewport:
+    def test_render_scene_evaluates_once(self, monkeypatch):
+        calls = []
+        evaluate = render_module.evaluate
+
+        def counting(ast, backend):
+            calls.append(ast)
+            return evaluate(ast, backend)
+
+        monkeypatch.setattr(render_module, "evaluate", counting)
+        ast = parse(BASE_SCENE)
+        for fmt in ("svg", "tikz"):
+            for viewport in (None, VIEW):
+                calls.clear()
+                render_scene(ast, fmt=fmt, viewport=viewport)
+                assert calls == [ast]
+
+    def test_implicit_box_is_auto_viewport(self):
+        ast = parse(BASE_SCENE)
+        for fmt in ("svg", "tikz"):
+            assert render_scene(ast, fmt=fmt) == render_scene(
+                ast, fmt=fmt, viewport=auto_viewport(ast)
+            )
+
+    def test_raising_assertion_fails_render(self):
+        text = BASE_SCENE + "point D = (2, 5)\nassert harmonic(A, B; C, D)\n"
+        with pytest.raises(EvaluationError, match="not on the carrier"):
+            render_scene(parse(text))
+
     def test_square_with_margin(self):
         text = "point A = (0, 0)\npoint B = (10, 0)\n"
         vp = auto_viewport(parse(text))
