@@ -156,6 +156,14 @@ def _is_float(*values: Scalar) -> bool:
     return any(isinstance(v, float) for v in values)
 
 
+def _backend_of(*triples) -> Backend:
+    """The float backend if any coordinate of the triples is a float,
+    else EXACT."""
+    if _is_float(*(v for t in triples for v in t)):
+        return float_backend()
+    return EXACT
+
+
 def exact_div(num: Scalar, den: Scalar) -> Scalar:
     """Division that never silently turns ints into floats."""
     if _is_float(num, den):
@@ -478,36 +486,25 @@ def lines_coincide(l: Line, m: Line, backend: Backend = EXACT) -> bool:
     return all(backend.zero(v, scale) for v in _cross(t, u))
 
 
+def _all_on_one(objs, trio, backend: Backend) -> bool:
+    # trio(a, b, c, backend) over the first distinct pair a, b and
+    # every member c; fewer than two distinct members pass
+    for i in range(len(objs)):
+        for j in range(i + 1, len(objs)):
+            if objs[i] != objs[j]:
+                a, b = objs[i], objs[j]
+                return all(trio(a, b, c, backend) for c in objs)
+    return True
+
+
 def all_collinear(points: Sequence[Point], backend: Backend = EXACT) -> bool:
     """Whether every point of the sequence lies on one common line."""
-    base = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] != points[j]:
-                base = (points[i], points[j])
-                break
-        if base:
-            break
-    if base is None:
-        return True
-    p, q = base
-    return all(collinear(p, q, r, backend) for r in points)
+    return _all_on_one(points, collinear, backend)
 
 
 def all_concurrent(lines: Sequence[Line], backend: Backend = EXACT) -> bool:
     """Whether every line of the sequence passes through one common point."""
-    base = None
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if lines[i] != lines[j]:
-                base = (lines[i], lines[j])
-                break
-        if base:
-            break
-    if base is None:
-        return True
-    l, m = base
-    return all(concurrent(l, m, n, backend) for n in lines)
+    return _all_on_one(lines, concurrent, backend)
 
 
 # ---------------------------------------------------------------------------

@@ -933,7 +933,7 @@ def _eval_expr(expr, env, backend: Backend):
     if isinstance(expr, CompleteFourthLine):
         vertices = tuple(env[v] for v in expr.vertices)
         lines = tuple(env[l] for l in expr.lines)
-        return complete_fourth_line(vertices, *lines)
+        return complete_fourth_line(vertices, *lines, backend=backend)
     raise TypeError(f"not an expression: {expr!r}")
 
 

@@ -7,6 +7,13 @@ sampling; a draw that cannot satisfy its predicates within the retry
 budget raises RetryLimitExceeded instead of looping forever, which is
 what makes tiny coordinate bounds safe.
 
+The hypothesis-forcing constructions only draw: a draw is rejected
+when a construction step finds it degenerate, never by running the
+theorem's check (two-pencils tests its hypothesis, that no line is
+shared at one slot, since the drawing does not force it).  The
+registry runs the check once per trial; a check that raises on a
+forced instance is a reported failure of that trial, not a redraw.
+
 The sample_* helpers take an explicit random.Random so that multi-part
 constructions (and the CLI trial loop) can draw several objects from
 one stream.  The gen_* wrappers own their Random and are the stable
@@ -23,13 +30,11 @@ from typing import Sequence
 
 from .bisectors import EuclideanPoint
 from .core import (
-    EXACT,
     DegenerateInput,
     GeometryError,
     Line,
     Point,
     collinear,
-    fourth_harmonic_line,
     incident,
     join,
     meet,
@@ -39,23 +44,9 @@ from .pencils import (
     QuadrilateralConfig,
     TriangleConfig,
     complete_fourth_line,
-    cor2_collinear_triples,
-    crossratio_six_point_lists,
-    desargues_quantitative,
-    free_quadrilateral_triples,
-    free_triangle_lines,
-    pappus_lines,
-    quad_coincidence_equivalence,
-    triangle_concurrency_transfer,
     two_pencils_points,
 )
-from .reduction import (
-    CevaGon,
-    MenelaosGon,
-    duality_bridge,
-    is_pseudo_collinear,
-    is_pseudo_concurrent,
-)
+from .reduction import CevaGon, MenelaosGon
 from .report import _plain
 
 
@@ -385,6 +376,7 @@ def _force_two_pencils(rng: Random, spec: GenSpec, n) -> dict:
         HarmonicPencil.complete(v, join(v, p1), join(v, p2), join(v, p3))
         for v in verts
     )
+    # the hypothesis (no line shared at one slot): the one rejecting check
     two_pencils_points(*pencils)
     return {"pencils": pencils, "transversal": t}
 
@@ -406,7 +398,6 @@ def _force_cor2(rng: Random, spec: GenSpec, n) -> dict:
         g = sample_line_through(rng, spec.bound, v, [shared, a2], spec.retries)
         pencils.append(HarmonicPencil.complete(v, shared, a2, g))
     pencils = tuple(pencils)
-    cor2_collinear_triples(*pencils)
     return {"pencils": pencils}
 
 
@@ -414,7 +405,6 @@ def _force_free_triangle(rng: Random, spec: GenSpec, n) -> dict:
     vertices = sample_general_points(rng, spec.bound, 3, spec.retries)
     g = _harmonic_lines_at(rng, spec, vertices)
     config = TriangleConfig.complete(vertices, g)
-    free_triangle_lines(config)
     return {"config": config}
 
 
@@ -423,7 +413,6 @@ def _force_triangle_transfer(rng: Random, spec: GenSpec, n) -> dict:
     center = _point_off_joins(rng, spec, vertices)
     g = tuple(join(v, center) for v in vertices)
     config = TriangleConfig.complete(vertices, g)
-    triangle_concurrency_transfer(config)
     return {"config": config, "center": center}
 
 
@@ -450,7 +439,6 @@ def _force_free_quad(rng: Random, spec: GenSpec, n) -> dict:
     vertices = sample_general_points(rng, spec.bound, 4, spec.retries)
     g = _harmonic_lines_at(rng, spec, vertices)
     config = QuadrilateralConfig.complete(vertices, g)
-    free_quadrilateral_triples(config)
     return {"config": config}
 
 
@@ -459,13 +447,10 @@ def _force_quad_equivalence(rng: Random, spec: GenSpec, n) -> dict:
     partial = _harmonic_lines_at(rng, spec, vertices)[:3]
     g4 = complete_fourth_line(vertices, *partial)
     config = QuadrilateralConfig.complete(vertices, partial + (g4,))
-    quad_coincidence_equivalence(config)
     return {"config": config}
 
 
-def _matched_quadruples(
-    rng: Random, spec: GenSpec
-) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+def _force_matched_quadruples(rng: Random, spec: GenSpec, n) -> dict:
     """Two collinear quadruples with equal cross-ratio, related by a
     perspectivity (which preserves cross-ratio exactly)."""
     l = _sample_line(rng, spec)
@@ -485,19 +470,7 @@ def _matched_quadruples(
         avoid.append(p)
         a.append(p)
     b = tuple(meet(m, join(center, p)) for p in a)
-    return tuple(a), b
-
-
-def _force_crossratio(rng: Random, spec: GenSpec, n) -> dict:
-    a, b = _matched_quadruples(rng, spec)
-    crossratio_six_point_lists(a, b)
-    return {"first": a, "second": b}
-
-
-def _force_pappus4(rng: Random, spec: GenSpec, n) -> dict:
-    a, b = _matched_quadruples(rng, spec)
-    pappus_lines(a, b)
-    return {"first": a, "second": b}
+    return {"first": tuple(a), "second": b}
 
 
 def _force_desargues(rng: Random, spec: GenSpec, n) -> dict:
@@ -516,7 +489,6 @@ def _force_desargues(rng: Random, spec: GenSpec, n) -> dict:
     t1, t2 = tuple(t1), tuple(t2)
     if collinear(*t1) or collinear(*t2):
         raise DegenerateInput("perspective triangle is flat")
-    desargues_quantitative(t1, t2)
     return {"first": t1, "second": t2, "center": center}
 
 
@@ -524,7 +496,6 @@ def _force_ceva(rng: Random, spec: GenSpec, n) -> dict:
     vertices = sample_general_points(rng, spec.bound, n, spec.retries)
     center = _point_off_joins(rng, spec, vertices)
     gon = CevaGon(vertices, tuple(join(v, center) for v in vertices))
-    is_pseudo_concurrent(gon)
     return {"gon": gon, "center": center}
 
 
@@ -545,7 +516,6 @@ def _force_menelaos(rng: Random, spec: GenSpec, n) -> dict:
         meet(join(vertices[i], vertices[(i + 1) % m]), t) for i in range(m)
     )
     gon = MenelaosGon(vertices, cuts)
-    is_pseudo_collinear(gon)
     return {"gon": gon, "transversal": t}
 
 
@@ -559,8 +529,6 @@ def _force_duality(rng: Random, spec: GenSpec, n) -> dict:
             sample_point_on(rng, spec.bound, join(a, b), [a, b], spec.retries)
         )
     gon = MenelaosGon(vertices, tuple(cuts))
-    is_pseudo_collinear(gon)
-    is_pseudo_concurrent(duality_bridge(gon))
     return {"gon": gon}
 
 
@@ -596,8 +564,8 @@ _FORCERS = {
     "triangle-transfer": _forced(_force_triangle_transfer),
     "free-quad": _forced(_force_free_quad),
     "quad-equivalence": _forced(_force_quad_equivalence),
-    "crossratio": _forced(_force_crossratio),
-    "pappus4": _forced(_force_pappus4),
+    "crossratio": _forced(_force_matched_quadruples),
+    "pappus4": _forced(_force_matched_quadruples),
     "desargues": _forced(_force_desargues),
     "ceva-quad": _forced(_force_ceva_quad),
     "ceva-ngon": _forced(_force_ceva),

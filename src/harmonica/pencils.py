@@ -29,7 +29,7 @@ from .core import (
     TooFewDistinct,
     UndefinedFoot,
     UndefinedRatio,
-    _is_float,
+    _backend_of,
     _tidy,
     all_collinear,
     collinear,
@@ -39,7 +39,6 @@ from .core import (
     cross_ratio_lines,
     cross_ratio_points,
     exact_div,
-    float_backend,
     fourth_harmonic_line,
     incident,
     join,
@@ -50,13 +49,6 @@ from .core import (
 )
 from .reduction import diagonal_ratio_product
 from .report import TheoremReport
-
-
-def _validation_backend(*triples) -> Backend:
-    values = [v for t in triples for v in t]
-    if _is_float(*values):
-        return float_backend()
-    return EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +66,7 @@ class HarmonicPencil:
     h: Line
 
     def __post_init__(self) -> None:
-        be = _validation_backend(
+        be = _backend_of(
             self.vertex.triple,
             *(l.triple for l in (self.a1, self.a2, self.g, self.h)),
         )
@@ -210,7 +202,7 @@ class TriangleConfig:
         v = self.vertices
         if collinear(*v):
             raise DegenerateConfig("triangle vertices are collinear")
-        be = _validation_backend(*(p.triple for p in v))
+        be = _backend_of(*(p.triple for p in v))
         for i in range(3):
             a1 = self.side(_cyc(i + 1, 3))
             a2 = self.side(_cyc(i + 2, 3))
@@ -350,7 +342,7 @@ class QuadrilateralConfig:
                         raise DegenerateConfig(
                             "three quadrilateral vertices are collinear"
                         )
-        be = _validation_backend(*(p.triple for p in v))
+        be = _backend_of(*(p.triple for p in v))
         for i in range(4):
             cr = cross_ratio_lines(
                 v[i],
@@ -525,11 +517,7 @@ def quad_coincidence_equivalence(
     residuals = {}
     for pair in ell_pairs(q):
         name = f"ell{pair.index}_coincides"
-        booleans[name] = (
-            pair.first == pair.second
-            if backend.kind == "exact"
-            else _lines_close(pair.first, pair.second, backend)
-        )
+        booleans[name] = lines_coincide(pair.first, pair.second, backend)
     try:
         zeta = quad_zeta(q, backend)
         booleans["zeta_one"] = backend.eq(zeta, 1)
@@ -549,37 +537,28 @@ def quad_coincidence_equivalence(
     )
 
 
-def _lines_close(l: Line, m: Line, backend: Backend) -> bool:
-    t1, t2 = l.triple, m.triple
-    for i in range(3):
-        for j in range(i + 1, 3):
-            minor = t1[i] * t2[j] - t1[j] * t2[i]
-            scale = abs(t1[i] * t2[j]) + abs(t1[j] * t2[i])
-            if not backend.zero(minor, scale):
-                return False
-    return True
-
-
 def complete_fourth_line(
     vertices: Sequence[Point],
     g1: Line,
     g2: Line,
     g3: Line,
     via: str = "diagonal",
+    backend: Backend = EXACT,
 ) -> Line:
     """The unique line through A4 making the coincidence criterion hold.
 
     via="diagonal" solves the diagonal ratio product for the missing
     cut; via="crossing" intersects g1 with the carrier line through
     the crossing of g2 and g3 and the first diagonal point.  Both
-    routes construct the same line.
+    routes construct the same line.  The given lines' incidence and
+    the cut ratios are tested with the backend.
     """
     A = tuple(vertices)
     if len(A) != 4:
         raise DegenerateInput("need exactly four vertices")
     g = (g1, g2, g3)
     for i in range(3):
-        if not incident(g[i], A[i]):
+        if not incident(g[i], A[i], backend):
             raise DegenerateInput(f"g{i + 1} does not pass through vertex {i + 1}")
     if via == "crossing":
         try:
@@ -594,7 +573,7 @@ def complete_fourth_line(
         raise ValueError(f"unknown completion route {via!r}")
     diag24 = _join_distinct(A[1], A[3], "diagonal A2 A4")
     diag13 = _join_distinct(A[0], A[2], "diagonal A1 A3")
-    if incident(diag13, A[3]):
+    if incident(diag13, A[3], backend):
         raise DegenerateConfig("vertex 4 lies on the diagonal A1 A3")
     d1 = _foot(diag24, g1, "cut of g1")
     d2 = _foot(diag13, g2, "cut of g2")
@@ -602,9 +581,9 @@ def complete_fourth_line(
     try:
         known = ratio_product(
             [
-                signed_ratio(A[0], d2, A[2]),
-                signed_ratio(A[1], d3, A[3]),
-                signed_ratio(A[3], d1, A[1]),
+                signed_ratio(A[0], d2, A[2], backend),
+                signed_ratio(A[1], d3, A[3], backend),
+                signed_ratio(A[3], d1, A[1], backend),
             ]
         )
     except (UndefinedRatio, TooFewDistinct):
@@ -642,7 +621,7 @@ def _divide_segment(a: Point, b: Point, t: Scalar) -> Point:
 def _check_carrier(
     points: Sequence[Point], what: str, backend: Backend | None = None
 ) -> Line:
-    be = backend or _validation_backend(*(p.triple for p in points))
+    be = backend or _backend_of(*(p.triple for p in points))
     base = join(points[0], points[1])
     for p in points[2:]:
         if not incident(base, p, be):
@@ -719,7 +698,7 @@ def pappus_lines(
     """
     a = tuple(a)
     b = tuple(b)
-    be = backend or _validation_backend(*(p.triple for p in a + b))
+    be = backend or _backend_of(*(p.triple for p in a + b))
     _check_carrier(a, "first quadruple", be)
     _check_carrier(b, "second quadruple", be)
     lines = []

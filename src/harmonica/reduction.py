@@ -32,11 +32,10 @@ from .core import (
     Scalar,
     UndefinedFoot,
     UndefinedRatio,
-    _is_float,
+    _backend_of,
     collinear,
     concurrent,
     dualize,
-    float_backend,
     incident,
     join,
     meet,
@@ -70,12 +69,6 @@ class ReplayMismatch(GeometryError):
     """A replayed trace produced different objects than it recorded."""
 
 
-def _gon_backend(*triples) -> Backend:
-    if _is_float(*(v for t in triples for v in t)):
-        return float_backend()
-    return EXACT
-
-
 # ---------------------------------------------------------------------------
 # gon types
 
@@ -93,7 +86,7 @@ class CevaGon:
             raise DegenerateInput("a gon needs at least 3 vertices")
         if len(self.cevians) != n:
             raise DegenerateInput("one cevian per vertex required")
-        be = _gon_backend(
+        be = _backend_of(
             *(p.triple for p in self.vertices),
             *(l.triple for l in self.cevians),
         )
@@ -143,7 +136,7 @@ class MenelaosGon:
             raise DegenerateInput("a gon needs at least 3 vertices")
         if len(self.side_points) != n:
             raise DegenerateInput("one side point per side required")
-        be = _gon_backend(
+        be = _backend_of(
             *(p.triple for p in self.vertices),
             *(p.triple for p in self.side_points),
         )
@@ -496,7 +489,7 @@ def _verdict_backend(gon, backend: Backend | None) -> Backend:
         triples += [l.triple for l in gon.cevians]
     else:
         triples += [p.triple for p in gon.side_points]
-    return _gon_backend(*triples)
+    return _backend_of(*triples)
 
 
 def _step_fn(gon):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from harmonica.cli import _parse_order, _UsageError, main
+from harmonica.core import EPS_ENV_VAR, float_backend
 from harmonica.reduction import ReductionTrace
 
 GOOD_SCENE = """\
@@ -218,6 +219,23 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_figure9_float_completes_fourth_line_at_default_eps(
+        self, capsys, monkeypatch
+    ):
+        # complete_fourth_line must test the floatified cevians with the
+        # scene's backend, not exactly
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.delenv(EPS_ENV_VAR, raising=False)
+        assert float_backend().eps == 1e-9
+        code, out, err = run(
+            capsys, "check", "scenes/figure9.hgeo", "--backend", "float"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert len(report["assertions"]) == 6
+        assert all(a["passed"] for a in report["assertions"])
+
     def test_shipped_figures_all_pass(self, capsys):
         from pathlib import Path
 
@@ -378,8 +396,8 @@ class TestGen:
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# SHA-256 of stdout, recorded before the exact kernel moved to integer
-# forms; gen JSON, reduction traces and check reports must not move.
+# SHA-256 of stdout, recorded on earlier commits; gen JSON, verify and
+# check reports and reduction traces must not move.
 PINNED_STDOUT = [
     (
         ("gen", "ceva-ngon", "--seed", "7"),
@@ -404,11 +422,78 @@ PINNED_STDOUT = [
         ("check", "scenes/figure1.hgeo", "--backend", "float"),
         "81ba7edea4f815d34a9cf4535d38ce114ab6a29cf3fd7f633f500fc27d384d03",
     ),
+    (
+        ("gen", "bisectors-ngon", "--seed", "7"),
+        "2ad509f83baa27f47bef0094d66372de2e533e69387261d9b94a0ddb889cda37",
+    ),
+    (
+        ("gen", "bisectors-triangle", "--seed", "7"),
+        "ad4232154a0a72032bbdd517590cd9a4200436a094a2cd9f7fe244accf949e2e",
+    ),
+    (
+        ("gen", "ceva-quad", "--seed", "7"),
+        "b82304e94329c92c55ee86e33f44212117b47a7cd255c02c7f63416cffa9aa08",
+    ),
+    (
+        ("gen", "cor2", "--seed", "7"),
+        "69576c33e596bf141b15891364c1779dc9c50f6fdaf336a277e76dc31c9ed81e",
+    ),
+    (
+        ("gen", "crossratio", "--seed", "7"),
+        "455967ca4f82512508b9e00e8f1a5bbc46e851d4d2bdeb7e6cc3c163fdc19ebd",
+    ),
+    (
+        ("gen", "desargues", "--seed", "7"),
+        "0b3ad6e8e2dc24e04f0799ff63e8411b435555eae59bee2d87cc559b2005cac5",
+    ),
+    (
+        ("gen", "free-quad", "--seed", "7"),
+        "5275cb7e103262fc4e4fc3bdaa6dc9e9f2756fb551c46f2ce4549d498ffc5378",
+    ),
+    (
+        ("gen", "free-triangle", "--seed", "7"),
+        "74ada857d96d20a8e0b512622de9ac8c844ca6baa02ac4202ed8110f83a753c0",
+    ),
+    (
+        ("gen", "pappus4", "--seed", "7"),
+        "75d004aa99866a7302af2707f2a48978fa83d061fe1024f60e3283419579aeb3",
+    ),
+    (
+        ("gen", "quad-equivalence", "--seed", "7"),
+        "99379ea35389041285db5c5de24d64ee4362a99b21992684ef09f5d6e9b8a17c",
+    ),
+    (
+        ("gen", "steiner-add-11", "--seed", "7"),
+        "e3289a7bfe1e5eeb8ad30b9c8152bf4c2c2978765f874e5c31684e0101432372",
+    ),
+    (
+        ("gen", "triangle-transfer", "--seed", "7"),
+        "5215a575cf79f473e8e0934ea2e75977ddbf6788d98f0ea6c69b4cd3dbcf32a1",
+    ),
+    (
+        ("gen", "two-pencils", "--seed", "7"),
+        "c0a71b6141cdcae3f9ffcbee6fb2c52bc595b9a529a8805c094be0254d13b2b5",
+    ),
+    (
+        ("gen", "two-pencils", "--bound", "1", "--seed", "4"),
+        "7418da0ff68ad9a1483cc73fda7c1a2402eaf828c190534bbb2432f7e6918cf8",
+    ),
+    (
+        ("verify", "all", "--trials", "20", "--seed", "0"),
+        "41d1ba2afb6b8d68d0178a9cf13a5741444445f5065cb681f0f43dbe9affd436",
+    ),
 ]
 
 
+def _pin_id(argv) -> str:
+    name = argv[0] + ":" + argv[1]
+    if "--bound" in argv:
+        name += ":bound" + argv[argv.index("--bound") + 1]
+    return name
+
+
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT, ids=[a[0] + ":" + a[1] for a, _ in PINNED_STDOUT]
+    "argv, digest", PINNED_STDOUT, ids=[_pin_id(a) for a, _ in PINNED_STDOUT]
 )
 def test_pinned_stdout_bytes(capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(REPO_ROOT)  # check reports carry the scene path

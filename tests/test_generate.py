@@ -195,6 +195,16 @@ class TestHypothesisForcing:
             for p in meets:
                 assert incident(t, p)
 
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_two_pencils_share_no_line_at_one_slot(self, bound):
+        # small bounds are where draws violating the hypothesis occur
+        for seed in range(40):
+            spec = GenSpec(seed=seed, bound=bound)
+            p1, p2 = gen_hypothesis_forcing("two-pencils", spec)["pencils"]
+            assert p1.vertex != p2.vertex
+            for l, m in zip(p1.lines, p2.lines):
+                assert l != m, (bound, seed)
+
     def test_cor2_shares_first_line(self):
         forced = gen_hypothesis_forcing("cor2", GenSpec(seed=31))
         p1, p2 = forced["pencils"]
