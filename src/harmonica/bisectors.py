@@ -33,6 +33,7 @@ from .report import TheoremReport
 
 INCIDENCE_EPS = 1e-9
 PRODUCT_EPS = 1e-8
+CLASSIFY_EPS = 1e-6
 
 
 class DegenerateAngle(GeometryError):
@@ -100,12 +101,11 @@ def angle_bisectors(
     prev: EuclideanPoint,
     v: EuclideanPoint,
     nxt: EuclideanPoint,
-    eps: float = INCIDENCE_EPS,
 ) -> BisectorPair:
     """Bisectors of the angle at v formed by rays toward prev and nxt."""
     d1x, d1y = _unit(prev.x - v.x, prev.y - v.y)
     d2x, d2y = _unit(nxt.x - v.x, nxt.y - v.y)
-    if abs(d1x * d2y - d1y * d2x) <= eps:
+    if abs(d1x * d2y - d1y * d2x) <= INCIDENCE_EPS:
         raise DegenerateAngle("angle legs are collinear")
     ux, uy = d1x + d2x, d1y + d2y
     return BisectorPair(
@@ -115,9 +115,13 @@ def angle_bisectors(
     )
 
 
-def lines_parallel(l: Line, m: Line, eps: float = INCIDENCE_EPS) -> bool:
-    """Whether two float lines have the same direction within eps
-    (after normalizing their normals)."""
+def lines_parallel(l: Line, m: Line) -> bool:
+    """Whether two float lines have the same direction within
+    INCIDENCE_EPS (after normalizing their normals)."""
+    return _parallel(l, m, INCIDENCE_EPS)
+
+
+def _parallel(l: Line, m: Line, eps: float) -> bool:
     n1 = math.hypot(l.a, l.b)
     n2 = math.hypot(m.a, m.b)
     if n1 == 0 or n2 == 0:
@@ -130,14 +134,13 @@ def classify_against_bisectors(
     prev: EuclideanPoint,
     v: EuclideanPoint,
     nxt: EuclideanPoint,
-    eps: float = 1e-6,
 ) -> str | None:
-    """Name the bisector of angle (prev, v, nxt) that a line matches,
-    or None if it matches neither."""
+    """Name the bisector of angle (prev, v, nxt) that a line matches
+    within CLASSIFY_EPS, or None if it matches neither."""
     fresh = angle_bisectors(prev, v, nxt)
-    if lines_parallel(line, fresh.internal, eps):
+    if _parallel(line, fresh.internal, CLASSIFY_EPS):
         return "internal"
-    if lines_parallel(line, fresh.external, eps):
+    if _parallel(line, fresh.external, CLASSIFY_EPS):
         return "external"
     return None
 
@@ -167,7 +170,6 @@ def triangle_bisector_concurrencies(
     a1: EuclideanPoint,
     a2: EuclideanPoint,
     a3: EuclideanPoint,
-    eps: float = INCIDENCE_EPS,
 ) -> TheoremReport:
     """Concurrency of the internal bisectors and of each mixed triple
     (one internal, the other two external).
@@ -183,10 +185,10 @@ def triangle_bisector_concurrencies(
     area2 = abs(
         (a2.x - a1.x) * (a3.y - a1.y) - (a2.y - a1.y) * (a3.x - a1.x)
     )
-    if area2 <= eps * diam * diam:
+    if area2 <= INCIDENCE_EPS * diam * diam:
         raise DegenerateTriangle("vertices are collinear")
     pairs = [
-        angle_bisectors(pts[(i - 1) % 3], pts[i], pts[(i + 1) % 3], eps)
+        angle_bisectors(pts[(i - 1) % 3], pts[i], pts[(i + 1) % 3])
         for i in range(3)
     ]
     g = [p.internal for p in pairs]
@@ -200,14 +202,14 @@ def triangle_bisector_concurrencies(
         return (p.x / p.w, p.y / p.w)
 
     d = _concurrency_distance(g[0], g[1], g[2]) / diam
-    booleans["internal_concurrent"] = d <= eps
+    booleans["internal_concurrent"] = d <= INCIDENCE_EPS
     residuals["internal_concurrent"] = d
     witness["incenter"] = center(g[0], g[1])
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         name = f"excenter_{i + 1}"
         d = _concurrency_distance(g[i], h[j], h[k]) / diam
-        booleans[f"{name}_concurrent"] = d <= eps
+        booleans[f"{name}_concurrent"] = d <= INCIDENCE_EPS
         residuals[f"{name}_concurrent"] = d
         witness[name] = center(g[i], h[j])
     return TheoremReport(
@@ -232,9 +234,7 @@ def incenter(
 # bisector quintuples on a complete quadrilateral
 
 
-def steiner_quintuples(
-    points: Sequence[EuclideanPoint], eps: float = INCIDENCE_EPS
-) -> list[list[Point]]:
+def steiner_quintuples(points: Sequence[EuclideanPoint]) -> list[list[Point]]:
     """The four quintuples of points that lie on the angle bisectors of
     the two diagonal points of a quadrilateral.
 
@@ -254,12 +254,12 @@ def steiner_quintuples(
                 area2 = abs(
                     (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
                 )
-                if area2 <= eps * diam * diam:
+                if area2 <= INCIDENCE_EPS * diam * diam:
                     raise DegenerateQuadrilateral(
                         "three vertices are collinear"
                     )
     pairs = [
-        angle_bisectors(points[(i - 1) % 4], points[i], points[(i + 1) % 4], eps)
+        angle_bisectors(points[(i - 1) % 4], points[i], points[(i + 1) % 4])
         for i in range(4)
     ]
     g = [p.internal for p in pairs]
@@ -278,9 +278,7 @@ def steiner_quintuples(
     ]
 
 
-def steiner_add_11_check(
-    points: Sequence[EuclideanPoint], eps: float = PRODUCT_EPS
-) -> TheoremReport:
+def steiner_add_11_check(points: Sequence[EuclideanPoint]) -> TheoremReport:
     """Collinearity report for the four bisector quintuples.
 
     Every triple inside each quintuple is tested with the relative
@@ -288,7 +286,7 @@ def steiner_add_11_check(
     parallel sides or bisectors) do not blow up the verdict.
     """
     quintuples = steiner_quintuples(points)
-    be = float_backend(eps)
+    be = float_backend(PRODUCT_EPS)
     booleans = {}
     residuals = {}
     for idx, quint in enumerate(quintuples, start=1):
@@ -312,7 +310,6 @@ def steiner_add_11_check(
 def bisector_gon(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
-    eps: float = INCIDENCE_EPS,
 ) -> CevaGon:
     """Cevian gon whose line at each vertex is the chosen bisector.
 
@@ -326,9 +323,7 @@ def bisector_gon(
         raise ValueError("one choice per vertex required")
     cevians = []
     for i in range(n):
-        pair = angle_bisectors(
-            points[(i - 1) % n], points[i], points[(i + 1) % n], eps
-        )
+        pair = angle_bisectors(points[(i - 1) % n], points[i], points[(i + 1) % n])
         if choice[i] == "internal":
             cevians.append(pair.internal)
         elif choice[i] == "external":
@@ -345,7 +340,6 @@ def bisector_pseudo_concurrency(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
     order="first",
-    eps: float = PRODUCT_EPS,
 ) -> bool:
     """Pseudo-concurrency verdict for the chosen bisectors of an n-gon.
 
@@ -354,18 +348,19 @@ def bisector_pseudo_concurrency(
     guarantee either way.
     """
     gon = bisector_gon(points, choice)
-    verdict, _ = is_pseudo_concurrent(gon, order=order, backend=float_backend(eps))
+    verdict, _ = is_pseudo_concurrent(
+        gon, order=order, backend=float_backend(PRODUCT_EPS)
+    )
     return verdict
 
 
 def bisector_product(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
-    eps: float = PRODUCT_EPS,
 ) -> float:
     """Cevian ratio product of the chosen bisectors."""
     gon = bisector_gon(points, choice)
-    return ceva_product(gon, float_backend(eps))
+    return ceva_product(gon, float_backend(PRODUCT_EPS))
 
 
 def _quintuple_worst_residual(quint: Sequence[Point]) -> float:

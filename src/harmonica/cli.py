@@ -24,14 +24,14 @@ from .dsl import (
     AssertPseudo,
     EvaluationError,
     SceneError,
+    _assertion_gon,
+    _gon_kind,
     evaluate,
     parse,
 )
 from .generate import GenSpec, config_to_json, gen_hypothesis_forcing
 from .reduction import (
-    CevaGon,
     DegenerateStep,
-    MenelaosGon,
     ReductionTrace,
     ReplayMismatch,
     is_pseudo_collinear,
@@ -165,22 +165,9 @@ def cmd_check(args) -> int:
 
 def _gon_from_scene(ast, report, mode: str):
     """Build the gon of the first assertion matching the mode."""
-    env = report.bindings
     for st in ast.statements:
-        if isinstance(st, AssertPseudo):
-            kinds = {"ceva": "concurrent", "menelaos": "collinear"}
-            if st.kind != kinds[mode]:
-                continue
-        elif isinstance(st, AssertProduct):
-            if st.kind != mode:
-                continue
-        else:
-            continue
-        vertices = env[st.gon]
-        items = tuple(env[name] for name in st.items)
-        if mode == "ceva":
-            return CevaGon(vertices, items)
-        return MenelaosGon(vertices, items)
+        if isinstance(st, (AssertPseudo, AssertProduct)) and _gon_kind(st) == mode:
+            return _assertion_gon(st, report.bindings)
     raise _UsageError(
         f"scene has no {mode} assertion to take a gon from; add a"
         f" pseudo_/{mode}_product assertion"
@@ -211,11 +198,9 @@ def cmd_reduce(args) -> int:
     backend = _backend_for(args.backend)
     report = evaluate(ast, backend)
     gon = _gon_from_scene(ast, report, args.mode)
+    check = is_pseudo_concurrent if gon.kind == "ceva" else is_pseudo_collinear
     try:
-        if args.mode == "ceva":
-            verdict, trace = is_pseudo_concurrent(gon, order, backend)
-        else:
-            verdict, trace = is_pseudo_collinear(gon, order, backend)
+        verdict, trace = check(gon, order, backend)
     except DegenerateStep as exc:
         print(f"degenerate step: {exc}", file=sys.stderr)
         if exc.trace is not None:

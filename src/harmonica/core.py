@@ -298,11 +298,6 @@ def format_scalar(v: Scalar) -> str:
     return _scalar_to_str(v)
 
 
-def parse_scalar(s: str) -> Scalar:
-    """Inverse of format_scalar."""
-    return _scalar_from_str(s)
-
-
 # ---------------------------------------------------------------------------
 # points and lines
 
@@ -394,9 +389,6 @@ class Line:
     @classmethod
     def from_json(cls, obj: dict) -> "Line":
         return cls(*(_scalar_from_str(obj[k]) for k in ("a", "b", "c")))
-
-
-LINE_AT_INFINITY = Line(0, 0, 1)
 
 
 def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
@@ -743,22 +735,3 @@ def fourth_harmonic_line(
         raise DegenerateInput("fourth harmonic needs g distinct from a and b")
     t = tuple(alpha * ai - beta * bi for ai, bi in zip(a.triple, b.triple))
     return Line(*_tidy(*t))
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def object_to_json(obj: Union[Point, Line]) -> dict:
-    data = obj.to_json()
-    data["kind"] = "point" if isinstance(obj, Point) else "line"
-    return data
-
-
-def object_from_json(data: dict) -> Union[Point, Line]:
-    kind = data.get("kind")
-    if kind == "point":
-        return Point.from_json(data)
-    if kind == "line":
-        return Line.from_json(data)
-    raise ValueError(f"unknown geometric object kind {kind!r}")

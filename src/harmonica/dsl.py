@@ -748,17 +748,13 @@ def parse(text: str) -> SceneAst:
 # formatter
 
 
-def _format_rational(v: Scalar) -> str:
-    return format_scalar(v)
-
-
 def _format_point_literal(triple) -> str:
     x, y, w = triple
     if w == 1:
-        return f"({_format_rational(x)}, {_format_rational(y)})"
+        return f"({format_scalar(x)}, {format_scalar(y)})"
     return (
-        f"({_format_rational(x)} : {_format_rational(y)} :"
-        f" {_format_rational(w)})"
+        f"({format_scalar(x)} : {format_scalar(y)} :"
+        f" {format_scalar(w)})"
     )
 
 
@@ -768,8 +764,8 @@ def _format_expr(expr) -> str:
     if isinstance(expr, LineLiteral):
         a, b, c = expr.triple
         return (
-            f"({_format_rational(a)} : {_format_rational(b)} :"
-            f" {_format_rational(c)})"
+            f"({format_scalar(a)} : {format_scalar(b)} :"
+            f" {format_scalar(c)})"
         )
     if isinstance(expr, Join):
         return f"join({expr.a}, {expr.b})"
@@ -837,7 +833,7 @@ def format_scene(ast: SceneAst) -> str:
             out.append(
                 f"assert {st.kind}_product("
                 + ", ".join((st.gon,) + st.items)
-                + f") = {_format_rational(st.target)}"
+                + f") = {format_scalar(st.target)}"
             )
         else:
             raise TypeError(f"not a statement: {st!r}")
@@ -978,15 +974,10 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
             f"{format_scalar(cr1)} vs {format_scalar(cr2)}",
         )
     if isinstance(st, AssertPseudo):
-        vertices = env[st.gon]
-        items = tuple(env[n] for n in st.items)
         order = st.order if st.order is not None else "first"
-        if st.kind == "concurrent":
-            gon = CevaGon(vertices, items)
-            passed, trace = is_pseudo_concurrent(gon, order, backend)
-        else:
-            gon = MenelaosGon(vertices, items)
-            passed, trace = is_pseudo_collinear(gon, order, backend)
+        gon = _assertion_gon(st, env)
+        check = is_pseudo_concurrent if gon.kind == "ceva" else is_pseudo_collinear
+        passed, trace = check(gon, order, backend)
         return AssertionResult(
             index,
             line,
@@ -995,12 +986,9 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
             f"reduction order {list(trace.indices)}",
         )
     if isinstance(st, AssertProduct):
-        vertices = env[st.gon]
-        items = tuple(env[n] for n in st.items)
-        if st.kind == "ceva":
-            product = ceva_product(CevaGon(vertices, items), backend)
-        else:
-            product = menelaos_product(MenelaosGon(vertices, items), backend)
+        gon = _assertion_gon(st, env)
+        product_of = ceva_product if gon.kind == "ceva" else menelaos_product
+        product = product_of(gon, backend)
         target = _to_backend_scalar(st.target, backend)
         passed = backend.eq(product, target)
         return AssertionResult(
@@ -1011,6 +999,17 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
             f"product {format_scalar(product)}",
         )
     raise TypeError(f"not an assertion: {st!r}")
+
+
+def _gon_kind(st: AssertPseudo | AssertProduct) -> str:
+    """The gon kind a pseudo_ or product assertion names: "ceva" for
+    pseudo_concurrent and ceva_product, "menelaos" otherwise."""
+    return "ceva" if st.kind in ("concurrent", "ceva") else "menelaos"
+
+
+def _assertion_gon(st: AssertPseudo | AssertProduct, env: dict):
+    cls = CevaGon if _gon_kind(st) == "ceva" else MenelaosGon
+    return cls(env[st.gon], tuple(env[n] for n in st.items))
 
 
 def _worst_triple(objs, residual):

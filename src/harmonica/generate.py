@@ -304,10 +304,10 @@ def gen_hypothesis_forcing(theorem: str, spec: GenSpec, n: int | None = None) ->
         build = _FORCERS[theorem]
     except KeyError:
         raise UnsupportedTheorem(theorem) from None
-    if n is not None and theorem not in _DEFAULT_N:
+    if n is not None and theorem not in DEFAULT_N:
         raise ValueError(f"theorem {theorem!r} does not take an n parameter")
     if n is None:
-        n = _DEFAULT_N.get(theorem)
+        n = DEFAULT_N.get(theorem)
     elif n < 3:
         raise ValueError("n must be at least 3")
     return build(theorem, spec.rng(), spec, n)
@@ -550,7 +550,8 @@ def _force_bisectors_ngon(rng: Random, spec: GenSpec, n) -> dict:
     return {"points": points, "choice": choice}
 
 
-_DEFAULT_N = {
+# The theorems that take an n parameter, with the n they use by default.
+DEFAULT_N = {
     "ceva-ngon": 5,
     "menelaos-ngon": 6,
     "duality": 5,

@@ -423,8 +423,8 @@ class EllPair:
     first: Line
     second: Line
 
-    def coincides(self) -> bool:
-        return self.first == self.second
+    def coincides(self, backend: Backend = EXACT) -> bool:
+        return lines_coincide(self.first, self.second, backend)
 
 
 def _join_distinct(p: Point, q: Point, what: str) -> Line:
@@ -517,7 +517,7 @@ def quad_coincidence_equivalence(
     residuals = {}
     for pair in ell_pairs(q):
         name = f"ell{pair.index}_coincides"
-        booleans[name] = lines_coincide(pair.first, pair.second, backend)
+        booleans[name] = pair.coincides(backend)
     try:
         zeta = quad_zeta(q, backend)
         booleans["zeta_one"] = backend.eq(zeta, 1)

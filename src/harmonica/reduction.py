@@ -8,6 +8,14 @@ order of reduction steps, and each notion has an equivalent exact ratio
 product.  Vertex order is part of the data: relabeling a gon along a
 different cyclic order changes the products and may change the verdict.
 
+The two gon kinds are dual and share one body, _Gon: validation,
+sides, JSON and the items view (the cevians or the cuts).  Each kind
+adds only its fields, its kind string, its item type and count message,
+and its slot check.  One function, _run_reduction, reduces either kind
+by walking the prefix tree of step choices: an explicit, first or
+seeded order is the walk with one child per depth, and exhaustive
+checking takes every child.
+
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
 """
@@ -17,8 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
+from operator import attrgetter
 from random import Random
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .core import (
     EXACT,
@@ -73,103 +82,6 @@ class ReplayMismatch(GeometryError):
 # gon types
 
 
-@dataclass(frozen=True)
-class CevaGon:
-    """Cyclic vertex list with one cevian line through each vertex."""
-
-    vertices: tuple[Point, ...]
-    cevians: tuple[Line, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
-        if n < 3:
-            raise DegenerateInput("a gon needs at least 3 vertices")
-        if len(self.cevians) != n:
-            raise DegenerateInput("one cevian per vertex required")
-        be = _backend_of(
-            *(p.triple for p in self.vertices),
-            *(l.triple for l in self.cevians),
-        )
-        for i in range(n):
-            defect = _pair_defect(self, i) or _cevian_defect(self, i, be)
-            if defect:
-                raise DegenerateInput(defect)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def side(self, i: int) -> Line:
-        """Side from vertex i to vertex i+1 (1-based, cyclic)."""
-        v = self.vertices
-        return join(v[i - 1], v[i % self.n])
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "ceva",
-            "vertices": [p.to_json() for p in self.vertices],
-            "cevians": [l.to_json() for l in self.cevians],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CevaGon":
-        return cls(
-            tuple(Point.from_json(p) for p in data["vertices"]),
-            tuple(Line.from_json(l) for l in data["cevians"]),
-        )
-
-
-@dataclass(frozen=True)
-class MenelaosGon:
-    """Cyclic vertex list with one cut point on each side.
-
-    side_points[i] lies on the side from vertices[i] to vertices[i+1]
-    and differs from both endpoints.
-    """
-
-    vertices: tuple[Point, ...]
-    side_points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
-        if n < 3:
-            raise DegenerateInput("a gon needs at least 3 vertices")
-        if len(self.side_points) != n:
-            raise DegenerateInput("one side point per side required")
-        be = _backend_of(
-            *(p.triple for p in self.vertices),
-            *(p.triple for p in self.side_points),
-        )
-        for i in range(n):
-            defect = _pair_defect(self, i) or _cut_defect(
-                self, i, self.side(i + 1), be
-            )
-            if defect:
-                raise DegenerateInput(defect)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def side(self, i: int) -> Line:
-        v = self.vertices
-        return join(v[i - 1], v[i % self.n])
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "menelaos",
-            "vertices": [p.to_json() for p in self.vertices],
-            "side_points": [p.to_json() for p in self.side_points],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MenelaosGon":
-        return cls(
-            tuple(Point.from_json(p) for p in data["vertices"]),
-            tuple(Point.from_json(p) for p in data["side_points"]),
-        )
-
-
 # What the constructors reject at slot k (0-based), as the message text;
 # reduction steps run the same checks on the slots they create.
 
@@ -188,14 +100,104 @@ def _cevian_defect(gon: CevaGon, k: int, backend: Backend) -> str | None:
 
 
 def _cut_defect(
-    gon: MenelaosGon, k: int, side: Line, backend: Backend
+    gon: MenelaosGon, k: int, backend: Backend, side: Line | None = None
 ) -> str | None:
+    # side k + 1, when the caller has not built it already
+    if side is None:
+        side = gon.side(k + 1)
     cut = gon.side_points[k]
     if not incident(side, cut, backend):
         return f"cut {k + 1} is not on side {k + 1}"
     if cut == gon.vertices[k] or cut == gon.vertices[(k + 1) % gon.n]:
         return f"cut {k + 1} coincides with a vertex"
     return None
+
+
+class _Gon:
+    """What CevaGon and MenelaosGon share: a cyclic vertex list and one
+    item per slot, the cevian through vertex i or the cut on side i.
+
+    Each subclass declares its two fields (vertices, then the items),
+    its kind, its item type with the message for a wrong item count,
+    and its slot check.
+    """
+
+    kind: ClassVar[str]
+    _item: ClassVar[type]
+    _count_message: ClassVar[str]
+    _items_field: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # items, the cevians or the cuts: the field declared after vertices
+        cls._items_field = tuple(cls.__annotations__)[1]
+        cls.items = property(attrgetter(cls._items_field))
+
+    def __post_init__(self) -> None:
+        n = len(self.vertices)
+        if n < 3:
+            raise DegenerateInput("a gon needs at least 3 vertices")
+        items = self.items
+        if len(items) != n:
+            raise DegenerateInput(self._count_message)
+        be = _backend_of(*(o.triple for o in (*self.vertices, *items)))
+        for i in range(n):
+            defect = _pair_defect(self, i) or self._slot_defect(i, be)
+            if defect:
+                raise DegenerateInput(defect)
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def side(self, i: int) -> Line:
+        """Side from vertex i to vertex i+1 (1-based, cyclic)."""
+        v = self.vertices
+        return join(v[i - 1], v[i % self.n])
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "vertices": [p.to_json() for p in self.vertices],
+            self._items_field: [o.to_json() for o in self.items],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(
+            tuple(Point.from_json(p) for p in data["vertices"]),
+            tuple(cls._item.from_json(o) for o in data[cls._items_field]),
+        )
+
+
+@dataclass(frozen=True)
+class CevaGon(_Gon):
+    """Cyclic vertex list with one cevian line through each vertex."""
+
+    vertices: tuple[Point, ...]
+    cevians: tuple[Line, ...]
+
+    kind = "ceva"
+    _item = Line
+    _count_message = "one cevian per vertex required"
+    _slot_defect = _cevian_defect
+
+
+@dataclass(frozen=True)
+class MenelaosGon(_Gon):
+    """Cyclic vertex list with one cut point on each side.
+
+    side_points[i] lies on the side from vertices[i] to vertices[i+1]
+    and differs from both endpoints.
+    """
+
+    vertices: tuple[Point, ...]
+    side_points: tuple[Point, ...]
+
+    kind = "menelaos"
+    _item = Point
+    _count_message = "one side point per side required"
+    _slot_defect = _cut_defect
 
 
 def _trusted(cls, vertices: tuple, items: tuple):
@@ -207,16 +209,15 @@ def _trusted(cls, vertices: tuple, items: tuple):
     """
     gon = object.__new__(cls)
     object.__setattr__(gon, "vertices", vertices)
-    object.__setattr__(gon, "cevians" if cls is CevaGon else "side_points", items)
+    object.__setattr__(gon, cls._items_field, items)
     return gon
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
     kind = data.get("kind")
-    if kind == "ceva":
-        return CevaGon.from_json(data)
-    if kind == "menelaos":
-        return MenelaosGon.from_json(data)
+    for cls in (CevaGon, MenelaosGon):
+        if kind == cls.kind:
+            return cls.from_json(data)
     raise ValueError(f"unknown gon kind {kind!r}")
 
 
@@ -385,7 +386,7 @@ def _menelaos_step_traced(
         new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
     gon2 = _trusted(MenelaosGon, new_vs, new_bs)
     # the merged side k already has distinct endpoints
-    defect = _cut_defect(gon2, k, merged, backend)
+    defect = _cut_defect(gon2, k, backend, merged)
     if defect:
         raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return gon2, ReductionStep(index=i, point=new_point)
@@ -484,71 +485,45 @@ class ReductionTrace:
 def _verdict_backend(gon, backend: Backend | None) -> Backend:
     if backend is not None:
         return backend
-    triples = [p.triple for p in gon.vertices]
-    if isinstance(gon, CevaGon):
-        triples += [l.triple for l in gon.cevians]
-    else:
-        triples += [p.triple for p in gon.side_points]
-    return _backend_of(*triples)
-
-
-def _step_fn(gon):
-    if isinstance(gon, CevaGon):
-        return "ceva", _ceva_step_traced
-    return "menelaos", _menelaos_step_traced
-
-
-def _triangle_verdict(tri: CevaGon | MenelaosGon, backend: Backend) -> bool:
-    if isinstance(tri, CevaGon):
-        return concurrent(*tri.cevians, backend)
-    return collinear(*tri.side_points, backend)
+    return _backend_of(*(o.triple for o in (*gon.vertices, *gon.items)))
 
 
 def _run_reduction(
     gon: CevaGon | MenelaosGon,
-    indices: Sequence[int],
+    indices: Sequence[int] | None,
     backend: Backend,
 ) -> tuple[bool, ReductionTrace]:
-    kind, step_fn = _step_fn(gon)
-    trace = ReductionTrace(kind=kind, start=gon)
-    current = gon
-    if len(indices) != gon.n - 3:
+    """Reduce the gon to triangles, walking a prefix tree of step choices.
+
+    At depth d the choice is indices[d], so one order is a single
+    branch; with indices None every choice 1..m at an m-gon is a child,
+    so every order is walked.  Children are visited in the
+    lexicographic order of all_reduction_orders, so the first success,
+    the first disagreement and the first DegenerateStep are those of a
+    run over each order in turn; but each shared prefix is reduced once.
+    A degenerate prefix prunes its subtree, whose every order would
+    raise the same error.
+    """
+    n = gon.n
+    if indices is not None and len(indices) != n - 3:
         raise ValueError(
-            f"a {gon.n}-gon reduces in exactly {gon.n - 3} steps, "
+            f"a {n}-gon reduces in exactly {n - 3} steps, "
             f"got {len(indices)} indices"
         )
-    for idx in indices:
-        try:
-            current, step = step_fn(current, idx, backend)
-        except DegenerateStep as exc:
-            exc.trace = trace
-            raise
-        trace.steps.append(step)
-    trace.final = current
-    trace.verdict = _triangle_verdict(current, backend)
-    return trace.verdict, trace
-
-
-def _run_exhaustive(
-    gon: CevaGon | MenelaosGon, backend: Backend
-) -> tuple[bool, ReductionTrace]:
-    """Every full order, walked depth-first as a prefix tree.
-
-    Children are visited in the lexicographic order of
-    all_reduction_orders, so the first success, the first disagreement
-    and the first DegenerateStep are those of a run over each order in
-    turn; but each shared prefix is reduced once.  A degenerate prefix
-    prunes its subtree, whose every order would raise the same error.
-    """
-    kind, step_fn = _step_fn(gon)
+    kind = gon.kind
+    if kind == "ceva":
+        step_fn, on_one_triangle = _ceva_step_traced, concurrent
+    else:
+        step_fn, on_one_triangle = _menelaos_step_traced, collinear
     steps: list[ReductionStep] = []
     first: tuple[bool, ReductionTrace] | None = None
     first_degenerate: DegenerateStep | None = None
 
-    def walk(current) -> None:
+    def walk(current, m: int) -> None:
+        # m is current.n
         nonlocal first, first_degenerate
-        if current.n == 3:
-            verdict = _triangle_verdict(current, backend)
+        if m == 3:
+            verdict = on_one_triangle(*current.items, backend)
             if first is None:
                 first = verdict, ReductionTrace(
                     kind, gon, list(steps), current, verdict
@@ -560,7 +535,11 @@ def _run_exhaustive(
                     f"order {first[1].indices} gave {first[0]}"
                 )
             return
-        for idx in range(1, current.n + 1):
+        if indices is None:
+            choices = range(1, m + 1)
+        else:
+            choices = (indices[n - m],)
+        for idx in choices:
             try:
                 child, step = step_fn(current, idx, backend)
             except DegenerateStep as exc:
@@ -569,10 +548,11 @@ def _run_exhaustive(
                     first_degenerate = exc
                 continue
             steps.append(step)
-            walk(child)
+            walk(child, m - 1)
             steps.pop()
 
-    walk(gon)
+    walk(gon, n)
+    del walk  # it refers to itself: drop the cycle instead of leaving it to gc
     if first is None:
         raise first_degenerate
     return first
@@ -605,12 +585,10 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
 
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     be = _verdict_backend(gon, backend)
-    resolved = _resolve_order(gon, order)
-    if resolved is not None:
-        return _run_reduction(gon, resolved, be)
-    if gon.n > 6:
+    indices = _resolve_order(gon, order)
+    if indices is None and gon.n > 6:
         raise ValueError("exhaustive order checking is limited to n <= 6")
-    return _run_exhaustive(gon, be)
+    return _run_reduction(gon, indices, be)
 
 
 def is_pseudo_concurrent(

@@ -36,7 +36,7 @@ from .core import (
     lines_coincide,
     meet,
 )
-from .generate import GenSpec, gen_hypothesis_forcing
+from .generate import DEFAULT_N, GenSpec, gen_hypothesis_forcing
 from .pencils import (
     HarmonicPencil,
     QuadrilateralConfig,
@@ -208,120 +208,115 @@ class TheoremEntry:
     summary: str
     arith: str  # "exact" | "float"
     check: Callable
-    takes_n: bool = False
 
-
-def _entry(id, summary, arith, check, takes_n=False):
-    return TheoremEntry(id, summary, arith, check, takes_n)
+    @property
+    def takes_n(self) -> bool:
+        return self.id in DEFAULT_N
 
 
 THEOREMS: dict[str, TheoremEntry] = {
     e.id: e
     for e in (
-        _entry(
+        TheoremEntry(
             "two-pencils",
             "cross meets of two linked harmonic pencils are collinear",
             "exact",
             _check_two_pencils,
         ),
-        _entry(
+        TheoremEntry(
             "cor2",
             "pencils sharing the join of their vertices give two collinear"
             " triples",
             "exact",
             _check_cor2,
         ),
-        _entry(
+        TheoremEntry(
             "free-triangle",
             "carrier lines through double crossings, harmonic at each vertex",
             "exact",
             _check_free_triangle,
         ),
-        _entry(
+        TheoremEntry(
             "triangle-transfer",
             "cevian concurrency transfers to the mixed g/h triples and the"
             " ratio product",
             "exact",
             _check_triangle_transfer,
         ),
-        _entry(
+        TheoremEntry(
             "free-quad",
             "eight unconditional collinear triples of a harmonic"
             " quadrilateral",
             "exact",
             _check_free_quad,
         ),
-        _entry(
+        TheoremEntry(
             "quad-equivalence",
             "l-pair coincidence, zeta = 1, and diagonal product = 1 stand"
             " together",
             "exact",
             _check_quad_equivalence,
         ),
-        _entry(
+        TheoremEntry(
             "crossratio",
             "six-point collinearity lists agree with cross-ratio equality",
             "exact",
             _check_crossratio,
         ),
-        _entry(
+        TheoremEntry(
             "pappus4",
             "the four pappus lines of matched quadruples coincide",
             "exact",
             _check_pappus4,
         ),
-        _entry(
+        TheoremEntry(
             "desargues",
             "point perspectivity, line perspectivity, and cross-ratio shifts"
             " agree",
             "exact",
             _check_desargues,
         ),
-        _entry(
+        TheoremEntry(
             "ceva-quad",
             "quadrilateral cevians: reduction verdict matches product = 1",
             "exact",
             _check_ceva,
         ),
-        _entry(
+        TheoremEntry(
             "ceva-ngon",
             "n-gon cevians: reduction verdict matches product = 1",
             "exact",
             _check_ceva,
-            takes_n=True,
         ),
-        _entry(
+        TheoremEntry(
             "menelaos-ngon",
             "n-gon side cuts: reduction verdict matches product = (-1)^n",
             "exact",
             _check_menelaos,
-            takes_n=True,
         ),
-        _entry(
+        TheoremEntry(
             "duality",
             "the pseudo-collinearity verdict survives dualizing the gon",
             "exact",
             _check_duality,
-            takes_n=True,
         ),
-        _entry(
+        TheoremEntry(
             "bisectors-triangle",
             "incenter and the three excenters concur as predicted",
             "float",
             _check_bisectors_triangle,
         ),
-        _entry(
+        TheoremEntry(
             "steiner-add-11",
             "four quintuples of bisector crossings are collinear",
             "float",
             _check_steiner_add_11,
         ),
-        _entry(
+        TheoremEntry(
             "bisectors-ngon",
             "internal (or evenly external) bisectors are pseudo-concurrent",
             "float",
             _check_bisectors_ngon,
-            takes_n=True,
         ),
     )
 }
@@ -357,10 +352,8 @@ def _floatify(obj):
         return type(obj)(
             _floatify(obj.vertices), _floatify(obj.g), _floatify(obj.h)
         )
-    if isinstance(obj, CevaGon):
-        return CevaGon(_floatify(obj.vertices), _floatify(obj.cevians))
-    if isinstance(obj, MenelaosGon):
-        return MenelaosGon(_floatify(obj.vertices), _floatify(obj.side_points))
+    if isinstance(obj, (CevaGon, MenelaosGon)):
+        return type(obj)(_floatify(obj.vertices), _floatify(obj.items))
     if isinstance(obj, (tuple, list)):
         return tuple(_floatify(o) for o in obj)
     if isinstance(obj, dict):

@@ -20,12 +20,14 @@ from harmonica.core import (
     concurrent,
     cross_ratio_lines,
     cross_ratio_points,
+    float_backend,
     harmonic_conjugate,
     incident,
     join,
     meet,
 )
 from harmonica.pencils import (
+    EllPair,
     HarmonicPencil,
     QuadrilateralConfig,
     SharedLine,
@@ -324,6 +326,17 @@ def random_quad_config(rng, matched=False):
 
 
 class TestQuadrilateral:
+    def test_ell_pair_coincidence_follows_the_backend(self):
+        # 0.1, 0.2, 0.3 is (1, 2, 3) up to rounding: equal at the float
+        # backend's tolerance, unequal exactly
+        near = EllPair(1, Line(1.0, 2.0, 3.0), Line(0.1, 0.2, 0.3))
+        apart = EllPair(2, Line(1.0, 2.0, 3.0), Line(1.0, 2.0, 3.001))
+        same = EllPair(3, Line(1, 2, 3), Line(-2, -4, -6))
+        assert not near.coincides()
+        assert near.coincides(float_backend())
+        assert not apart.coincides(float_backend())
+        assert same.coincides() and same.coincides(float_backend())
+
     def test_free_quad_triples_collinear_unconditionally(self):
         rng = Random(59)
         done = 0

@@ -243,6 +243,26 @@ class TestGonTypes:
         mg = menelaos_gon_random(rng, 5)
         assert gon_from_json(mg.to_json()) == mg
 
+    def test_both_kinds_share_one_body(self):
+        rng = Random(5)
+        cases = [
+            (ceva_gon_random(rng, 4), "ceva", "cevians",
+             "one cevian per vertex required"),
+            (menelaos_gon_random(rng, 4), "menelaos", "side_points",
+             "one side point per side required"),
+        ]
+        for gon, kind, field, count_message in cases:
+            assert gon.kind == kind
+            assert gon.items is getattr(gon, field)
+            assert list(gon.to_json()) == ["kind", "vertices", field]
+            assert gon.to_json()["kind"] == kind
+            with pytest.raises(DegenerateInput, match=count_message):
+                type(gon)(gon.vertices, gon.items[:-1])
+            with pytest.raises(DegenerateInput, match="at least 3 vertices"):
+                type(gon)(gon.vertices[:2], gon.items[:2])
+        with pytest.raises(ValueError, match="unknown gon kind 'square'"):
+            gon_from_json({"kind": "square"})
+
 
 # ---------------------------------------------------------------------------
 # hand-computed step oracles

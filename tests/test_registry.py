@@ -54,6 +54,15 @@ class TestTable:
         sized = {tid for tid in ALL_IDS if get_entry(tid).takes_n}
         assert sized == {"ceva-ngon", "menelaos-ngon", "duality", "bisectors-ngon"}
 
+    @pytest.mark.parametrize("tid", ALL_IDS)
+    def test_takes_n_exactly_when_the_generator_does(self, tid):
+        spec = GenSpec(seed=3)
+        if get_entry(tid).takes_n:
+            gen_hypothesis_forcing(tid, spec, n=4)
+        else:
+            with pytest.raises(ValueError, match="does not take an n"):
+                gen_hypothesis_forcing(tid, spec, n=4)
+
     def test_summaries_are_nonempty(self):
         for entry in THEOREMS.values():
             assert entry.summary.strip()
