@@ -97,6 +97,8 @@ def _trial_seed(master: int, index: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     order = _parse_order(args.order)
     ids = theorem_ids() if args.theorem == "all" else (args.theorem,)
     results = []

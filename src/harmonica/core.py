@@ -278,7 +278,8 @@ def _proportional(p, q) -> bool:
     )
 
 
-def _scalar_to_str(v: Scalar) -> str:
+def format_scalar(v: Scalar) -> str:
+    """Serialize a scalar losslessly (exact p/q or float repr)."""
     if isinstance(v, float):
         return repr(v)
     f = Fraction(v)
@@ -291,11 +292,6 @@ def _scalar_from_str(s: str) -> Scalar:
     if any(ch in s for ch in ".eE") and "/" not in s:
         return float(s)
     return Fraction(s)
-
-
-def format_scalar(v: Scalar) -> str:
-    """Serialize a scalar losslessly (exact p/q or float repr)."""
-    return _scalar_to_str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +333,13 @@ class Point:
         return _proportional(*_pair_operands(self, other))
 
     def __repr__(self) -> str:
-        return "Point(%s : %s : %s)" % tuple(map(_scalar_to_str, self.triple))
+        return "Point(%s : %s : %s)" % tuple(map(format_scalar, self.triple))
 
     def to_json(self) -> dict:
         return {
-            "x": _scalar_to_str(self.x),
-            "y": _scalar_to_str(self.y),
-            "w": _scalar_to_str(self.w),
+            "x": format_scalar(self.x),
+            "y": format_scalar(self.y),
+            "w": format_scalar(self.w),
         }
 
     @classmethod
@@ -377,13 +373,13 @@ class Line:
         return _proportional(*_pair_operands(self, other))
 
     def __repr__(self) -> str:
-        return "Line(%s : %s : %s)" % tuple(map(_scalar_to_str, self.triple))
+        return "Line(%s : %s : %s)" % tuple(map(format_scalar, self.triple))
 
     def to_json(self) -> dict:
         return {
-            "a": _scalar_to_str(self.a),
-            "b": _scalar_to_str(self.b),
-            "c": _scalar_to_str(self.c),
+            "a": format_scalar(self.a),
+            "b": format_scalar(self.b),
+            "c": format_scalar(self.c),
         }
 
     @classmethod
@@ -633,7 +629,7 @@ class SegmentRatio:
     def __repr__(self) -> str:
         if self.value is None:
             return "SegmentRatio(inf)"
-        return f"SegmentRatio({_scalar_to_str(self.value)})"
+        return f"SegmentRatio({format_scalar(self.value)})"
 
 
 def signed_ratio(

@@ -17,6 +17,13 @@ that parses can only fail for geometric reasons.  Construction
 arguments are plain identifiers: intermediate objects get names, which
 keeps scenes readable next to the figures they describe.
 
+The syntax of each fixed-shape call (meet, conjugate, join,
+fourth_harmonic, complete_fourth_line, cr_equal) is written once, in
+the _CALLS table: its keyword, what it makes, its AST node and its
+argument kinds.  The parser, the formatter and the reserved words all
+read that table, so adding a construction means adding one row, one
+AST class and one evaluator branch.
+
 format_scene is the inverse of parse on ASTs: parse(format_scene(ast))
 returns an equal AST.  Comments (# to end of line) survive parsing but
 not formatting.
@@ -24,9 +31,9 @@ not formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     EXACT,
@@ -62,78 +69,50 @@ class SceneError(Exception):
     """Base for scene-language errors."""
 
 
-class SceneSyntaxError(SceneError):
-    def __init__(self, message: str, line: int, col: int, expected=()):
+class _Located(SceneError):
+    """A scene error at a 1-based line and column."""
+
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
+
+
+class SceneSyntaxError(_Located):
+    def __init__(self, message: str, line: int, col: int, expected=()):
+        super().__init__(message, line, col)
         self.expected = tuple(expected)
 
 
-class UnknownIdentifier(SceneError):
+class UnknownIdentifier(_Located):
     def __init__(self, name: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: unknown name {name!r}")
-        self.line = line
-        self.col = col
+        super().__init__(f"unknown name {name!r}", line, col)
 
 
-class Redeclaration(SceneError):
+class Redeclaration(_Located):
     def __init__(self, name: str, line: int, col: int):
-        super().__init__(
-            f"line {line}, column {col}: {name!r} is already declared"
-        )
-        self.line = line
-        self.col = col
+        super().__init__(f"{name!r} is already declared", line, col)
 
 
-class TypeMismatch(SceneError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
+class TypeMismatch(_Located):
+    """An argument of the wrong kind, or too few or too many of them."""
 
 
-class EvaluationError(SceneError):
+class EvaluationError(_Located):
     """A declaration or assertion failed geometrically, with its site."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
 
 
 # ---------------------------------------------------------------------------
 # tokens
 
 _PUNCT = "()[],;:=/"
-
-_KEYWORDS = frozenset(
-    {
-        "point",
-        "line",
-        "gon",
-        "assert",
-        "join",
-        "meet",
-        "conjugate",
-        "fourth_harmonic",
-        "complete_fourth_line",
-        "collinear",
-        "concurrent",
-        "harmonic",
-        "cr_equal",
-        "pseudo_concurrent",
-        "pseudo_collinear",
-        "ceva_product",
-        "menelaos_product",
-        "order",
-        "first",
-        "exhaustive",
-        "seed",
-    }
-)
+_DIGITS = "0123456789"
+_ORDERS = ("first", "exhaustive", "seed")
 
 
+# The kinds never share a value (a word starts with a letter or "_", a
+# number with a digit or "-", eof is ""), so the parser tests a token by
+# its value alone.
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "word" | "number" | "punct" | "eof"
@@ -171,11 +150,11 @@ def _lex(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit() or (
-            ch == "-" and i + 1 < n and text[i + 1].isdigit()
+        if ch in _DIGITS or (
+            ch == "-" and i + 1 < n and text[i + 1] in _DIGITS
         ):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("number", text[i:j], line, start_col))
             col += j - i
@@ -335,6 +314,74 @@ class SceneAst:
 
 
 # ---------------------------------------------------------------------------
+# syntax tables
+
+
+class _Call(NamedTuple):
+    makes: str  # "point" | "line" | "assert"
+    node: type
+    # argument groups (separated by ";"), each a tuple of (kind, count)
+    # slots; count 0 fills one str field, count k > 0 one k-tuple field
+    groups: tuple[tuple[tuple[str, int], ...], ...]
+
+
+def _groups(spec: str) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Read an argument spec: "point x4; line, line" becomes
+    ((("point", 4),), (("line", 0), ("line", 0)))."""
+    groups = []
+    for group in spec.split(";"):
+        slots = []
+        for slot in group.split(","):
+            kind, _, count = slot.strip().partition(" x")
+            slots.append((kind, int(count or 0)))
+        groups.append(tuple(slots))
+    return tuple(groups)
+
+
+# The fixed-shape calls: keyword, what the call makes, its AST node and
+# its argument kinds, one slot per node field in field order.  "point x4"
+# is four comma-separated points held in one tuple field.  The row order
+# is the order in which error messages list the alternatives.
+_CALLS = {
+    keyword: _Call(makes, node, _groups(spec))
+    for keyword, makes, node, spec in (
+        ("meet", "point", Meet, "line, line"),
+        ("conjugate", "point", Conjugate, "point, point; point"),
+        ("join", "line", Join, "point, point"),
+        ("fourth_harmonic", "line", FourthHarmonic, "point; line, line; line"),
+        ("complete_fourth_line", "line", CompleteFourthLine, "point x4; line x3"),
+        ("cr_equal", "assert", AssertCrEqual, "point x4; point x4"),
+    )
+}
+_CALL_OF = {call.node: keyword for keyword, call in _CALLS.items()}
+
+# The point/line dual pair: declaration keyword -> declaration node and
+# literal node.
+_DECLS = {"point": (PointDecl, PointLiteral), "line": (LineDecl, LineLiteral)}
+
+# The dual incidence predicates: keyword -> AST node and argument kind.
+_INCIDENCE = {
+    "collinear": (AssertCollinear, "point"),
+    "concurrent": (AssertConcurrent, "line"),
+}
+
+
+def _incidence(
+    st: AssertCollinear | AssertConcurrent,
+) -> tuple[str, tuple[str, ...]]:
+    """The keyword and the argument names of an incidence assertion."""
+    if isinstance(st, AssertCollinear):
+        return "collinear", st.points
+    return "concurrent", st.lines
+
+
+def _one_of(words) -> str:
+    """The words quoted and listed as 'a', 'b' or 'c'."""
+    *init, last = map(repr, words)
+    return f"{', '.join(init)} or {last}"
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
@@ -356,38 +403,34 @@ class _Parser:
     def fail(self, message: str, tok: _Token, expected=()):
         raise SceneSyntaxError(message, tok.line, tok.col, expected)
 
+    def found(self, what: str, tok: _Token, expected) -> None:
+        self.fail(
+            f"expected {what}, found {tok.value or 'end of input'!r}",
+            tok,
+            expected,
+        )
+
     def punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            self.fail(
-                f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                tok,
-                expected=(value,),
-            )
+        if self.peek().value != value:
+            self.found(repr(value), self.peek(), (value,))
         return self.advance()
 
     def keyword(self, *values: str) -> _Token:
+        if self.peek().value not in values:
+            self.found(" or ".join(map(repr, values)), self.peek(), values)
+        return self.advance()
+
+    def name(self) -> _Token:
+        """A word that may name an object: not a keyword."""
         tok = self.peek()
-        if tok.kind != "word" or tok.value not in values:
-            self.fail(
-                f"expected {' or '.join(map(repr, values))}, found"
-                f" {tok.value or 'end of input'!r}",
-                tok,
-                expected=values,
-            )
+        if tok.kind != "word":
+            self.found("a name", tok, ("identifier",))
+        if tok.value in _KEYWORDS:
+            self.fail(f"{tok.value!r} is a reserved word", tok)
         return self.advance()
 
     def ident(self, want: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok.kind != "word":
-            self.fail(
-                f"expected a name, found {tok.value or 'end of input'!r}",
-                tok,
-                expected=("identifier",),
-            )
-        if tok.value in _KEYWORDS:
-            self.fail(f"{tok.value!r} is a reserved word", tok)
-        self.advance()
+        tok = self.name()
         if tok.value not in self.symbols:
             raise UnknownIdentifier(tok.value, tok.line, tok.col)
         if want is not None:
@@ -402,31 +445,26 @@ class _Parser:
         return tok.value
 
     def fresh_name(self) -> tuple[str, _Token]:
-        tok = self.peek()
-        if tok.kind != "word":
-            self.fail(
-                f"expected a name, found {tok.value or 'end of input'!r}",
-                tok,
-                expected=("identifier",),
-            )
-        if tok.value in _KEYWORDS:
-            self.fail(f"{tok.value!r} is a reserved word", tok)
+        tok = self.name()
         if tok.value in self.symbols:
             raise Redeclaration(tok.value, tok.line, tok.col)
-        self.advance()
         return tok.value, tok
+
+    def more(self, want: str) -> list[str]:
+        """Names of kind `want`, each after a ','."""
+        names = []
+        while self.peek().value == ",":
+            self.advance()
+            names.append(self.ident(want))
+        return names
 
     def rational(self) -> Scalar:
         tok = self.peek()
         if tok.kind != "number":
-            self.fail(
-                f"expected a number, found {tok.value or 'end of input'!r}",
-                tok,
-                expected=("number",),
-            )
+            self.found("a number", tok, ("number",))
         self.advance()
         num = int(tok.value)
-        if self.peek().kind == "punct" and self.peek().value == "/":
+        if self.peek().value == "/":
             self.advance()
             den_tok = self.peek()
             if den_tok.kind != "number":
@@ -455,127 +493,59 @@ class _Parser:
 
     def statement(self) -> Statement:
         tok = self.peek()
-        if tok.kind != "word" or tok.value not in (
-            "point",
-            "line",
-            "gon",
-            "assert",
-        ):
+        if tok.value not in _STATEMENTS:
+            self.found(_one_of(_STATEMENTS), tok, tuple(_STATEMENTS))
+        return _STATEMENTS[tok.value](self)
+
+    def decl(self) -> PointDecl | LineDecl:
+        kind = self.advance().value
+        name, tok = self.fresh_name()
+        self.punct("=")
+        expr = self.expr(kind)
+        self.symbols[name] = kind
+        return _DECLS[kind][0](name, expr, pos=(tok.line, tok.col))
+
+    def expr(self, kind: str) -> PointExpr | LineExpr:
+        tok = self.peek()
+        if tok.value == "(":
+            return _DECLS[kind][1](self.literal_triple(kind == "point"))
+        call = _CALLS.get(tok.value)
+        if call is None or call.makes != kind:
+            calls = tuple(k for k, c in _CALLS.items() if c.makes == kind)
             self.fail(
-                "expected 'point', 'line', 'gon' or 'assert', found"
-                f" {tok.value or 'end of input'!r}",
+                f"expected a coordinate literal, {_one_of(calls)}",
                 tok,
-                expected=("point", "line", "gon", "assert"),
+                expected=("(",) + calls,
             )
-        if tok.value == "point":
-            return self.point_decl()
-        if tok.value == "line":
-            return self.line_decl()
-        if tok.value == "gon":
-            return self.gon_decl()
-        return self.assertion()
+        return self.call()
 
-    def point_decl(self) -> PointDecl:
-        self.keyword("point")
-        name, tok = self.fresh_name()
-        self.punct("=")
-        expr = self.point_expr()
-        self.symbols[name] = "point"
-        return PointDecl(name, expr, pos=(tok.line, tok.col))
-
-    def point_expr(self) -> PointExpr:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
-            triple = self.literal_triple(point=True)
-            return PointLiteral(triple)
-        if tok.kind == "word" and tok.value == "meet":
-            self.advance()
-            self.punct("(")
-            a = self.ident("line")
-            self.punct(",")
-            b = self.ident("line")
-            self.punct(")")
-            return Meet(a, b)
-        if tok.kind == "word" and tok.value == "conjugate":
-            self.advance()
-            self.punct("(")
-            a = self.ident("point")
-            self.punct(",")
-            b = self.ident("point")
-            self.punct(";")
-            x = self.ident("point")
-            self.punct(")")
-            return Conjugate(a, b, x)
-        self.fail(
-            "expected a coordinate literal, 'meet' or 'conjugate'",
-            tok,
-            expected=("(", "meet", "conjugate"),
-        )
-
-    def line_decl(self) -> LineDecl:
-        self.keyword("line")
-        name, tok = self.fresh_name()
-        self.punct("=")
-        expr = self.line_expr()
-        self.symbols[name] = "line"
-        return LineDecl(name, expr, pos=(tok.line, tok.col))
-
-    def line_expr(self) -> LineExpr:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
-            triple = self.literal_triple(point=False)
-            return LineLiteral(triple)
-        if tok.kind == "word" and tok.value == "join":
-            self.advance()
-            self.punct("(")
-            a = self.ident("point")
-            self.punct(",")
-            b = self.ident("point")
-            self.punct(")")
-            return Join(a, b)
-        if tok.kind == "word" and tok.value == "fourth_harmonic":
-            self.advance()
-            self.punct("(")
-            vertex = self.ident("point")
-            self.punct(";")
-            a = self.ident("line")
-            self.punct(",")
-            b = self.ident("line")
-            self.punct(";")
-            g = self.ident("line")
-            self.punct(")")
-            return FourthHarmonic(vertex, a, b, g)
-        if tok.kind == "word" and tok.value == "complete_fourth_line":
-            self.advance()
-            self.punct("(")
-            vs = [self.ident("point")]
-            for _ in range(3):
-                self.punct(",")
-                vs.append(self.ident("point"))
-            self.punct(";")
-            ls = [self.ident("line")]
-            for _ in range(2):
-                self.punct(",")
-                ls.append(self.ident("line"))
-            self.punct(")")
-            return CompleteFourthLine(tuple(vs), tuple(ls))
-        self.fail(
-            "expected a coordinate literal, 'join', 'fourth_harmonic' or"
-            " 'complete_fourth_line'",
-            tok,
-            expected=("(", "join", "fourth_harmonic", "complete_fourth_line"),
-        )
+    def call(self, pos: Optional[Pos] = None):
+        """A fixed-shape call, read as its _CALLS row spells it; an
+        assertion call passes the site of its 'assert'."""
+        call = _CALLS[self.advance().value]
+        args = []
+        for g, group in enumerate(call.groups):
+            self.punct(";" if g else "(")
+            for s, (kind, count) in enumerate(group):
+                names = []
+                for k in range(count or 1):
+                    if s or k:
+                        self.punct(",")
+                    names.append(self.ident(kind))
+                args.append(tuple(names) if count else names[0])
+        self.punct(")")
+        return call.node(*args) if pos is None else call.node(*args, pos=pos)
 
     def literal_triple(self, point: bool) -> tuple[Scalar, Scalar, Scalar]:
         self.punct("(")
         first = self.rational()
-        sep = self.peek()
-        if point and sep.kind == "punct" and sep.value == ",":
+        sep = self.peek().value
+        if point and sep == ",":
             self.advance()
             second = self.rational()
             self.punct(")")
             return (first, second, 1)
-        if sep.kind == "punct" and sep.value == ":":
+        if sep == ":":
             self.advance()
             second = self.rational()
             self.punct(":")
@@ -584,19 +554,16 @@ class _Parser:
             return (first, second, third)
         self.fail(
             "expected ',' or ':'" if point else "expected ':'",
-            sep,
+            self.peek(),
             expected=(",", ":") if point else (":",),
         )
 
     def gon_decl(self) -> GonDecl:
-        self.keyword("gon")
+        self.advance()
         name, tok = self.fresh_name()
         self.punct("=")
         self.punct("[")
-        names = [self.ident("point")]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
-            names.append(self.ident("point"))
+        names = [self.ident("point")] + self.more("point")
         close = self.punct("]")
         if len(names) < 3:
             raise TypeMismatch(
@@ -606,46 +573,30 @@ class _Parser:
         return GonDecl(name, tuple(names), pos=(tok.line, tok.col))
 
     def assertion(self) -> Statement:
-        start = self.keyword("assert")
+        start = self.advance()
         tok = self.peek()
-        pos = (start.line, start.col)
-        predicates = {
-            "collinear": self.assert_incidence,
-            "concurrent": self.assert_incidence,
-            "harmonic": self.assert_harmonic,
-            "cr_equal": self.assert_cr_equal,
-            "pseudo_concurrent": self.assert_pseudo,
-            "pseudo_collinear": self.assert_pseudo,
-            "ceva_product": self.assert_product,
-            "menelaos_product": self.assert_product,
-        }
-        if tok.kind != "word" or tok.value not in predicates:
+        if tok.value not in _PREDICATES:
             self.fail(
                 f"unknown predicate {tok.value or 'end of input'!r}",
                 tok,
-                expected=tuple(sorted(predicates)),
+                expected=tuple(sorted(_PREDICATES)),
             )
-        return predicates[tok.value](pos)
+        return _PREDICATES[tok.value](self, (start.line, start.col))
 
-    def assert_incidence(self, pos: Pos) -> Statement:
-        which = self.keyword("collinear", "concurrent").value
-        want = "point" if which == "collinear" else "line"
+    def assert_incidence(self, pos: Pos) -> AssertCollinear | AssertConcurrent:
+        which = self.advance().value
+        node, want = _INCIDENCE[which]
         self.punct("(")
-        names = [self.ident(want)]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
-            names.append(self.ident(want))
+        names = [self.ident(want)] + self.more(want)
         close = self.punct(")")
         if len(names) < 3:
             raise TypeMismatch(
                 f"{which} needs at least 3 arguments", close.line, close.col
             )
-        if which == "collinear":
-            return AssertCollinear(tuple(names), pos=pos)
-        return AssertConcurrent(tuple(names), pos=pos)
+        return node(tuple(names), pos=pos)
 
     def assert_harmonic(self, pos: Pos) -> AssertHarmonic:
-        self.keyword("harmonic")
+        self.advance()
         self.punct("(")
         first_tok = self.peek()
         a = self.ident()
@@ -663,32 +614,17 @@ class _Parser:
         self.punct(")")
         return AssertHarmonic(a, b, x, y, kind=kind, pos=pos)
 
-    def assert_cr_equal(self, pos: Pos) -> AssertCrEqual:
-        self.keyword("cr_equal")
-        self.punct("(")
-        first = [self.ident("point")]
-        for _ in range(3):
-            self.punct(",")
-            first.append(self.ident("point"))
-        self.punct(";")
-        second = [self.ident("point")]
-        for _ in range(3):
-            self.punct(",")
-            second.append(self.ident("point"))
-        self.punct(")")
-        return AssertCrEqual(tuple(first), tuple(second), pos=pos)
-
-    def assert_pseudo(self, pos: Pos) -> AssertPseudo:
-        which = self.keyword("pseudo_concurrent", "pseudo_collinear").value
-        kind = "concurrent" if which.endswith("concurrent") else "collinear"
-        want = "line" if kind == "concurrent" else "point"
+    def assert_gon(self, pos: Pos) -> AssertPseudo | AssertProduct:
+        """The pseudo_ assertions (then an order clause) and the
+        _product assertions (then '= Q'): a gon, then one line (Ceva) or
+        cut point (Menelaos) per vertex."""
+        which = self.advance().value
+        ceva = which in ("pseudo_concurrent", "ceva_product")
+        want = "line" if ceva else "point"
         self.punct("(")
         gon = self.ident("gon")
         arity = self.symbols[gon][1]
-        items = []
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
-            items.append(self.ident(want))
+        items = tuple(self.more(want))
         close = self.punct(")")
         if len(items) != arity:
             raise TypeMismatch(
@@ -697,16 +633,20 @@ class _Parser:
                 close.line,
                 close.col,
             )
-        order = self.order_clause()
-        return AssertPseudo(kind, gon, tuple(items), order=order, pos=pos)
+        if which.startswith("pseudo_"):
+            kind = which.removeprefix("pseudo_")
+            order = self.order_clause()
+            return AssertPseudo(kind, gon, items, order=order, pos=pos)
+        self.punct("=")
+        kind = which.removesuffix("_product")
+        return AssertProduct(kind, gon, items, target=self.rational(), pos=pos)
 
     def order_clause(self) -> Order:
-        tok = self.peek()
-        if tok.kind != "word" or tok.value != "order":
+        if self.peek().value != "order":
             return None
         self.advance()
         self.punct("=")
-        choice = self.keyword("first", "exhaustive", "seed")
+        choice = self.keyword(*_ORDERS)
         if choice.value == "seed":
             self.punct("(")
             k = self.integer()
@@ -714,28 +654,30 @@ class _Parser:
             return ("seed", k)
         return choice.value
 
-    def assert_product(self, pos: Pos) -> AssertProduct:
-        which = self.keyword("ceva_product", "menelaos_product").value
-        kind = which.split("_")[0]
-        want = "line" if kind == "ceva" else "point"
-        self.punct("(")
-        gon = self.ident("gon")
-        arity = self.symbols[gon][1]
-        items = []
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
-            items.append(self.ident(want))
-        close = self.punct(")")
-        if len(items) != arity:
-            raise TypeMismatch(
-                f"gon {gon!r} has {arity} vertices, got {len(items)}"
-                f" {want}s",
-                close.line,
-                close.col,
-            )
-        self.punct("=")
-        target = self.rational()
-        return AssertProduct(kind, gon, tuple(items), target=target, pos=pos)
+
+# statement keyword -> parser method
+_STATEMENTS = {
+    "point": _Parser.decl,
+    "line": _Parser.decl,
+    "gon": _Parser.gon_decl,
+    "assert": _Parser.assertion,
+}
+
+# predicate keyword -> parser method, called with the site of 'assert'
+_PREDICATES = {
+    "collinear": _Parser.assert_incidence,
+    "concurrent": _Parser.assert_incidence,
+    "harmonic": _Parser.assert_harmonic,
+    **{k: _Parser.call for k, c in _CALLS.items() if c.makes == "assert"},
+    "pseudo_concurrent": _Parser.assert_gon,
+    "pseudo_collinear": _Parser.assert_gon,
+    "ceva_product": _Parser.assert_gon,
+    "menelaos_product": _Parser.assert_gon,
+}
+
+_KEYWORDS = frozenset(
+    {*_STATEMENTS, *_CALLS, *_PREDICATES, "order", *_ORDERS}
+)
 
 
 def parse(text: str) -> SceneAst:
@@ -748,43 +690,33 @@ def parse(text: str) -> SceneAst:
 # formatter
 
 
-def _format_point_literal(triple) -> str:
-    x, y, w = triple
-    if w == 1:
-        return f"({format_scalar(x)}, {format_scalar(y)})"
-    return (
-        f"({format_scalar(x)} : {format_scalar(y)} :"
-        f" {format_scalar(w)})"
-    )
+def _format_literal(triple, affine: bool) -> str:
+    a, b, c = map(format_scalar, triple)
+    if affine and triple[2] == 1:
+        return f"({a}, {b})"
+    return f"({a} : {b} : {c})"
+
+
+def _format_call(node) -> str:
+    """The text of a fixed-shape call, written as its _CALLS row spells it."""
+    keyword = _CALL_OF[type(node)]
+    values = (getattr(node, f.name) for f in fields(node) if f.name != "pos")
+    groups = []
+    for group in _CALLS[keyword].groups:
+        names = []
+        for _, count in group:
+            value = next(values)
+            names.extend(value if count else (value,))
+        groups.append(", ".join(names))
+    return f"{keyword}({'; '.join(groups)})"
 
 
 def _format_expr(expr) -> str:
-    if isinstance(expr, PointLiteral):
-        return _format_point_literal(expr.triple)
-    if isinstance(expr, LineLiteral):
-        a, b, c = expr.triple
-        return (
-            f"({format_scalar(a)} : {format_scalar(b)} :"
-            f" {format_scalar(c)})"
-        )
-    if isinstance(expr, Join):
-        return f"join({expr.a}, {expr.b})"
-    if isinstance(expr, Meet):
-        return f"meet({expr.a}, {expr.b})"
-    if isinstance(expr, Conjugate):
-        return f"conjugate({expr.a}, {expr.b}; {expr.x})"
-    if isinstance(expr, FourthHarmonic):
-        return (
-            f"fourth_harmonic({expr.vertex}; {expr.a}, {expr.b}; {expr.g})"
-        )
-    if isinstance(expr, CompleteFourthLine):
-        return (
-            "complete_fourth_line("
-            + ", ".join(expr.vertices)
-            + "; "
-            + ", ".join(expr.lines)
-            + ")"
-        )
+    if isinstance(expr, (PointLiteral, LineLiteral)):
+        affine = isinstance(expr, PointLiteral)
+        return _format_literal(expr.triple, affine)
+    if type(expr) in _CALL_OF:
+        return _format_call(expr)
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -800,28 +732,20 @@ def format_scene(ast: SceneAst) -> str:
     """Canonical text for an AST; comments are not reproduced."""
     out = []
     for st in ast.statements:
-        if isinstance(st, PointDecl):
-            out.append(f"point {st.name} = {_format_expr(st.expr)}")
-        elif isinstance(st, LineDecl):
-            out.append(f"line {st.name} = {_format_expr(st.expr)}")
+        if isinstance(st, (PointDecl, LineDecl)):
+            kind = "point" if isinstance(st, PointDecl) else "line"
+            out.append(f"{kind} {st.name} = {_format_expr(st.expr)}")
         elif isinstance(st, GonDecl):
             out.append(f"gon {st.name} = [{', '.join(st.vertices)}]")
-        elif isinstance(st, AssertCollinear):
-            out.append(f"assert collinear({', '.join(st.points)})")
-        elif isinstance(st, AssertConcurrent):
-            out.append(f"assert concurrent({', '.join(st.lines)})")
+        elif isinstance(st, (AssertCollinear, AssertConcurrent)):
+            which, names = _incidence(st)
+            out.append(f"assert {which}({', '.join(names)})")
         elif isinstance(st, AssertHarmonic):
             out.append(
                 f"assert harmonic({st.a}, {st.b}; {st.x}, {st.y})"
             )
-        elif isinstance(st, AssertCrEqual):
-            out.append(
-                "assert cr_equal("
-                + ", ".join(st.first)
-                + "; "
-                + ", ".join(st.second)
-                + ")"
-            )
+        elif type(st) in _CALL_OF:
+            out.append(f"assert {_format_call(st)}")
         elif isinstance(st, AssertPseudo):
             out.append(
                 f"assert pseudo_{st.kind}("
@@ -935,22 +859,20 @@ def _eval_expr(expr, env, backend: Backend):
 
 def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     line = st.pos[0]
-    if isinstance(st, AssertCollinear):
-        points = [env[n] for n in st.points]
-        passed = all_collinear(points, backend)
+    if isinstance(st, (AssertCollinear, AssertConcurrent)):
+        which, names = _incidence(st)
+        objs = [env[n] for n in names]
+        collinear = which == "collinear"
+        all_on_one = all_collinear if collinear else all_concurrent
+        passed = all_on_one(objs, backend)
         detail = ""
         if not passed:
-            value, _ = _worst_triple(points, collinearity_residual)
+            residual = (
+                collinearity_residual if collinear else concurrency_residual
+            )
+            value, _ = _worst_triple(objs, residual)
             detail = f"witness determinant {format_scalar(value)}"
-        return AssertionResult(index, line, "collinear", passed, detail)
-    if isinstance(st, AssertConcurrent):
-        lines = [env[n] for n in st.lines]
-        passed = all_concurrent(lines, backend)
-        detail = ""
-        if not passed:
-            value, _ = _worst_triple(lines, concurrency_residual)
-            detail = f"witness determinant {format_scalar(value)}"
-        return AssertionResult(index, line, "concurrent", passed, detail)
+        return AssertionResult(index, line, which, passed, detail)
     if isinstance(st, AssertHarmonic):
         a, b, x, y = (env[n] for n in (st.a, st.b, st.x, st.y))
         if st.kind == "point":

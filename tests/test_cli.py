@@ -116,6 +116,13 @@ class TestVerify:
         assert code == 2
         assert "unknown theorem" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "two-pencils", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
     def test_float_only_with_exact_backend(self, capsys):
         code, _, err = run(
             capsys, "verify", "bisectors-triangle", "--backend", "exact"

@@ -1,10 +1,13 @@
 """Scene language: lexing, parsing, formatting, evaluation."""
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from harmonica import dsl
 from harmonica.core import EXACT, float_backend
 from harmonica.dsl import (
     AssertCollinear,
@@ -26,6 +29,7 @@ from harmonica.dsl import (
     PointLiteral,
     Redeclaration,
     SceneAst,
+    SceneError,
     SceneSyntaxError,
     TypeMismatch,
     UnknownIdentifier,
@@ -33,6 +37,8 @@ from harmonica.dsl import (
     format_scene,
     parse,
 )
+
+SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
 HARMONIC_SCENE = """\
 point A = (0, 0)
@@ -66,6 +72,77 @@ point Y2 = meet(h1, g2)
 assert collinear(base, X1, Y1)
 assert collinear(base, X2, Y2)
 """
+
+
+# Parse errors pinned so that any change to a message, position or
+# ``expected`` tuple fails: one malformed call per call and predicate
+# keyword (a missing argument, or one of the wrong kind), after
+# PIN_PREAMBLE.  Each row is the offending line, the error class, its
+# message, line, column and ``expected`` (None for the classes that
+# carry no ``expected``).
+PIN_PREAMBLE = (
+    "point A = (0, 0)\npoint B = (1, 0)\npoint C = (0, 1)\npoint D = (1, 1)\n"
+    "line l = join(A, B)\nline m = join(B, C)\nline n = join(C, A)\n"
+    "gon G = [A, B, C]\n"
+)
+PINNED_CALL_ERRORS = [
+    ('point X = meet(l)', 'SceneSyntaxError', "line 9, column 17: expected ',', found ')'", 9, 17, (',',)),
+    ('point X = meet(l, A)', 'TypeMismatch', "line 9, column 19: 'A' is a point, expected a line", 9, 19, None),
+    ('point X = conjugate(A, B)', 'SceneSyntaxError', "line 9, column 25: expected ';', found ')'", 9, 25, (';',)),
+    ('point X = conjugate(A, B; l)', 'TypeMismatch', "line 9, column 27: 'l' is a line, expected a point", 9, 27, None),
+    ('line x = join(A)', 'SceneSyntaxError', "line 9, column 16: expected ',', found ')'", 9, 16, (',',)),
+    ('line x = join(A, l)', 'TypeMismatch', "line 9, column 18: 'l' is a line, expected a point", 9, 18, None),
+    ('line x = fourth_harmonic(A; l, m)', 'SceneSyntaxError', "line 9, column 33: expected ';', found ')'", 9, 33, (';',)),
+    ('line x = fourth_harmonic(A; l, B; n)', 'TypeMismatch', "line 9, column 32: 'B' is a point, expected a line", 9, 32, None),
+    ('line x = complete_fourth_line(A, B, C; l, m, n)', 'SceneSyntaxError', "line 9, column 38: expected ',', found ';'", 9, 38, (',',)),
+    ('line x = complete_fourth_line(A, B, C, D; l, m, A)', 'TypeMismatch', "line 9, column 49: 'A' is a point, expected a line", 9, 49, None),
+    ('assert collinear(A, B)', 'TypeMismatch', 'line 9, column 22: collinear needs at least 3 arguments', 9, 22, None),
+    ('assert collinear(A, B, l)', 'TypeMismatch', "line 9, column 24: 'l' is a line, expected a point", 9, 24, None),
+    ('assert concurrent(l, m)', 'TypeMismatch', 'line 9, column 23: concurrent needs at least 3 arguments', 9, 23, None),
+    ('assert concurrent(l, m, A)', 'TypeMismatch', "line 9, column 25: 'A' is a point, expected a line", 9, 25, None),
+    ('assert harmonic(A, B; C)', 'SceneSyntaxError', "line 9, column 24: expected ',', found ')'", 9, 24, (',',)),
+    ('assert harmonic(A, B; C, l)', 'TypeMismatch', "line 9, column 26: 'l' is a line, expected a point", 9, 26, None),
+    ('assert harmonic(G, A; B, C)', 'TypeMismatch', "line 9, column 17: 'G' is not a point or line", 9, 17, None),
+    ('assert cr_equal(A, B, C, D; A, B, C)', 'SceneSyntaxError', "line 9, column 36: expected ',', found ')'", 9, 36, (',',)),
+    ('assert cr_equal(A, B, C, D; A, B, C, l)', 'TypeMismatch', "line 9, column 38: 'l' is a line, expected a point", 9, 38, None),
+    ('assert pseudo_concurrent(G, l, m)', 'TypeMismatch', "line 9, column 33: gon 'G' has 3 vertices, got 2 lines", 9, 33, None),
+    ('assert pseudo_concurrent(G, l, m, A)', 'TypeMismatch', "line 9, column 35: 'A' is a point, expected a line", 9, 35, None),
+    ('assert pseudo_concurrent(A, l, m, n)', 'TypeMismatch', "line 9, column 26: 'A' is a point, expected a gon", 9, 26, None),
+    ('assert pseudo_collinear(G, A, B)', 'TypeMismatch', "line 9, column 32: gon 'G' has 3 vertices, got 2 points", 9, 32, None),
+    ('assert pseudo_collinear(G, A, B, l)', 'TypeMismatch', "line 9, column 34: 'l' is a line, expected a point", 9, 34, None),
+    ('assert pseudo_concurrent(G, l, m, n) order = seed(x)', 'SceneSyntaxError', 'line 9, column 51: expected an integer', 9, 51, ('number',)),
+    ('assert ceva_product(G, l, m) = 1', 'TypeMismatch', "line 9, column 28: gon 'G' has 3 vertices, got 2 lines", 9, 28, None),
+    ('assert ceva_product(G, l, m, A) = 1', 'TypeMismatch', "line 9, column 30: 'A' is a point, expected a line", 9, 30, None),
+    ('assert ceva_product(G, l, m, n)', 'SceneSyntaxError', "line 10, column 1: expected '=', found 'end of input'", 10, 1, ('=',)),
+    ('assert menelaos_product(G, A, B) = 1', 'TypeMismatch', "line 9, column 32: gon 'G' has 3 vertices, got 2 points", 9, 32, None),
+    ('assert menelaos_product(G, A, B, l) = 1', 'TypeMismatch', "line 9, column 34: 'l' is a line, expected a point", 9, 34, None),
+    ('point X = (1)', 'SceneSyntaxError', "line 9, column 13: expected ',' or ':'", 9, 13, (',', ':')),
+    ('line x = (1, 2)', 'SceneSyntaxError', "line 9, column 12: expected ':'", 9, 12, (':',)),
+    ('point X = foo(A)', 'SceneSyntaxError', "line 9, column 11: expected a coordinate literal, 'meet' or 'conjugate'", 9, 11, ('(', 'meet', 'conjugate')),
+    ('line x = meet(l, m)', 'SceneSyntaxError', "line 9, column 10: expected a coordinate literal, 'join', 'fourth_harmonic' or 'complete_fourth_line'", 9, 10, ('(', 'join', 'fourth_harmonic', 'complete_fourth_line')),
+    ('point X = join(A, B)', 'SceneSyntaxError', "line 9, column 11: expected a coordinate literal, 'meet' or 'conjugate'", 9, 11, ('(', 'meet', 'conjugate')),
+    ('point meet = (1, 2)', 'SceneSyntaxError', "line 9, column 7: 'meet' is a reserved word", 9, 7, ()),
+    ('line x = join(A, B', 'SceneSyntaxError', "line 10, column 1: expected ')', found 'end of input'", 10, 1, (')',)),
+]
+
+PINNED_RESERVED_WORDS = (
+    "point line gon assert join meet conjugate fourth_harmonic"
+    " complete_fourth_line collinear concurrent harmonic cr_equal"
+    " pseudo_concurrent pseudo_collinear ceva_product menelaos_product"
+    " order first exhaustive seed"
+).split()
+
+# sha256 of format_scene(parse(text)) for each shipped scene.
+PINNED_SCENE_SHA256 = {
+    'figure1.hgeo': '2eef3d839c3376f910cf43941b0f04d42e52bba66d527c0c3961982099d7c80c',
+    'figure11.hgeo': '991e7dce81908195b6b12670b6cdd5f9e1c774c7c62af5169fdff3e1c14642b7',
+    'figure13.hgeo': '5c39f9c10f204b222ed0e2a2192f489beaeeb10b1d05b0d1622b0fd23b79cbce',
+    'figure2.hgeo': '000541a1ba5b1649a733fce044fbee19174eddf0786a666941cad7e3e490a28f',
+    'figure5.hgeo': '4d5da80acac627a8af090bbeb9fe108156aad44a726545eba00011f50918c243',
+    'figure6.hgeo': '4ad5052d4cba296d1231e2000a2db60700004186256bedbd8f253c2ac44ebae3',
+    'figure7.hgeo': '8374aa20773dde83c99b8048675d2d2b32298c73cb41b67f8fd2e26ffad7b2d9',
+    'figure9.hgeo': '3d9bb4f5df5944f4d1f47db9d8858c9326e794b4a6ad437d422d4938e1373197',
+}
 
 
 class TestLexingAndSyntax:
@@ -118,6 +195,16 @@ class TestLexingAndSyntax:
         with pytest.raises(SceneSyntaxError) as err:
             parse("point A = (0, 0) @")
         assert err.value.col == 18
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_numbers_take_ascii_digits_only(self, digit):
+        # superscript two and Arabic-Indic three are str.isdigit()
+        with pytest.raises(SceneSyntaxError) as err:
+            parse(f"point A = ({digit}, 1)")
+        assert str(err.value) == f"line 1, column 12: unexpected character {digit!r}"
+        with pytest.raises(SceneSyntaxError) as err:
+            parse(f"point A = (1{digit}, 1)")
+        assert err.value.col == 13
 
     def test_comments_and_whitespace_are_insignificant(self):
         ast = parse(
@@ -227,6 +314,30 @@ class TestFormatting:
         assert format_scene(SceneAst(())) == ""
         assert parse("") == SceneAst(())
         assert parse("# only a comment\n") == SceneAst(())
+
+
+class TestPinnedBehaviour:
+    @pytest.mark.parametrize(
+        "statement, cls, message, line, col, expected", PINNED_CALL_ERRORS
+    )
+    def test_malformed_call(self, statement, cls, message, line, col, expected):
+        with pytest.raises(SceneError) as err:
+            parse(PIN_PREAMBLE + statement + "\n")
+        assert type(err.value).__name__ == cls
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (line, col)
+        assert getattr(err.value, "expected", None) == expected
+
+    @pytest.mark.parametrize("name, digest", sorted(PINNED_SCENE_SHA256.items()))
+    def test_shipped_scene_formats_to_pinned_bytes(self, name, digest):
+        text = (SCENE_DIR / name).read_text()
+        out = format_scene(parse(text)).encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_every_shipped_scene_is_pinned(self):
+        assert sorted(p.name for p in SCENE_DIR.glob("*.hgeo")) == sorted(
+            PINNED_SCENE_SHA256
+        )
 
 
 def _rational(rng):
@@ -578,3 +689,26 @@ class TestEvaluation:
         )
         report = evaluate(parse(text))
         assert report.all_passed
+
+
+class TestCallTable:
+    def test_reserved_words_are_exactly_the_pinned_ones(self):
+        assert dsl._KEYWORDS == frozenset(PINNED_RESERVED_WORDS)
+
+    def test_every_call_keyword_is_in_the_readme_grammar(self):
+        readme = (SCENE_DIR.parent / "README.md").read_text()
+        section = readme.split("## Scene language", 1)[1]
+        grammar = section.split("Grammar", 1)[1].split("```")[1]
+        assert "scene     ::=" in grammar
+        for keyword in dsl._CALLS:
+            assert f'"{keyword}" "("' in grammar, keyword
+
+    def test_formatter_writes_calls_as_the_parser_reads_them(self):
+        text = (
+            PIN_PREAMBLE
+            + "point X = meet(l, m)\npoint Y = conjugate(A, B; X)\n"
+            "line x = fourth_harmonic(A; l, n; m)\n"
+            "line y = complete_fourth_line(A, B, C, D; l, m, n)\n"
+            "assert cr_equal(A, B, C, D; D, C, B, A)\n"
+        )
+        assert format_scene(parse(text)) == text
