@@ -13,11 +13,22 @@ unit max-norm) so coordinates stay small through deep constructions,
 but equality is always the proportionality test, never a canonical
 form comparison.
 
+Points and lines are duals (dualize swaps them, keeping the triple),
+and each dual pair has one body.  Point and Line share a private base
+that holds the constructor with its zero-triple check, the integer
+form, triple, ==, repr and JSON; each declares only its three fields
+and its own methods.  collinear and concurrent are one function, as
+are the two residuals and all_collinear/all_concurrent; coincide is
+the backend-aware equality of two points or two lines;
+harmonic_conjugate and fourth_harmonic_line share the
+chart-and-bracket combination and differ only in how they check their
+input.
+
 Each exact point and line also keeps an integer form, computed once
 when it is built: the primitive int triple that is a positive multiple
 of its coordinates (an int triple is its own integer form; a triple
 with a float has none).  join, meet, ==, incident, collinear,
-concurrent and lines_coincide compute on integer forms whenever every
+concurrent and coincide compute on integer forms whenever every
 operand has one and the zero test is exact, so the exact lane
 multiplies ints, not Fractions.  A positive factor changes no zero or
 proportionality test and _tidy maps a scaled cross product to the same
@@ -29,11 +40,12 @@ not scale-free), and .triple, repr, to_json and the *_residual values.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -156,10 +168,10 @@ def _is_float(*values: Scalar) -> bool:
     return any(isinstance(v, float) for v in values)
 
 
-def _backend_of(*triples) -> Backend:
-    """The float backend if any coordinate of the triples is a float,
-    else EXACT."""
-    if _is_float(*(v for t in triples for v in t)):
+def _backend_of(*objs) -> Backend:
+    """The float backend if a coordinate of the points or lines is a
+    float (exactly when one has no integer form), else EXACT."""
+    if any(o._form is None for o in objs):
         return float_backend()
     return EXACT
 
@@ -298,26 +310,72 @@ def _scalar_from_str(s: str) -> Scalar:
 # points and lines
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
+class _Element:
+    """What Point and Line share: a coordinate triple, never (0 : 0 : 0),
+    identified up to a nonzero scale, with its integer form.
+
+    Each subclass is a frozen dataclass (init, eq and repr left to this
+    base) that declares its three coordinate fields.  An object stores
+    only its triple and its integer form, since every kernel computation
+    reads one of them; the fields read the triple, and their names are
+    the constructor's keywords and the JSON keys.
+    """
+
+    _keys: ClassVar[tuple[str, str, str]]
+    triple: tuple[Scalar, Scalar, Scalar]
+    _form: tuple[int, int, int] | None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._keys = tuple(cls.__annotations__)
+        for i, key in enumerate(cls._keys):
+            setattr(cls, key, property(lambda self, i=i: self.triple[i]))
+        keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(k, keyword, annotation="Scalar") for k in cls._keys],
+            return_annotation=None,
+        )
+
+    def __init__(self, *triple: Scalar, **named: Scalar) -> None:
+        if named or len(triple) != 3:
+            # keywords, or a wrong count that bind reports as a call would
+            triple = tuple(self.__signature__.bind(*triple, **named).arguments.values())
+        if triple == (0, 0, 0):
+            noun = type(self).__name__.lower()
+            raise DegenerateInput(f"(0 : 0 : 0) is not a {noun}")
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "_form", _integer_form(*triple))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return _proportional(*_pair_operands(self, other))
+
+    def __repr__(self) -> str:
+        return "%s(%s : %s : %s)" % (
+            type(self).__name__,
+            *map(format_scalar, self.triple),
+        )
+
+    def to_json(self) -> dict:
+        return dict(zip(self._keys, map(format_scalar, self.triple)))
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(*(_scalar_from_str(obj[k]) for k in cls._keys))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Point(_Element):
     """Projective point (x : y : w)."""
 
     x: Scalar
     y: Scalar
     w: Scalar
 
-    def __post_init__(self) -> None:
-        if self.x == 0 and self.y == 0 and self.w == 0:
-            raise DegenerateInput("(0 : 0 : 0) is not a point")
-        object.__setattr__(self, "_form", _integer_form(self.x, self.y, self.w))
-
     @classmethod
     def affine(cls, x: Scalar, y: Scalar) -> "Point":
         return cls(x, y, 1)
-
-    @property
-    def triple(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (self.x, self.y, self.w)
 
     def is_infinite(self) -> bool:
         return self.w == 0
@@ -327,64 +385,17 @@ class Point:
             raise PointAtInfinity(f"{self} has no affine coordinates")
         return (exact_div(self.x, self.w), exact_div(self.y, self.w))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return _proportional(*_pair_operands(self, other))
 
-    def __repr__(self) -> str:
-        return "Point(%s : %s : %s)" % tuple(map(format_scalar, self.triple))
-
-    def to_json(self) -> dict:
-        return {
-            "x": format_scalar(self.x),
-            "y": format_scalar(self.y),
-            "w": format_scalar(self.w),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Point":
-        return cls(*(_scalar_from_str(obj[k]) for k in ("x", "y", "w")))
-
-
-@dataclass(frozen=True, eq=False)
-class Line:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Line(_Element):
     """Projective line (a : b : c), the locus of a*x + b*y + c*w == 0."""
 
     a: Scalar
     b: Scalar
     c: Scalar
 
-    def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0 and self.c == 0:
-            raise DegenerateInput("(0 : 0 : 0) is not a line")
-        object.__setattr__(self, "_form", _integer_form(self.a, self.b, self.c))
-
-    @property
-    def triple(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (self.a, self.b, self.c)
-
     def is_infinite(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Line):
-            return NotImplemented
-        return _proportional(*_pair_operands(self, other))
-
-    def __repr__(self) -> str:
-        return "Line(%s : %s : %s)" % tuple(map(format_scalar, self.triple))
-
-    def to_json(self) -> dict:
-        return {
-            "a": format_scalar(self.a),
-            "b": format_scalar(self.b),
-            "c": format_scalar(self.c),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Line":
-        return cls(*(_scalar_from_str(obj[k]) for k in ("a", "b", "c")))
 
 
 def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
@@ -394,9 +405,9 @@ def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
     to meets, collinear triples to concurrent ones, and conversely.
     """
     if isinstance(obj, Point):
-        return Line(obj.x, obj.y, obj.w)
+        return Line(*obj.triple)
     if isinstance(obj, Line):
-        return Point(obj.a, obj.b, obj.c)
+        return Point(*obj.triple)
     raise TypeError(f"cannot dualize {type(obj).__name__}")
 
 
@@ -431,68 +442,64 @@ def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:
 
 
 def collinearity_residual(
-    p: Point, q: Point, r: Point
+    p: _Element, q: _Element, r: _Element
 ) -> tuple[Scalar, Scalar]:
-    """Determinant of the three triples and its magnitude scale."""
-    return (
-        _det3(p.triple, q.triple, r.triple),
-        _det3_scale(p.triple, q.triple, r.triple),
-    )
+    """Determinant of the three triples and its magnitude scale.
+
+    One body serves three points and, as concurrency_residual, three
+    lines.
+    """
+    t = (p.triple, q.triple, r.triple)
+    return _det3(*t), _det3_scale(*t)
 
 
-def collinear(p: Point, q: Point, r: Point, backend: Backend = EXACT) -> bool:
-    """Whether three points lie on one line.
+concurrency_residual = collinearity_residual
 
-    A triple with two equal points counts as collinear.
+
+def collinear(
+    p: _Element, q: _Element, r: _Element, backend: Backend = EXACT
+) -> bool:
+    """Whether three points lie on one line or, as concurrent, three
+    lines pass through one point.
+
+    A triple with two equal members counts.
     """
     t = _trio_operands(p, q, r, backend)
     return backend.zero(_det3(*t), _det3_scale(*t))
 
 
-def concurrency_residual(l: Line, m: Line, n: Line) -> tuple[Scalar, Scalar]:
-    return (
-        _det3(l.triple, m.triple, n.triple),
-        _det3_scale(l.triple, m.triple, n.triple),
-    )
+concurrent = collinear
 
 
-def concurrent(l: Line, m: Line, n: Line, backend: Backend = EXACT) -> bool:
-    """Whether three lines pass through one point (two equal lines count)."""
-    t = _trio_operands(l, m, n, backend)
-    return backend.zero(_det3(*t), _det3_scale(*t))
+def coincide(a: _Element, b: _Element, backend: Backend = EXACT) -> bool:
+    """Projective equality of two points or two lines at the backend's
+    tolerance.
 
-
-def lines_coincide(l: Line, m: Line, backend: Backend = EXACT) -> bool:
-    """Projective equality of two lines at the backend's tolerance.
-
-    Under the exact backend this is l == m; under a float backend each
+    Under the exact backend this is a == b; under a float backend each
     component of the cross product is zero at the scale of the product
     of the two triples' max-norms.
     """
-    t, u = _pair_operands(l, m, backend)
+    t, u = _pair_operands(a, b, backend)
     scale = max(abs(v) for v in t) * max(abs(v) for v in u)
     return all(backend.zero(v, scale) for v in _cross(t, u))
 
 
-def _all_on_one(objs, trio, backend: Backend) -> bool:
-    # trio(a, b, c, backend) over the first distinct pair a, b and
-    # every member c; fewer than two distinct members pass
+def all_collinear(objs: Sequence[_Element], backend: Backend = EXACT) -> bool:
+    """Whether every point of the sequence lies on one common line or,
+    as all_concurrent, every line passes through one common point.
+
+    The first distinct pair and each member are tested with collinear;
+    fewer than two distinct members pass.
+    """
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
             if objs[i] != objs[j]:
                 a, b = objs[i], objs[j]
-                return all(trio(a, b, c, backend) for c in objs)
+                return all(collinear(a, b, c, backend) for c in objs)
     return True
 
 
-def all_collinear(points: Sequence[Point], backend: Backend = EXACT) -> bool:
-    """Whether every point of the sequence lies on one common line."""
-    return _all_on_one(points, collinear, backend)
-
-
-def all_concurrent(lines: Sequence[Line], backend: Backend = EXACT) -> bool:
-    """Whether every line of the sequence passes through one common point."""
-    return _all_on_one(lines, concurrent, backend)
+all_concurrent = all_collinear
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +563,7 @@ def cross_ratio_points(
     if carrier == (0, 0, 0):
         raise CoincidentPoints("cross-ratio needs a != b")
     for p in (c, d):
-        value = carrier[0] * p.x + carrier[1] * p.y + carrier[2] * p.w
-        scale = (
-            abs(carrier[0] * p.x) + abs(carrier[1] * p.y) + abs(carrier[2] * p.w)
-        )
-        if not backend.zero(value, scale):
+        if not backend.zero(*_incidence(carrier, p.triple)):
             raise NotCollinear(f"{p} is not on the carrier line")
     k = _chart_index(carrier)
     return _cross_ratio_brackets([a.triple, b.triple, c.triple, d.triple], k)
@@ -690,6 +693,22 @@ def signed_area(a: Point, b: Point, c: Point) -> Scalar:
 # harmonic constructions
 
 
+def _fourth_harmonic(
+    a: _Element, b: _Element, x: _Element, k: int, message: str
+) -> tuple[Scalar, Scalar, Scalar]:
+    """Triple of the fourth member y with (a, b; x, y) == -1, for members
+    of one range of points or one pencil of lines, in chart k.
+
+    Writing x = alpha*a + beta*b, the result is alpha*a - beta*b.
+    """
+    a2, b2, x2 = _project(a.triple, k), _project(b.triple, k), _project(x.triple, k)
+    alpha = _bracket(x2, b2)
+    beta = _bracket(a2, x2)
+    if alpha == 0 or beta == 0:
+        raise DegenerateInput(message)
+    return _tidy(*(alpha * ai - beta * bi for ai, bi in zip(a.triple, b.triple)))
+
+
 def harmonic_conjugate(
     a: Point, b: Point, x: Point, backend: Backend = EXACT
 ) -> Point:
@@ -705,13 +724,8 @@ def harmonic_conjugate(
     if not incident(Line(*carrier), x, backend):
         raise NotCollinear(f"{x} is not on the line through the base points")
     k = _chart_index(carrier)
-    a2, b2, x2 = _project(a.triple, k), _project(b.triple, k), _project(x.triple, k)
-    alpha = _bracket(x2, b2)
-    beta = _bracket(a2, x2)
-    if alpha == 0 or beta == 0:
-        raise DegenerateInput("harmonic conjugate needs x distinct from a and b")
-    t = tuple(alpha * ai - beta * bi for ai, bi in zip(a.triple, b.triple))
-    return Point(*_tidy(*t))
+    message = "harmonic conjugate needs x distinct from a and b"
+    return Point(*_fourth_harmonic(a, b, x, k, message))
 
 
 def fourth_harmonic_line(
@@ -724,10 +738,5 @@ def fourth_harmonic_line(
     if a == b:
         raise CoincidentLines("fourth harmonic needs a != b")
     k = _chart_index(vertex.triple)
-    a2, b2, g2 = _project(a.triple, k), _project(b.triple, k), _project(g.triple, k)
-    alpha = _bracket(g2, b2)
-    beta = _bracket(a2, g2)
-    if alpha == 0 or beta == 0:
-        raise DegenerateInput("fourth harmonic needs g distinct from a and b")
-    t = tuple(alpha * ai - beta * bi for ai, bi in zip(a.triple, b.triple))
-    return Line(*_tidy(*t))
+    message = "fourth harmonic needs g distinct from a and b"
+    return Line(*_fourth_harmonic(a, b, g, k, message))

@@ -43,9 +43,7 @@ from .core import (
     Point,
     Scalar,
     all_collinear,
-    all_concurrent,
     collinearity_residual,
-    concurrency_residual,
     cross_ratio_lines,
     cross_ratio_points,
     format_scalar,
@@ -862,15 +860,11 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     if isinstance(st, (AssertCollinear, AssertConcurrent)):
         which, names = _incidence(st)
         objs = [env[n] for n in names]
-        collinear = which == "collinear"
-        all_on_one = all_collinear if collinear else all_concurrent
-        passed = all_on_one(objs, backend)
+        # one body serves points (collinear) and lines (concurrent)
+        passed = all_collinear(objs, backend)
         detail = ""
         if not passed:
-            residual = (
-                collinearity_residual if collinear else concurrency_residual
-            )
-            value, _ = _worst_triple(objs, residual)
+            value, _ = _worst_triple(objs)
             detail = f"witness determinant {format_scalar(value)}"
         return AssertionResult(index, line, which, passed, detail)
     if isinstance(st, AssertHarmonic):
@@ -934,12 +928,13 @@ def _assertion_gon(st: AssertPseudo | AssertProduct, env: dict):
     return cls(env[st.gon], tuple(env[n] for n in st.items))
 
 
-def _worst_triple(objs, residual):
+def _worst_triple(objs):
+    # the three points (or lines) with the largest determinant
     worst = None
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
             for k in range(j + 1, len(objs)):
-                value, scale = residual(objs[i], objs[j], objs[k])
+                value, scale = collinearity_residual(objs[i], objs[j], objs[k])
                 key = abs(value)
                 if worst is None or key > worst[0]:
                     worst = (key, value, scale)

@@ -1,11 +1,11 @@
 """Seeded generation of nondegenerate rational configurations.
 
-Every gen_* function is a pure function of a GenSpec (plus explicit
-arguments): the seed pins the whole random stream, so identical inputs
-give bit-identical configurations.  Degeneracy is handled by rejection
-sampling; a draw that cannot satisfy its predicates within the retry
-budget raises RetryLimitExceeded instead of looping forever, which is
-what makes tiny coordinate bounds safe.
+gen_hypothesis_forcing is a pure function of a GenSpec (plus the
+theorem id and n): the seed pins the whole random stream, so identical
+inputs give bit-identical configurations.  Degeneracy is handled by
+rejection sampling; a draw that cannot satisfy its predicates within
+the retry budget raises RetryLimitExceeded instead of looping forever,
+which is what makes tiny coordinate bounds safe.
 
 The hypothesis-forcing constructions only draw: a draw is rejected
 when a construction step finds it degenerate, never by running the
@@ -15,9 +15,10 @@ registry runs the check once per trial; a check that raises on a
 forced instance is a reported failure of that trial, not a redraw.
 
 The sample_* helpers take an explicit random.Random so that multi-part
-constructions (and the CLI trial loop) can draw several objects from
-one stream.  The gen_* wrappers own their Random and are the stable
-public entry points.
+constructions draw several objects from one stream; a caller that
+wants a single object draws it from GenSpec.rng().  Harmonic
+completion of a triangle or quadrilateral is the configs' own
+complete (pencils), not a generator.
 """
 
 from __future__ import annotations
@@ -245,48 +246,6 @@ def sample_convex_float_quad(
         if convex and _float_gon_ok(pts):
             return tuple(pts)
     raise RetryLimitExceeded("no well-conditioned convex quadrilateral")
-
-
-# ---------------------------------------------------------------------------
-# spec-driven generators
-
-
-def gen_point(spec: GenSpec) -> Point:
-    return sample_point(spec.rng(), spec.bound)
-
-
-def gen_triangle(spec: GenSpec) -> tuple[Point, Point, Point]:
-    return sample_general_points(spec.rng(), spec.bound, 3, spec.retries)
-
-
-def gen_quadrilateral(spec: GenSpec) -> tuple[Point, Point, Point, Point]:
-    return sample_general_points(spec.rng(), spec.bound, 4, spec.retries)
-
-
-def gen_ngon(spec: GenSpec, n: int) -> tuple[Point, ...]:
-    if n < 3:
-        raise DegenerateInput("a gon needs at least 3 vertices")
-    return sample_general_points(spec.rng(), spec.bound, n, spec.retries)
-
-
-def gen_harmonic_completion(
-    vertices: Sequence[Point],
-    g: Sequence[Line] | None = None,
-    h: Sequence[Line] | None = None,
-):
-    """Fill in the harmonically determined half of a triangle or
-    quadrilateral configuration: h from g, or g from h."""
-    if (g is None) == (h is None):
-        raise DegenerateInput("exactly one of g and h must be given")
-    cls = {3: TriangleConfig, 4: QuadrilateralConfig}.get(len(tuple(vertices)))
-    if cls is None:
-        raise DegenerateInput("vertices must form a triangle or quadrilateral")
-    if g is not None:
-        return cls.complete(vertices, g)
-    # harmonic conjugacy is involutive, so completing from h and
-    # swapping the slots restores the requested labeling
-    tmp = cls.complete(vertices, h)
-    return cls(tmp.vertices, tmp.h, tmp.g)
 
 
 # ---------------------------------------------------------------------------

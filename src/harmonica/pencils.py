@@ -7,12 +7,21 @@ coincidence, collinearity and ratio-product statements holds; the
 checks in this module construct the objects those statements speak
 about.  Verdicts are left to the caller (or to TheoremReport helpers)
 so that positive and negative configurations go through the same code.
+
+TriangleConfig and QuadrilateralConfig share one body, the way
+reduction._Gon serves both gon kinds: the vertex and line count check,
+the no-three-collinear check, the per-vertex pencil test (which
+HarmonicPencil runs too), complete, JSON and the backend sniff.  At
+vertex i both test the pencil whose first two lines are the sides from
+vertex i-1 and to vertex i+1; each kind keeps its own side numbering
+and its own messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import ClassVar, Sequence
 
 from .core import (
     EXACT,
@@ -32,6 +41,7 @@ from .core import (
     _backend_of,
     _tidy,
     all_collinear,
+    coincide,
     collinear,
     collinearity_residual,
     concurrency_residual,
@@ -42,7 +52,6 @@ from .core import (
     fourth_harmonic_line,
     incident,
     join,
-    lines_coincide,
     meet,
     ratio_product,
     signed_ratio,
@@ -66,17 +75,8 @@ class HarmonicPencil:
     h: Line
 
     def __post_init__(self) -> None:
-        be = _backend_of(
-            self.vertex.triple,
-            *(l.triple for l in (self.a1, self.a2, self.g, self.h)),
-        )
-        cr = cross_ratio_lines(
-            self.vertex, self.a1, self.a2, self.g, self.h, be
-        )
-        if not be.eq(cr, -1):
-            raise DegenerateInput(
-                f"pencil at {self.vertex} has cross-ratio {cr}, not -1"
-            )
+        be = _backend_of(self.vertex, *self.lines)
+        _check_pencil(self.vertex, *self.lines, be, self.vertex)
 
     @classmethod
     def complete(cls, vertex: Point, a1: Line, a2: Line, g: Line) -> "HarmonicPencil":
@@ -100,6 +100,16 @@ class HarmonicPencil:
             Point.from_json(data["vertex"]),
             *(Line.from_json(l) for l in data["lines"]),
         )
+
+
+def _check_pencil(
+    vertex: Point, a1: Line, a2: Line, g: Line, h: Line, backend: Backend, where: object
+) -> None:
+    """Raise DegenerateInput, naming where the pencil sits, unless
+    (a1, a2; g, h) is a harmonic pencil at the vertex."""
+    cr = cross_ratio_lines(vertex, a1, a2, g, h, backend)
+    if not backend.eq(cr, -1):
+        raise DegenerateInput(f"pencil at {where} has cross-ratio {cr}, not -1")
 
 
 def two_pencils_points(
@@ -145,8 +155,8 @@ def cor2_collinear_triples(
         raise CoincidentPoints("pencils must sit at distinct vertices")
     shared = join(p1.vertex, p2.vertex)
     if not (
-        lines_coincide(p1.a1, shared, backend)
-        and lines_coincide(p2.a1, shared, backend)
+        coincide(p1.a1, shared, backend)
+        and coincide(p2.a1, shared, backend)
     ):
         raise SharedLineMissing(
             "both pencils must have the join of the vertices as first line"
@@ -166,27 +176,81 @@ def _cyc(i: int, n: int) -> int:
     return i % n
 
 
-def _config_to_json(kind: str, config) -> dict:
-    return {
-        "kind": kind,
-        "vertices": [p.to_json() for p in config.vertices],
-        "g": [l.to_json() for l in config.g],
-        "h": [l.to_json() for l in config.h],
-    }
+def _sides_around(v: Sequence[Point]) -> list[Line]:
+    # entry i joins vertex i to vertex i+1 (cyclic), so the sides
+    # meeting at vertex i are entries i-1 and i
+    n = len(v)
+    return [join(v[i], v[_cyc(i + 1, n)]) for i in range(n)]
 
 
-def _config_from_json(cls, kind: str, data: dict):
-    if data.get("kind") != kind:
-        raise ValueError(f"expected kind {kind!r}, got {data.get('kind')!r}")
-    return cls(
-        tuple(Point.from_json(p) for p in data["vertices"]),
-        tuple(Line.from_json(l) for l in data["g"]),
-        tuple(Line.from_json(l) for l in data["h"]),
-    )
+class _PolygonConfig:
+    """What TriangleConfig and QuadrilateralConfig share, the way
+    reduction._Gon serves both gon kinds: vertices with no three
+    collinear, and at vertex i the harmonic pencil (side from vertex
+    i-1, side to vertex i+1; g_i, h_i).
+
+    Each subclass declares its three fields (vertices, g, h), its vertex
+    count, its JSON kind, the message for a collinear vertex triple,
+    and its own side numbering.
+    """
+
+    _n: ClassVar[int]
+    _kind: ClassVar[str]
+    _collinear_message: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        v = self.vertices
+        self._check_count(v, self.g, self.h)
+        for p, q, r in combinations(v, 3):
+            if collinear(p, q, r):
+                raise DegenerateConfig(self._collinear_message)
+        be = _backend_of(*v)
+        sides = _sides_around(v)
+        for i in range(len(v)):
+            where = f"vertex {i + 1}"
+            _check_pencil(v[i], sides[i - 1], sides[i], self.g[i], self.h[i], be, where)
+
+    @classmethod
+    def complete(
+        cls, vertices: Sequence[Point], g: Sequence[Line]
+    ) -> "_PolygonConfig":
+        """Config with each h_i filled in as the fourth harmonic line."""
+        v = tuple(vertices)
+        cls._check_count(v, g)
+        sides = _sides_around(v)
+        h = tuple(
+            fourth_harmonic_line(v[i], sides[i - 1], sides[i], g[i])
+            for i in range(cls._n)
+        )
+        return cls(v, tuple(g), h)
+
+    @classmethod
+    def _check_count(cls, *parts: Sequence) -> None:
+        n = cls._n
+        if any(len(part) != n for part in parts):
+            raise DegenerateInput(f"a {cls._kind} needs {n} vertices and {n} lines")
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self._kind,
+            "vertices": [p.to_json() for p in self.vertices],
+            "g": [l.to_json() for l in self.g],
+            "h": [l.to_json() for l in self.h],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        if data.get("kind") != cls._kind:
+            raise ValueError(f"expected kind {cls._kind!r}, got {data.get('kind')!r}")
+        return cls(
+            tuple(Point.from_json(p) for p in data["vertices"]),
+            tuple(Line.from_json(l) for l in data["g"]),
+            tuple(Line.from_json(l) for l in data["h"]),
+        )
 
 
 @dataclass(frozen=True)
-class TriangleConfig:
+class TriangleConfig(_PolygonConfig):
     """Triangle with one harmonic pencil per vertex.
 
     At vertex i the pencil is (side through i and i+2, side through
@@ -198,19 +262,9 @@ class TriangleConfig:
     g: tuple[Line, Line, Line]
     h: tuple[Line, Line, Line]
 
-    def __post_init__(self) -> None:
-        v = self.vertices
-        if collinear(*v):
-            raise DegenerateConfig("triangle vertices are collinear")
-        be = _backend_of(*(p.triple for p in v))
-        for i in range(3):
-            a1 = self.side(_cyc(i + 1, 3))
-            a2 = self.side(_cyc(i + 2, 3))
-            cr = cross_ratio_lines(v[i], a1, a2, self.g[i], self.h[i], be)
-            if not be.eq(cr, -1):
-                raise DegenerateInput(
-                    f"pencil at vertex {i + 1} has cross-ratio {cr}, not -1"
-                )
+    _n = 3
+    _kind = "triangle"
+    _collinear_message = "triangle vertices are collinear"
 
     def side(self, i: int) -> Line:
         """Side opposite vertex i (0-based), joining the other two."""
@@ -225,25 +279,11 @@ class TriangleConfig:
     ) -> "TriangleConfig":
         """Config with each h_i filled in as the harmonic conjugate line."""
         v = tuple(vertices)
-        if len(v) != 3 or len(g) != 3:
-            raise DegenerateInput("a triangle needs 3 vertices and 3 lines")
+        cls._check_count(v, g)
+        # a flat triangle is rejected before its sides are built
         if collinear(*v):
-            raise DegenerateConfig("triangle vertices are collinear")
-        sides = [join(v[_cyc(i + 1, 3)], v[_cyc(i + 2, 3)]) for i in range(3)]
-        h = tuple(
-            fourth_harmonic_line(
-                v[i], sides[_cyc(i + 1, 3)], sides[_cyc(i + 2, 3)], g[i]
-            )
-            for i in range(3)
-        )
-        return cls(v, tuple(g), h)
-
-    def to_json(self) -> dict:
-        return _config_to_json("triangle", self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TriangleConfig":
-        return _config_from_json(cls, "triangle", data)
+            raise DegenerateConfig(cls._collinear_message)
+        return super().complete(v, g)
 
 
 @dataclass(frozen=True)
@@ -326,36 +366,16 @@ def ceva_product_triangle(t: TriangleConfig, backend: Backend = EXACT) -> Scalar
 
 
 @dataclass(frozen=True)
-class QuadrilateralConfig:
+class QuadrilateralConfig(_PolygonConfig):
     """Quadrilateral with one harmonic pencil (sides; g_i, h_i) per vertex."""
 
     vertices: tuple[Point, Point, Point, Point]
     g: tuple[Line, Line, Line, Line]
     h: tuple[Line, Line, Line, Line]
 
-    def __post_init__(self) -> None:
-        v = self.vertices
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    if collinear(v[i], v[j], v[k]):
-                        raise DegenerateConfig(
-                            "three quadrilateral vertices are collinear"
-                        )
-        be = _backend_of(*(p.triple for p in v))
-        for i in range(4):
-            cr = cross_ratio_lines(
-                v[i],
-                self.side(_cyc(i - 1, 4)),
-                self.side(i),
-                self.g[i],
-                self.h[i],
-                be,
-            )
-            if not be.eq(cr, -1):
-                raise DegenerateInput(
-                    f"pencil at vertex {i + 1} has cross-ratio {cr}, not -1"
-                )
+    _n = 4
+    _kind = "quadrilateral"
+    _collinear_message = "three quadrilateral vertices are collinear"
 
     def side(self, i: int) -> Line:
         """Side from vertex i to vertex i+1 (0-based, cyclic)."""
@@ -371,27 +391,6 @@ class QuadrilateralConfig:
     def diagonal_point_2(self) -> Point:
         """Intersection of the side pair (A4 A1, A2 A3)."""
         return meet(self.side(3), self.side(1))
-
-    @classmethod
-    def complete(
-        cls, vertices: Sequence[Point], g: Sequence[Line]
-    ) -> "QuadrilateralConfig":
-        v = tuple(vertices)
-        if len(v) != 4 or len(g) != 4:
-            raise DegenerateInput("a quadrilateral needs 4 vertices and 4 lines")
-        sides = [join(v[i], v[_cyc(i + 1, 4)]) for i in range(4)]
-        h = tuple(
-            fourth_harmonic_line(v[i], sides[_cyc(i - 1, 4)], sides[i], g[i])
-            for i in range(4)
-        )
-        return cls(v, tuple(g), h)
-
-    def to_json(self) -> dict:
-        return _config_to_json("quadrilateral", self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadrilateralConfig":
-        return _config_from_json(cls, "quadrilateral", data)
 
 
 def free_quadrilateral_triples(
@@ -424,7 +423,7 @@ class EllPair:
     second: Line
 
     def coincides(self, backend: Backend = EXACT) -> bool:
-        return lines_coincide(self.first, self.second, backend)
+        return coincide(self.first, self.second, backend)
 
 
 def _join_distinct(p: Point, q: Point, what: str) -> Line:
@@ -621,7 +620,7 @@ def _divide_segment(a: Point, b: Point, t: Scalar) -> Point:
 def _check_carrier(
     points: Sequence[Point], what: str, backend: Backend | None = None
 ) -> Line:
-    be = backend or _backend_of(*(p.triple for p in points))
+    be = backend or _backend_of(*points)
     base = join(points[0], points[1])
     for p in points[2:]:
         if not incident(base, p, be):
@@ -698,7 +697,7 @@ def pappus_lines(
     """
     a = tuple(a)
     b = tuple(b)
-    be = backend or _backend_of(*(p.triple for p in a + b))
+    be = backend or _backend_of(*a, *b)
     _check_carrier(a, "first quadruple", be)
     _check_carrier(b, "second quadruple", be)
     lines = []

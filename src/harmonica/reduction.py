@@ -140,7 +140,7 @@ class _Gon:
         items = self.items
         if len(items) != n:
             raise DegenerateInput(self._count_message)
-        be = _backend_of(*(o.triple for o in (*self.vertices, *items)))
+        be = _backend_of(*self.vertices, *items)
         for i in range(n):
             defect = _pair_defect(self, i) or self._slot_defect(i, be)
             if defect:
@@ -485,7 +485,7 @@ class ReductionTrace:
 def _verdict_backend(gon, backend: Backend | None) -> Backend:
     if backend is not None:
         return backend
-    return _backend_of(*(o.triple for o in (*gon.vertices, *gon.items)))
+    return _backend_of(*gon.vertices, *gon.items)
 
 
 def _run_reduction(

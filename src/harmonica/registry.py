@@ -29,11 +29,11 @@ from .core import (
     Line,
     Point,
     all_collinear,
+    coincide,
     cross_ratio_points,
     float_backend,
     incident,
     is_harmonic_pencil,
-    lines_coincide,
     meet,
 )
 from .generate import DEFAULT_N, GenSpec, gen_hypothesis_forcing
@@ -129,12 +129,12 @@ def _check_crossratio(config, backend, order):
 def _check_pappus4(config, backend, order):
     a, b = config["first"], config["second"]
     lines = pappus_lines(a, b, backend)
-    coincide = all(lines_coincide(lines[0], l, backend) for l in lines[1:])
+    same = all(coincide(lines[0], l, backend) for l in lines[1:])
     crs_equal = backend.eq(
         cross_ratio_points(*a, backend), cross_ratio_points(*b, backend)
     )
-    return coincide and crs_equal, {
-        "four_lines_coincide": coincide,
+    return same and crs_equal, {
+        "four_lines_coincide": same,
         "cross_ratios_equal": crs_equal,
     }
 

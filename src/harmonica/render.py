@@ -253,9 +253,11 @@ def _render_tikz(strokes, markers, vp: Viewport) -> str:
         x, y = _fmt(m.at[0]), _fmt(m.at[1])
         fill = "white" if m.hollow else "black"
         out.append(f"\\filldraw[fill={fill}] ({x}, {y}) circle (2pt);")
+        # a name may contain "_", which LaTeX accepts only in math mode
+        label = m.name.replace("_", "\\_")
         out.append(
             f"\\node[anchor=south west, font=\\scriptsize] at ({x}, {y})"
-            f" {{{m.name}}};"
+            f" {{{label}}};"
         )
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"

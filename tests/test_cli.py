@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -507,3 +509,27 @@ def test_pinned_stdout_bytes(capsys, monkeypatch, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# README documents this command as refused (exit 2); every other
+# `harmonica ...` line it shows succeeds.
+README_EXIT_TWO = ("verify", "ceva-ngon", "--n", "7", "--order", "exhaustive")
+
+
+def test_readme_commands_exit_as_documented(capsys, monkeypatch, tmp_path):
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in lines
+        if line.startswith("harmonica ")
+    ]
+    assert list(README_EXIT_TWO) in commands
+    shutil.copytree(REPO_ROOT / "scenes", tmp_path / "scenes")
+    monkeypatch.chdir(tmp_path)  # the commands write trace.jsonl, figure7.svg
+    wrong = []
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        expected = 2 if tuple(argv) == README_EXIT_TWO else 0
+        if code != expected:
+            wrong.append((" ".join(argv), code, err))
+    assert wrong == []

@@ -16,6 +16,7 @@ from harmonica.core import (
     PointAtInfinity,
     TooFewDistinct,
     _tidy,
+    coincide,
     collinear,
     collinearity_residual,
     concurrency_residual,
@@ -32,7 +33,6 @@ from harmonica.core import (
     is_harmonic_pencil,
     is_harmonic_points,
     join,
-    lines_coincide,
     meet,
     ratio_product,
     signed_area,
@@ -116,18 +116,30 @@ def test_collinear_trivial_cases():
     assert not collinear(a, b, Point(1, 0, 1))
 
 
+def _floated(obj):
+    return type(obj)(*(float(v) for v in obj.triple))
+
+
 def test_collinearity_via_duality():
     rng = Random(102)
     for _ in range(50):
-        p, q, r = distinct_points(rng, 3)
-        assert collinear(p, q, r) == concurrent(dualize(p), dualize(q), dualize(r))
+        exact = distinct_points(rng, 3)
+        for p, q, r in (exact, [_floated(o) for o in exact]):
+            l, m, n = dualize(p), dualize(q), dualize(r)
+            assert collinear(p, q, r) == concurrent(l, m, n)
+            assert _typed(collinearity_residual(p, q, r)) == _typed(
+                concurrency_residual(l, m, n)
+            )
 
 
 def test_dualize_swaps_join_and_meet():
+    # the same triple, coordinate for coordinate, on exact and float input
     rng = Random(103)
     for _ in range(50):
-        p, q = distinct_points(rng, 2)
-        assert dualize(join(p, q)) == meet(dualize(p), dualize(q))
+        exact = distinct_points(rng, 2)
+        for p, q in (exact, [_floated(o) for o in exact]):
+            via_join = dualize(join(p, q)).triple
+            assert _typed(via_join) == _typed(meet(dualize(p), dualize(q)).triple)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +322,7 @@ def test_fourth_harmonic_line_dual_of_conjugate():
         via_dual = dualize(
             harmonic_conjugate(dualize(a), dualize(b), dualize(g))
         )
-        assert h == via_dual
+        assert _typed(h.triple) == _typed(via_dual.triple)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +559,9 @@ def _ref_proportional(p, q):
     )
 
 
-def _ref_lines_coincide(l, m, backend):
-    scale = max(abs(v) for v in l) * max(abs(v) for v in m)
-    return all(backend.zero(v, scale) for v in _ref_cross(l, m))
+def _ref_coincide(a, b, backend):
+    scale = max(abs(v) for v in a) * max(abs(v) for v in b)
+    return all(backend.zero(v, scale) for v in _ref_cross(a, b))
 
 
 def _typed(triple):
@@ -700,9 +712,10 @@ def test_predicates_match_coordinates(kernel_pool):
                 assert incident(l, p, backend) is expected
                 hits += expected
         for _ in range(1500):
-            l, m = rng.choice(lines), rng.choice(lines)
-            expected = _ref_lines_coincide(l.triple, m.triple, backend)
-            assert lines_coincide(l, m, backend) is expected
+            for objs in (points, lines):
+                a, b = rng.choice(objs), rng.choice(objs)
+                expected = _ref_coincide(a.triple, b.triple, backend)
+                assert coincide(a, b, backend) is expected
             for pred, objs in ((collinear, points), (concurrent, lines)):
                 a, b, c = (rng.choice(objs) for _ in range(3))
                 expected = backend.zero(*_ref_det3(a.triple, b.triple, c.triple))
@@ -720,9 +733,11 @@ def test_float_backend_on_exact_data_tests_given_coordinates():
     assert incident(Line(1, 0, 0), p, be)
     assert collinear(Point(0, 0, 1), Point(0, 1, 1), p, be)
     assert concurrent(Line(1, 0, 0), Line(1, 1, 0), Line(1, 0, tiny), be)
-    assert lines_coincide(Line(tiny, tiny, 1), Line(0, 0, 1), be)
+    assert coincide(Line(tiny, tiny, 1), Line(0, 0, 1), be)
+    assert coincide(Point(tiny, tiny, 1), Point(0, 0, 1), be)
     assert not incident(Line(1, 0, 0), p)
-    assert not lines_coincide(Line(tiny, tiny, 1), Line(0, 0, 1))
+    assert not coincide(Line(tiny, tiny, 1), Line(0, 0, 1))
+    assert not coincide(Point(tiny, tiny, 1), Point(0, 0, 1))
 
 
 def test_residuals_use_given_coordinates(kernel_pool):

@@ -28,12 +28,9 @@ from harmonica.generate import (
     RetryLimitExceeded,
     UnsupportedTheorem,
     config_to_json,
-    gen_harmonic_completion,
     gen_hypothesis_forcing,
-    gen_ngon,
-    gen_point,
-    gen_quadrilateral,
-    gen_triangle,
+    sample_general_points,
+    sample_point,
     sample_point_on,
 )
 from harmonica.pencils import (
@@ -73,22 +70,26 @@ class TestGenSpec:
             GenSpec(seed=1, retries=0)
 
 
+def general_points(spec: GenSpec, n: int):
+    return sample_general_points(spec.rng(), spec.bound, n, spec.retries)
+
+
 class TestBasicGenerators:
     def test_point_determinism(self):
-        a = gen_point(GenSpec(seed=424242))
-        b = gen_point(GenSpec(seed=424242))
+        a = sample_point(GenSpec(seed=424242).rng(), 10)
+        b = sample_point(GenSpec(seed=424242).rng(), 10)
         assert a == b
         assert frozen_json(a) == frozen_json(b)
 
     def test_ngon_determinism(self):
-        a = gen_ngon(GenSpec(seed=7), 6)
-        b = gen_ngon(GenSpec(seed=7), 6)
+        a = general_points(GenSpec(seed=7), 6)
+        b = general_points(GenSpec(seed=7), 6)
         assert frozen_json(a) == frozen_json(b)
-        assert frozen_json(a) != frozen_json(gen_ngon(GenSpec(seed=8), 6))
+        assert frozen_json(a) != frozen_json(general_points(GenSpec(seed=8), 6))
 
     def test_validator_sweep(self):
         for seed in range(200):
-            quad = gen_quadrilateral(GenSpec(seed=seed))
+            quad = general_points(GenSpec(seed=seed), 4)
             assert len(quad) == 4
             for i in range(4):
                 for j in range(i + 1, 4):
@@ -97,7 +98,7 @@ class TestBasicGenerators:
                         assert not collinear(quad[i], quad[j], quad[k])
 
     def test_points_are_rational_affine(self):
-        p = gen_point(GenSpec(seed=3))
+        p = sample_point(GenSpec(seed=3).rng(), 10)
         assert isinstance(p.x, (int, Fraction))
         assert p.w != 0
 
@@ -105,14 +106,14 @@ class TestBasicGenerators:
         for seed in range(20):
             spec = GenSpec(seed=seed, bound=1, retries=50)
             try:
-                tri = gen_triangle(spec)
+                tri = general_points(spec, 3)
             except RetryLimitExceeded:
                 continue
             assert not collinear(*tri)
 
     def test_ngon_needs_three_vertices(self):
-        with pytest.raises(DegenerateInput):
-            gen_ngon(GenSpec(seed=1), 2)
+        with pytest.raises(ValueError, match="at least 3"):
+            gen_hypothesis_forcing("ceva-ngon", GenSpec(seed=1), n=2)
 
     def test_sample_point_on_lands_on_line(self):
         spec = GenSpec(seed=11)
@@ -127,49 +128,30 @@ class TestBasicGenerators:
 
 class TestHarmonicCompletion:
     def test_triangle_from_g(self):
-        spec = GenSpec(seed=21)
-        tri = gen_triangle(spec)
         forced = gen_hypothesis_forcing("free-triangle", GenSpec(seed=22))
         config = forced["config"]
-        rebuilt = gen_harmonic_completion(config.vertices, g=config.g)
+        rebuilt = TriangleConfig.complete(config.vertices, config.g)
         assert isinstance(rebuilt, TriangleConfig)
         assert rebuilt.h == config.h
-        assert tri is not None
-
-    def test_triangle_from_h_keeps_labels(self):
-        forced = gen_hypothesis_forcing("free-triangle", GenSpec(seed=23))
-        config = forced["config"]
-        rebuilt = gen_harmonic_completion(config.vertices, h=config.h)
-        assert rebuilt.h == config.h
-        assert rebuilt.g == config.g
 
     def test_quadrilateral_from_g(self):
         forced = gen_hypothesis_forcing("free-quad", GenSpec(seed=24))
         config = forced["config"]
-        rebuilt = gen_harmonic_completion(config.vertices, g=config.g)
+        rebuilt = QuadrilateralConfig.complete(config.vertices, config.g)
         assert isinstance(rebuilt, QuadrilateralConfig)
         assert rebuilt.h == config.h
 
     def test_side_line_rejected(self):
-        forced = gen_hypothesis_forcing("free-triangle", GenSpec(seed=25))
-        config = forced["config"]
-        bad = (config.side(1), config.g[1], config.g[2])
-        with pytest.raises(DegenerateInput):
-            gen_harmonic_completion(config.vertices, g=bad)
-
-    def test_exactly_one_half_required(self):
-        forced = gen_hypothesis_forcing("free-triangle", GenSpec(seed=26))
-        config = forced["config"]
-        with pytest.raises(DegenerateInput):
-            gen_harmonic_completion(config.vertices)
-        with pytest.raises(DegenerateInput):
-            gen_harmonic_completion(config.vertices, g=config.g, h=config.h)
-
-    def test_wrong_vertex_count(self):
-        with pytest.raises(DegenerateInput):
-            gen_harmonic_completion(
-                gen_ngon(GenSpec(seed=27), 5), g=(None,) * 5
-            )
+        # g_1 replaced by a side through vertex 1, numbered as each kind
+        # numbers its sides
+        for theorem, cls, side in (
+            ("free-triangle", TriangleConfig, 1),
+            ("free-quad", QuadrilateralConfig, 0),
+        ):
+            config = gen_hypothesis_forcing(theorem, GenSpec(seed=25))["config"]
+            bad = (config.side(side),) + config.g[1:]
+            with pytest.raises(DegenerateInput):
+                cls.complete(config.vertices, bad)
 
 
 class TestHypothesisForcing:

@@ -326,6 +326,22 @@ def random_quad_config(rng, matched=False):
 
 
 class TestQuadrilateral:
+    def test_configs_need_their_own_vertex_count(self):
+        rng = Random(331)
+        tri, quad = random_triangle_config(rng), random_quad_config(rng)
+        for own, other in ((tri, quad), (quad, tri)):
+            cls, n = type(own), len(own.vertices)
+            message = f"needs {n} vertices and {n} lines"
+            with pytest.raises(DegenerateInput, match=message):
+                cls(other.vertices, other.g, other.h)
+            with pytest.raises(DegenerateInput, match=message):
+                cls(own.vertices, own.g, own.h[:-1])
+            kind = own.to_json()["kind"]
+            with pytest.raises(DegenerateInput, match=message):
+                cls.from_json({**other.to_json(), "kind": kind})
+            with pytest.raises(DegenerateInput, match=message):
+                cls.complete(other.vertices, other.g)
+
     def test_ell_pair_coincidence_follows_the_backend(self):
         # 0.1, 0.2, 0.3 is (1, 2, 3) up to rounding: equal at the float
         # backend's tolerance, unequal exactly

@@ -147,6 +147,12 @@ class TestTikz:
         assert tikz.count("fill=white") == 1
         assert tikz.count("fill=black") == 3
 
+    def test_underscore_in_name_is_escaped(self):
+        tikz = render("point A_1 = (0, 0)\n", fmt="tikz")
+        assert tikz.endswith(" {A\\_1};\n\\end{tikzpicture}\n")
+        # the svg text is not LaTeX and keeps the name as written
+        assert ">A_1</text>" in render("point A_1 = (0, 0)\n")
+
 
 class TestDeterminism:
     def test_svg_byte_identical(self):
