@@ -28,14 +28,20 @@ Each exact point and line also keeps an integer form, computed once
 when it is built: the primitive int triple that is a positive multiple
 of its coordinates (an int triple is its own integer form; a triple
 with a float has none).  join, meet, ==, incident, collinear,
-concurrent and coincide compute on integer forms whenever every
-operand has one and the zero test is exact, so the exact lane
-multiplies ints, not Fractions.  A positive factor changes no zero or
-proportionality test and _tidy maps a scaled cross product to the same
-primitive triple, so verdicts and constructed triples are those of the
-given coordinates.  Anything else computes on the coordinates as
-given: float arithmetic, tolerance tests (whose max(1, scale) floor is
-not scale-free), and .triple, repr, to_json and the *_residual values.
+concurrent and coincide, and the ratio kernel (signed_ratio,
+cross_ratio_points, cross_ratio_lines, harmonic_conjugate and
+fourth_harmonic_line), compute on integer forms whenever every operand
+has one and the zero test is exact, so the exact lane multiplies ints,
+not Fractions.  A positive factor changes no zero or proportionality
+test, no sign and no comparison of absolute values that picks a
+chart.  A signed ratio or cross-ratio is of degree 0 in each operand,
+so it is the same Fraction; a cross product or harmonic fourth is a
+positive multiple of the one on the coordinates, which _tidy maps to
+the same primitive triple.  So verdicts, values and constructed
+triples are those of the given coordinates.  Anything else computes
+on the coordinates as given: float arithmetic, tolerance tests (whose
+max(1, scale) floor is not scale-free), and .triple, repr, to_json and
+the *_residual values.
 """
 
 from __future__ import annotations
@@ -178,6 +184,8 @@ def _backend_of(*objs) -> Backend:
 
 def exact_div(num: Scalar, den: Scalar) -> Scalar:
     """Division that never silently turns ints into floats."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
     if _is_float(num, den):
         return num / den
     return Fraction(num) / Fraction(den)
@@ -228,7 +236,7 @@ def _integer_form(
 # The triples a kernel computation runs on: the integer forms when the
 # backend's zero test is exact and every operand has one, otherwise the
 # coordinates as given.  Written out for two and three operands because
-# they run on every kernel call.
+# they run on every kernel call; _operands takes any number.
 
 
 def _pair_operands(a, b, backend: Backend = EXACT):
@@ -243,6 +251,13 @@ def _trio_operands(a, b, c, backend: Backend):
     if fa is None or fb is None or fc is None or backend.kind != "exact":
         return a.triple, b.triple, c.triple
     return fa, fb, fc
+
+
+def _operands(backend: Backend, *objs) -> list:
+    forms = [o._form for o in objs]
+    if None in forms or backend.kind != "exact":
+        return [o.triple for o in objs]
+    return forms
 
 
 def _cross(
@@ -559,14 +574,15 @@ def cross_ratio_points(
     special casing.  The value is invariant under projective maps and
     under swapping the pairs: (a, b; c, d) == (c, d; a, b).
     """
-    carrier = _cross(a.triple, b.triple)
+    t = _operands(backend, a, b, c, d)
+    carrier = _cross(t[0], t[1])
     if carrier == (0, 0, 0):
         raise CoincidentPoints("cross-ratio needs a != b")
-    for p in (c, d):
-        if not backend.zero(*_incidence(carrier, p.triple)):
+    for p, tp in ((c, t[2]), (d, t[3])):
+        if not backend.zero(*_incidence(carrier, tp)):
             raise NotCollinear(f"{p} is not on the carrier line")
     k = _chart_index(carrier)
-    return _cross_ratio_brackets([a.triple, b.triple, c.triple, d.triple], k)
+    return _cross_ratio_brackets(t, k)
 
 
 def cross_ratio_lines(
@@ -582,15 +598,13 @@ def cross_ratio_lines(
     Equals cross_ratio_points of the four intersections with any
     transversal line avoiding the vertex.
     """
-    for g in (g1, g2, g3, g4):
-        if not incident(g, vertex, backend):
+    tv, *t = _operands(backend, vertex, g1, g2, g3, g4)
+    for g, tg in zip((g1, g2, g3, g4), t):
+        if not backend.zero(*_incidence(tg, tv)):
             raise NotConcurrent(f"{g} does not pass through {vertex}")
-    if g1 == g2:
+    if _proportional(t[0], t[1]):
         raise CoincidentLines("cross-ratio needs g1 != g2")
-    k = _chart_index(vertex.triple)
-    return _cross_ratio_brackets(
-        [g1.triple, g2.triple, g3.triple, g4.triple], k
-    )
+    return _cross_ratio_brackets(t, _chart_index(tv))
 
 
 def is_harmonic_points(
@@ -644,11 +658,11 @@ def signed_ratio(
     a divider at infinity yields exactly -1 and the result does not
     depend on which admissible coordinate chart is used.
     """
-    carrier = _cross(a.triple, b.triple)
+    ta, td, tb = _trio_operands(a, d, b, backend)
+    carrier = _cross(ta, tb)
     if carrier == (0, 0, 0):
         raise CoincidentPoints("signed ratio needs a != b")
-    value, scale = incidence_residual(Line(*carrier), d)
-    if not backend.zero(value, scale):
+    if not backend.zero(*_incidence(carrier, td)):
         raise NotCollinear(f"{d} is not on the line through the endpoints")
     ca, cb, cc = carrier
     if ca == 0 and cb == 0:
@@ -658,9 +672,9 @@ def signed_ratio(
         t, u = 0, 2
     else:
         t, u = 1, 2
-    at, au = a.triple[t], a.triple[u]
-    dt, du = d.triple[t], d.triple[u]
-    bt, bu = b.triple[t], b.triple[u]
+    at, au = ta[t], ta[u]
+    dt, du = td[t], td[u]
+    bt, bu = tb[t], tb[u]
     num = (dt * au - du * at) * bu
     den = (bt * du - bu * dt) * au
     if den == 0:
@@ -693,20 +707,19 @@ def signed_area(a: Point, b: Point, c: Point) -> Scalar:
 # harmonic constructions
 
 
-def _fourth_harmonic(
-    a: _Element, b: _Element, x: _Element, k: int, message: str
-) -> tuple[Scalar, Scalar, Scalar]:
-    """Triple of the fourth member y with (a, b; x, y) == -1, for members
-    of one range of points or one pencil of lines, in chart k.
+def _fourth_harmonic(a, b, x, k: int, message: str) -> tuple[Scalar, Scalar, Scalar]:
+    """Triple of the fourth member y with (a, b; x, y) == -1, for the
+    triples of members of one range of points or one pencil of lines, in
+    chart k.
 
     Writing x = alpha*a + beta*b, the result is alpha*a - beta*b.
     """
-    a2, b2, x2 = _project(a.triple, k), _project(b.triple, k), _project(x.triple, k)
+    a2, b2, x2 = _project(a, k), _project(b, k), _project(x, k)
     alpha = _bracket(x2, b2)
     beta = _bracket(a2, x2)
     if alpha == 0 or beta == 0:
         raise DegenerateInput(message)
-    return _tidy(*(alpha * ai - beta * bi for ai, bi in zip(a.triple, b.triple)))
+    return _tidy(*(alpha * ai - beta * bi for ai, bi in zip(a, b)))
 
 
 def harmonic_conjugate(
@@ -718,25 +731,26 @@ def harmonic_conjugate(
     alpha*a - beta*b.  The construction is an involution: applying it
     to the result returns x.
     """
-    carrier = _cross(a.triple, b.triple)
+    ta, tb, tx = _trio_operands(a, b, x, backend)
+    carrier = _cross(ta, tb)
     if carrier == (0, 0, 0):
         raise CoincidentPoints("harmonic conjugate needs a != b")
-    if not incident(Line(*carrier), x, backend):
+    if not backend.zero(*_incidence(carrier, tx)):
         raise NotCollinear(f"{x} is not on the line through the base points")
     k = _chart_index(carrier)
     message = "harmonic conjugate needs x distinct from a and b"
-    return Point(*_fourth_harmonic(a, b, x, k, message))
+    return Point(*_fourth_harmonic(ta, tb, tx, k, message))
 
 
 def fourth_harmonic_line(
     vertex: Point, a: Line, b: Line, g: Line, backend: Backend = EXACT
 ) -> Line:
     """Fourth line h of the pencil at vertex with (a, b; g, h) == -1."""
-    for l in (a, b, g):
-        if not incident(l, vertex, backend):
+    tv, *t = _operands(backend, vertex, a, b, g)
+    for l, tl in zip((a, b, g), t):
+        if not backend.zero(*_incidence(tl, tv)):
             raise NotConcurrent(f"{l} does not pass through {vertex}")
-    if a == b:
+    if _proportional(t[0], t[1]):
         raise CoincidentLines("fourth harmonic needs a != b")
-    k = _chart_index(vertex.triple)
     message = "fourth harmonic needs g distinct from a and b"
-    return Line(*_fourth_harmonic(a, b, g, k, message))
+    return Line(*_fourth_harmonic(*t, _chart_index(tv), message))

@@ -20,6 +20,7 @@ and its own messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import ClassVar, Sequence
 
@@ -176,11 +177,9 @@ def _cyc(i: int, n: int) -> int:
     return i % n
 
 
-def _sides_around(v: Sequence[Point]) -> list[Line]:
-    # entry i joins vertex i to vertex i+1 (cyclic), so the sides
-    # meeting at vertex i are entries i-1 and i
+def _sides_around(v: Sequence[Point]) -> tuple[Line, ...]:
     n = len(v)
-    return [join(v[i], v[_cyc(i + 1, n)]) for i in range(n)]
+    return tuple(join(v[i], v[_cyc(i + 1, n)]) for i in range(n))
 
 
 class _PolygonConfig:
@@ -191,7 +190,8 @@ class _PolygonConfig:
 
     Each subclass declares its three fields (vertices, g, h), its vertex
     count, its JSON kind, the message for a collinear vertex triple,
-    and its own side numbering.
+    and its own side numbering.  The sides are joined once per config
+    (complete hands the ones it built to the config) and kept in sides.
     """
 
     _n: ClassVar[int]
@@ -205,7 +205,7 @@ class _PolygonConfig:
             if collinear(p, q, r):
                 raise DegenerateConfig(self._collinear_message)
         be = _backend_of(*v)
-        sides = _sides_around(v)
+        sides = self.sides
         for i in range(len(v)):
             where = f"vertex {i + 1}"
             _check_pencil(v[i], sides[i - 1], sides[i], self.g[i], self.h[i], be, where)
@@ -222,7 +222,16 @@ class _PolygonConfig:
             fourth_harmonic_line(v[i], sides[i - 1], sides[i], g[i])
             for i in range(cls._n)
         )
-        return cls(v, tuple(g), h)
+        config = cls.__new__(cls)
+        config.__dict__["sides"] = sides
+        config.__init__(v, tuple(g), h)
+        return config
+
+    @cached_property
+    def sides(self) -> tuple[Line, ...]:
+        """Entry i joins vertex i to vertex i+1 (cyclic), so the sides
+        meeting at vertex i are entries i-1 and i."""
+        return _sides_around(self.vertices)
 
     @classmethod
     def _check_count(cls, *parts: Sequence) -> None:
@@ -268,8 +277,7 @@ class TriangleConfig(_PolygonConfig):
 
     def side(self, i: int) -> Line:
         """Side opposite vertex i (0-based), joining the other two."""
-        v = self.vertices
-        return join(v[_cyc(i + 1, 3)], v[_cyc(i + 2, 3)])
+        return self.sides[_cyc(i + 1, 3)]
 
     @classmethod
     def complete(
@@ -379,18 +387,17 @@ class QuadrilateralConfig(_PolygonConfig):
 
     def side(self, i: int) -> Line:
         """Side from vertex i to vertex i+1 (0-based, cyclic)."""
-        v = self.vertices
-        return join(v[i], v[_cyc(i + 1, 4)])
+        return self.sides[i]
 
     @property
     def diagonal_point_1(self) -> Point:
         """Intersection of the side pair (A1 A2, A3 A4)."""
-        return meet(self.side(0), self.side(2))
+        return meet(self.sides[0], self.sides[2])
 
     @property
     def diagonal_point_2(self) -> Point:
         """Intersection of the side pair (A4 A1, A2 A3)."""
-        return meet(self.side(3), self.side(1))
+        return meet(self.sides[3], self.sides[1])
 
 
 def free_quadrilateral_triples(

@@ -234,9 +234,30 @@ def _render_svg(strokes, markers, vp: Viewport) -> str:
     return "\n".join(out) + "\n"
 
 
+# TeX reads no number and holds no dimension (in points) past 16383.99.
+# At TikZ's default unit, 1cm = 28.45274pt, that bounds a coordinate at
+# about 575.8; a larger box is drawn at 0.01cm per unit, which holds
+# every number TeX reads.
+_TEX_MAX = 16383.99
+_TIKZ_CM_MAX = _TEX_MAX / 28.45274
+
+
 def _render_tikz(strokes, markers, vp: Viewport) -> str:
+    # every stroke end and drawn marker lies in the clip box, so its
+    # corners bound every coordinate written
+    corners = {"x0": vp.x0, "y0": vp.y0, "x1": vp.x1, "y1": vp.y1}
+    for name, value in corners.items():
+        if not abs(value) <= _TEX_MAX:
+            raise ValueError(
+                f"tikz coordinate {name} = {_fmt(value)} of the \\clip box is"
+                f" past {_TEX_MAX}, the largest number TeX reads; choose a"
+                " smaller viewport or render svg"
+            )
+    begin = "\\begin{tikzpicture}"
+    if max(abs(v) for v in corners.values()) > _TIKZ_CM_MAX:
+        begin += "[x=0.01cm, y=0.01cm]"
     out = [
-        "\\begin{tikzpicture}",
+        begin,
         f"\\clip ({_fmt(vp.x0)}, {_fmt(vp.y0)}) rectangle"
         f" ({_fmt(vp.x1)}, {_fmt(vp.y1)});",
     ]

@@ -366,6 +366,39 @@ class TestRender:
         assert code == 2
         assert "viewport" in err
 
+    def test_tikz_refuses_coordinates_past_tex_range(self, capsys, scene_file):
+        path = scene_file(
+            "point A = (99999999999999999999999999999999, 1)\n"
+            "point B = (0, 0)\n"
+            "line l = join(A, B)\n"
+        )
+        code, out, err = run(capsys, "render", path, "--format", "tikz")
+        assert code == 2
+        assert out == ""
+        assert "x0 = -15000000000000001705644256133120.000000" in err
+        assert "largest number TeX reads" in err
+        # svg maps the box onto a fixed canvas and still renders it
+        code, out, _ = run(capsys, "render", path)
+        assert code == 0
+        assert out.count("<line") == 1
+
+    def test_tikz_unit_keeps_coordinates_in_tex_range(self, capsys, scene_file):
+        # TeX's largest dimension is 16383.99pt, about 575.8cm; past it
+        # the picture is drawn at 0.01cm per unit, up to the largest
+        # number TeX reads, 16383.99
+        path = scene_file(GOOD_SCENE)
+        tikz = ("render", path, "--format", "tikz")
+        code, out, _ = run(capsys, *tikz, "--viewport=-575,-575,575,575")
+        assert code == 0
+        assert out.startswith("\\begin{tikzpicture}\n\\clip (-575.000000,")
+        code, out, _ = run(capsys, *tikz, "--viewport=-1,-1,1,576")
+        assert code == 0
+        assert out.startswith("\\begin{tikzpicture}[x=0.01cm, y=0.01cm]\n")
+        assert "(1.000000, 576.000000);" in out
+        code, _, err = run(capsys, *tikz, "--viewport=-1,-16384,1,1")
+        assert code == 2
+        assert "y0 = -16384.000000" in err
+
     def test_out_file(self, capsys, scene_file, tmp_path):
         path = scene_file(GOOD_SCENE)
         target = tmp_path / "figure.svg"
@@ -406,7 +439,10 @@ class TestGen:
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of stdout, recorded on earlier commits; gen JSON, verify and
-# check reports and reduction traces must not move.
+# check reports, reduction traces and TikZ renders must not move.  Every
+# shipped scene is checked with both backends, which runs cr_equal,
+# harmonic, fourth_harmonic and the ratio products through the exact
+# and the float ratio kernel.
 PINNED_STDOUT = [
     (
         ("gen", "ceva-ngon", "--seed", "7"),
@@ -491,6 +527,104 @@ PINNED_STDOUT = [
         ("verify", "all", "--trials", "20", "--seed", "0"),
         "41d1ba2afb6b8d68d0178a9cf13a5741444445f5065cb681f0f43dbe9affd436",
     ),
+    (
+        ("check", "scenes/figure1.hgeo"),
+        "1a1f4faab098eedf478e8921b016e4cd2c3bc2c5440dfbb5f78ecea3409a7f57",
+    ),
+    (
+        ("render", "scenes/figure1.hgeo", "--format", "tikz"),
+        "25cb9e1b3e2dae1bd1b308ab4b554c7f07538397c7a200aa026b8987bd026a91",
+    ),
+    (
+        ("check", "scenes/figure11.hgeo"),
+        "7e93c22d66b806fc9e747610cee2b8cd18709f4e779ded67a0a5af71db871ec8",
+    ),
+    (
+        ("check", "scenes/figure11.hgeo", "--backend", "float"),
+        "f49125a56a61a009d7c58be1187145159792da6770c4d2f100f275a1ba314161",
+    ),
+    (
+        ("render", "scenes/figure11.hgeo", "--format", "tikz"),
+        "1fe12c9e3335dc7ddcad42ec621bb8ed4daa48eb8be13baa353eebe4a161a79b",
+    ),
+    (
+        ("check", "scenes/figure13.hgeo"),
+        "d098a0afcc32ac7315530b428fd6d5ed29b79e8c2b63e99b1f1516a4d5f0db86",
+    ),
+    (
+        ("check", "scenes/figure13.hgeo", "--backend", "float"),
+        "5c8b8983c1fb0db7c098a03614859e47fb786dc7435bc340a5a42ef858fdda75",
+    ),
+    (
+        ("render", "scenes/figure13.hgeo", "--format", "tikz"),
+        "8635427007e19d555d8901bcff524453052e7ef4b67f513148738305e3c05a8c",
+    ),
+    (
+        ("check", "scenes/figure2.hgeo"),
+        "a7ce4cadf296efa0d49480a79858c8a597889ecb02ba0301794d4959f99e4b20",
+    ),
+    (
+        ("check", "scenes/figure2.hgeo", "--backend", "float"),
+        "a7ce4cadf296efa0d49480a79858c8a597889ecb02ba0301794d4959f99e4b20",
+    ),
+    (
+        ("render", "scenes/figure2.hgeo", "--format", "tikz"),
+        "35c73eb3eb58737bf03a608d2d0c5ef7f1e806073e3e12ccf865e639845120d1",
+    ),
+    (
+        ("check", "scenes/figure5.hgeo"),
+        "f61e851c8575cd3e07dd7a366304f3d2131a96b9f12ea0bbc1b5f3ea4d181e67",
+    ),
+    (
+        ("check", "scenes/figure5.hgeo", "--backend", "float"),
+        "464ced8146463ea3d86b4fb9da4b62df9faa454824b41a7caf043dd297fb187e",
+    ),
+    (
+        ("render", "scenes/figure5.hgeo", "--format", "tikz"),
+        "8c0aaf8e6d873da8d09eaafb2152f452df5456249ee12396abcbd2329f4fc8f3",
+    ),
+    (
+        ("check", "scenes/figure6.hgeo"),
+        "f2c1bb7b199d7e0a8d15a6e34260525b792ad3a611c9d43f5bbc7c5fb4cb6645",
+    ),
+    (
+        ("check", "scenes/figure6.hgeo", "--backend", "float"),
+        "eead26ffdb990d86e2ee6d202d6346c90bc2b16e62e973c7dde1389bc3ea8ed9",
+    ),
+    (
+        ("render", "scenes/figure6.hgeo", "--format", "tikz"),
+        "f031b0e82edb77f1a19785116208f8092e6e6001caa8d66107cca253945f7fec",
+    ),
+    (
+        ("check", "scenes/figure7.hgeo"),
+        "c3bd39596d598cee7ab01bb42b69b7726b12344e054a97ca852013a58759e560",
+    ),
+    (
+        ("check", "scenes/figure7.hgeo", "--backend", "float"),
+        "c3bd39596d598cee7ab01bb42b69b7726b12344e054a97ca852013a58759e560",
+    ),
+    (
+        ("render", "scenes/figure7.hgeo", "--format", "tikz"),
+        "ab5cc5b7dd7f4dec3f2b66ad6ca20b1b1c5080160251143600c6019d1cc02ef1",
+    ),
+    (
+        ("check", "scenes/figure9.hgeo"),
+        "c760d918eaba252538cf56f7c727d2bc067bce64d1b825bf8a817a6a58d189ad",
+    ),
+    (
+        ("check", "scenes/figure9.hgeo", "--backend", "float"),
+        "9fa46fcdf5af3c5b448b6c54dafc0ae63233c8a986b4386094df0e3c1e58eb08",
+    ),
+    (
+        ("render", "scenes/figure9.hgeo", "--format", "tikz"),
+        "866b9040457644bb8ae126f421d911891ed07ad1532a683a963df48a278402dc",
+    ),
+    (
+        (
+            "verify", "all", "--trials", "20", "--seed", "0", "--backend", "float",
+        ),
+        "41d1ba2afb6b8d68d0178a9cf13a5741444445f5065cb681f0f43dbe9affd436",
+    ),
 ]
 
 
@@ -498,7 +632,14 @@ def _pin_id(argv) -> str:
     name = argv[0] + ":" + argv[1]
     if "--bound" in argv:
         name += ":bound" + argv[argv.index("--bound") + 1]
-    return name
+    if "--format" in argv:
+        name += ":" + argv[argv.index("--format") + 1]
+    if "--backend" in argv:
+        name += ":" + argv[argv.index("--backend") + 1]
+    elif argv[0] == "check":
+        name += ":exact"
+    # pinned before ids named the backend, this one keeps its bare id
+    return name.replace("check:scenes/figure1.hgeo:float", "check:scenes/figure1.hgeo")
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,15 @@ from harmonica.core import (
     CoincidentPoints,
     DegenerateInput,
     FloatBackend,
+    GeometryError,
     Line,
     NotCollinear,
+    NotConcurrent,
     Point,
     PointAtInfinity,
+    SegmentRatio,
     TooFewDistinct,
+    UndefinedRatio,
     _tidy,
     coincide,
     collinear,
@@ -768,3 +772,252 @@ def test_coordinates_survive_integer_form():
     assert p._form == (3, -2, 6)
     assert repr(p) == "Point(1/2 : -1/3 : 1)"
     assert p.to_json() == {"x": "1/2", "y": "-1/3", "w": "1"}
+
+
+# ---------------------------------------------------------------------------
+# the ratio kernel on integer forms: signed ratios, cross-ratios and
+# harmonic fourths return what they did on the coordinates as given
+#
+# The reference functions below are the kernel as it computed on .triple.
+
+
+def _ref_chart(carrier):
+    k, best = 0, abs(carrier[0])
+    for i in (1, 2):
+        if abs(carrier[i]) > best:
+            k, best = i, abs(carrier[i])
+    if best == 0:
+        raise DegenerateInput("carrier triple is zero")
+    return k
+
+
+def _ref_drop(t, k):
+    return tuple(v for i, v in enumerate(t) if i != k)
+
+
+def _ref_bracket(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _ref_div(num, den):
+    if any(isinstance(v, float) for v in (num, den)):
+        return num / den
+    return Fraction(num) / Fraction(den)
+
+
+def _ref_brackets(triples, k):
+    a, b, c, d = (_ref_drop(t, k) for t in triples)
+    num = _ref_bracket(a, c) * _ref_bracket(b, d)
+    den = _ref_bracket(c, b) * _ref_bracket(d, a)
+    if den == 0:
+        if num == 0:
+            raise TooFewDistinct("cross-ratio is indeterminate (0/0)")
+        raise TooFewDistinct("cross-ratio is infinite for this quadruple")
+    return _ref_div(num, den)
+
+
+def _ref_cross_ratio_points(a, b, c, d, backend):
+    carrier = _ref_cross(a.triple, b.triple)
+    if carrier == (0, 0, 0):
+        raise CoincidentPoints("cross-ratio needs a != b")
+    for p in (c, d):
+        if not backend.zero(*_ref_incidence(carrier, p.triple)):
+            raise NotCollinear(f"{p} is not on the carrier line")
+    k = _ref_chart(carrier)
+    return _ref_brackets([a.triple, b.triple, c.triple, d.triple], k)
+
+
+def _ref_cross_ratio_lines(vertex, g1, g2, g3, g4, backend):
+    for g in (g1, g2, g3, g4):
+        if not backend.zero(*_ref_incidence(g.triple, vertex.triple)):
+            raise NotConcurrent(f"{g} does not pass through {vertex}")
+    if _ref_proportional(g1.triple, g2.triple):
+        raise CoincidentLines("cross-ratio needs g1 != g2")
+    k = _ref_chart(vertex.triple)
+    return _ref_brackets([g1.triple, g2.triple, g3.triple, g4.triple], k)
+
+
+def _ref_signed_ratio(a, d, b, backend):
+    carrier = _ref_cross(a.triple, b.triple)
+    if carrier == (0, 0, 0):
+        raise CoincidentPoints("signed ratio needs a != b")
+    if not backend.zero(*_ref_incidence(carrier, d.triple)):
+        raise NotCollinear(f"{d} is not on the line through the endpoints")
+    ca, cb, _ = carrier
+    if ca == 0 and cb == 0:
+        t, u = 0, 1
+    elif abs(cb) >= abs(ca):
+        t, u = 0, 2
+    else:
+        t, u = 1, 2
+    at, au = a.triple[t], a.triple[u]
+    dt, du = d.triple[t], d.triple[u]
+    bt, bu = b.triple[t], b.triple[u]
+    num = (dt * au - du * at) * bu
+    den = (bt * du - bu * dt) * au
+    if den == 0:
+        if num == 0:
+            raise TooFewDistinct("signed ratio is indeterminate (0/0)")
+        return SegmentRatio(None)
+    return SegmentRatio(_ref_div(num, den))
+
+
+def _ref_fourth(a, b, x, k, message):
+    a2, b2, x2 = (_ref_drop(t.triple, k) for t in (a, b, x))
+    alpha, beta = _ref_bracket(x2, b2), _ref_bracket(a2, x2)
+    if alpha == 0 or beta == 0:
+        raise DegenerateInput(message)
+    return _ref_tidy(*(alpha * p - beta * q for p, q in zip(a.triple, b.triple)))
+
+
+def _ref_harmonic_conjugate(a, b, x, backend):
+    carrier = _ref_cross(a.triple, b.triple)
+    if carrier == (0, 0, 0):
+        raise CoincidentPoints("harmonic conjugate needs a != b")
+    if not backend.zero(*_ref_incidence(carrier, x.triple)):
+        raise NotCollinear(f"{x} is not on the line through the base points")
+    message = "harmonic conjugate needs x distinct from a and b"
+    return Point(*_ref_fourth(a, b, x, _ref_chart(carrier), message))
+
+
+def _ref_fourth_harmonic_line(vertex, a, b, g, backend):
+    for l in (a, b, g):
+        if not backend.zero(*_ref_incidence(l.triple, vertex.triple)):
+            raise NotConcurrent(f"{l} does not pass through {vertex}")
+    if _ref_proportional(a.triple, b.triple):
+        raise CoincidentLines("fourth harmonic needs a != b")
+    message = "fourth harmonic needs g distinct from a and b"
+    return Line(*_ref_fourth(a, b, g, _ref_chart(vertex.triple), message))
+
+
+def _ref_ratio_product(ratios):
+    product = 1
+    for r in ratios:
+        if r.is_infinite():
+            raise UndefinedRatio("infinite factor in ratio product")
+        product = product * r.value
+    return product
+
+
+def _outcome(f, *args):
+    """A value with its type (a point's or line's typed triple), or the
+    exception's class and message."""
+    try:
+        value = f(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, (Point, Line)):
+        return type(value), _typed(value.triple)
+    if isinstance(value, SegmentRatio):
+        value = value.value
+    return type(value), value
+
+
+def _members(rng, carrier, others, build, strays):
+    """Members of the range on a line (or the pencil at a point) that
+    build cuts out with others, scaled copies with negative factors
+    among them, and one stray that is, as a rule, off the carrier."""
+    out = []
+    for other in rng.sample(others, 6):
+        try:
+            out.append(build(carrier, other))
+        except (CoincidentPoints, CoincidentLines):
+            pass
+    out += [type(m)(*_scaled(rng, m.triple)) for m in out[:3]]
+    return out + [rng.choice(strays)]
+
+
+def test_ratio_kernel_matches_coordinates(kernel_pool):
+    rng, points, lines = kernel_pool
+    # members at infinity: the range on a line meets the line at infinity
+    # there, and the pencil at a point holds its joins with ideal points
+    crossers = lines + [Line(0, 0, 1), Line(0, 0, -2.0)]
+    ideal = points + [
+        Point(1, 0, 0),
+        Point(Fraction(-1, 2), 1, 0),
+        Point(1.0, 2.0, 0.0),
+    ]
+    # half the ranges and pencils are cut out by exact members only, so
+    # the integer forms carry many draws from start to end
+    exact = [m for m in crossers if m._form is not None]
+    exact_ideal = [p for p in ideal if p._form is not None]
+    seen = {}
+    for backend in _BACKENDS:
+        for i in range(250):
+            l, v = rng.choice(lines), rng.choice(points)
+            row = _members(rng, l, (crossers, exact)[i % 2], meet, points)
+            pencil = _members(rng, v, (ideal, exact_ideal)[i % 2], join, lines)
+            draws = [
+                (signed_ratio, _ref_signed_ratio, rng.choices(row, k=3)),
+                (cross_ratio_points, _ref_cross_ratio_points, rng.choices(row, k=4)),
+                (harmonic_conjugate, _ref_harmonic_conjugate, rng.choices(row, k=3)),
+                (
+                    cross_ratio_lines,
+                    _ref_cross_ratio_lines,
+                    [v] + rng.choices(pencil, k=4),
+                ),
+                (
+                    fourth_harmonic_line,
+                    _ref_fourth_harmonic_line,
+                    [v] + rng.choices(pencil, k=3),
+                ),
+            ]
+            for kernel, ref, args in draws:
+                got = _outcome(kernel, *args, backend)
+                assert got == _outcome(ref, *args, backend), (kernel.__name__, args)
+                key = (kernel.__name__, got[0].__name__)
+                seen[key] = seen.get(key, 0) + 1
+            ratios = []
+            for _ in range(rng.randint(0, 4)):
+                try:
+                    ratios.append(signed_ratio(*rng.choices(row, k=3), backend))
+                except GeometryError:
+                    pass
+            got = _outcome(ratio_product, ratios)
+            assert got == _outcome(_ref_ratio_product, ratios)
+            seen["ratio_product", got[0].__name__] = 1
+    # each value type and each way to fail came up
+    for name in ("signed_ratio", "cross_ratio_points", "cross_ratio_lines"):
+        for kind in ("Fraction", "float", "TooFewDistinct"):
+            assert seen.get((name, kind), 0) >= 5, (name, kind)
+    built_by = {"harmonic_conjugate": "Point", "fourth_harmonic_line": "Line"}
+    for name, built in built_by.items():
+        for kind in (built, "DegenerateInput"):
+            assert seen.get((name, kind), 0) >= 5, (name, kind)
+    for key in [
+        ("signed_ratio", "NoneType"),
+        ("signed_ratio", "NotCollinear"),
+        ("cross_ratio_points", "CoincidentPoints"),
+        ("cross_ratio_lines", "NotConcurrent"),
+        ("cross_ratio_lines", "CoincidentLines"),
+        ("ratio_product", "UndefinedRatio"),
+        ("ratio_product", "Fraction"),
+        ("ratio_product", "float"),
+        ("ratio_product", "int"),
+    ]:
+        assert key in seen, key
+
+
+def test_ratio_kernel_float_backend_on_exact_data_tests_given_coordinates():
+    # as for the predicates: these members are off their carrier by a
+    # tiny exact amount that the float backend must see at the given
+    # scale (zero), not at the integer form's (one)
+    be = FloatBackend(1e-9)
+    tiny = Fraction(1, 10**12)
+    a, b, near = Point(0, 0, 1), Point(1, 0, 1), Point(Fraction(1, 3), tiny, 1)
+    assert near._form == (1000000000000, 3, 3000000000000)
+    assert signed_ratio(a, near, b, be).value == Fraction(1, 2)
+    assert cross_ratio_points(a, b, near, Point(-1, 0, 1), be) == -1
+    assert harmonic_conjugate(a, b, near, be).triple == (1, 0, -1)
+    vertex, x_axis, y_axis = Point(0, 0, 1), Line(0, 1, 0), Line(1, 0, 0)
+    g = Line(1, -1, tiny)
+    assert cross_ratio_lines(vertex, x_axis, y_axis, g, Line(1, 1, 0), be) == -1
+    assert fourth_harmonic_line(vertex, x_axis, y_axis, g, be).triple == (1, 1, 0)
+    for call, error in (
+        (lambda: signed_ratio(a, near, b), NotCollinear),
+        (lambda: cross_ratio_points(a, b, near, Point(-1, 0, 1)), NotCollinear),
+        (lambda: harmonic_conjugate(a, b, near), NotCollinear),
+        (lambda: fourth_harmonic_line(vertex, x_axis, y_axis, g), NotConcurrent),
+    ):
+        with pytest.raises(error):
+            call()

@@ -5,6 +5,7 @@ on a transversal, concurrent cevians, central projections) so the
 theorem code under test never supplies its own hypothesis.
 """
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -49,6 +50,7 @@ from harmonica.pencils import (
     two_pencils_points,
 )
 from harmonica.reduction import diagonal_ratio_product
+from harmonica.registry import run_trial
 
 from helpers import (
     distinct_points,
@@ -422,6 +424,47 @@ class TestQuadrilateral:
             done += 1
             assert not any(report.booleans.values()), report.booleans
         assert done >= 8
+
+    def test_sides_are_joined_once(self, monkeypatch):
+        # join is imported by name, so count it in every module holding it
+        calls = []
+        original = join
+
+        def counting(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        for name, module in list(sys.modules.items()):
+            holds = getattr(module, "join", None) is original
+            if name.startswith("harmonica") and holds:
+                monkeypatch.setattr(module, "join", counting)
+        per_trial = []
+        for seed in range(5):
+            calls.clear()
+            assert run_trial("quad-equivalence", seed)[0]
+            per_trial.append(len(calls))
+        # the forcer 16, its fourth cevian 4, complete 4 (whose sides the
+        # config keeps), the ell pairs 8 and the diagonal product 4;
+        # quad_zeta and the diagonal points reuse the kept sides
+        assert per_trial == [36] * 5
+
+        rng = Random(79)
+        for config in (random_triangle_config(rng), random_quad_config(rng)):
+            # JSON, == and repr see only the three fields
+            rebuilt = type(config)(config.vertices, config.g, config.h)
+            assert rebuilt == config and repr(rebuilt) == repr(config)
+            assert rebuilt.to_json() == config.to_json()
+            assert "sides" not in repr(config)
+            calls.clear()
+            v, n = config.vertices, len(config.vertices)
+            for i in range(n):
+                # a triangle numbers its sides by the opposite vertex
+                a, b = (i + 1, i + 2) if n == 3 else (i, i + 1)
+                assert config.side(i).triple == original(v[a % n], v[b % n]).triple
+            assert calls == []
+        # config is the quadrilateral now
+        config.diagonal_point_1, config.diagonal_point_2, quad_zeta(config)
+        assert calls == []
 
     def test_diag_product_matches_quad_wrapper(self):
         rng = Random(73)
