@@ -9,11 +9,16 @@ Exit codes: 0 everything passed, 1 a verification or assertion failed,
 arguments, input files, and seed; reports carry "schema": 1 and any
 failing trial lists the seed that regenerates its exact configuration
 (feed it to `gen`).
+
+`main` builds its argument parser once per process and reuses it, so
+it may be called again and again in one interpreter; each call reads
+only its own argv and leaves nothing behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -254,6 +259,7 @@ def cmd_gen(args) -> int:
 # plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonica",

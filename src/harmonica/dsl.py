@@ -110,9 +110,9 @@ _ORDERS = ("first", "exhaustive", "seed")
 
 # The kinds never share a value (a word starts with a letter or "_", a
 # number with a digit or "-", eof is ""), so the parser tests a token by
-# its value alone.
-@dataclass(frozen=True)
-class _Token:
+# its value alone.  A token is a tuple because the lexer makes one per
+# token, and a tuple costs less to build than a frozen dataclass.
+class _Token(NamedTuple):
     kind: str  # "word" | "number" | "punct" | "eof"
     value: str
     line: int

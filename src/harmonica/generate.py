@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 from typing import Sequence
 
@@ -300,18 +301,17 @@ def _harmonic_lines_at(
     """One generic pencil seed line per vertex, clear of every join of
     the vertex with another vertex, so cevian feet stay off the
     vertices."""
-    n = len(vertices)
-    out = []
-    for i in range(n):
-        avoid = [
-            join(vertices[i], vertices[j]) for j in range(n) if j != i
-        ]
-        out.append(
-            sample_line_through(
-                rng, spec.bound, vertices[i], avoid, spec.retries
-            )
-        )
-    return tuple(out)
+    # each pair is joined once: the order of a join's ends does not
+    # matter to the projective != that sample_line_through tests
+    joins = [[] for _ in vertices]
+    for i, j in combinations(range(len(vertices)), 2):
+        l = join(vertices[i], vertices[j])
+        joins[i].append(l)
+        joins[j].append(l)
+    return tuple(
+        sample_line_through(rng, spec.bound, v, avoid, spec.retries)
+        for v, avoid in zip(vertices, joins)
+    )
 
 
 def _force_two_pencils(rng: Random, spec: GenSpec, n) -> dict:

@@ -199,8 +199,9 @@ def _box_around(markers) -> Viewport:
 
 
 def _fmt(v: float) -> str:
-    value = v + 0.0  # normalize -0.0
-    return f"{value:.6f}"
+    text = f"{v + 0.0:.6f}"
+    # -0.0 and every value in (-5e-7, 0) round to a signed zero
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _render_svg(strokes, markers, vp: Viewport) -> str:

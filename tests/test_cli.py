@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from harmonica.cli import _parse_order, _UsageError, main
+from harmonica.cli import _build_parser, _parse_order, _UsageError, main
 from harmonica.core import EPS_ENV_VAR, float_backend
 from harmonica.reduction import ReductionTrace
 
@@ -674,3 +677,56 @@ def test_readme_commands_exit_as_documented(capsys, monkeypatch, tmp_path):
         if code != expected:
             wrong.append((" ".join(argv), code, err))
     assert wrong == []
+
+
+# Calls of main in one interpreter: an argparse usage error first, then
+# each call after one with other options, so an option that leaked from
+# the call before would show.
+REPEATED_ARGV = [
+    ("check", "--backend", "float"),  # no scene: argparse exits 2
+    ("check", "scenes/figure1.hgeo", "--backend", "float"),
+    ("check", "scenes/figure1.hgeo"),
+    ("render", "scenes/figure1.hgeo", "--format", "tikz"),
+    ("render", "scenes/figure1.hgeo"),
+    ("verify", "all", "--trials", "0"),
+]
+
+
+def test_main_called_again_and_again_matches_fresh_processes(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this
+    monkeypatch.delenv(EPS_ENV_VAR, raising=False)
+    in_process = []
+    for argv in REPEATED_ARGV:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    fresh = []
+    for argv in REPEATED_ARGV:
+        done = subprocess.run(
+            [sys.executable, "-m", "harmonica.cli", *argv],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+
+    assert in_process == fresh
+    assert _build_parser() is _build_parser()  # built once per process
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 2]
+    assert "the following arguments are required: scene" in in_process[0][2]
+    # the default backend is exact: its cross-ratios print as integers
+    assert "cross-ratio -1.0" in in_process[1][1]
+    assert "cross-ratio -1.0" not in in_process[2][1]
+    assert in_process[3][1].startswith("\\begin{tikzpicture}")
+    assert in_process[4][1].startswith("<svg")
+    assert "--trials must be at least 1" in in_process[5][2]

@@ -144,6 +144,32 @@ PINNED_SCENE_SHA256 = {
     'figure9.hgeo': '3d9bb4f5df5944f4d1f47db9d8858c9326e794b4a6ad437d422d4938e1373197',
 }
 
+# sha256 of each shipped scene's token stream, one "kind\tvalue\tline\tcol"
+# line per token (end of input included), recorded on an earlier commit.
+PINNED_TOKEN_SHA256 = {
+    'figure1.hgeo': 'd83f346c29c996f68597be2cd2945344d07179b2a3cf7fa7420162d73901d0be',
+    'figure11.hgeo': '43ff926bb1b879884bc24201a19441ea43ce006d8a68457fc8639fdd69e69732',
+    'figure13.hgeo': '9c6c0f0dbfdcf3e233465951ad95664acfb3cc804fc7000ac0a8bf74266879af',
+    'figure2.hgeo': 'cad563e3fc25aa68ed52c8b2a798e4e28a02acb7b5fa981cb27c59ec047830f9',
+    'figure5.hgeo': '79011ce7cee2fdb8604a09fb314f1fa2d0052727e0a89197e7aafbc40d1eb60e',
+    'figure6.hgeo': '2efc824a65525a7b89405bc4505daad709a521361c3b8f453cead76ef114e57f',
+    'figure7.hgeo': '2fb32a49efff4dbd94061845f6178b2b0579b9acb48179abd94f8c6d8aca57b5',
+    'figure9.hgeo': '416377cc2cc86fd4a2477af1e264accd79d7e20febbd6bfe6723b6bd1db2228a',
+}
+
+# The end-of-input token's (line, column): a comment does not advance
+# the column, so input that ends in a comment ends where the comment
+# starts.
+PINNED_EOF_POSITIONS = [
+    ("point A = # note", (1, 11)),
+    ("point A = (0, 0) # c", (1, 18)),
+    ("point A = (0, 0)\n# c", (2, 1)),
+    ("# only", (1, 1)),
+    ("", (1, 1)),
+    ("  # x\n  ", (2, 3)),
+    ("point A = (1,\t# c\n", (2, 1)),
+]
+
 
 class TestLexingAndSyntax:
     def test_join_with_one_argument_reports_the_closing_paren(self):
@@ -335,9 +361,31 @@ class TestPinnedBehaviour:
         assert hashlib.sha256(out).hexdigest() == digest
 
     def test_every_shipped_scene_is_pinned(self):
-        assert sorted(p.name for p in SCENE_DIR.glob("*.hgeo")) == sorted(
-            PINNED_SCENE_SHA256
+        names = sorted(p.name for p in SCENE_DIR.glob("*.hgeo"))
+        assert names == sorted(PINNED_SCENE_SHA256)
+        assert names == sorted(PINNED_TOKEN_SHA256)
+
+    @pytest.mark.parametrize("name, digest", sorted(PINNED_TOKEN_SHA256.items()))
+    def test_shipped_scene_lexes_to_pinned_tokens(self, name, digest):
+        tokens = dsl._lex((SCENE_DIR / name).read_text())
+        stream = "".join(
+            f"{t.kind}\t{t.value}\t{t.line}\t{t.col}\n" for t in tokens
         )
+        assert hashlib.sha256(stream.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("text, pos", PINNED_EOF_POSITIONS)
+    def test_end_of_input_position(self, text, pos):
+        eof = dsl._lex(text)[-1]
+        assert (eof.kind, eof.value, (eof.line, eof.col)) == ("eof", "", pos)
+
+    def test_input_ending_in_a_comment_fails_where_the_comment_starts(self):
+        with pytest.raises(SceneSyntaxError) as err:
+            parse("point A = # note")
+        assert str(err.value) == (
+            "line 1, column 11: expected a coordinate literal, 'meet' or"
+            " 'conjugate'"
+        )
+        assert err.value.expected == ("(", "meet", "conjugate")
 
 
 def _rational(rng):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from harmonica import generate
 from harmonica.bisectors import (
     EuclideanPoint,
     bisector_pseudo_concurrency,
@@ -124,6 +125,49 @@ class TestBasicGenerators:
             p = sample_point_on(rng, spec.bound, l, avoid)
             assert incident(l, p)
             assert p != avoid[0]
+
+
+class TestHarmonicLinesAt:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_each_vertex_pair_is_joined_once(self, monkeypatch, n):
+        spec = GenSpec(seed=40 + n)
+        vertices = general_points(spec, n)
+        index = {id(v): i for i, v in enumerate(vertices)}
+        pairs = []
+
+        def counting_join(a, b):
+            if id(a) in index and id(b) in index:
+                pairs.append(frozenset((index[id(a)], index[id(b)])))
+            return join(a, b)
+
+        monkeypatch.setattr(generate, "join", counting_join)
+        lines = generate._harmonic_lines_at(spec.rng(), spec, vertices)
+        assert len(pairs) == n * (n - 1) // 2
+        assert len(set(pairs)) == len(pairs)
+        assert len(lines) == n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_lines_match_joining_from_each_end(self, n):
+        # the draws and lines of the former body, which joined each
+        # vertex with every other one
+        spec = GenSpec(seed=50 + n)
+        vertices = general_points(spec, n)
+        rng = spec.rng()
+        expected = tuple(
+            generate.sample_line_through(
+                rng,
+                spec.bound,
+                v,
+                [join(v, w) for w in vertices if w is not v],
+                spec.retries,
+            )
+            for v in vertices
+        )
+        lines = generate._harmonic_lines_at(spec.rng(), spec, vertices)
+        assert [g.triple for g in lines] == [g.triple for g in expected]
+        for v, g in zip(vertices, expected):
+            assert incident(g, v)
+            assert all(g != join(v, w) for w in vertices if w is not v)
 
 
 class TestHarmonicCompletion:

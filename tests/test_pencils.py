@@ -443,10 +443,11 @@ class TestQuadrilateral:
             calls.clear()
             assert run_trial("quad-equivalence", seed)[0]
             per_trial.append(len(calls))
-        # the forcer 16, its fourth cevian 4, complete 4 (whose sides the
-        # config keeps), the ell pairs 8 and the diagonal product 4;
-        # quad_zeta and the diagonal points reuse the kept sides
-        assert per_trial == [36] * 5
+        # the forcer 10 (6 vertex pairs, 4 drawn lines), its fourth
+        # cevian 4, complete 4 (whose sides the config keeps), the ell
+        # pairs 8 and the diagonal product 4; quad_zeta and the diagonal
+        # points reuse the kept sides
+        assert per_trial == [30] * 5
 
         rng = Random(79)
         for config in (random_triangle_config(rng), random_quad_config(rng)):

@@ -1,8 +1,11 @@
 """Figure rendering: viewport math, clipping, styling, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from harmonica import render as render_module
+from harmonica.core import EXACT, float_backend
 from harmonica.dsl import EvaluationError, parse
 from harmonica.render import Viewport, auto_viewport, render_scene
 
@@ -22,6 +25,8 @@ gon T = [A, B, C]
 """
 
 VIEW = Viewport(-1.0, -1.0, 5.0, 4.0)
+
+SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def render(text=BASE_SCENE, fmt="svg", viewport=VIEW):
@@ -117,6 +122,32 @@ class TestSvg:
 
     def test_no_negative_zero(self):
         assert "-0.000000" not in render()
+
+    def test_tiny_negative_end_prints_as_zero(self):
+        # the stroke's left end lands at about -8e-15 on the canvas,
+        # which rounds to a signed zero
+        text = (
+            "point A = (99999999999999999999999999999999, 1)\n"
+            "point B = (0, 0)\n"
+            "line l = join(A, B)\n"
+        )
+        svg = render_scene(parse(text))
+        assert "-0.000000" not in svg
+        assert '<line x1="480.000000" y1="240.000000" x2="0.000000"' in svg
+
+    @pytest.mark.parametrize("name", ["exact", "float"])
+    def test_no_shipped_scene_draws_a_negative_zero(self, name):
+        # figure6 (float), figure7 (exact) and figure11 (both) each drew
+        # one before the sign was dropped after rounding
+        backend = float_backend() if name == "float" else EXACT
+        for path in sorted(SCENE_DIR.glob("*.hgeo")):
+            svg = render_scene(parse(path.read_text()), backend=backend)
+            assert "-0.000000" not in svg, path.name
+
+    def test_signed_zero_is_normalized_after_rounding(self):
+        for value in (-0.0, -8e-15, -4.9e-7):
+            assert render_module._fmt(value) == "0.000000"
+        assert render_module._fmt(-5.1e-7) == "-0.000001"
 
     def test_background_rect(self):
         assert '<rect x="0" y="0"' in render()
@@ -237,8 +268,6 @@ class TestEdges:
         assert svg.count("<line") == 1
 
     def test_float_backend_render(self):
-        from harmonica.core import float_backend
-
         svg = render_scene(
             parse(BASE_SCENE), viewport=VIEW, backend=float_backend()
         )
