@@ -5,7 +5,9 @@ reduce (polygon reduction traces and replay), render (SVG/TikZ
 figures), gen (emit a forced configuration as JSON).
 
 Exit codes: 0 everything passed, 1 a verification or assertion failed,
-2 usage or input error.  Every command is a pure function of its
+2 usage or input error, 141 (128 + SIGPIPE) the reader closed the
+output before the report was written, as with `| head`; nothing is
+written to stderr then.  Every command is a pure function of its
 arguments, input files, and seed; reports carry "schema": 1 and any
 failing trial lists the seed that regenerates its exact configuration
 (feed it to `gen`).
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +33,6 @@ from .dsl import (
     EvaluationError,
     SceneError,
     _assertion_gon,
-    _gon_kind,
     evaluate,
     parse,
 )
@@ -77,6 +79,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a reader that has gone fails here, inside main, not at exit
+        sys.stdout.flush()
     else:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
@@ -173,7 +177,7 @@ def cmd_check(args) -> int:
 def _gon_from_scene(ast, report, mode: str):
     """Build the gon of the first assertion matching the mode."""
     for st in ast.statements:
-        if isinstance(st, (AssertPseudo, AssertProduct)) and _gon_kind(st) == mode:
+        if isinstance(st, (AssertPseudo, AssertProduct)) and st.kind == mode:
             return _assertion_gon(st, report.bindings)
     raise _UsageError(
         f"scene has no {mode} assertion to take a gon from; add a"
@@ -335,6 +339,16 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has closed the output.  Point stdout at the null
+        # device, so the flush at exit finds nothing to fail on, and
+        # exit silently as a process killed by SIGPIPE would.
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+        return 141  # 128 + SIGPIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,15 @@ that parses can only fail for geometric reasons.  Construction
 arguments are plain identifiers: intermediate objects get names, which
 keeps scenes readable next to the figures they describe.
 
+Points and lines are duals, and the AST writes each dual pair once.
+A declaration is one node, Decl, whose kind is "point" or "line"; a
+coordinate literal is its plain triple, and the declaration's kind
+picks Point or Line and whether the affine (x, y) spelling is read.
+An incidence assertion is one node, AssertIncidence, whose kind is its
+keyword, "collinear" (of points) or "concurrent" (of lines).  The gon
+assertions AssertPseudo and AssertProduct carry the gon kind, "ceva"
+(one line per vertex) or "menelaos" (one cut point per vertex).
+
 The syntax of each fixed-shape call (meet, conjugate, join,
 fourth_harmonic, complete_fourth_line, cr_equal) is written once, in
 the _CALLS table: its keyword, what it makes, its AST node and its
@@ -176,16 +185,6 @@ _NOPOS: Pos = (0, 0)
 
 
 @dataclass(frozen=True)
-class PointLiteral:
-    triple: tuple[Scalar, Scalar, Scalar]
-
-
-@dataclass(frozen=True)
-class LineLiteral:
-    triple: tuple[Scalar, Scalar, Scalar]
-
-
-@dataclass(frozen=True)
 class Join:
     a: str
     b: str
@@ -218,21 +217,16 @@ class CompleteFourthLine:
     lines: tuple[str, str, str]
 
 
-PointExpr = Union[PointLiteral, Meet, Conjugate]
-LineExpr = Union[LineLiteral, Join, FourthHarmonic, CompleteFourthLine]
-
-
 @dataclass(frozen=True)
-class PointDecl:
+class Decl:
+    kind: str  # "point" | "line"
     name: str
-    expr: PointExpr
-    pos: Pos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class LineDecl:
-    name: str
-    expr: LineExpr
+    # a coordinate literal is its homogeneous triple; any other
+    # expression is the node of a _CALLS row that makes this kind
+    expr: Union[
+        tuple[Scalar, Scalar, Scalar],
+        Meet, Conjugate, Join, FourthHarmonic, CompleteFourthLine,
+    ]
     pos: Pos = field(default=_NOPOS, compare=False)
 
 
@@ -244,14 +238,9 @@ class GonDecl:
 
 
 @dataclass(frozen=True)
-class AssertCollinear:
-    points: tuple[str, ...]
-    pos: Pos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertConcurrent:
-    lines: tuple[str, ...]
+class AssertIncidence:
+    kind: str  # "collinear" (of points) | "concurrent" (of lines)
+    names: tuple[str, ...]
     pos: Pos = field(default=_NOPOS, compare=False)
 
 
@@ -277,7 +266,7 @@ Order = Union[None, str, tuple[str, int]]
 
 @dataclass(frozen=True)
 class AssertPseudo:
-    kind: str  # "concurrent" | "collinear"
+    kind: str  # "ceva" (pseudo_concurrent) | "menelaos" (pseudo_collinear)
     gon: str
     items: tuple[str, ...]
     order: Order = None
@@ -294,11 +283,9 @@ class AssertProduct:
 
 
 Statement = Union[
-    PointDecl,
-    LineDecl,
+    Decl,
     GonDecl,
-    AssertCollinear,
-    AssertConcurrent,
+    AssertIncidence,
     AssertHarmonic,
     AssertCrEqual,
     AssertPseudo,
@@ -353,24 +340,19 @@ _CALLS = {
 }
 _CALL_OF = {call.node: keyword for keyword, call in _CALLS.items()}
 
-# The point/line dual pair: declaration keyword -> declaration node and
-# literal node.
-_DECLS = {"point": (PointDecl, PointLiteral), "line": (LineDecl, LineLiteral)}
+# The dual incidence predicates: keyword -> argument kind.
+_INCIDENCE = {"collinear": "point", "concurrent": "line"}
 
-# The dual incidence predicates: keyword -> AST node and argument kind.
-_INCIDENCE = {
-    "collinear": (AssertCollinear, "point"),
-    "concurrent": (AssertConcurrent, "line"),
+# The dual gon predicates: keyword -> gon kind.  A Ceva gon takes one
+# line per vertex, a Menelaos gon one cut point.
+_GON_PREDICATES = {
+    "pseudo_concurrent": "ceva",
+    "pseudo_collinear": "menelaos",
+    "ceva_product": "ceva",
+    "menelaos_product": "menelaos",
 }
-
-
-def _incidence(
-    st: AssertCollinear | AssertConcurrent,
-) -> tuple[str, tuple[str, ...]]:
-    """The keyword and the argument names of an incidence assertion."""
-    if isinstance(st, AssertCollinear):
-        return "collinear", st.points
-    return "concurrent", st.lines
+# gon kind -> its pseudo_ predicate keyword
+_PSEUDO_OF = {"ceva": "pseudo_concurrent", "menelaos": "pseudo_collinear"}
 
 
 def _one_of(words) -> str:
@@ -495,18 +477,18 @@ class _Parser:
             self.found(_one_of(_STATEMENTS), tok, tuple(_STATEMENTS))
         return _STATEMENTS[tok.value](self)
 
-    def decl(self) -> PointDecl | LineDecl:
+    def decl(self) -> Decl:
         kind = self.advance().value
         name, tok = self.fresh_name()
         self.punct("=")
         expr = self.expr(kind)
         self.symbols[name] = kind
-        return _DECLS[kind][0](name, expr, pos=(tok.line, tok.col))
+        return Decl(kind, name, expr, pos=(tok.line, tok.col))
 
-    def expr(self, kind: str) -> PointExpr | LineExpr:
+    def expr(self, kind: str):
         tok = self.peek()
         if tok.value == "(":
-            return _DECLS[kind][1](self.literal_triple(kind == "point"))
+            return self.literal_triple(kind == "point")
         call = _CALLS.get(tok.value)
         if call is None or call.makes != kind:
             calls = tuple(k for k, c in _CALLS.items() if c.makes == kind)
@@ -581,9 +563,9 @@ class _Parser:
             )
         return _PREDICATES[tok.value](self, (start.line, start.col))
 
-    def assert_incidence(self, pos: Pos) -> AssertCollinear | AssertConcurrent:
+    def assert_incidence(self, pos: Pos) -> AssertIncidence:
         which = self.advance().value
-        node, want = _INCIDENCE[which]
+        want = _INCIDENCE[which]
         self.punct("(")
         names = [self.ident(want)] + self.more(want)
         close = self.punct(")")
@@ -591,7 +573,7 @@ class _Parser:
             raise TypeMismatch(
                 f"{which} needs at least 3 arguments", close.line, close.col
             )
-        return node(tuple(names), pos=pos)
+        return AssertIncidence(which, tuple(names), pos=pos)
 
     def assert_harmonic(self, pos: Pos) -> AssertHarmonic:
         self.advance()
@@ -617,8 +599,8 @@ class _Parser:
         _product assertions (then '= Q'): a gon, then one line (Ceva) or
         cut point (Menelaos) per vertex."""
         which = self.advance().value
-        ceva = which in ("pseudo_concurrent", "ceva_product")
-        want = "line" if ceva else "point"
+        kind = _GON_PREDICATES[which]
+        want = "line" if kind == "ceva" else "point"
         self.punct("(")
         gon = self.ident("gon")
         arity = self.symbols[gon][1]
@@ -632,11 +614,9 @@ class _Parser:
                 close.col,
             )
         if which.startswith("pseudo_"):
-            kind = which.removeprefix("pseudo_")
             order = self.order_clause()
             return AssertPseudo(kind, gon, items, order=order, pos=pos)
         self.punct("=")
-        kind = which.removesuffix("_product")
         return AssertProduct(kind, gon, items, target=self.rational(), pos=pos)
 
     def order_clause(self) -> Order:
@@ -663,14 +643,10 @@ _STATEMENTS = {
 
 # predicate keyword -> parser method, called with the site of 'assert'
 _PREDICATES = {
-    "collinear": _Parser.assert_incidence,
-    "concurrent": _Parser.assert_incidence,
+    **dict.fromkeys(_INCIDENCE, _Parser.assert_incidence),
     "harmonic": _Parser.assert_harmonic,
     **{k: _Parser.call for k, c in _CALLS.items() if c.makes == "assert"},
-    "pseudo_concurrent": _Parser.assert_gon,
-    "pseudo_collinear": _Parser.assert_gon,
-    "ceva_product": _Parser.assert_gon,
-    "menelaos_product": _Parser.assert_gon,
+    **dict.fromkeys(_GON_PREDICATES, _Parser.assert_gon),
 }
 
 _KEYWORDS = frozenset(
@@ -709,15 +685,6 @@ def _format_call(node) -> str:
     return f"{keyword}({'; '.join(groups)})"
 
 
-def _format_expr(expr) -> str:
-    if isinstance(expr, (PointLiteral, LineLiteral)):
-        affine = isinstance(expr, PointLiteral)
-        return _format_literal(expr.triple, affine)
-    if type(expr) in _CALL_OF:
-        return _format_call(expr)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def _format_order(order: Order) -> str:
     if order is None:
         return ""
@@ -730,14 +697,17 @@ def format_scene(ast: SceneAst) -> str:
     """Canonical text for an AST; comments are not reproduced."""
     out = []
     for st in ast.statements:
-        if isinstance(st, (PointDecl, LineDecl)):
-            kind = "point" if isinstance(st, PointDecl) else "line"
-            out.append(f"{kind} {st.name} = {_format_expr(st.expr)}")
+        if isinstance(st, Decl):
+            expr = st.expr
+            if isinstance(expr, tuple):
+                expr = _format_literal(expr, affine=st.kind == "point")
+            else:
+                expr = _format_call(expr)
+            out.append(f"{st.kind} {st.name} = {expr}")
         elif isinstance(st, GonDecl):
             out.append(f"gon {st.name} = [{', '.join(st.vertices)}]")
-        elif isinstance(st, (AssertCollinear, AssertConcurrent)):
-            which, names = _incidence(st)
-            out.append(f"assert {which}({', '.join(names)})")
+        elif isinstance(st, AssertIncidence):
+            out.append(f"assert {st.kind}({', '.join(st.names)})")
         elif isinstance(st, AssertHarmonic):
             out.append(
                 f"assert harmonic({st.a}, {st.b}; {st.x}, {st.y})"
@@ -746,7 +716,7 @@ def format_scene(ast: SceneAst) -> str:
             out.append(f"assert {_format_call(st)}")
         elif isinstance(st, AssertPseudo):
             out.append(
-                f"assert pseudo_{st.kind}("
+                f"assert {_PSEUDO_OF[st.kind]}("
                 + ", ".join((st.gon,) + st.items)
                 + ")"
                 + _format_order(st.order)
@@ -817,8 +787,8 @@ def evaluate(ast: SceneAst, backend: Backend = EXACT) -> SceneReport:
     for st in ast.statements:
         line = st.pos[0]
         try:
-            if isinstance(st, (PointDecl, LineDecl)):
-                env[st.name] = _eval_expr(st.expr, env, backend)
+            if isinstance(st, Decl):
+                env[st.name] = _eval_expr(st, env, backend)
             elif isinstance(st, GonDecl):
                 env[st.name] = tuple(env[v] for v in st.vertices)
             else:
@@ -831,11 +801,11 @@ def evaluate(ast: SceneAst, backend: Backend = EXACT) -> SceneReport:
     return SceneReport(tuple(results), env)
 
 
-def _eval_expr(expr, env, backend: Backend):
-    if isinstance(expr, PointLiteral):
-        return Point(*(_to_backend_scalar(t, backend) for t in expr.triple))
-    if isinstance(expr, LineLiteral):
-        return Line(*(_to_backend_scalar(t, backend) for t in expr.triple))
+def _eval_expr(decl: Decl, env, backend: Backend):
+    expr = decl.expr
+    if isinstance(expr, tuple):
+        cls = Point if decl.kind == "point" else Line
+        return cls(*(_to_backend_scalar(t, backend) for t in expr))
     if isinstance(expr, Join):
         return join(env[expr.a], env[expr.b])
     if isinstance(expr, Meet):
@@ -857,16 +827,15 @@ def _eval_expr(expr, env, backend: Backend):
 
 def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     line = st.pos[0]
-    if isinstance(st, (AssertCollinear, AssertConcurrent)):
-        which, names = _incidence(st)
-        objs = [env[n] for n in names]
+    if isinstance(st, AssertIncidence):
+        objs = [env[n] for n in st.names]
         # one body serves points (collinear) and lines (concurrent)
         passed = all_collinear(objs, backend)
         detail = ""
         if not passed:
             value, _ = _worst_triple(objs)
             detail = f"witness determinant {format_scalar(value)}"
-        return AssertionResult(index, line, which, passed, detail)
+        return AssertionResult(index, line, st.kind, passed, detail)
     if isinstance(st, AssertHarmonic):
         a, b, x, y = (env[n] for n in (st.a, st.b, st.x, st.y))
         if st.kind == "point":
@@ -897,7 +866,7 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
         return AssertionResult(
             index,
             line,
-            f"pseudo_{st.kind}",
+            _PSEUDO_OF[st.kind],
             passed,
             f"reduction order {list(trace.indices)}",
         )
@@ -917,14 +886,8 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     raise TypeError(f"not an assertion: {st!r}")
 
 
-def _gon_kind(st: AssertPseudo | AssertProduct) -> str:
-    """The gon kind a pseudo_ or product assertion names: "ceva" for
-    pseudo_concurrent and ceva_product, "menelaos" otherwise."""
-    return "ceva" if st.kind in ("concurrent", "ceva") else "menelaos"
-
-
 def _assertion_gon(st: AssertPseudo | AssertProduct, env: dict):
-    cls = CevaGon if _gon_kind(st) == "ceva" else MenelaosGon
+    cls = CevaGon if st.kind == "ceva" else MenelaosGon
     return cls(env[st.gon], tuple(env[n] for n in st.items))
 
 

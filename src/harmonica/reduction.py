@@ -586,8 +586,9 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     be = _verdict_backend(gon, backend)
     indices = _resolve_order(gon, order)
-    if indices is None and gon.n > 6:
-        raise ValueError("exhaustive order checking is limited to n <= 6")
+    # an n-gon has n!/6 orders (840 at n = 7, 6,720 at n = 8)
+    if indices is None and gon.n > 7:
+        raise ValueError("exhaustive order checking is limited to n <= 7")
     return _run_reduction(gon, indices, be)
 
 
@@ -597,7 +598,7 @@ def is_pseudo_concurrent(
     """Whether the cevians reduce to a concurrent triangle triple.
 
     order: "first" (always collapse the pair at index 1),
-    "exhaustive" (run every order, n <= 6, and require agreement),
+    "exhaustive" (run every order, n <= 7, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
     1-based indices with one entry per step.
 

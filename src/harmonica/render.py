@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from .core import EXACT, Backend, Point, exact_div
 from .dsl import (
     CompleteFourthLine,
+    Decl,
     FourthHarmonic,
     GonDecl,
-    LineDecl,
-    PointDecl,
-    PointLiteral,
     SceneAst,
     evaluate,
 )
@@ -139,17 +137,12 @@ def _collect(ast: SceneAst, env: dict):
     strokes = []
     markers = []
     for st in ast.statements:
-        if isinstance(st, PointDecl):
+        if isinstance(st, Decl) and st.kind == "point":
             at = _affine(env[st.name])
             if at is not None:
-                markers.append(
-                    _Marker(
-                        st.name,
-                        at,
-                        hollow=not isinstance(st.expr, PointLiteral),
-                    )
-                )
-        elif isinstance(st, LineDecl):
+                hollow = not isinstance(st.expr, tuple)
+                markers.append(_Marker(st.name, at, hollow))
+        elif isinstance(st, Decl):
             line = env[st.name]
             strokes.append(
                 (

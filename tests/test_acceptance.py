@@ -419,8 +419,9 @@ def test_criterion_06_gon_reductions():
                 stepped += 1
             assert stepped >= 1
 
-        # n = 7, 8: exhaustive enumeration is off the table; one
-        # hundred sampled orders must still agree with the first
+        # n = 7, 8: these gons are checked by sampling rather than by
+        # exhaustive enumeration (which stops at n = 7); one hundred
+        # sampled orders must still agree with the first
         for n in (7, 8):
             gons = [
                 gen_hypothesis_forcing(

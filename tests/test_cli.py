@@ -655,9 +655,11 @@ def test_pinned_stdout_bytes(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# README documents this command as refused (exit 2); every other
-# `harmonica ...` line it shows succeeds.
-README_EXIT_TWO = ("verify", "ceva-ngon", "--n", "7", "--order", "exhaustive")
+# The largest exhaustive check README shows: it must succeed like every
+# other command there.
+README_EXHAUSTIVE_SEVEN = (
+    "verify", "ceva-ngon", "--n", "7", "--order", "exhaustive",
+)
 
 
 def test_readme_commands_exit_as_documented(capsys, monkeypatch, tmp_path):
@@ -667,16 +669,55 @@ def test_readme_commands_exit_as_documented(capsys, monkeypatch, tmp_path):
         for line in lines
         if line.startswith("harmonica ")
     ]
-    assert list(README_EXIT_TWO) in commands
+    assert list(README_EXHAUSTIVE_SEVEN) in commands
     shutil.copytree(REPO_ROOT / "scenes", tmp_path / "scenes")
     monkeypatch.chdir(tmp_path)  # the commands write trace.jsonl, figure7.svg
     wrong = []
     for argv in commands:
         code, _, err = run(capsys, *argv)
-        expected = 2 if tuple(argv) == README_EXIT_TWO else 0
-        if code != expected:
+        if code != 0:
             wrong.append((" ".join(argv), code, err))
     assert wrong == []
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh `python -m harmonica.cli` process that
+    imports this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "all", "--trials", "2"), ("check", "scenes/figure7.hgeo")],
+    ids=["verify", "check"],
+)
+def test_closed_stdout_exits_as_sigpipe_and_writes_no_stderr(argv, unbuffered):
+    # A buffered stdout holds a short report until the flush at exit,
+    # an unbuffered one fails at the first write; both must end alike.
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the process starts, so its first
+    # write of the report is certain to find the reader gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "harmonica.cli", *argv],
+            cwd=REPO_ROOT,
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 # Calls of main in one interpreter: an argparse usage error first, then
@@ -705,10 +746,7 @@ def test_main_called_again_and_again_matches_fresh_processes(capsys, monkeypatch
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = _fresh_env()
     fresh = []
     for argv in REPEATED_ARGV:
         done = subprocess.run(

@@ -10,23 +10,19 @@ import pytest
 from harmonica import dsl
 from harmonica.core import EXACT, float_backend
 from harmonica.dsl import (
-    AssertCollinear,
-    AssertConcurrent,
     AssertCrEqual,
     AssertHarmonic,
+    AssertIncidence,
     AssertProduct,
     AssertPseudo,
     CompleteFourthLine,
     Conjugate,
+    Decl,
     EvaluationError,
     FourthHarmonic,
     GonDecl,
     Join,
-    LineDecl,
-    LineLiteral,
     Meet,
-    PointDecl,
-    PointLiteral,
     Redeclaration,
     SceneAst,
     SceneError,
@@ -170,6 +166,15 @@ PINNED_EOF_POSITIONS = [
     ("point A = (1,\t# c\n", (2, 1)),
 ]
 
+# sha256 over the parse outcome of every prefix text[:k], k = 0 ..
+# len(text), of every shipped scene (7,212 prefixes): one
+# "name\tk\toutcome" line each, the outcome being the repr of
+# format_scene(parse(prefix)) or of the error's class, message and
+# ``expected``.  It pins where partial input fails and what it expects.
+PINNED_PREFIX_SHA256 = (
+    "042e47fcde782a9f19a2a101d75cfd847e8fdbc5b0ae55f157141d6b05261bcb"
+)
+
 
 class TestLexingAndSyntax:
     def test_join_with_one_argument_reports_the_closing_paren(self):
@@ -199,7 +204,7 @@ class TestLexingAndSyntax:
 
     def test_rational_allows_spaces_around_slash(self):
         ast = parse("point A = (1 / 3, 2)")
-        assert ast.statements[0].expr.triple == (Fraction(1, 3), 2, 1)
+        assert ast.statements[0].expr == (Fraction(1, 3), 2, 1)
 
     def test_reserved_word_cannot_name_an_object(self):
         with pytest.raises(SceneSyntaxError) as err:
@@ -237,8 +242,8 @@ class TestLexingAndSyntax:
             "# leading comment\npoint A = (0,\n0)  # trailing\n\n\t line l="
             " ( 1 :2: 3 )"
         )
-        assert ast.statements[0] == PointDecl("A", PointLiteral((0, 0, 1)))
-        assert ast.statements[1] == LineDecl("l", LineLiteral((1, 2, 3)))
+        assert ast.statements[0] == Decl("point", "A", (0, 0, 1))
+        assert ast.statements[1] == Decl("line", "l", (1, 2, 3))
 
     def test_positions_are_one_based_and_inside_the_token(self):
         with pytest.raises(UnknownIdentifier) as err:
@@ -320,8 +325,8 @@ class TestFormatting:
     def test_affine_form_is_used_when_w_is_one(self):
         ast = SceneAst(
             (
-                PointDecl("A", PointLiteral((Fraction(1, 2), -3, 1))),
-                PointDecl("B", PointLiteral((1, 0, 0))),
+                Decl("point", "A", (Fraction(1, 2), -3, 1)),
+                Decl("point", "B", (1, 0, 0)),
             )
         )
         assert format_scene(ast) == "point A = (1/2, -3)\npoint B = (1 : 0 : 0)\n"
@@ -378,6 +383,22 @@ class TestPinnedBehaviour:
         eof = dsl._lex(text)[-1]
         assert (eof.kind, eof.value, (eof.line, eof.col)) == ("eof", "", pos)
 
+    def test_every_prefix_of_every_shipped_scene(self):
+        digest = hashlib.sha256()
+        count = 0
+        for path in sorted(SCENE_DIR.glob("*.hgeo")):
+            text = path.read_text()
+            for k in range(len(text) + 1):
+                try:
+                    outcome = format_scene(parse(text[:k]))
+                except SceneError as exc:
+                    expected = getattr(exc, "expected", None)
+                    outcome = f"{type(exc).__name__}\t{exc}\t{expected!r}"
+                digest.update(f"{path.name}\t{k}\t{outcome!r}\n".encode())
+                count += 1
+        assert count == 7212
+        assert digest.hexdigest() == PINNED_PREFIX_SHA256
+
     def test_input_ending_in_a_comment_fails_where_the_comment_starts(self):
         with pytest.raises(SceneSyntaxError) as err:
             parse("point A = # note")
@@ -422,12 +443,12 @@ class _AstBuilder:
         triple = _nonzero_triple(self.rng)
         if self.rng.random() < 0.5:
             triple = (triple[0], triple[1], 1)
-        self.statements.append(PointDecl(name, PointLiteral(triple)))
+        self.statements.append(Decl("point", name, triple))
         self.points.append(name)
 
     def add_line_literal(self):
         name = self.fresh("l")
-        self.statements.append(LineDecl(name, LineLiteral(_nonzero_triple(self.rng))))
+        self.statements.append(Decl("line", name, _nonzero_triple(self.rng)))
         self.lines.append(name)
 
     def pick_points(self, k):
@@ -461,32 +482,33 @@ class _AstBuilder:
     def add_join(self):
         name = self.fresh("l")
         a, b = self.pick_points(2)
-        self.statements.append(LineDecl(name, Join(a, b)))
+        self.statements.append(Decl("line", name, Join(a, b)))
         self.lines.append(name)
 
     def add_meet(self):
         name = self.fresh("P")
         a, b = self.pick_lines(2)
-        self.statements.append(PointDecl(name, Meet(a, b)))
+        self.statements.append(Decl("point", name, Meet(a, b)))
         self.points.append(name)
 
     def add_conjugate(self):
         name = self.fresh("P")
         a, b, x = self.pick_points(3)
-        self.statements.append(PointDecl(name, Conjugate(a, b, x)))
+        self.statements.append(Decl("point", name, Conjugate(a, b, x)))
         self.points.append(name)
 
     def add_fourth_harmonic(self):
         name = self.fresh("l")
         (v,) = self.pick_points(1)
         a, b, g = self.pick_lines(3)
-        self.statements.append(LineDecl(name, FourthHarmonic(v, a, b, g)))
+        self.statements.append(Decl("line", name, FourthHarmonic(v, a, b, g)))
         self.lines.append(name)
 
     def add_complete_fourth_line(self):
         name = self.fresh("l")
         self.statements.append(
-            LineDecl(
+            Decl(
+                "line",
                 name,
                 CompleteFourthLine(self.pick_points(4), self.pick_lines(3)),
             )
@@ -502,10 +524,10 @@ class _AstBuilder:
     def add_incidence_assert(self):
         k = self.rng.randint(3, min(5, len(self.points)))
         if self.rng.random() < 0.5 or len(self.lines) < 3:
-            self.statements.append(AssertCollinear(self.pick_points(k)))
+            self.statements.append(AssertIncidence("collinear", self.pick_points(k)))
         else:
             k = self.rng.randint(3, min(5, len(self.lines)))
-            self.statements.append(AssertConcurrent(self.pick_lines(k)))
+            self.statements.append(AssertIncidence("concurrent", self.pick_lines(k)))
 
     def add_harmonic_assert(self):
         if self.rng.random() < 0.5 and len(self.lines) >= 4:
@@ -535,13 +557,13 @@ class _AstBuilder:
         if self.rng.random() < 0.5 and len(self.lines) >= arity:
             self.statements.append(
                 AssertPseudo(
-                    "concurrent", gon, self.pick_lines(arity), order=self._order()
+                    "ceva", gon, self.pick_lines(arity), order=self._order()
                 )
             )
         else:
             self.statements.append(
                 AssertPseudo(
-                    "collinear", gon, self.pick_points(arity), order=self._order()
+                    "menelaos", gon, self.pick_points(arity), order=self._order()
                 )
             )
 

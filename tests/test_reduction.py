@@ -555,9 +555,21 @@ class TestPseudoPredicates:
 
     def test_exhaustive_capped(self):
         rng = Random(71)
-        gon = ceva_gon_concurrent(rng, 7)
+        gon = ceva_gon_concurrent(rng, 8)
         with pytest.raises(ValueError):
             is_pseudo_concurrent(gon, order="exhaustive")
+
+    def test_exhaustive_heptagons_agree_with_every_explicit_order(self):
+        # n = 7 is the largest gon exhaustive checking takes
+        rng = Random(73)
+        assert len(list(all_reduction_orders(7))) == 840
+        for gon, check in (
+            (ceva_gon_concurrent(rng, 7), is_pseudo_concurrent),
+            (menelaos_gon_on_transversal(rng, 7), is_pseudo_collinear),
+        ):
+            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
+            verdict, _ = check(gon, order="exhaustive")
+            assert verdict is True
 
     def test_degenerate_step_carries_trace(self):
         # all four vertices on one line: every pair's outer sides
