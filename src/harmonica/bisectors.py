@@ -1,51 +1,54 @@
-"""Angle bisector geometry, floating-point backend.
+"""Angle bisector geometry on the float backend.
 
-Bisector directions involve square roots, so this module never claims
-exactness: every predicate takes a tolerance, incidence residuals are
-relative, and concurrency residuals are normalized by the configuration
-diameter so verdicts survive translation and uniform scaling.
+Bisector directions involve square roots, so this lane runs on float
+coordinates.  It decides zero only through a float Backend: the one a
+function is given, else float_backend(), whose eps HARMONICA_EPS sets.
+The pencil configs validate at float_backend().
 
 The internal bisector at a vertex follows the unit-vector-sum rule
 (direction = sum of unit vectors toward the two neighbors); the
 external bisector is its perpendicular through the same vertex.  The
 rule needs no convexity and applies verbatim at reflex vertices.
+
+With the two sides at its vertex the bisector pair is a harmonic
+pencil, so a triangle or quadrilateral with g the internal and h the
+external bisectors is a pencils config, which rejects a collinear
+vertex triple or a vertex pencil that is not harmonic.  The incenter
+and excenters are the concurrencies of the triangle's
+concurrency_triples; each Steiner quintuple is the union of two
+free_quadrilateral_triples; a bisector n-gon is a Ceva gon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .core import (
-    CoincidentLines,
+    Backend,
     GeometryError,
     Line,
     Point,
-    collinear,
+    all_collinear,
     collinearity_residual,
+    concurrency_residual,
     float_backend,
-    join,
     meet,
+)
+from .pencils import (
+    QuadrilateralConfig,
+    TriangleConfig,
+    concurrency_triples,
+    free_quadrilateral_triples,
 )
 from .reduction import CevaGon, ceva_product, is_pseudo_concurrent
 from .report import TheoremReport
 
-INCIDENCE_EPS = 1e-9
-PRODUCT_EPS = 1e-8
-CLASSIFY_EPS = 1e-6
-
 
 class DegenerateAngle(GeometryError):
     """The three points defining a vertex angle are collinear."""
-
-
-class DegenerateTriangle(GeometryError):
-    """Triangle vertices are (numerically) collinear."""
-
-
-class DegenerateQuadrilateral(GeometryError):
-    """Quadrilateral vertices contain a (numerically) collinear triple."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class BisectorPair:
 
     With the two sides at the vertex they form a harmonic pencil, and
     the two lines are perpendicular; both facts hold by construction
-    up to roundoff and are enforced in tests rather than revalidated
-    on every instantiation.
+    up to roundoff.  A pair is not revalidated; the configs of the
+    triangle and quadrilateral checks validate its pencil.
     """
 
     vertex: EuclideanPoint
@@ -101,11 +104,14 @@ def angle_bisectors(
     prev: EuclideanPoint,
     v: EuclideanPoint,
     nxt: EuclideanPoint,
+    backend: Backend | None = None,
 ) -> BisectorPair:
-    """Bisectors of the angle at v formed by rays toward prev and nxt."""
+    """Bisectors of the angle at v formed by rays toward prev and nxt;
+    the angle is degenerate when the sine between its unit legs is zero
+    at the backend (default float_backend())."""
     d1x, d1y = _unit(prev.x - v.x, prev.y - v.y)
     d2x, d2y = _unit(nxt.x - v.x, nxt.y - v.y)
-    if abs(d1x * d2y - d1y * d2x) <= INCIDENCE_EPS:
+    if (backend or float_backend()).zero(d1x * d2y - d1y * d2x):
         raise DegenerateAngle("angle legs are collinear")
     ux, uy = d1x + d2x, d1y + d2y
     return BisectorPair(
@@ -115,18 +121,24 @@ def angle_bisectors(
     )
 
 
+def _bisectors_around(
+    points: Sequence[EuclideanPoint], backend: Backend
+) -> list[BisectorPair]:
+    n = len(points)
+    return [
+        angle_bisectors(points[i - 1], points[i], points[(i + 1) % n], backend)
+        for i in range(n)
+    ]
+
+
 def lines_parallel(l: Line, m: Line) -> bool:
-    """Whether two float lines have the same direction within
-    INCIDENCE_EPS (after normalizing their normals)."""
-    return _parallel(l, m, INCIDENCE_EPS)
-
-
-def _parallel(l: Line, m: Line, eps: float) -> bool:
+    """Whether two float lines have the same direction: the sine of the
+    angle between their normals is zero at float_backend()."""
     n1 = math.hypot(l.a, l.b)
     n2 = math.hypot(m.a, m.b)
     if n1 == 0 or n2 == 0:
         return False
-    return abs(l.a * m.b - l.b * m.a) <= eps * n1 * n2
+    return float_backend().zero((l.a * m.b - l.b * m.a) / (n1 * n2))
 
 
 def classify_against_bisectors(
@@ -135,83 +147,64 @@ def classify_against_bisectors(
     v: EuclideanPoint,
     nxt: EuclideanPoint,
 ) -> str | None:
-    """Name the bisector of angle (prev, v, nxt) that a line matches
-    within CLASSIFY_EPS, or None if it matches neither."""
+    """Name the bisector of angle (prev, v, nxt) that a line is parallel
+    to (lines_parallel), or None if it matches neither."""
     fresh = angle_bisectors(prev, v, nxt)
-    if _parallel(line, fresh.internal, CLASSIFY_EPS):
+    if lines_parallel(line, fresh.internal):
         return "internal"
-    if _parallel(line, fresh.external, CLASSIFY_EPS):
+    if lines_parallel(line, fresh.external):
         return "external"
     return None
 
 
-def configuration_diameter(points: Sequence[EuclideanPoint]) -> float:
-    best = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            best = max(best, points[i].distance(points[j]))
-    return best
+def _bisector_config(cls, points: Sequence[EuclideanPoint], backend: Backend):
+    pairs = _bisectors_around(points, backend)
+    return cls(
+        tuple(p.to_point() for p in points),
+        tuple(p.internal for p in pairs),
+        tuple(p.external for p in pairs),
+    )
 
 
-def _point_line_distance(l: Line, x: float, y: float) -> float:
-    return abs(l.a * x + l.b * y + l.c) / math.hypot(l.a, l.b)
+def _relative(value: float, scale: float) -> float:
+    # the residual a float backend holds against its eps
+    return abs(value) / max(1.0, scale)
 
 
-def _concurrency_distance(l1: Line, l2: Line, l3: Line) -> float:
-    """Distance from the meet of the first two lines to the third."""
-    p = meet(l1, l2)
-    if abs(p.w) <= 1e-300 * max(abs(p.x), abs(p.y)):
-        raise DegenerateAngle("concurrency candidate is at infinity")
-    x, y = p.x / p.w, p.y / p.w
-    return _point_line_distance(l3, x, y)
+# report key and witness name of each of the concurrency_triples, in order
+_CENTERS = (
+    ("internal_concurrent", "incenter"),
+    ("excenter_1_concurrent", "excenter_1"),
+    ("excenter_2_concurrent", "excenter_2"),
+    ("excenter_3_concurrent", "excenter_3"),
+)
 
 
 def triangle_bisector_concurrencies(
     a1: EuclideanPoint,
     a2: EuclideanPoint,
     a3: EuclideanPoint,
+    backend: Backend | None = None,
 ) -> TheoremReport:
     """Concurrency of the internal bisectors and of each mixed triple
     (one internal, the other two external).
 
     The four meets are the centers of the touching circles; they are
-    reported as witnesses.  Residuals are distances divided by the
-    triangle diameter.
+    reported as witnesses.  One determinant per triple gives both its
+    verdict at the backend (default float_backend()) and its residual,
+    abs(det) / max(1, scale).
     """
-    pts = (a1, a2, a3)
-    diam = configuration_diameter(pts)
-    if diam == 0:
-        raise DegenerateTriangle("all vertices coincide")
-    area2 = abs(
-        (a2.x - a1.x) * (a3.y - a1.y) - (a2.y - a1.y) * (a3.x - a1.x)
-    )
-    if area2 <= INCIDENCE_EPS * diam * diam:
-        raise DegenerateTriangle("vertices are collinear")
-    pairs = [
-        angle_bisectors(pts[(i - 1) % 3], pts[i], pts[(i + 1) % 3])
-        for i in range(3)
-    ]
-    g = [p.internal for p in pairs]
-    h = [p.external for p in pairs]
+    be = backend or float_backend()
+    config = _bisector_config(TriangleConfig, (a1, a2, a3), be)
     booleans = {}
     residuals = {}
     witness = {}
-
-    def center(l1: Line, l2: Line) -> tuple[float, float]:
-        p = meet(l1, l2)
-        return (p.x / p.w, p.y / p.w)
-
-    d = _concurrency_distance(g[0], g[1], g[2]) / diam
-    booleans["internal_concurrent"] = d <= INCIDENCE_EPS
-    residuals["internal_concurrent"] = d
-    witness["incenter"] = center(g[0], g[1])
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        name = f"excenter_{i + 1}"
-        d = _concurrency_distance(g[i], h[j], h[k]) / diam
-        booleans[f"{name}_concurrent"] = d <= INCIDENCE_EPS
-        residuals[f"{name}_concurrent"] = d
-        witness[name] = center(g[i], h[j])
+    for (name, center), lines in zip(_CENTERS, concurrency_triples(config).values()):
+        value, scale = concurrency_residual(*lines)
+        booleans[name] = be.zero(value, scale)
+        residuals[name] = _relative(value, scale)
+        p = meet(lines[0], lines[1])
+        witness[center] = (p.x / p.w, p.y / p.w)
     return TheoremReport(
         theorem="bisectors-triangle",
         booleans=booleans,
@@ -233,8 +226,14 @@ def incenter(
 # ---------------------------------------------------------------------------
 # bisector quintuples on a complete quadrilateral
 
+# the 1-based numbers of the two free_quadrilateral_triples that make up
+# each quintuple; both triples of a pair start at the same diagonal point
+_QUINTUPLES = ((3, 4), (7, 8), (1, 2), (6, 5))
 
-def steiner_quintuples(points: Sequence[EuclideanPoint]) -> list[list[Point]]:
+
+def steiner_quintuples(
+    points: Sequence[EuclideanPoint], backend: Backend | None = None
+) -> list[list[Point]]:
     """The four quintuples of points that lie on the angle bisectors of
     the two diagonal points of a quadrilateral.
 
@@ -242,62 +241,29 @@ def steiner_quintuples(points: Sequence[EuclideanPoint]) -> list[list[Point]]:
     vertex bisectors; all five are collinear for every nondegenerate
     quadrilateral.
     """
-    if len(points) != 4:
-        raise DegenerateQuadrilateral("need exactly four vertices")
-    diam = configuration_diameter(points)
-    if diam == 0:
-        raise DegenerateQuadrilateral("all vertices coincide")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                a, b, c = points[i], points[j], points[k]
-                area2 = abs(
-                    (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-                )
-                if area2 <= INCIDENCE_EPS * diam * diam:
-                    raise DegenerateQuadrilateral(
-                        "three vertices are collinear"
-                    )
-    pairs = [
-        angle_bisectors(points[(i - 1) % 4], points[i], points[(i + 1) % 4])
-        for i in range(4)
-    ]
-    g = [p.internal for p in pairs]
-    h = [p.external for p in pairs]
-    hp = [p.to_point() for p in points]
-    try:
-        a5 = meet(join(hp[0], hp[1]), join(hp[2], hp[3]))
-        a6 = meet(join(hp[1], hp[2]), join(hp[3], hp[0]))
-    except CoincidentLines:
-        raise DegenerateQuadrilateral("opposite sides coincide")
-    return [
-        [a5, meet(h[0], h[3]), meet(g[0], g[3]), meet(h[2], h[1]), meet(g[2], g[1])],
-        [a6, meet(h[2], h[3]), meet(g[2], g[3]), meet(h[0], h[1]), meet(g[0], g[1])],
-        [a5, meet(g[0], h[3]), meet(h[0], g[3]), meet(g[2], h[1]), meet(h[2], g[1])],
-        [a6, meet(g[2], h[3]), meet(h[2], g[3]), meet(g[0], h[1]), meet(h[0], g[1])],
-    ]
+    config = _bisector_config(QuadrilateralConfig, points, backend or float_backend())
+    triples = free_quadrilateral_triples(config)
+    return [[*triples[i - 1], *triples[j - 1][1:]] for i, j in _QUINTUPLES]
 
 
-def steiner_add_11_check(points: Sequence[EuclideanPoint]) -> TheoremReport:
+def steiner_add_11_check(
+    points: Sequence[EuclideanPoint], backend: Backend | None = None
+) -> TheoremReport:
     """Collinearity report for the four bisector quintuples.
 
-    Every triple inside each quintuple is tested with the relative
-    determinant residual, so quintuple members near infinity (almost
-    parallel sides or bisectors) do not blow up the verdict.
+    Each quintuple is decided by all_collinear at the backend (default
+    float_backend()).  Its residual is the worst abs(det) / max(1,
+    scale) over its ten triples, so quintuple members near infinity
+    (almost parallel sides or bisectors) do not blow it up.
     """
-    quintuples = steiner_quintuples(points)
-    be = float_backend(PRODUCT_EPS)
+    be = backend or float_backend()
     booleans = {}
     residuals = {}
-    for idx, quint in enumerate(quintuples, start=1):
-        ok = True
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for k in range(j + 1, 5):
-                    if not collinear(quint[i], quint[j], quint[k], be):
-                        ok = False
-        booleans[f"quintuple_{idx}"] = ok
-        residuals[f"quintuple_{idx}"] = _quintuple_worst_residual(quint)
+    for idx, quint in enumerate(steiner_quintuples(points, be), start=1):
+        booleans[f"quintuple_{idx}"] = all_collinear(quint, be)
+        residuals[f"quintuple_{idx}"] = max(
+            _relative(*collinearity_residual(*t)) for t in combinations(quint, 3)
+        )
     return TheoremReport(
         theorem="steiner-add-11", booleans=booleans, residuals=residuals
     )
@@ -310,6 +276,7 @@ def steiner_add_11_check(points: Sequence[EuclideanPoint]) -> TheoremReport:
 def bisector_gon(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
+    backend: Backend | None = None,
 ) -> CevaGon:
     """Cevian gon whose line at each vertex is the chosen bisector.
 
@@ -321,18 +288,13 @@ def bisector_gon(
         choice = ("internal",) * n
     if len(choice) != n:
         raise ValueError("one choice per vertex required")
-    cevians = []
-    for i in range(n):
-        pair = angle_bisectors(points[(i - 1) % n], points[i], points[(i + 1) % n])
-        if choice[i] == "internal":
-            cevians.append(pair.internal)
-        elif choice[i] == "external":
-            cevians.append(pair.external)
-        else:
-            raise ValueError(f"unknown bisector choice {choice[i]!r}")
+    for kind in choice:
+        if kind not in ("internal", "external"):
+            raise ValueError(f"unknown bisector choice {kind!r}")
+    pairs = _bisectors_around(points, backend or float_backend())
     return CevaGon(
         tuple(p.to_point() for p in points),
-        tuple(cevians),
+        tuple(getattr(pair, kind) for pair, kind in zip(pairs, choice)),
     )
 
 
@@ -340,35 +302,26 @@ def bisector_pseudo_concurrency(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
     order="first",
+    backend: Backend | None = None,
 ) -> bool:
-    """Pseudo-concurrency verdict for the chosen bisectors of an n-gon.
+    """Pseudo-concurrency verdict for the chosen bisectors of an n-gon,
+    at the backend (default float_backend()).
 
     Internal bisectors of any n-gon pass; so does any choice with an
     even number of external bisectors.  An odd count carries no
     guarantee either way.
     """
-    gon = bisector_gon(points, choice)
-    verdict, _ = is_pseudo_concurrent(
-        gon, order=order, backend=float_backend(PRODUCT_EPS)
-    )
+    be = backend or float_backend()
+    verdict, _ = is_pseudo_concurrent(bisector_gon(points, choice, be), order, be)
     return verdict
 
 
 def bisector_product(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
+    backend: Backend | None = None,
 ) -> float:
-    """Cevian ratio product of the chosen bisectors."""
-    gon = bisector_gon(points, choice)
-    return ceva_product(gon, float_backend(PRODUCT_EPS))
-
-
-def _quintuple_worst_residual(quint: Sequence[Point]) -> float:
-    worst = 0.0
-    for i in range(5):
-        for j in range(i + 1, 5):
-            for k in range(j + 1, 5):
-                value, scale = collinearity_residual(quint[i], quint[j], quint[k])
-                rel = abs(value) / max(1.0, abs(scale))
-                worst = max(worst, rel)
-    return worst
+    """Cevian ratio product of the chosen bisectors, at the backend
+    (default float_backend())."""
+    be = backend or float_backend()
+    return ceva_product(bisector_gon(points, choice, be), be)

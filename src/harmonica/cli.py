@@ -321,8 +321,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # after --help: a closed reader fails here, in main
+            sys.stdout.flush()
+            raise
         return _COMMANDS[args.command](args)
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)

@@ -14,7 +14,9 @@ the no-three-collinear check, the per-vertex pencil test (which
 HarmonicPencil runs too), complete, JSON and the backend sniff.  At
 vertex i both test the pencil whose first two lines are the sides from
 vertex i-1 and to vertex i+1; each kind keeps its own side numbering
-and its own messages.
+and its own messages.  A float coordinate in the vertices or lines
+selects float_backend(), and the collinear check, the pencil test and
+complete's fourth harmonic lines all run at the sniffed backend.
 """
 
 from __future__ import annotations
@@ -81,8 +83,10 @@ class HarmonicPencil:
 
     @classmethod
     def complete(cls, vertex: Point, a1: Line, a2: Line, g: Line) -> "HarmonicPencil":
-        """Pencil with the fourth line filled in harmonically."""
-        return cls(vertex, a1, a2, g, fourth_harmonic_line(vertex, a1, a2, g))
+        """Pencil with the fourth line filled in harmonically, at the
+        backend the pencil validates with."""
+        be = _backend_of(vertex, a1, a2, g)
+        return cls(vertex, a1, a2, g, fourth_harmonic_line(vertex, a1, a2, g, be))
 
     @property
     def lines(self) -> tuple[Line, Line, Line, Line]:
@@ -201,10 +205,8 @@ class _PolygonConfig:
     def __post_init__(self) -> None:
         v = self.vertices
         self._check_count(v, self.g, self.h)
-        for p, q, r in combinations(v, 3):
-            if collinear(p, q, r):
-                raise DegenerateConfig(self._collinear_message)
-        be = _backend_of(*v)
+        be = _backend_of(*v, *self.g, *self.h)
+        self._check_vertices(v, be)
         sides = self.sides
         for i in range(len(v)):
             where = f"vertex {i + 1}"
@@ -214,12 +216,18 @@ class _PolygonConfig:
     def complete(
         cls, vertices: Sequence[Point], g: Sequence[Line]
     ) -> "_PolygonConfig":
-        """Config with each h_i filled in as the fourth harmonic line."""
+        """Config with each h_i filled in as the fourth harmonic line.
+
+        Vertices with a collinear triple are rejected before the sides
+        are built, and h is constructed at the backend the config is
+        then validated with."""
         v = tuple(vertices)
         cls._check_count(v, g)
+        be = _backend_of(*v, *g)
+        cls._check_vertices(v, be)
         sides = _sides_around(v)
         h = tuple(
-            fourth_harmonic_line(v[i], sides[i - 1], sides[i], g[i])
+            fourth_harmonic_line(v[i], sides[i - 1], sides[i], g[i], be)
             for i in range(cls._n)
         )
         config = cls.__new__(cls)
@@ -232,6 +240,12 @@ class _PolygonConfig:
         """Entry i joins vertex i to vertex i+1 (cyclic), so the sides
         meeting at vertex i are entries i-1 and i."""
         return _sides_around(self.vertices)
+
+    @classmethod
+    def _check_vertices(cls, v: Sequence[Point], backend: Backend) -> None:
+        for p, q, r in combinations(v, 3):
+            if collinear(p, q, r, backend):
+                raise DegenerateConfig(cls._collinear_message)
 
     @classmethod
     def _check_count(cls, *parts: Sequence) -> None:
@@ -279,20 +293,6 @@ class TriangleConfig(_PolygonConfig):
         """Side opposite vertex i (0-based), joining the other two."""
         return self.sides[_cyc(i + 1, 3)]
 
-    @classmethod
-    def complete(
-        cls,
-        vertices: Sequence[Point],
-        g: Sequence[Line],
-    ) -> "TriangleConfig":
-        """Config with each h_i filled in as the harmonic conjugate line."""
-        v = tuple(vertices)
-        cls._check_count(v, g)
-        # a flat triangle is rejected before its sides are built
-        if collinear(*v):
-            raise DegenerateConfig(cls._collinear_message)
-        return super().complete(v, g)
-
 
 @dataclass(frozen=True)
 class FreeTriangleLines:
@@ -318,6 +318,17 @@ def free_triangle_lines(t: TriangleConfig) -> FreeTriangleLines:
     return FreeTriangleLines(tuple(u), tuple(v))
 
 
+def concurrency_triples(t: TriangleConfig) -> dict[str, tuple[Line, Line, Line]]:
+    """The four line triples whose concurrencies stand or fall together,
+    by name: g1_g2_g3, then g{i}_h{i+1}_h{i+2} for i = 1, 2, 3."""
+    g, h = t.g, t.h
+    triples = {"g1_g2_g3": (g[0], g[1], g[2])}
+    for i in range(3):
+        j, k = _cyc(i + 1, 3), _cyc(i + 2, 3)
+        triples[f"g{i + 1}_h{j + 1}_h{k + 1}"] = (g[i], h[j], h[k])
+    return triples
+
+
 def triangle_concurrency_transfer(
     t: TriangleConfig, backend: Backend = EXACT
 ) -> TheoremReport:
@@ -325,16 +336,15 @@ def triangle_concurrency_transfer(
 
     For a triangle with harmonic pencils, {g1, g2, g3} is concurrent
     exactly when each mixed triple {g_i, h_{i+1}, h_{i+2}} is, and
-    exactly when the cevian ratio product equals one.
+    exactly when the cevian ratio product equals one.  One determinant
+    per triple gives both its verdict and its residual.
     """
-    g, h = t.g, t.h
-    booleans = {"g1_g2_g3": concurrent(g[0], g[1], g[2], backend)}
-    residuals = {"g1_g2_g3": concurrency_residual(g[0], g[1], g[2])[0]}
-    for i in range(3):
-        j, k = _cyc(i + 1, 3), _cyc(i + 2, 3)
-        name = f"g{i + 1}_h{j + 1}_h{k + 1}"
-        booleans[name] = concurrent(g[i], h[j], h[k], backend)
-        residuals[name] = concurrency_residual(g[i], h[j], h[k])[0]
+    booleans = {}
+    residuals = {}
+    for name, lines in concurrency_triples(t).items():
+        value, scale = concurrency_residual(*lines)
+        booleans[name] = backend.zero(value, scale)
+        residuals[name] = value
     try:
         product = ceva_product_triangle(t, backend)
         booleans["ratio_product_one"] = backend.eq(product, 1)

@@ -3,8 +3,10 @@
 An n-gon with one cevian per vertex (or one cut point per side) can be
 reduced step by step to a triangle; pseudo-concurrency of the cevians
 (pseudo-collinearity of the cuts) means the triangle's three lines are
-concurrent (points are collinear).  The verdict does not depend on the
-order of reduction steps, and each notion has an equivalent exact ratio
+concurrent (points are collinear).  For a gon with no collinear vertex
+triple the verdict does not depend on the order of reduction steps;
+with one it may, and exhaustive checking then raises
+InconsistentOrders.  Each notion has an equivalent exact ratio
 product.  Vertex order is part of the data: relabeling a gon along a
 different cyclic order changes the products and may change the verdict.
 

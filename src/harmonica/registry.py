@@ -178,19 +178,19 @@ def _check_duality(config, backend, order):
 
 
 def _check_bisectors_triangle(config, backend, order):
-    report = triangle_bisector_concurrencies(*config["points"])
+    report = triangle_bisector_concurrencies(*config["points"], backend=backend)
     return report.all_true(), report.to_json()
 
 
 def _check_steiner_add_11(config, backend, order):
-    report = steiner_add_11_check(config["points"])
+    report = steiner_add_11_check(config["points"], backend)
     return report.all_true(), report.to_json()
 
 
 def _check_bisectors_ngon(config, backend, order):
     points, choice = config["points"], config["choice"]
-    verdict = bisector_pseudo_concurrency(points, choice, order=order)
-    product = bisector_product(points, choice)
+    verdict = bisector_pseudo_concurrency(points, choice, order, backend)
+    product = bisector_product(points, choice, backend)
     return verdict, {
         "pseudo_concurrent": verdict,
         "product": product,

@@ -14,14 +14,12 @@ import pytest
 from harmonica.bisectors import (
     BisectorPair,
     DegenerateAngle,
-    DegenerateTriangle,
     EuclideanPoint,
     angle_bisectors,
     bisector_gon,
     bisector_product,
     bisector_pseudo_concurrency,
     classify_against_bisectors,
-    configuration_diameter,
     incenter,
     lines_parallel,
     steiner_add_11_check,
@@ -29,6 +27,7 @@ from harmonica.bisectors import (
     triangle_bisector_concurrencies,
 )
 from harmonica.core import (
+    EPS_ENV_VAR,
     GeometryError,
     Line,
     cross_ratio_lines,
@@ -40,6 +39,13 @@ from harmonica.reduction import ceva_reduce_step
 
 
 E = EuclideanPoint
+
+# a triangle on which the check once printed False for a true theorem
+THIN_TRIANGLE = (
+    E(4.636714238557136, 0.10305901286684893),
+    E(4.231211645780242, 2.28752103285151),
+    E(5.920353384943116, -6.81381708727441),
+)
 
 
 def random_ngon(rng: Random, n: int, spread: float = 5.0):
@@ -221,8 +227,33 @@ class TestTriangleCenters:
                 assert abs(wx - ex) <= 1e-8 * scale, name
                 assert abs(wy - ey) <= 1e-8 * scale, name
 
+    def test_thin_triangle_raises_instead_of_a_false_verdict(self):
+        # angles 179.997, 0.0021 and 0.00066 degrees: the bisector
+        # pencil at vertex 1 is harmonic only to about 1.8e-7
+        with pytest.raises(GeometryError):
+            triangle_bisector_concurrencies(*THIN_TRIANGLE)
+
+    def test_thin_triangle_follows_harmonica_eps(self, monkeypatch):
+        monkeypatch.setenv(EPS_ENV_VAR, "1e-6")
+        assert triangle_bisector_concurrencies(*THIN_TRIANGLE).all_true()
+
+    def test_random_triangles_are_all_true_or_raise(self):
+        rng = Random(5)
+        raised = 0
+        for _ in range(2000):
+            pts = [E(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+            try:
+                report = triangle_bisector_concurrencies(*pts)
+            except GeometryError:
+                raised += 1
+                continue
+            assert report.all_true(), (pts, report.residuals)
+        assert raised <= 5
+
     def test_collinear_triangle_rejected(self):
-        with pytest.raises(DegenerateTriangle):
+        # the angle at each vertex is flat, so its bisectors are
+        # undefined before the triangle's config is built
+        with pytest.raises(DegenerateAngle):
             triangle_bisector_concurrencies(E(0, 0), E(1, 0), E(2, 0))
 
 
@@ -368,10 +399,6 @@ class TestBisectorGons:
 
 
 class TestUtilities:
-    def test_configuration_diameter(self):
-        pts = [E(0, 0), E(3, 4), E(1, 1)]
-        assert configuration_diameter(pts) == 5.0
-
     def test_pair_is_plain_data(self):
         pair = angle_bisectors(E(1, 0), E(0, 0), E(0, 1))
         assert isinstance(pair, BisectorPair)

@@ -699,12 +699,26 @@ def _fresh_env() -> dict:
 def test_closed_stdout_exits_as_sigpipe_and_writes_no_stderr(argv, unbuffered):
     # A buffered stdout holds a short report until the flush at exit,
     # an unbuffered one fails at the first write; both must end alike.
+    assert _run_into_closed_stdout(argv, unbuffered) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_into_closed_stdout_exits_as_sigpipe(argv):
+    # argparse prints the help and exits before any command runs; a
+    # buffered stdout holds the help until a flush.  (Unbuffered, the
+    # failed write is swallowed by argparse itself.)
+    assert _run_into_closed_stdout(argv, unbuffered=False) == (141, b"")
+
+
+def _run_into_closed_stdout(argv, unbuffered: bool) -> tuple[int, bytes]:
+    """Exit code and stderr of `python -m harmonica.cli argv` whose
+    stdout is a pipe with no reader."""
     env = _fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     # the read end is closed before the process starts, so its first
-    # write of the report is certain to find the reader gone
+    # write is certain to find the reader gone
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -717,7 +731,7 @@ def test_closed_stdout_exits_as_sigpipe_and_writes_no_stderr(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    assert (done.returncode, done.stderr) == (141, b"")
+    return done.returncode, done.stderr
 
 
 # Calls of main in one interpreter: an argparse usage error first, then

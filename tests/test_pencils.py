@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from harmonica.core import (
+    DegenerateConfig,
     DegenerateInput,
     NoSolution,
     Point,
@@ -24,6 +25,7 @@ from harmonica.core import (
     float_backend,
     harmonic_conjugate,
     incident,
+    is_harmonic_pencil,
     join,
     meet,
 )
@@ -298,6 +300,42 @@ class TestTriangle:
         t = TriangleConfig.complete(v, g)
         assert ceva_product_triangle(t) == Fraction(1, 4)
         assert not concurrent(*t.g)
+
+
+def float_point(rng):
+    return Point(rng.uniform(-10, 10), rng.uniform(-10, 10), 1.0)
+
+
+class TestFloatComplete:
+    """complete fills in each h at the backend the result is validated
+    with, so float input is completed at the float tolerance."""
+
+    @pytest.mark.parametrize("cls, n", [(TriangleConfig, 3), (QuadrilateralConfig, 4)])
+    def test_random_float_configs_complete_and_validate(self, cls, n):
+        rng = Random(61)
+        for _ in range(200):
+            v = tuple(float_point(rng) for _ in range(n))
+            g = tuple(join(p, float_point(rng)) for p in v)
+            config = cls.complete(v, g)
+            again = cls(config.vertices, config.g, config.h)
+            assert type(again.from_json(again.to_json())) is cls
+
+    def test_random_float_pencils_complete_and_validate(self):
+        rng = Random(67)
+        be = float_backend()
+        for _ in range(200):
+            v = float_point(rng)
+            a1, a2, g = (join(v, float_point(rng)) for _ in range(3))
+            pencil = HarmonicPencil.complete(v, a1, a2, g)
+            assert is_harmonic_pencil(pencil.vertex, *pencil.lines, be)
+
+    def test_thin_float_triangle_is_collinear_at_the_float_tolerance(self):
+        v = (Point(0.0, 0.0, 1.0), Point(1.0, 1e-13, 1.0), Point(2.0, 0.0, 1.0))
+        g = tuple(join(p, Point(0.5, 3.0, 1.0)) for p in v)
+        with pytest.raises(DegenerateConfig, match="collinear"):
+            TriangleConfig.complete(v, g)
+        with pytest.raises(DegenerateConfig, match="collinear"):
+            TriangleConfig(v, g, g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from harmonica.core import FloatBackend, GeometryError, float_backend
 from harmonica.generate import GenSpec, gen_hypothesis_forcing
 from harmonica.registry import (
     THEOREMS,
@@ -131,6 +132,19 @@ class TestBackendCoercion:
         assert run_trial("crossratio", 5, backend="exact") == run_trial(
             "crossratio", 5
         )
+
+    @pytest.mark.parametrize("tid", FLOAT_ONLY)
+    def test_float_only_checks_decide_at_the_backend_passed(self, tid):
+        # a tolerance far below roundoff makes each forced positive
+        # fail or raise, so the check cannot be using its own
+        config = gen_hypothesis_forcing(tid, GenSpec(seed=3))
+        check = get_entry(tid).check
+        assert check(config, float_backend(), "first")[0]
+        try:
+            passed, _ = check(config, FloatBackend(1e-30), "first")
+        except GeometryError:
+            passed = False
+        assert not passed
 
 
 class TestGeneratorContract:
