@@ -1,21 +1,20 @@
 """Angle bisector geometry on the float backend.
 
 Bisector directions involve square roots, so this lane runs on float
-coordinates.  It decides zero only through a float Backend: the one a
-function is given, else float_backend(), whose eps HARMONICA_EPS sets.
-The pencil configs validate at float_backend().
+coordinates; each call decides zero at one float Backend, the one it
+is given or else float_backend() (eps from HARMONICA_EPS).
 
 The internal bisector at a vertex follows the unit-vector-sum rule
 (direction = sum of unit vectors toward the two neighbors); the
 external bisector is its perpendicular through the same vertex.  The
 rule needs no convexity and applies verbatim at reflex vertices.
 
-With the two sides at its vertex the bisector pair is a harmonic
-pencil, so a triangle or quadrilateral with g the internal and h the
-external bisectors is a pencils config, which rejects a collinear
-vertex triple or a vertex pencil that is not harmonic.  The incenter
-and excenters are the concurrencies of the triangle's
-concurrency_triples; each Steiner quintuple is the union of two
+With the sides at its vertex a bisector pair is a harmonic pencil, so
+a triangle or quadrilateral with g the internal and h the external
+bisectors is a pencils config; built on the instance moved and scaled
+to unit size, its gates and the residuals do not change when the
+instance is moved or scaled.  The incenter and excenters are the
+triangle's concurrency_triples; each Steiner quintuple joins two
 free_quadrilateral_triples; a bisector n-gon is a Ceva gon.
 """
 
@@ -106,9 +105,9 @@ def angle_bisectors(
     nxt: EuclideanPoint,
     backend: Backend | None = None,
 ) -> BisectorPair:
-    """Bisectors of the angle at v formed by rays toward prev and nxt;
-    the angle is degenerate when the sine between its unit legs is zero
-    at the backend (default float_backend())."""
+    """Bisectors of the angle at v formed by rays toward prev and nxt,
+    whose legs may not be parallel at the backend (default
+    float_backend())."""
     d1x, d1y = _unit(prev.x - v.x, prev.y - v.y)
     d2x, d2y = _unit(nxt.x - v.x, nxt.y - v.y)
     if (backend or float_backend()).zero(d1x * d2y - d1y * d2x):
@@ -158,17 +157,23 @@ def classify_against_bisectors(
 
 
 def _bisector_config(cls, points: Sequence[EuclideanPoint], backend: Backend):
-    pairs = _bisectors_around(points, backend)
-    return cls(
-        tuple(p.to_point() for p in points),
+    """The config of the points' bisector pencils, validated at the
+    backend, on the points moved so that the first is the origin and
+    scaled by a power of two (so without roundoff) to put the farthest
+    from it at distance 1/2 to 1; and the map of its points back to
+    triples in the input's frame."""
+    o = points[0] if points else EuclideanPoint(0.0, 0.0)
+    far = max((p.distance(o) for p in points), default=0.0)
+    r = math.ldexp(1.0, math.frexp(far)[1])
+    unit = [EuclideanPoint((p.x - o.x) / r, (p.y - o.y) / r) for p in points]
+    pairs = _bisectors_around(unit, backend)
+    config = cls(
+        tuple(p.to_point() for p in unit),
         tuple(p.internal for p in pairs),
         tuple(p.external for p in pairs),
+        backend,
     )
-
-
-def _relative(value: float, scale: float) -> float:
-    # the residual a float backend holds against its eps
-    return abs(value) / max(1.0, scale)
+    return config, lambda p: (p.x * r + o.x * p.w, p.y * r + o.y * p.w, p.w)
 
 
 # report key and witness name of each of the concurrency_triples, in order
@@ -187,24 +192,22 @@ def triangle_bisector_concurrencies(
     backend: Backend | None = None,
 ) -> TheoremReport:
     """Concurrency of the internal bisectors and of each mixed triple
-    (one internal, the other two external).
+    (one internal, the other two external), at the backend (default
+    float_backend()).
 
     The four meets are the centers of the touching circles; they are
     reported as witnesses.  One determinant per triple gives both its
-    verdict at the backend (default float_backend()) and its residual,
-    abs(det) / max(1, scale).
+    verdict and its residual, abs(det) / max(1, scale).
     """
     be = backend or float_backend()
-    config = _bisector_config(TriangleConfig, (a1, a2, a3), be)
-    booleans = {}
-    residuals = {}
-    witness = {}
+    config, back = _bisector_config(TriangleConfig, (a1, a2, a3), be)
+    booleans, residuals, witness = {}, {}, {}
     for (name, center), lines in zip(_CENTERS, concurrency_triples(config).values()):
         value, scale = concurrency_residual(*lines)
         booleans[name] = be.zero(value, scale)
-        residuals[name] = _relative(value, scale)
-        p = meet(lines[0], lines[1])
-        witness[center] = (p.x / p.w, p.y / p.w)
+        residuals[name] = abs(value) / max(1.0, scale)
+        x, y, w = back(meet(lines[0], lines[1]))
+        witness[center] = (x / w, y / w)
     return TheoremReport(
         theorem="bisectors-triangle",
         booleans=booleans,
@@ -231,9 +234,13 @@ def incenter(
 _QUINTUPLES = ((3, 4), (7, 8), (1, 2), (6, 5))
 
 
-def steiner_quintuples(
-    points: Sequence[EuclideanPoint], backend: Backend | None = None
-) -> list[list[Point]]:
+def _quintuples(points: Sequence[EuclideanPoint], backend: Backend):
+    config, back = _bisector_config(QuadrilateralConfig, points, backend)
+    triples = free_quadrilateral_triples(config)
+    return [[*triples[i - 1], *triples[j - 1][1:]] for i, j in _QUINTUPLES], back
+
+
+def steiner_quintuples(points: Sequence[EuclideanPoint]) -> list[list[Point]]:
     """The four quintuples of points that lie on the angle bisectors of
     the two diagonal points of a quadrilateral.
 
@@ -241,9 +248,8 @@ def steiner_quintuples(
     vertex bisectors; all five are collinear for every nondegenerate
     quadrilateral.
     """
-    config = _bisector_config(QuadrilateralConfig, points, backend or float_backend())
-    triples = free_quadrilateral_triples(config)
-    return [[*triples[i - 1], *triples[j - 1][1:]] for i, j in _QUINTUPLES]
+    quintuples, back = _quintuples(points, float_backend())
+    return [[Point(*back(p)) for p in quint] for quint in quintuples]
 
 
 def steiner_add_11_check(
@@ -257,12 +263,12 @@ def steiner_add_11_check(
     (almost parallel sides or bisectors) do not blow it up.
     """
     be = backend or float_backend()
-    booleans = {}
-    residuals = {}
-    for idx, quint in enumerate(steiner_quintuples(points, be), start=1):
+    booleans, residuals = {}, {}
+    for idx, quint in enumerate(_quintuples(points, be)[0], start=1):
         booleans[f"quintuple_{idx}"] = all_collinear(quint, be)
         residuals[f"quintuple_{idx}"] = max(
-            _relative(*collinearity_residual(*t)) for t in combinations(quint, 3)
+            abs(v) / max(1.0, s)
+            for v, s in (collinearity_residual(*t) for t in combinations(quint, 3))
         )
     return TheoremReport(
         theorem="steiner-add-11", booleans=booleans, residuals=residuals
@@ -278,7 +284,8 @@ def bisector_gon(
     choice: Sequence[str] | None = None,
     backend: Backend | None = None,
 ) -> CevaGon:
-    """Cevian gon whose line at each vertex is the chosen bisector.
+    """Cevian gon whose line at each vertex is the chosen bisector,
+    built at the backend (default float_backend()).
 
     choice gives "internal" or "external" per vertex; None means all
     internal.
@@ -302,26 +309,20 @@ def bisector_pseudo_concurrency(
     points: Sequence[EuclideanPoint],
     choice: Sequence[str] | None = None,
     order="first",
-    backend: Backend | None = None,
 ) -> bool:
     """Pseudo-concurrency verdict for the chosen bisectors of an n-gon,
-    at the backend (default float_backend()).
+    at float_backend().
 
     Internal bisectors of any n-gon pass; so does any choice with an
     even number of external bisectors.  An odd count carries no
     guarantee either way.
     """
-    be = backend or float_backend()
-    verdict, _ = is_pseudo_concurrent(bisector_gon(points, choice, be), order, be)
-    return verdict
+    gon = bisector_gon(points, choice)
+    return is_pseudo_concurrent(gon, order, float_backend())[0]
 
 
 def bisector_product(
-    points: Sequence[EuclideanPoint],
-    choice: Sequence[str] | None = None,
-    backend: Backend | None = None,
+    points: Sequence[EuclideanPoint], choice: Sequence[str] | None = None
 ) -> float:
-    """Cevian ratio product of the chosen bisectors, at the backend
-    (default float_backend())."""
-    be = backend or float_backend()
-    return ceva_product(bisector_gon(points, choice, be), be)
+    """Cevian ratio product of the chosen bisectors, at float_backend()."""
+    return ceva_product(bisector_gon(points, choice), float_backend())

@@ -14,14 +14,14 @@ the no-three-collinear check, the per-vertex pencil test (which
 HarmonicPencil runs too), complete, JSON and the backend sniff.  At
 vertex i both test the pencil whose first two lines are the sides from
 vertex i-1 and to vertex i+1; each kind keeps its own side numbering
-and its own messages.  A float coordinate in the vertices or lines
-selects float_backend(), and the collinear check, the pencil test and
-complete's fourth harmonic lines all run at the sniffed backend.
+and its own messages.  A config checks at the backend it is given,
+else, as complete builds, at float_backend() if a coordinate is a
+float and at EXACT if none is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import ClassVar, Sequence
@@ -83,8 +83,7 @@ class HarmonicPencil:
 
     @classmethod
     def complete(cls, vertex: Point, a1: Line, a2: Line, g: Line) -> "HarmonicPencil":
-        """Pencil with the fourth line filled in harmonically, at the
-        backend the pencil validates with."""
+        """Pencil with the fourth line filled in harmonically."""
         be = _backend_of(vertex, a1, a2, g)
         return cls(vertex, a1, a2, g, fourth_harmonic_line(vertex, a1, a2, g, be))
 
@@ -192,21 +191,22 @@ class _PolygonConfig:
     collinear, and at vertex i the harmonic pencil (side from vertex
     i-1, side to vertex i+1; g_i, h_i).
 
-    Each subclass declares its three fields (vertices, g, h), its vertex
-    count, its JSON kind, the message for a collinear vertex triple,
-    and its own side numbering.  The sides are joined once per config
-    (complete hands the ones it built to the config) and kept in sides.
+    Each subclass declares its fields (vertices, g, h and the InitVar
+    backend), its vertex count, its JSON kind, the message for a
+    collinear vertex triple, and its own side numbering.  complete
+    checks the vertices, joins the sides and hands them to the config.
     """
 
     _n: ClassVar[int]
     _kind: ClassVar[str]
     _collinear_message: ClassVar[str]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, backend: Backend | None) -> None:
         v = self.vertices
         self._check_count(v, self.g, self.h)
-        be = _backend_of(*v, *self.g, *self.h)
-        self._check_vertices(v, be)
+        be = backend or _backend_of(*v, *self.g, *self.h)
+        if "sides" not in self.__dict__:  # complete checked before joining
+            self._check_vertices(v, be)
         sides = self.sides
         for i in range(len(v)):
             where = f"vertex {i + 1}"
@@ -216,11 +216,7 @@ class _PolygonConfig:
     def complete(
         cls, vertices: Sequence[Point], g: Sequence[Line]
     ) -> "_PolygonConfig":
-        """Config with each h_i filled in as the fourth harmonic line.
-
-        Vertices with a collinear triple are rejected before the sides
-        are built, and h is constructed at the backend the config is
-        then validated with."""
+        """Config with each h_i filled in as the fourth harmonic line."""
         v = tuple(vertices)
         cls._check_count(v, g)
         be = _backend_of(*v, *g)
@@ -232,7 +228,7 @@ class _PolygonConfig:
         )
         config = cls.__new__(cls)
         config.__dict__["sides"] = sides
-        config.__init__(v, tuple(g), h)
+        config.__init__(v, tuple(g), h, be)
         return config
 
     @cached_property
@@ -284,6 +280,7 @@ class TriangleConfig(_PolygonConfig):
     vertices: tuple[Point, Point, Point]
     g: tuple[Line, Line, Line]
     h: tuple[Line, Line, Line]
+    backend: InitVar[Backend | None] = None
 
     _n = 3
     _kind = "triangle"
@@ -322,11 +319,12 @@ def concurrency_triples(t: TriangleConfig) -> dict[str, tuple[Line, Line, Line]]
     """The four line triples whose concurrencies stand or fall together,
     by name: g1_g2_g3, then g{i}_h{i+1}_h{i+2} for i = 1, 2, 3."""
     g, h = t.g, t.h
-    triples = {"g1_g2_g3": (g[0], g[1], g[2])}
-    for i in range(3):
-        j, k = _cyc(i + 1, 3), _cyc(i + 2, 3)
-        triples[f"g{i + 1}_h{j + 1}_h{k + 1}"] = (g[i], h[j], h[k])
-    return triples
+    return {
+        "g1_g2_g3": (g[0], g[1], g[2]),
+        "g1_h2_h3": (g[0], h[1], h[2]),
+        "g2_h3_h1": (g[1], h[2], h[0]),
+        "g3_h1_h2": (g[2], h[0], h[1]),
+    }
 
 
 def triangle_concurrency_transfer(
@@ -390,6 +388,7 @@ class QuadrilateralConfig(_PolygonConfig):
     vertices: tuple[Point, Point, Point, Point]
     g: tuple[Line, Line, Line, Line]
     h: tuple[Line, Line, Line, Line]
+    backend: InitVar[Backend | None] = None
 
     _n = 4
     _kind = "quadrilateral"

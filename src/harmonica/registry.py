@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bisectors import (
-    bisector_product,
-    bisector_pseudo_concurrency,
+    bisector_gon,
     steiner_add_11_check,
     triangle_bisector_concurrencies,
 )
@@ -188,13 +187,13 @@ def _check_steiner_add_11(config, backend, order):
 
 
 def _check_bisectors_ngon(config, backend, order):
-    points, choice = config["points"], config["choice"]
-    verdict = bisector_pseudo_concurrency(points, choice, order, backend)
-    product = bisector_product(points, choice, backend)
+    # one gon for both the verdict and the product
+    gon = bisector_gon(config["points"], config["choice"], backend)
+    verdict, _ = is_pseudo_concurrent(gon, order, backend)
     return verdict, {
         "pseudo_concurrent": verdict,
-        "product": product,
-        "externals": sum(1 for c in choice if c == "external"),
+        "product": ceva_product(gon, backend),
+        "externals": sum(1 for c in config["choice"] if c == "external"),
     }
 
 

@@ -250,6 +250,39 @@ class TestTriangleCenters:
             assert report.all_true(), (pts, report.residuals)
         assert raised <= 5
 
+    def test_thin_triangle_follows_the_backend_passed(self):
+        # the backend reaches the config, so one tolerance decides
+        report = triangle_bisector_concurrencies(
+            *THIN_TRIANGLE, backend=float_backend(1e-6)
+        )
+        assert report.all_true()
+        with pytest.raises(GeometryError):
+            triangle_bisector_concurrencies(*THIN_TRIANGLE, backend=float_backend())
+
+    @pytest.mark.parametrize(
+        "shape, incenter_at",
+        [(((0, 0), (4, 0), (0, 3)), (1, 1)), (((0, 0), (1, 0), (0, 1)), None)],
+    )
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_moved_and_scaled_triangles_pass(self, shape, incenter_at, offset, scale):
+        pts = [E(x * scale + offset, y * scale + offset) for x, y in shape]
+        report = triangle_bisector_concurrencies(*pts)
+        assert report.all_true(), report.residuals
+        if incenter_at is not None:
+            ix, iy = report.witness["incenter"]
+            for got, want in ((ix, incenter_at[0]), (iy, incenter_at[1])):
+                want = want * scale + offset
+                assert abs(got - want) <= 1e-9 * max(scale, abs(want))
+
+    def test_residuals_stay_at_roundoff_when_moved_and_scaled(self):
+        base = triangle_bisector_concurrencies(E(0, 0), E(4, 0), E(0, 3))
+        moved = triangle_bisector_concurrencies(
+            E(1e5, 1e5), E(1e5 + 4e-5, 1e5), E(1e5, 1e5 + 3e-5)
+        )
+        for name, value in moved.residuals.items():
+            assert value <= 1e-12 and base.residuals[name] <= 1e-12
+
     def test_collinear_triangle_rejected(self):
         # the angle at each vertex is flat, so its bisectors are
         # undefined before the triangle's config is built
@@ -277,6 +310,24 @@ class TestSteinerQuintuples:
         quints = steiner_quintuples(quad)
         assert len(quints) == 4
         assert all(len(q) == 5 for q in quints)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_moved_and_scaled_quadrilaterals_pass(self, offset, scale):
+        shape = ((0, 0), (3, 0), (4, 3), (0, 4))
+        quad = [E(x * scale + offset, y * scale + offset) for x, y in shape]
+        report = steiner_add_11_check(quad)
+        assert report.all_true(), report.residuals
+
+    def test_quintuples_are_in_the_input_frame(self):
+        # the checks run on a unit-size copy; the quintuples returned
+        # are mapped back, so the first member of the first one is the
+        # meet of sides 12 and 34 of the input
+        quad = [E(100, 100), E(103, 100), E(104, 103), E(100, 104)]
+        a5 = steiner_quintuples(quad)[0][0]
+        # side 12 is y = 100, and side 34 meets it at x = 100 + 4 * 4
+        assert abs(a5.x / a5.w - 116) <= 1e-9
+        assert abs(a5.y / a5.w - 100) <= 1e-9
 
     def test_near_parallel_sides_still_pass(self):
         # a12 and a34 nearly parallel: the diagonal point sits far out

@@ -329,6 +329,19 @@ class TestFloatComplete:
             pencil = HarmonicPencil.complete(v, a1, a2, g)
             assert is_harmonic_pencil(pencil.vertex, *pencil.lines, be)
 
+    def test_config_checks_at_the_backend_given(self):
+        rng = Random(71)
+        v = tuple(float_point(rng) for _ in range(3))
+        config = TriangleConfig.complete(v, tuple(join(p, float_point(rng)) for p in v))
+        # each h turned about its vertex by 1e-6 radians
+        h = []
+        for p, l in zip(v, config.h):
+            a, b = l.a - 1e-6 * l.b, l.b + 1e-6 * l.a
+            h.append(Line(a, b, -(a * p.x + b * p.y) / p.w))
+        with pytest.raises(DegenerateInput):
+            TriangleConfig(v, config.g, tuple(h))
+        TriangleConfig(v, config.g, tuple(h), float_backend(1e-3))
+
     def test_thin_float_triangle_is_collinear_at_the_float_tolerance(self):
         v = (Point(0.0, 0.0, 1.0), Point(1.0, 1e-13, 1.0), Point(2.0, 0.0, 1.0))
         g = tuple(join(p, Point(0.5, 3.0, 1.0)) for p in v)
