@@ -263,9 +263,17 @@ def cmd_gen(args) -> int:
 # plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own swallows an OSError; a closed reader must reach main
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmonica",
         description="exact projective geometry: verify theorems, check"
         " scenes, reduce polygons, render figures",
@@ -322,11 +330,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit:  # after --help: a closed reader fails here, in main
-            sys.stdout.flush()
-            raise
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)

@@ -5,13 +5,14 @@ scale factor.  A point (x : y : w) with w != 0 is the affine point
 (x/w, y/w); points with w == 0 lie on the line at infinity.  A line
 (a : b : c) consists of the points with a*x + b*y + c*w == 0.
 
-Every construction is generic over the scalar type.  With int or
-fractions.Fraction coordinates all predicates are exact; with float
-coordinates they accept a tolerance-carrying backend.  Constructed
-triples are reduced (integer content divided out, or floats scaled to
-unit max-norm) so coordinates stay small through deep constructions,
-but equality is always the proportionality test, never a canonical
-form comparison.
+Each backend decides its zero tests in one place: ExactBackend by
+== 0, FloatBackend at a relative tolerance.  Called without one, a
+function decides in the data's lane: float_backend() if a coordinate
+is a float, else EXACT.  join, meet, == and, under EXACT, the
+predicates and the gon reductions only add, multiply and compare with
+0, so they run over any exact commutative ring, polynomials included.
+Constructed triples are reduced to keep coordinates small, but
+equality is the proportionality test, never a form comparison.
 
 Points and lines are duals (dualize swaps them, keeping the triple),
 and each dual pair has one body.  Point and Line share a private base
@@ -24,24 +25,24 @@ harmonic_conjugate and fourth_harmonic_line share the
 chart-and-bracket combination and differ only in how they check their
 input.
 
-Each exact point and line also keeps an integer form, computed once
-when it is built: the primitive int triple that is a positive multiple
-of its coordinates (an int triple is its own integer form; a triple
-with a float has none).  join, meet, ==, incident, collinear,
-concurrent and coincide, and the ratio kernel (signed_ratio,
-cross_ratio_points, cross_ratio_lines, harmonic_conjugate and
-fourth_harmonic_line), compute on integer forms whenever every operand
-has one and the zero test is exact, so the exact lane multiplies ints,
-not Fractions.  A positive factor changes no zero or proportionality
-test, no sign and no comparison of absolute values that picks a
-chart.  A signed ratio or cross-ratio is of degree 0 in each operand,
-so it is the same Fraction; a cross product or harmonic fourth is a
-positive multiple of the one on the coordinates, which _tidy maps to
-the same primitive triple.  So verdicts, values and constructed
-triples are those of the given coordinates.  Anything else computes
-on the coordinates as given: float arithmetic, tolerance tests (whose
-max(1, scale) floor is not scale-free), and .triple, repr, to_json and
-the *_residual values.
+Each point and line with int or Fraction coordinates also keeps an
+integer form, computed once when it is built: the primitive int triple
+that is a positive multiple of its coordinates (an int triple is its
+own integer form; a triple with a float or any other scalar has none).
+join, meet, ==, incident, collinear, concurrent and coincide, and the
+ratio kernel (signed_ratio, cross_ratio_points, cross_ratio_lines,
+harmonic_conjugate and fourth_harmonic_line), compute on integer forms
+whenever every operand has one and the zero test is exact, so the
+exact lane multiplies ints, not Fractions.  A positive factor changes
+no zero or proportionality test, no sign and no comparison of absolute
+values that picks a chart.  A signed ratio or cross-ratio is of degree
+0 in each operand, so it is the same Fraction; a cross product or
+harmonic fourth is a positive multiple of the one on the coordinates,
+which _tidy maps to the same primitive triple.  So verdicts, values
+and constructed triples are those of the given coordinates.  Anything
+else computes on the coordinates as given: float arithmetic, tolerance
+tests (whose max(1, scale) floor is not scale-free), and .triple,
+repr, to_json and the *_residual values.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
+_RATIONAL = (int, Fraction)
 
 DEFAULT_EPS = 1e-9
 EPS_ENV_VAR = "HARMONICA_EPS"
@@ -127,9 +129,10 @@ def eps_from_env(default: float = DEFAULT_EPS) -> float:
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Predicate backend for int / Fraction coordinates."""
+    """Decides each test by == 0 on ring operations alone, so over any
+    exact commutative ring; zero ignores the scale it is given."""
 
-    kind: str = "exact"
+    kind: ClassVar[str] = "exact"
 
     def zero(self, value: Scalar, scale: Scalar = 1) -> bool:
         return value == 0
@@ -137,23 +140,42 @@ class ExactBackend:
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return a == b
 
+    def incident(self, l, p) -> bool:
+        return l[0] * p[0] + l[1] * p[1] + l[2] * p[2] == 0
+
+    def dependent(self, p, q, r) -> bool:
+        return _det3(p, q, r) == 0
+
+    def proportional(self, p, q) -> bool:
+        return _proportional(p, q)
+
 
 @dataclass(frozen=True)
 class FloatBackend:
-    """Predicate backend with relative tolerance for float coordinates.
-
-    A residual r is considered zero at scale s when
-    abs(r) <= eps * max(1, abs(s)).
-    """
+    """Decides each test at relative tolerance: a residual r is zero at
+    scale s when abs(r) <= eps * max(1, abs(s)), s the sum of the terms'
+    absolute values for an incidence, their permanent for a determinant
+    and the product of the max-norms for a proportionality."""
 
     eps: float = DEFAULT_EPS
-    kind: str = "float"
+    kind: ClassVar[str] = "float"
 
     def zero(self, value: Scalar, scale: Scalar = 1) -> bool:
         return abs(value) <= self.eps * max(1.0, abs(scale))
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return self.zero(a - b, max(abs(a), abs(b)))
+
+    def incident(self, l, p) -> bool:
+        value, scale = _incidence(l, p)
+        return abs(value) <= self.eps * max(1.0, scale)
+
+    def dependent(self, p, q, r) -> bool:
+        return abs(_det3(p, q, r)) <= self.eps * max(1.0, _det3_scale(p, q, r))
+
+    def proportional(self, p, q) -> bool:
+        bound = self.eps * max(1.0, max(map(abs, p)) * max(map(abs, q)))
+        return all(abs(v) <= bound for v in _cross(p, q))
 
 
 Backend = Union[ExactBackend, FloatBackend]
@@ -175,9 +197,9 @@ def _is_float(*values: Scalar) -> bool:
 
 
 def _backend_of(*objs) -> Backend:
-    """The float backend if a coordinate of the points or lines is a
-    float (exactly when one has no integer form), else EXACT."""
-    if any(o._form is None for o in objs):
+    """The data's lane, which backend=None selects: the float backend if
+    a coordinate of the points or lines is a float, else EXACT."""
+    if any(o._form is None and _is_float(*o.triple) for o in objs):
         return float_backend()
     return EXACT
 
@@ -203,7 +225,22 @@ def _tidy(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
         if m == 0 or not math.isfinite(m):
             return x, y, z
         return x / m, y / m, z / m
-    # ints and Fractions both carry numerator and denominator
+    return _integer_form(x, y, z) or (x, y, z)
+
+
+def _integer_form(x: Scalar, y: Scalar, z: Scalar) -> tuple[int, int, int] | None:
+    """Primitive int triple that is a positive multiple of an exact triple.
+
+    An int triple is returned as it is; a triple with a float, or with a
+    scalar that is neither an int nor a Fraction, has no integer form.
+    """
+    tx, ty, tz = type(x), type(y), type(z)
+    if tx is int and ty is int and tz is int:
+        return (x, y, z)
+    if tx is float or ty is float or tz is float or not (
+        isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL) and isinstance(z, _RATIONAL)
+    ):
+        return None
     dx, dy, dz = x.denominator, y.denominator, z.denominator
     lcm = math.lcm(dx, dy, dz)
     ix, iy, iz = (
@@ -215,22 +252,6 @@ def _tidy(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
     if g > 1:
         ix, iy, iz = ix // g, iy // g, iz // g
     return ix, iy, iz
-
-
-def _integer_form(
-    x: Scalar, y: Scalar, z: Scalar
-) -> tuple[int, int, int] | None:
-    """Primitive int triple that is a positive multiple of an exact triple.
-
-    An int triple is returned as it is; a triple with a float has no
-    integer form.
-    """
-    tx, ty, tz = type(x), type(y), type(z)
-    if tx is int and ty is int and tz is int:
-        return (x, y, z)
-    if tx is float or ty is float or tz is float or _is_float(x, y, z):
-        return None
-    return _tidy(x, y, z)
 
 
 # The triples a kernel computation runs on: the integer forms when the
@@ -452,8 +473,7 @@ def incidence_residual(l: Line, p: Point) -> tuple[Scalar, Scalar]:
 
 
 def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:
-    value, scale = _incidence(*_pair_operands(l, p, backend))
-    return backend.zero(value, scale)
+    return backend.incident(*_pair_operands(l, p, backend))
 
 
 def collinearity_residual(
@@ -479,24 +499,16 @@ def collinear(
 
     A triple with two equal members counts.
     """
-    t = _trio_operands(p, q, r, backend)
-    return backend.zero(_det3(*t), _det3_scale(*t))
+    return backend.dependent(*_trio_operands(p, q, r, backend))
 
 
 concurrent = collinear
 
 
 def coincide(a: _Element, b: _Element, backend: Backend = EXACT) -> bool:
-    """Projective equality of two points or two lines at the backend's
-    tolerance.
-
-    Under the exact backend this is a == b; under a float backend each
-    component of the cross product is zero at the scale of the product
-    of the two triples' max-norms.
-    """
-    t, u = _pair_operands(a, b, backend)
-    scale = max(abs(v) for v in t) * max(abs(v) for v in u)
-    return all(backend.zero(v, scale) for v in _cross(t, u))
+    """Projective equality of two points or two lines at the backend:
+    under the exact backend this is a == b."""
+    return backend.proportional(*_pair_operands(a, b, backend))
 
 
 def all_collinear(objs: Sequence[_Element], backend: Backend = EXACT) -> bool:
@@ -579,7 +591,7 @@ def cross_ratio_points(
     if carrier == (0, 0, 0):
         raise CoincidentPoints("cross-ratio needs a != b")
     for p, tp in ((c, t[2]), (d, t[3])):
-        if not backend.zero(*_incidence(carrier, tp)):
+        if not backend.incident(carrier, tp):
             raise NotCollinear(f"{p} is not on the carrier line")
     k = _chart_index(carrier)
     return _cross_ratio_brackets(t, k)
@@ -600,7 +612,7 @@ def cross_ratio_lines(
     """
     tv, *t = _operands(backend, vertex, g1, g2, g3, g4)
     for g, tg in zip((g1, g2, g3, g4), t):
-        if not backend.zero(*_incidence(tg, tv)):
+        if not backend.incident(tg, tv):
             raise NotConcurrent(f"{g} does not pass through {vertex}")
     if _proportional(t[0], t[1]):
         raise CoincidentLines("cross-ratio needs g1 != g2")
@@ -662,7 +674,7 @@ def signed_ratio(
     carrier = _cross(ta, tb)
     if carrier == (0, 0, 0):
         raise CoincidentPoints("signed ratio needs a != b")
-    if not backend.zero(*_incidence(carrier, td)):
+    if not backend.incident(carrier, td):
         raise NotCollinear(f"{d} is not on the line through the endpoints")
     ca, cb, cc = carrier
     if ca == 0 and cb == 0:
@@ -735,7 +747,7 @@ def harmonic_conjugate(
     carrier = _cross(ta, tb)
     if carrier == (0, 0, 0):
         raise CoincidentPoints("harmonic conjugate needs a != b")
-    if not backend.zero(*_incidence(carrier, tx)):
+    if not backend.incident(carrier, tx):
         raise NotCollinear(f"{x} is not on the line through the base points")
     k = _chart_index(carrier)
     message = "harmonic conjugate needs x distinct from a and b"
@@ -748,7 +760,7 @@ def fourth_harmonic_line(
     """Fourth line h of the pencil at vertex with (a, b; g, h) == -1."""
     tv, *t = _operands(backend, vertex, a, b, g)
     for l, tl in zip((a, b, g), t):
-        if not backend.zero(*_incidence(tl, tv)):
+        if not backend.incident(tl, tv):
             raise NotConcurrent(f"{l} does not pass through {vertex}")
     if _proportional(t[0], t[1]):
         raise CoincidentLines("fourth harmonic needs a != b")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 from .core import (
@@ -51,8 +52,8 @@ from .core import (
     Line,
     Point,
     Scalar,
+    _det3,
     all_collinear,
-    collinearity_residual,
     cross_ratio_lines,
     cross_ratio_points,
     format_scalar,
@@ -833,8 +834,7 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
         passed = all_collinear(objs, backend)
         detail = ""
         if not passed:
-            value, _ = _worst_triple(objs)
-            detail = f"witness determinant {format_scalar(value)}"
+            detail = f"witness determinant {format_scalar(_worst_triple(objs))}"
         return AssertionResult(index, line, st.kind, passed, detail)
     if isinstance(st, AssertHarmonic):
         a, b, x, y = (env[n] for n in (st.a, st.b, st.x, st.y))
@@ -892,13 +892,6 @@ def _assertion_gon(st: AssertPseudo | AssertProduct, env: dict):
 
 
 def _worst_triple(objs):
-    # the three points (or lines) with the largest determinant
-    worst = None
-    for i in range(len(objs)):
-        for j in range(i + 1, len(objs)):
-            for k in range(j + 1, len(objs)):
-                value, scale = collinearity_residual(objs[i], objs[j], objs[k])
-                key = abs(value)
-                if worst is None or key > worst[0]:
-                    worst = (key, value, scale)
-    return worst[1], worst[2]
+    # the largest |determinant| of three of the points (or lines), first on a tie
+    triples = combinations([o.triple for o in objs], 3)
+    return max((_det3(*t) for t in triples), key=abs)

@@ -11,12 +11,11 @@ so that positive and negative configurations go through the same code.
 TriangleConfig and QuadrilateralConfig share one body, the way
 reduction._Gon serves both gon kinds: the vertex and line count check,
 the no-three-collinear check, the per-vertex pencil test (which
-HarmonicPencil runs too), complete, JSON and the backend sniff.  At
-vertex i both test the pencil whose first two lines are the sides from
-vertex i-1 and to vertex i+1; each kind keeps its own side numbering
-and its own messages.  A config checks at the backend it is given,
-else, as complete builds, at float_backend() if a coordinate is a
-float and at EXACT if none is.
+HarmonicPencil runs too), complete and JSON.  At vertex i both test
+the pencil whose first two lines are the sides from vertex i-1 and to
+vertex i+1; each kind keeps its own side numbering and its own
+messages.  A config checks at the backend it is given, else, as
+complete builds, in the data's lane (core._backend_of).
 """
 
 from __future__ import annotations
@@ -633,13 +632,10 @@ def _divide_segment(a: Point, b: Point, t: Scalar) -> Point:
 # quadruples with equal cross-ratio, generalized Pappus, Desargues
 
 
-def _check_carrier(
-    points: Sequence[Point], what: str, backend: Backend | None = None
-) -> Line:
-    be = backend or _backend_of(*points)
+def _check_carrier(points: Sequence[Point], what: str, backend: Backend) -> Line:
     base = join(points[0], points[1])
     for p in points[2:]:
-        if not incident(base, p, be):
+        if not incident(base, p, backend):
             raise DegenerateInput(f"{what} must be collinear")
     return base
 

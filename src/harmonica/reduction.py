@@ -289,11 +289,11 @@ def ceva_reduce_step(gon: CevaGon, i: int) -> CevaGon:
     The pair is replaced by the meet of its two outer sides; the new
     cevian joins the new vertex to the crossing of the two removed
     cevians.  All other vertices and cevians carry over.  Only the new
-    vertex and cevian are validated, since everything else was already
-    validated in the input gon; a degenerate result raises
-    DegenerateStep.
+    vertex and cevian are validated, in the data's lane, since
+    everything else was already validated in the input gon; a
+    degenerate result raises DegenerateStep.
     """
-    gon2, _ = _ceva_step_traced(gon, i, _verdict_backend(gon, None))
+    gon2, _ = _ceva_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items))
     return gon2
 
 
@@ -350,11 +350,11 @@ def menelaos_reduce_step(gon: MenelaosGon, i: int) -> MenelaosGon:
 
     The cut on the merged side is the meet of that side with the line
     through the two removed cuts; all other vertices and cuts carry
-    over with their cyclic positions.  Only the new cut is validated,
-    since everything else was already validated in the input gon; a
-    degenerate result raises DegenerateStep.
+    over with their cyclic positions.  Only the new cut is validated, in
+    the data's lane, since everything else was already validated in the
+    input gon; a degenerate result raises DegenerateStep.
     """
-    gon2, _ = _menelaos_step_traced(gon, i, _verdict_backend(gon, None))
+    gon2, _ = _menelaos_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items))
     return gon2
 
 
@@ -484,12 +484,6 @@ class ReductionTrace:
 # drivers
 
 
-def _verdict_backend(gon, backend: Backend | None) -> Backend:
-    if backend is not None:
-        return backend
-    return _backend_of(*gon.vertices, *gon.items)
-
-
 def _run_reduction(
     gon: CevaGon | MenelaosGon,
     indices: Sequence[int] | None,
@@ -586,7 +580,7 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
 
 
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
-    be = _verdict_backend(gon, backend)
+    be = backend or _backend_of(*gon.vertices, *gon.items)
     indices = _resolve_order(gon, order)
     # an n-gon has n!/6 orders (840 at n = 7, 6,720 at n = 8)
     if indices is None and gon.n > 7:
@@ -602,7 +596,8 @@ def is_pseudo_concurrent(
     order: "first" (always collapse the pair at index 1),
     "exhaustive" (run every order, n <= 7, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
-    1-based indices with one entry per step.
+    1-based indices with one entry per step.  backend None decides in
+    the data's lane (see harmonica.core).
 
     "exhaustive" reduces each prefix shared by several orders once.  It
     returns the trace of the lexicographically first non-degenerate
@@ -619,7 +614,7 @@ def is_pseudo_collinear(
 ) -> tuple[bool, ReductionTrace]:
     """Whether the side cuts reduce to a collinear triangle triple.
 
-    Accepts the same order strategies as is_pseudo_concurrent, and
+    Accepts the same orders and backend as is_pseudo_concurrent, and
     "exhaustive" likewise shares step prefixes between orders and
     returns the trace of the lexicographically first non-degenerate
     order.
@@ -634,7 +629,7 @@ def replay_trace(trace: ReductionTrace, backend: Backend | None = None) -> Reduc
     gon, or verdict differs from the recording, comparing canonical
     serializations so the check is exact.
     """
-    be = _verdict_backend(trace.start, backend)
+    be = backend or _backend_of(*trace.start.vertices, *trace.start.items)
     verdict, fresh = _run_reduction(trace.start, trace.indices, be)
     for old, new in zip(trace.steps, fresh.steps):
         if json.dumps(old.to_json(), sort_keys=True) != json.dumps(

@@ -702,12 +702,13 @@ def test_closed_stdout_exits_as_sigpipe_and_writes_no_stderr(argv, unbuffered):
     assert _run_into_closed_stdout(argv, unbuffered) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
-def test_help_into_closed_stdout_exits_as_sigpipe(argv):
-    # argparse prints the help and exits before any command runs; a
-    # buffered stdout holds the help until a flush.  (Unbuffered, the
-    # failed write is swallowed by argparse itself.)
-    assert _run_into_closed_stdout(argv, unbuffered=False) == (141, b"")
+def test_help_into_closed_stdout_exits_as_sigpipe(argv, unbuffered):
+    # argparse prints the help and exits before any command runs; the
+    # help's write (unbuffered) or its flush (buffered) meets the closed
+    # reader inside main.
+    assert _run_into_closed_stdout(argv, unbuffered) == (141, b"")
 
 
 def _run_into_closed_stdout(argv, unbuffered: bool) -> tuple[int, bytes]:
