@@ -17,21 +17,22 @@ that parses can only fail for geometric reasons.  Construction
 arguments are plain identifiers: intermediate objects get names, which
 keeps scenes readable next to the figures they describe.
 
-Points and lines are duals, and the AST writes each dual pair once.
-A declaration is one node, Decl, whose kind is "point" or "line"; a
-coordinate literal is its plain triple, and the declaration's kind
-picks Point or Line and whether the affine (x, y) spelling is read.
-An incidence assertion is one node, AssertIncidence, whose kind is its
-keyword, "collinear" (of points) or "concurrent" (of lines).  The gon
-assertions AssertPseudo and AssertProduct carry the gon kind, "ceva"
-(one line per vertex) or "menelaos" (one cut point per vertex).
+Every construction and every fixed-shape assertion is a call, and each
+call is one row of the _CALLS table: its keyword, what it makes (a
+point, a line or an assertion), its argument kinds and the function
+that evaluates it.  The parser, the formatter, the evaluator and the
+reserved words all read that table, so a new construction is one row
+plus its line in README's grammar.  The dual predicates collinear (of
+points) and concurrent (of lines) are two rows with one evaluator.
 
-The syntax of each fixed-shape call (meet, conjugate, join,
-fourth_harmonic, complete_fourth_line, cr_equal) is written once, in
-the _CALLS table: its keyword, what it makes, its AST node and its
-argument kinds.  The parser, the formatter and the reserved words all
-read that table, so adding a construction means adding one row, one
-AST class and one evaluator branch.
+The AST has five nodes.  Decl declares a point or a line: its kind
+picks Point or Line and whether the affine (x, y) spelling is read, and
+its expression is a coordinate triple or a Call.  GonDecl declares a
+gon.  Call is one call of a _CALLS row, a construction inside a Decl
+or an assertion on its own.  The gon assertions AssertPseudo and
+AssertProduct carry the gon kind, "ceva" (one line per vertex) or
+"menelaos" (one cut point per vertex), and their order or target
+clause.
 
 format_scene is the inverse of parse on ASTs: parse(format_scene(ast))
 returns an equal AST.  Comments (# to end of line) survive parsing but
@@ -40,10 +41,10 @@ not formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Union
 
 from .core import (
     EXACT,
@@ -186,36 +187,13 @@ _NOPOS: Pos = (0, 0)
 
 
 @dataclass(frozen=True)
-class Join:
-    a: str
-    b: str
+class Call:
+    """A call of the _CALLS row named by keyword, with one argument per
+    slot of the row: a name, or a tuple of names for a counted slot."""
 
-
-@dataclass(frozen=True)
-class Meet:
-    a: str
-    b: str
-
-
-@dataclass(frozen=True)
-class Conjugate:
-    a: str
-    b: str
-    x: str
-
-
-@dataclass(frozen=True)
-class FourthHarmonic:
-    vertex: str
-    a: str
-    b: str
-    g: str
-
-
-@dataclass(frozen=True)
-class CompleteFourthLine:
-    vertices: tuple[str, str, str, str]
-    lines: tuple[str, str, str]
+    keyword: str
+    args: tuple[Union[str, tuple[str, ...]], ...]
+    pos: Pos = field(default=_NOPOS, compare=False)
 
 
 @dataclass(frozen=True)
@@ -223,11 +201,8 @@ class Decl:
     kind: str  # "point" | "line"
     name: str
     # a coordinate literal is its homogeneous triple; any other
-    # expression is the node of a _CALLS row that makes this kind
-    expr: Union[
-        tuple[Scalar, Scalar, Scalar],
-        Meet, Conjugate, Join, FourthHarmonic, CompleteFourthLine,
-    ]
+    # expression is a Call of a _CALLS row that makes this kind
+    expr: Union[tuple[Scalar, Scalar, Scalar], Call]
     pos: Pos = field(default=_NOPOS, compare=False)
 
 
@@ -235,30 +210,6 @@ class Decl:
 class GonDecl:
     name: str
     vertices: tuple[str, ...]
-    pos: Pos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertIncidence:
-    kind: str  # "collinear" (of points) | "concurrent" (of lines)
-    names: tuple[str, ...]
-    pos: Pos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertHarmonic:
-    a: str
-    b: str
-    x: str
-    y: str
-    kind: str  # "point" | "line"
-    pos: Pos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertCrEqual:
-    first: tuple[str, str, str, str]
-    second: tuple[str, str, str, str]
     pos: Pos = field(default=_NOPOS, compare=False)
 
 
@@ -283,15 +234,8 @@ class AssertProduct:
     pos: Pos = field(default=_NOPOS, compare=False)
 
 
-Statement = Union[
-    Decl,
-    GonDecl,
-    AssertIncidence,
-    AssertHarmonic,
-    AssertCrEqual,
-    AssertPseudo,
-    AssertProduct,
-]
+# a Call at the top level is an assertion
+Statement = Union[Decl, GonDecl, Call, AssertPseudo, AssertProduct]
 
 
 @dataclass(frozen=True)
@@ -303,46 +247,89 @@ class SceneAst:
 # syntax tables
 
 
-class _Call(NamedTuple):
+class _Row(NamedTuple):
     makes: str  # "point" | "line" | "assert"
-    node: type
-    # argument groups (separated by ";"), each a tuple of (kind, count)
-    # slots; count 0 fills one str field, count k > 0 one k-tuple field
-    groups: tuple[tuple[tuple[str, int], ...], ...]
+    # argument groups (separated by ";"), each a tuple of (kind, count,
+    # more) slots: count 0 is one name, count k > 0 a tuple of k names,
+    # or of k or more names when more is set
+    groups: tuple[tuple[tuple[str, int, bool], ...], ...]
+    # (one object, or list of objects, per slot, backend) -> the object
+    # made, or an assertion's (passed, detail)
+    evaluate: Callable
 
 
-def _groups(spec: str) -> tuple[tuple[tuple[str, int], ...], ...]:
-    """Read an argument spec: "point x4; line, line" becomes
-    ((("point", 4),), (("line", 0), ("line", 0)))."""
+def _groups(spec: str) -> tuple[tuple[tuple[str, int, bool], ...], ...]:
+    """Read an argument spec: "point x4; any, line x3+" becomes
+    ((("point", 4, False),), (("any", 0, False), ("line", 3, True)))."""
     groups = []
     for group in spec.split(";"):
         slots = []
         for slot in group.split(","):
             kind, _, count = slot.strip().partition(" x")
-            slots.append((kind, int(count or 0)))
+            slots.append((kind, int(count.rstrip("+") or 0), count.endswith("+")))
         groups.append(tuple(slots))
     return tuple(groups)
 
 
-# The fixed-shape calls: keyword, what the call makes, its AST node and
-# its argument kinds, one slot per node field in field order.  "point x4"
-# is four comma-separated points held in one tuple field.  The row order
-# is the order in which error messages list the alternatives.
+def _incidence(objs, backend: Backend):
+    # one body serves points (collinear) and lines (concurrent)
+    if all_collinear(objs, backend):
+        return True, ""
+    return False, f"witness determinant {format_scalar(_worst_triple(objs))}"
+
+
+def _worst_triple(objs):
+    # the largest |determinant| of three of the points (or lines), first on a tie
+    triples = combinations([o.triple for o in objs], 3)
+    return max((_det3(*t) for t in triples), key=abs)
+
+
+def _harmonic(a, b, x, y, backend: Backend):
+    if isinstance(a, Point):
+        cr = cross_ratio_points(a, b, x, y, backend)
+    else:
+        cr = cross_ratio_lines(meet(a, b), a, b, x, y, backend)
+    return backend.eq(cr, -1), f"cross-ratio {format_scalar(cr)}"
+
+
+def _cr_equal(first, second, backend: Backend):
+    cr1 = cross_ratio_points(*first, backend)
+    cr2 = cross_ratio_points(*second, backend)
+    return backend.eq(cr1, cr2), f"{format_scalar(cr1)} vs {format_scalar(cr2)}"
+
+
+# The calls: keyword, what the call makes, its argument kinds and its
+# evaluator.  A spec's groups are separated by ";" and a group's slots
+# by ",".  "point" is one point; "point x4" is four comma-separated
+# points held in one tuple; "point x3+" is three or more of them and
+# ends its group; "any" is a point or a line, and the first "any" fixes
+# that kind for the others.  An evaluator calls the kernel by its name
+# in this module, because bench/tracer.py counts calls by patching
+# those names.  The row order is the order in which error messages
+# list the alternatives.
 _CALLS = {
-    keyword: _Call(makes, node, _groups(spec))
-    for keyword, makes, node, spec in (
-        ("meet", "point", Meet, "line, line"),
-        ("conjugate", "point", Conjugate, "point, point; point"),
-        ("join", "line", Join, "point, point"),
-        ("fourth_harmonic", "line", FourthHarmonic, "point; line, line; line"),
-        ("complete_fourth_line", "line", CompleteFourthLine, "point x4; line x3"),
-        ("cr_equal", "assert", AssertCrEqual, "point x4; point x4"),
+    keyword: _Row(makes, _groups(spec), evaluate)
+    for keyword, makes, spec, evaluate in (
+        ("meet", "point", "line, line", lambda l, m, be: meet(l, m)),
+        (
+            "conjugate", "point", "point, point; point",
+            lambda a, b, x, be: harmonic_conjugate(a, b, x, be),
+        ),
+        ("join", "line", "point, point", lambda p, q, be: join(p, q)),
+        (
+            "fourth_harmonic", "line", "point; line, line; line",
+            lambda v, a, b, g, be: fourth_harmonic_line(v, a, b, g, be),
+        ),
+        (
+            "complete_fourth_line", "line", "point x4; line x3",
+            lambda vs, gs, be: complete_fourth_line(vs, *gs, backend=be),
+        ),
+        ("cr_equal", "assert", "point x4; point x4", _cr_equal),
+        ("collinear", "assert", "point x3+", _incidence),
+        ("concurrent", "assert", "line x3+", _incidence),
+        ("harmonic", "assert", "any, any; any, any", _harmonic),
     )
 }
-_CALL_OF = {call.node: keyword for keyword, call in _CALLS.items()}
-
-# The dual incidence predicates: keyword -> argument kind.
-_INCIDENCE = {"collinear": "point", "concurrent": "line"}
 
 # The dual gon predicates: keyword -> gon kind.  A Ceva gon takes one
 # line per vertex, a Menelaos gon one cut point.
@@ -410,19 +397,24 @@ class _Parser:
             self.fail(f"{tok.value!r} is a reserved word", tok)
         return self.advance()
 
-    def ident(self, want: Optional[str] = None) -> str:
+    def ident(self, want: str) -> str:
+        """A declared name of kind `want`; "any" is a point or a line."""
         tok = self.name()
         if tok.value not in self.symbols:
             raise UnknownIdentifier(tok.value, tok.line, tok.col)
-        if want is not None:
-            kind = self.symbols[tok.value]
-            label = kind[0] if isinstance(kind, tuple) else kind
-            if label != want:
+        kind = self.symbols[tok.value]
+        label = kind[0] if isinstance(kind, tuple) else kind
+        if want == "any":
+            if label not in ("point", "line"):
                 raise TypeMismatch(
-                    f"{tok.value!r} is a {label}, expected a {want}",
-                    tok.line,
-                    tok.col,
+                    f"{tok.value!r} is not a point or line", tok.line, tok.col
                 )
+        elif label != want:
+            raise TypeMismatch(
+                f"{tok.value!r} is a {label}, expected a {want}",
+                tok.line,
+                tok.col,
+            )
         return tok.value
 
     def fresh_name(self) -> tuple[str, _Token]:
@@ -439,19 +431,25 @@ class _Parser:
             names.append(self.ident(want))
         return names
 
+    def to_int(self, tok: _Token) -> int:
+        try:
+            return int(tok.value)
+        except ValueError as exc:  # past the interpreter's digit limit
+            self.fail(f"number too long: {exc}", tok)
+
     def rational(self) -> Scalar:
         tok = self.peek()
         if tok.kind != "number":
             self.found("a number", tok, ("number",))
         self.advance()
-        num = int(tok.value)
+        num = self.to_int(tok)
         if self.peek().value == "/":
             self.advance()
             den_tok = self.peek()
             if den_tok.kind != "number":
                 self.fail("expected a denominator", den_tok, ("number",))
             self.advance()
-            den = int(den_tok.value)
+            den = self.to_int(den_tok)
             if den == 0:
                 self.fail("denominator cannot be zero", den_tok)
             return Fraction(num, den)
@@ -462,7 +460,7 @@ class _Parser:
         if tok.kind != "number":
             self.fail("expected an integer", tok, ("number",))
         self.advance()
-        return int(tok.value)
+        return self.to_int(tok)
 
     # statements ------------------------------------------------------
 
@@ -500,22 +498,37 @@ class _Parser:
             )
         return self.call()
 
-    def call(self, pos: Optional[Pos] = None):
-        """A fixed-shape call, read as its _CALLS row spells it; an
-        assertion call passes the site of its 'assert'."""
-        call = _CALLS[self.advance().value]
+    def call(self, pos: Pos = _NOPOS) -> Call:
+        """A call, read as its _CALLS row spells it; an assertion call
+        passes the site of its 'assert'."""
+        keyword = self.advance().value
+        groups = _CALLS[keyword].groups
         args = []
-        for g, group in enumerate(call.groups):
-            self.punct(";" if g else "(")
-            for s, (kind, count) in enumerate(group):
+        fixed = "any"  # the kind of the first "any" argument, once read
+        self.punct("(")
+        for g, group in enumerate(groups):
+            for s, (want, count, more) in enumerate(group):
+                if want == "any":
+                    want = fixed
                 names = []
-                for k in range(count or 1):
+                for k in range(1 if more else count or 1):
                     if s or k:
                         self.punct(",")
-                    names.append(self.ident(kind))
+                    names.append(self.ident(want))
+                if more:
+                    names += self.more(want)
+                if want == "any":
+                    fixed = self.symbols[names[0]]
                 args.append(tuple(names) if count else names[0])
-        self.punct(")")
-        return call.node(*args) if pos is None else call.node(*args, pos=pos)
+            close = self.punct(";" if g + 1 < len(groups) else ")")
+            # a "k or more" slot ends its group: count it at the close
+            if more and len(names) < count:
+                raise TypeMismatch(
+                    f"{keyword} needs at least {count} arguments",
+                    close.line,
+                    close.col,
+                )
+        return Call(keyword, tuple(args), pos)
 
     def literal_triple(self, point: bool) -> tuple[Scalar, Scalar, Scalar]:
         self.punct("(")
@@ -563,37 +576,6 @@ class _Parser:
                 expected=tuple(sorted(_PREDICATES)),
             )
         return _PREDICATES[tok.value](self, (start.line, start.col))
-
-    def assert_incidence(self, pos: Pos) -> AssertIncidence:
-        which = self.advance().value
-        want = _INCIDENCE[which]
-        self.punct("(")
-        names = [self.ident(want)] + self.more(want)
-        close = self.punct(")")
-        if len(names) < 3:
-            raise TypeMismatch(
-                f"{which} needs at least 3 arguments", close.line, close.col
-            )
-        return AssertIncidence(which, tuple(names), pos=pos)
-
-    def assert_harmonic(self, pos: Pos) -> AssertHarmonic:
-        self.advance()
-        self.punct("(")
-        first_tok = self.peek()
-        a = self.ident()
-        kind = self.symbols[a]
-        if kind not in ("point", "line"):
-            raise TypeMismatch(
-                f"{a!r} is not a point or line", first_tok.line, first_tok.col
-            )
-        self.punct(",")
-        b = self.ident(kind)
-        self.punct(";")
-        x = self.ident(kind)
-        self.punct(",")
-        y = self.ident(kind)
-        self.punct(")")
-        return AssertHarmonic(a, b, x, y, kind=kind, pos=pos)
 
     def assert_gon(self, pos: Pos) -> AssertPseudo | AssertProduct:
         """The pseudo_ assertions (then an order clause) and the
@@ -644,8 +626,6 @@ _STATEMENTS = {
 
 # predicate keyword -> parser method, called with the site of 'assert'
 _PREDICATES = {
-    **dict.fromkeys(_INCIDENCE, _Parser.assert_incidence),
-    "harmonic": _Parser.assert_harmonic,
     **{k: _Parser.call for k, c in _CALLS.items() if c.makes == "assert"},
     **dict.fromkeys(_GON_PREDICATES, _Parser.assert_gon),
 }
@@ -672,18 +652,17 @@ def _format_literal(triple, affine: bool) -> str:
     return f"({a} : {b} : {c})"
 
 
-def _format_call(node) -> str:
-    """The text of a fixed-shape call, written as its _CALLS row spells it."""
-    keyword = _CALL_OF[type(node)]
-    values = (getattr(node, f.name) for f in fields(node) if f.name != "pos")
+def _format_call(call: Call) -> str:
+    """The text of a call, written as its _CALLS row spells it."""
+    values = iter(call.args)
     groups = []
-    for group in _CALLS[keyword].groups:
+    for group in _CALLS[call.keyword].groups:
         names = []
-        for _, count in group:
+        for _, count, _ in group:
             value = next(values)
             names.extend(value if count else (value,))
         groups.append(", ".join(names))
-    return f"{keyword}({'; '.join(groups)})"
+    return f"{call.keyword}({'; '.join(groups)})"
 
 
 def _format_order(order: Order) -> str:
@@ -707,13 +686,7 @@ def format_scene(ast: SceneAst) -> str:
             out.append(f"{st.kind} {st.name} = {expr}")
         elif isinstance(st, GonDecl):
             out.append(f"gon {st.name} = [{', '.join(st.vertices)}]")
-        elif isinstance(st, AssertIncidence):
-            out.append(f"assert {st.kind}({', '.join(st.names)})")
-        elif isinstance(st, AssertHarmonic):
-            out.append(
-                f"assert harmonic({st.a}, {st.b}; {st.x}, {st.y})"
-            )
-        elif type(st) in _CALL_OF:
+        elif isinstance(st, Call):
             out.append(f"assert {_format_call(st)}")
         elif isinstance(st, AssertPseudo):
             out.append(
@@ -804,60 +777,23 @@ def evaluate(ast: SceneAst, backend: Backend = EXACT) -> SceneReport:
 
 def _eval_expr(decl: Decl, env, backend: Backend):
     expr = decl.expr
-    if isinstance(expr, tuple):
-        cls = Point if decl.kind == "point" else Line
-        return cls(*(_to_backend_scalar(t, backend) for t in expr))
-    if isinstance(expr, Join):
-        return join(env[expr.a], env[expr.b])
-    if isinstance(expr, Meet):
-        return meet(env[expr.a], env[expr.b])
-    if isinstance(expr, Conjugate):
-        return harmonic_conjugate(
-            env[expr.a], env[expr.b], env[expr.x], backend
-        )
-    if isinstance(expr, FourthHarmonic):
-        return fourth_harmonic_line(
-            env[expr.vertex], env[expr.a], env[expr.b], env[expr.g], backend
-        )
-    if isinstance(expr, CompleteFourthLine):
-        vertices = tuple(env[v] for v in expr.vertices)
-        lines = tuple(env[l] for l in expr.lines)
-        return complete_fourth_line(vertices, *lines, backend=backend)
-    raise TypeError(f"not an expression: {expr!r}")
+    if isinstance(expr, Call):
+        return _eval_call(expr, env, backend)
+    cls = Point if decl.kind == "point" else Line
+    return cls(*(_to_backend_scalar(t, backend) for t in expr))
+
+
+def _eval_call(call: Call, env, backend: Backend):
+    """What a call makes, or an assertion call's (passed, detail)."""
+    args = [env[a] if type(a) is str else [env[n] for n in a] for a in call.args]
+    return _CALLS[call.keyword].evaluate(*args, backend)
 
 
 def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     line = st.pos[0]
-    if isinstance(st, AssertIncidence):
-        objs = [env[n] for n in st.names]
-        # one body serves points (collinear) and lines (concurrent)
-        passed = all_collinear(objs, backend)
-        detail = ""
-        if not passed:
-            detail = f"witness determinant {format_scalar(_worst_triple(objs))}"
-        return AssertionResult(index, line, st.kind, passed, detail)
-    if isinstance(st, AssertHarmonic):
-        a, b, x, y = (env[n] for n in (st.a, st.b, st.x, st.y))
-        if st.kind == "point":
-            cr = cross_ratio_points(a, b, x, y, backend)
-        else:
-            vertex = meet(a, b)
-            cr = cross_ratio_lines(vertex, a, b, x, y, backend)
-        passed = backend.eq(cr, -1)
-        return AssertionResult(
-            index, line, "harmonic", passed, f"cross-ratio {format_scalar(cr)}"
-        )
-    if isinstance(st, AssertCrEqual):
-        cr1 = cross_ratio_points(*(env[n] for n in st.first), backend)
-        cr2 = cross_ratio_points(*(env[n] for n in st.second), backend)
-        passed = backend.eq(cr1, cr2)
-        return AssertionResult(
-            index,
-            line,
-            "cr_equal",
-            passed,
-            f"{format_scalar(cr1)} vs {format_scalar(cr2)}",
-        )
+    if isinstance(st, Call):
+        passed, detail = _eval_call(st, env, backend)
+        return AssertionResult(index, line, st.keyword, passed, detail)
     if isinstance(st, AssertPseudo):
         order = st.order if st.order is not None else "first"
         gon = _assertion_gon(st, env)
@@ -890,8 +826,3 @@ def _assertion_gon(st: AssertPseudo | AssertProduct, env: dict):
     cls = CevaGon if st.kind == "ceva" else MenelaosGon
     return cls(env[st.gon], tuple(env[n] for n in st.items))
 
-
-def _worst_triple(objs):
-    # the largest |determinant| of three of the points (or lines), first on a tie
-    triples = combinations([o.triple for o in objs], 3)
-    return max((_det3(*t) for t in triples), key=abs)

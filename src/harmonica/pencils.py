@@ -41,12 +41,11 @@ from .core import (
     UndefinedFoot,
     UndefinedRatio,
     _backend_of,
+    _det3,
     _tidy,
     all_collinear,
     coincide,
     collinear,
-    collinearity_residual,
-    concurrency_residual,
     concurrent,
     cross_ratio_lines,
     cross_ratio_points,
@@ -333,15 +332,15 @@ def triangle_concurrency_transfer(
 
     For a triangle with harmonic pencils, {g1, g2, g3} is concurrent
     exactly when each mixed triple {g_i, h_{i+1}, h_{i+2}} is, and
-    exactly when the cevian ratio product equals one.  One determinant
-    per triple gives both its verdict and its residual.
+    exactly when the cevian ratio product equals one.  The backend's
+    concurrency test decides each triple, and the determinant of its
+    triples is its residual.
     """
     booleans = {}
     residuals = {}
     for name, lines in concurrency_triples(t).items():
-        value, scale = concurrency_residual(*lines)
-        booleans[name] = backend.zero(value, scale)
-        residuals[name] = value
+        booleans[name] = concurrent(*lines, backend)
+        residuals[name] = _det_of(*lines)
     try:
         product = ceva_product_triangle(t, backend)
         booleans["ratio_product_one"] = backend.eq(product, 1)
@@ -352,6 +351,11 @@ def triangle_concurrency_transfer(
     return TheoremReport(
         theorem="triangle-transfer", booleans=booleans, residuals=residuals
     )
+
+
+def _det_of(a: Point | Line, b: Point | Line, c: Point | Line) -> Scalar:
+    # the residual of three points (or lines): the determinant of their triples
+    return _det3(a.triple, b.triple, c.triple)
 
 
 def ceva_product_triangle(t: TriangleConfig, backend: Backend = EXACT) -> Scalar:
@@ -749,7 +753,7 @@ def desargues_quantitative(
     t1 = tuple(t1)
     t2 = tuple(t2)
     for t in (t1, t2):
-        if len(t) != 3 or collinear(*t):
+        if len(t) != 3 or collinear(*t, backend):
             raise DegenerateConfig("need two nondegenerate triangles")
     booleans = {}
     residuals = {}
@@ -760,7 +764,7 @@ def desargues_quantitative(
             raise DegenerateConfig("corresponding vertices coincide")
         connectors.append(join(t1[i], t2[i]))
     booleans["perspective_from_point"] = concurrent(*connectors, backend)
-    residuals["connector_concurrency"] = concurrency_residual(*connectors)[0]
+    residuals["connector_concurrency"] = _det_of(*connectors)
 
     axis_points = []
     for i in range(3):
@@ -771,7 +775,7 @@ def desargues_quantitative(
             raise DegenerateConfig("corresponding sides coincide")
         axis_points.append(meet(s1, s2))
     booleans["perspective_from_line"] = collinear(*axis_points, backend)
-    residuals["axis_collinearity"] = collinearity_residual(*axis_points)[0]
+    residuals["axis_collinearity"] = _det_of(*axis_points)
 
     for shift in range(3):
         name = f"cross_ratio_shift_{shift + 1}"

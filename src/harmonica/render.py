@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .core import EXACT, Backend, Point, exact_div
-from .dsl import (
-    CompleteFourthLine,
-    Decl,
-    FourthHarmonic,
-    GonDecl,
-    SceneAst,
-    evaluate,
-)
+from .dsl import Decl, GonDecl, SceneAst, evaluate
 
-_DERIVED_LINE = (FourthHarmonic, CompleteFourthLine)
+# the calls whose lines are harmonically derived, so drawn dashed
+_DERIVED_LINE = ("fourth_harmonic", "complete_fourth_line")
 
 
 @dataclass(frozen=True)
@@ -45,6 +39,11 @@ class Viewport:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("viewport box must have positive extent")
+        # an infinite corner, or an extent past the float range, maps
+        # every coordinate to nan
+        box = (self.x0, self.y0, self.x1 - self.x0, self.y1 - self.y0)
+        if not all(math.isfinite(v) for v in box):
+            raise ValueError("viewport box must have finite corners and extent")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("viewport canvas must have positive size")
 
@@ -148,7 +147,8 @@ def _collect(ast: SceneAst, env: dict):
                 (
                     "line",
                     (float(line.a), float(line.b), float(line.c)),
-                    isinstance(st.expr, _DERIVED_LINE),
+                    not isinstance(st.expr, tuple)
+                    and st.expr.keyword in _DERIVED_LINE,
                 )
             )
         elif isinstance(st, GonDecl):

@@ -10,19 +10,12 @@ import pytest
 from harmonica import dsl
 from harmonica.core import EXACT, float_backend
 from harmonica.dsl import (
-    AssertCrEqual,
-    AssertHarmonic,
-    AssertIncidence,
     AssertProduct,
     AssertPseudo,
-    CompleteFourthLine,
-    Conjugate,
+    Call,
     Decl,
     EvaluationError,
-    FourthHarmonic,
     GonDecl,
-    Join,
-    Meet,
     Redeclaration,
     SceneAst,
     SceneError,
@@ -201,6 +194,26 @@ class TestLexingAndSyntax:
         with pytest.raises(SceneSyntaxError) as err:
             parse("point A = (1/0, 2)")
         assert "denominator" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            (f"point A = ({'9' * 5000}, 0)", 1, 12),
+            (f"point A = (1/{'9' * 5000}, 0)", 1, 14),
+            (
+                PIN_PREAMBLE + "assert pseudo_concurrent(G, l, m, n)"
+                f" order = seed({'9' * 5000})",
+                9,
+                51,
+            ),
+        ],
+        ids=["numerator", "denominator", "seed"],
+    )
+    def test_number_past_the_digit_limit_reports_its_site(self, text, line, col):
+        with pytest.raises(SceneSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert "number too long" in str(err.value)
 
     def test_rational_allows_spaces_around_slash(self):
         ast = parse("point A = (1 / 3, 2)")
@@ -482,26 +495,28 @@ class _AstBuilder:
     def add_join(self):
         name = self.fresh("l")
         a, b = self.pick_points(2)
-        self.statements.append(Decl("line", name, Join(a, b)))
+        self.statements.append(Decl("line", name, Call("join", (a, b))))
         self.lines.append(name)
 
     def add_meet(self):
         name = self.fresh("P")
         a, b = self.pick_lines(2)
-        self.statements.append(Decl("point", name, Meet(a, b)))
+        self.statements.append(Decl("point", name, Call("meet", (a, b))))
         self.points.append(name)
 
     def add_conjugate(self):
         name = self.fresh("P")
         a, b, x = self.pick_points(3)
-        self.statements.append(Decl("point", name, Conjugate(a, b, x)))
+        self.statements.append(Decl("point", name, Call("conjugate", (a, b, x))))
         self.points.append(name)
 
     def add_fourth_harmonic(self):
         name = self.fresh("l")
         (v,) = self.pick_points(1)
         a, b, g = self.pick_lines(3)
-        self.statements.append(Decl("line", name, FourthHarmonic(v, a, b, g)))
+        self.statements.append(
+            Decl("line", name, Call("fourth_harmonic", (v, a, b, g)))
+        )
         self.lines.append(name)
 
     def add_complete_fourth_line(self):
@@ -510,7 +525,10 @@ class _AstBuilder:
             Decl(
                 "line",
                 name,
-                CompleteFourthLine(self.pick_points(4), self.pick_lines(3)),
+                Call(
+                    "complete_fourth_line",
+                    (self.pick_points(4), self.pick_lines(3)),
+                ),
             )
         )
         self.lines.append(name)
@@ -524,22 +542,22 @@ class _AstBuilder:
     def add_incidence_assert(self):
         k = self.rng.randint(3, min(5, len(self.points)))
         if self.rng.random() < 0.5 or len(self.lines) < 3:
-            self.statements.append(AssertIncidence("collinear", self.pick_points(k)))
+            self.statements.append(Call("collinear", (self.pick_points(k),)))
         else:
             k = self.rng.randint(3, min(5, len(self.lines)))
-            self.statements.append(AssertIncidence("concurrent", self.pick_lines(k)))
+            self.statements.append(Call("concurrent", (self.pick_lines(k),)))
 
     def add_harmonic_assert(self):
         if self.rng.random() < 0.5 and len(self.lines) >= 4:
             a, b, x, y = self.pick_lines(4)
-            self.statements.append(AssertHarmonic(a, b, x, y, kind="line"))
+            self.statements.append(Call("harmonic", (a, b, x, y)))
         else:
             a, b, x, y = self.pick_points(4)
-            self.statements.append(AssertHarmonic(a, b, x, y, kind="point"))
+            self.statements.append(Call("harmonic", (a, b, x, y)))
 
     def add_cr_equal(self):
         self.statements.append(
-            AssertCrEqual(self.pick_points(4), self.pick_points(4))
+            Call("cr_equal", (self.pick_points(4), self.pick_points(4)))
         )
 
     def _order(self):

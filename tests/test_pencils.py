@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from harmonica import core
 from harmonica.core import (
     DegenerateConfig,
     DegenerateInput,
@@ -666,3 +667,18 @@ class TestCrossRatioCorollaries:
             done += 1
             assert not any(report.booleans.values()), report.booleans
         assert done >= 8
+
+
+def test_exact_reports_compute_no_float_scale(monkeypatch):
+    # the exact backend decides at == 0, so neither report needs the
+    # float backend's determinant scale
+    v = (P(0, 0), P(4, 0), P(0, 4))
+    t = TriangleConfig.complete(v, tuple(join(p, P(1, 1)) for p in v))
+    t2 = (P(-1, -1), P(7, -1), P(-1, 7))  # v seen from (1, 1)
+
+    def no_scale(*triples):
+        raise AssertionError("the exact lane computed a float scale")
+
+    monkeypatch.setattr(core, "_det3_scale", no_scale)
+    assert triangle_concurrency_transfer(t).all_true()
+    assert desargues_quantitative(v, t2).all_true()

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from harmonica import render as render_module
+from harmonica.cli import main
 from harmonica.core import EXACT, float_backend
 from harmonica.dsl import EvaluationError, parse
 from harmonica.render import Viewport, auto_viewport, render_scene
@@ -49,6 +50,18 @@ class TestViewport:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError, match="positive extent"):
             Viewport(0, 0, 0, 5)
+
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            (-float("inf"), -float("inf"), float("inf"), float("inf")),
+            (0.0, 0.0, 1.0, float("inf")),
+            (-1e308, -1e308, 1e308, 1e308),  # the extent overflows
+        ],
+    )
+    def test_unbounded_box_rejected(self, corners):
+        with pytest.raises(ValueError, match="finite corners and extent"):
+            Viewport(*corners)
 
     def test_bad_canvas_rejected(self):
         with pytest.raises(ValueError, match="positive size"):
@@ -272,3 +285,27 @@ class TestEdges:
             parse(BASE_SCENE), viewport=VIEW, backend=float_backend()
         )
         assert svg.count("<circle") == 4
+
+
+# a 10**308 coordinate is a finite float, but the box around two of
+# them is not
+FAR = "1" + "0" * 308
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        (BASE_SCENE, ["--viewport=-inf,-inf,inf,inf"]),
+        (BASE_SCENE, ["--viewport=-1e308,-1e308,1e308,1e308"]),
+        (f"point A = (-{FAR}, 0)\npoint B = ({FAR}, 0)\n", []),
+    ],
+    ids=["infinite", "overflowing", "auto"],
+)
+def test_cli_refuses_an_unbounded_viewport(capsys, tmp_path, text, flags):
+    path = tmp_path / "scene.hgeo"
+    path.write_text(text)
+    for fmt in ("svg", "tikz"):
+        code = main(["render", str(path), "--format", fmt, *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: viewport box must have finite corners and extent\n"
