@@ -16,7 +16,10 @@ adds only its fields, its kind string, its item type and count message,
 and its slot check.  One function, _run_reduction, reduces either kind
 by walking the prefix tree of step choices: an explicit, first or
 seeded order is the walk with one child per depth, and exhaustive
-checking takes every child.
+checking takes every child.  A step carries its untouched vertices,
+cevians and cuts over as the same objects, so sibling branches share
+them; the walk's memo (see _built) makes each join and meet of the same
+operand objects once, so each line and point is built once per walk.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -216,6 +219,8 @@ def _trusted(cls, vertices: tuple, items: tuple):
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
+    if not isinstance(data, dict):
+        raise TypeError(f"a gon must be a JSON object, got {data!r}")
     kind = data.get("kind")
     for cls in (CevaGon, MenelaosGon):
         if kind == cls.kind:
@@ -293,12 +298,30 @@ def ceva_reduce_step(gon: CevaGon, i: int) -> CevaGon:
     everything else was already validated in the input gon; a
     degenerate result raises DegenerateStep.
     """
-    gon2, _ = _ceva_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items))
+    gon2, _ = _ceva_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items), {})
     return gon2
 
 
+def _built(memo: dict, build, a, b):
+    """build(a, b), join or meet, made once per memo: a later call on
+    the same operand objects returns the object made the first time.
+
+    Keys are the operands' ids.  Each entry holds its operands, so no
+    id is reused while the memo lives; and join's operands are points
+    and meet's are lines, so their keys never collide.  Both are pure
+    functions of immutable operands, so the shared object is the one a
+    fresh call would make.  A build that raises stores nothing, and a
+    later call raises again.
+    """
+    key = (id(a), id(b))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = build(a, b), a, b
+    return entry[0]
+
+
 def _ceva_step_traced(
-    gon: CevaGon, i: int, backend: Backend
+    gon: CevaGon, i: int, backend: Backend, memo: dict
 ) -> tuple[CevaGon, "ReductionStep"]:
     m = gon.n
     if m < 4:
@@ -309,18 +332,18 @@ def _ceva_step_traced(
     i0 = i - 1
     j0 = (i0 + 1) % m
     prev, nxt = (i0 - 1) % m, (j0 + 1) % m
-    side_in = join(A[prev], A[i0])
-    side_out = join(A[j0], A[nxt])
+    side_in = _built(memo, join, A[prev], A[i0])
+    side_out = _built(memo, join, A[j0], A[nxt])
     try:
-        new_vertex = meet(side_in, side_out)
+        new_vertex = _built(memo, meet, side_in, side_out)
     except CoincidentLines:
         raise DegenerateStep("outer sides of the chosen pair coincide", i)
     try:
-        crossing = meet(g[i0], g[j0])
+        crossing = _built(memo, meet, g[i0], g[j0])
     except CoincidentLines:
         raise DegenerateStep("the two removed cevians coincide", i)
     try:
-        new_line = join(new_vertex, crossing)
+        new_line = _built(memo, join, new_vertex, crossing)
     except CoincidentPoints:
         raise DegenerateStep(
             "new vertex equals the crossing of the removed cevians", i
@@ -354,12 +377,14 @@ def menelaos_reduce_step(gon: MenelaosGon, i: int) -> MenelaosGon:
     the data's lane, since everything else was already validated in the
     input gon; a degenerate result raises DegenerateStep.
     """
-    gon2, _ = _menelaos_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items))
+    gon2, _ = _menelaos_step_traced(
+        gon, i, _backend_of(*gon.vertices, *gon.items), {}
+    )
     return gon2
 
 
 def _menelaos_step_traced(
-    gon: MenelaosGon, i: int, backend: Backend
+    gon: MenelaosGon, i: int, backend: Backend, memo: dict
 ) -> tuple[MenelaosGon, "ReductionStep"]:
     m = gon.n
     if m < 4:
@@ -371,13 +396,13 @@ def _menelaos_step_traced(
     prev, nxt = (i0 - 1) % m, (i0 + 1) % m
     if A[prev] == A[nxt]:
         raise DegenerateStep("neighbors of the removed vertex coincide", i)
-    merged = join(A[prev], A[nxt])
+    merged = _built(memo, join, A[prev], A[nxt])
     if B[prev] == B[i0]:
         raise DegenerateStep("the two removed cuts coincide", i)
-    transversal = join(B[prev], B[i0])
+    transversal = _built(memo, join, B[prev], B[i0])
     if transversal == merged:
         raise DegenerateStep("cut transversal equals the merged side", i)
-    new_point = meet(merged, transversal)
+    new_point = _built(memo, meet, merged, transversal)
     if i0 == 0:
         k = m - 2
         new_vs = A[1:]
@@ -419,8 +444,11 @@ class ReductionStep:
 
     @classmethod
     def from_json(cls, data: dict) -> "ReductionStep":
+        index = data["index"]
+        if type(index) is not int:
+            raise ValueError(f"step index must be an integer, got {index!r}")
         return cls(
-            index=data["index"],
+            index=index,
             vertex=Point.from_json(data["vertex"]) if "vertex" in data else None,
             line=Line.from_json(data["line"]) if "line" in data else None,
             point=Point.from_json(data["point"]) if "point" in data else None,
@@ -466,17 +494,35 @@ class ReductionTrace:
 
     @classmethod
     def from_json_lines(cls, text: str) -> "ReductionTrace":
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-        if not rows or "kind" not in rows[0]:
+        """Read a trace back; a malformed line raises ValueError("trace
+        line N: ..."), N counting from 1."""
+        trace = None
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {row!r}")
+                if trace is None:
+                    if "kind" not in row:
+                        raise ValueError("expected the header line, with a kind")
+                    trace = cls(kind=row["kind"], start=gon_from_json(row["gon"]))
+                elif "final" in row:
+                    trace.final = gon_from_json(row["final"])
+                    trace.verdict = row["verdict"]
+                    if type(trace.verdict) is not bool:
+                        raise ValueError(
+                            f"verdict must be true or false, got {trace.verdict!r}"
+                        )
+                else:
+                    trace.steps.append(ReductionStep.from_json(row))
+            except KeyError as exc:
+                raise ValueError(f"trace line {number}: missing key {exc}") from None
+            except (TypeError, ValueError, ZeroDivisionError, GeometryError) as exc:
+                raise ValueError(f"trace line {number}: {exc}") from None
+        if trace is None:
             raise ValueError("trace must start with a header line")
-        header = rows[0]
-        trace = cls(kind=header["kind"], start=gon_from_json(header["gon"]))
-        for row in rows[1:]:
-            if "final" in row:
-                trace.final = gon_from_json(row["final"])
-                trace.verdict = row["verdict"]
-            else:
-                trace.steps.append(ReductionStep.from_json(row))
         return trace
 
 
@@ -498,7 +544,9 @@ def _run_reduction(
     the first disagreement and the first DegenerateStep are those of a
     run over each order in turn; but each shared prefix is reduced once.
     A degenerate prefix prunes its subtree, whose every order would
-    raise the same error.
+    raise the same error.  The steps join and meet through one memo
+    that lives as long as this call, so a line or point that several
+    branches need is built once.
     """
     n = gon.n
     if indices is not None and len(indices) != n - 3:
@@ -511,6 +559,7 @@ def _run_reduction(
         step_fn, on_one_triangle = _ceva_step_traced, concurrent
     else:
         step_fn, on_one_triangle = _menelaos_step_traced, collinear
+    memo: dict = {}  # the walk's lines and points, see _built
     steps: list[ReductionStep] = []
     first: tuple[bool, ReductionTrace] | None = None
     first_degenerate: DegenerateStep | None = None
@@ -537,7 +586,7 @@ def _run_reduction(
             choices = (indices[n - m],)
         for idx in choices:
             try:
-                child, step = step_fn(current, idx, backend)
+                child, step = step_fn(current, idx, backend, memo)
             except DegenerateStep as exc:
                 if first_degenerate is None:
                     exc.trace = ReductionTrace(kind, gon, list(steps))
@@ -599,12 +648,12 @@ def is_pseudo_concurrent(
     1-based indices with one entry per step.  backend None decides in
     the data's lane (see harmonica.core).
 
-    "exhaustive" reduces each prefix shared by several orders once.  It
-    returns the trace of the lexicographically first non-degenerate
-    order, raises InconsistentOrders at the first order whose verdict
-    differs from it, and when every order degenerates raises the
-    DegenerateStep of the first order, carrying that order's trace
-    prefix.
+    "exhaustive" reduces each prefix shared by several orders once, and
+    builds each line and point of the walk once.  It returns the trace
+    of the lexicographically first non-degenerate order, raises
+    InconsistentOrders at the first order whose verdict differs from
+    it, and when every order degenerates raises the DegenerateStep of
+    the first order, carrying that order's trace prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -615,9 +664,9 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" likewise shares step prefixes between orders and
-    returns the trace of the lexicographically first non-degenerate
-    order.
+    "exhaustive" likewise shares step prefixes, lines and points
+    between orders and returns the trace of the lexicographically first
+    non-degenerate order.
     """
     return _pseudo_check(gon, order, backend)
 

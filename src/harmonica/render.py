@@ -44,8 +44,8 @@ class Viewport:
         box = (self.x0, self.y0, self.x1 - self.x0, self.y1 - self.y0)
         if not all(math.isfinite(v) for v in box):
             raise ValueError("viewport box must have finite corners and extent")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("viewport canvas must have positive size")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("viewport canvas must have finite, positive size")
 
     @classmethod
     def parse(cls, text: str) -> "Viewport":

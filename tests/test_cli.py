@@ -306,6 +306,56 @@ class TestReduce:
         assert code == 1
         assert "replay mismatch" in err
 
+    @pytest.mark.parametrize(
+        "line, path, value",
+        [
+            (2, ("index",), None),
+            (4, ("verdict",), None),
+            (1, ("gon", "vertices"), None),
+            (2, ("vertex", "y"), None),
+            (2, ("index",), "2"),
+            (3, (), "5"),
+            (4, ("verdict",), "yes"),
+            (3, (), "{"),
+            (1, ("gon",), []),
+            (2, ("vertex", "w"), "1/0"),
+        ],
+        ids=[
+            "no-step-index", "no-verdict", "no-vertices", "no-y",
+            "string-index", "bare-number", "string-verdict", "not-json",
+            "gon-not-an-object", "zero-denominator",
+        ],
+    )
+    def test_malformed_trace_is_a_usage_error(self, capsys, tmp_path, line, path, value):
+        # path () replaces the whole line by value; else value None deletes
+        # the key at path in that line's row, and any other value sets it
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "figure11.hgeo"
+        code, out, _ = run(
+            capsys, "reduce", str(scene), "--mode", "ceva", "--order", "exhaustive"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4
+        if path:
+            row = json.loads(lines[line - 1])
+            target = row
+            for key in path[:-1]:
+                target = target[key]
+            if value is None:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+            lines[line - 1] = json.dumps(row)
+        else:
+            lines[line - 1] = value
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "reduce", "--replay", str(trace_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: trace line {line}: ")
+        assert err.count("\n") == 1
+
     def test_false_verdict_exits_one(self, capsys, scene_file):
         path = scene_file(SPIKE_SCENE)
         code, out, _ = run(

@@ -1,11 +1,16 @@
 """Gon reduction: step rules, product formulas, order independence,
 traces, and the duality bridge."""
 
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from harmonica import reduction
 from harmonica.core import (
     DegenerateInput,
     GeometryError,
@@ -17,6 +22,7 @@ from harmonica.core import (
     join,
     meet,
 )
+from harmonica.generate import GenSpec, gen_hypothesis_forcing
 from harmonica.reduction import (
     CevaGon,
     DegenerateStep,
@@ -687,3 +693,109 @@ class TestDuality:
         verdict, _ = is_pseudo_concurrent(dual, order="exhaustive")
         assert verdict
         assert ceva_product(dual) == 1
+
+
+# ---------------------------------------------------------------------------
+# pinned walk output and shared constructions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def floatify(gon):
+    def fl(obj):
+        return type(obj)(*map(float, obj.triple))
+
+    return type(gon)(tuple(map(fl, gon.vertices)), tuple(map(fl, gon.items)))
+
+
+def pinned_gons():
+    """The gons whose walks are pinned, each exact and floatified:
+    seeded forced gons and small-integer gons of both kinds, duality
+    gons with their bridged duals, the collinear-triple Menelaos gon of
+    ROADMAP.md's c3.hgeo, and both labelings of the shipped
+    order-sensitivity witness."""
+    exact = []
+    for n in (4, 5, 6, 7):
+        for theorem in ("ceva-ngon", "menelaos-ngon"):
+            for seed in range(3 if n < 7 else 1):
+                spec = GenSpec(seed=seed)
+                exact.append(gen_hypothesis_forcing(theorem, spec, n=n)["gon"])
+    for n in (4, 5, 6):
+        gon = gen_hypothesis_forcing("duality", GenSpec(seed=n), n=n)["gon"]
+        exact += [gon, duality_bridge(gon)]
+    rng = Random(211)
+    for kind in ("ceva", "menelaos"):
+        for _ in range(12):
+            exact.append(small_gon(rng, kind, rng.choice([4, 5, 6]), False))
+    exact.append(
+        MenelaosGon(
+            (P(-2, -2), P(-3, -2), P(-1, -2), P(-2, 1)),
+            (P("1/2", -2), P(0, -2), P("-9/7", "-8/7"), P(-2, 3)),
+        )
+    )
+    data = json.loads((ROOT / "data" / "order_sensitivity_witness.json").read_text())
+    vertices = [Point(*triple) for triple in data["vertices"]]
+    cevians = [Line(*triple) for triple in data["cevians"]]
+    for entry in data["orders"]:
+        perm = [i - 1 for i in entry["vertex_order"]]
+        exact.append(
+            CevaGon(tuple(vertices[i] for i in perm), tuple(cevians[i] for i in perm))
+        )
+    return [g for gon in exact for g in (gon, floatify(gon))]
+
+
+def walk_record(gon, order) -> tuple[str, str]:
+    """How one walk ended, and its record: the trace, or the type,
+    message, index and trace prefix of the error it raised."""
+    check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
+    head = f"{json.dumps(gon.to_json(), sort_keys=True)} {order}\n"
+    try:
+        _, trace = check(gon, order=order)
+    except DegenerateStep as exc:
+        record = f"DegenerateStep {exc} @{exc.index}\n{exc.trace.to_json_lines()}"
+        return "DegenerateStep", head + record
+    except InconsistentOrders as exc:
+        return "InconsistentOrders", head + f"InconsistentOrders {exc}\n"
+    return "trace", head + trace.to_json_lines()
+
+
+class TestPinnedWalks:
+    def test_walk_output_is_pinned(self):
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for gon in pinned_gons():
+            for order in ("exhaustive", "first"):
+                outcome, record = walk_record(gon, order)
+                outcomes[outcome] += 1
+                digest.update(record.encode())
+        # every kind of outcome is covered
+        assert outcomes["DegenerateStep"] and outcomes["InconsistentOrders"]
+        assert digest.hexdigest() == (
+            "64585ecd070a7e5eacb8e9e2cf0416dffc6dbaf33c26b2c4c4a260ef5547eea6"
+        )
+
+    @pytest.mark.parametrize(
+        "theorem, most", [("ceva-ngon", (204, 204)), ("menelaos-ngon", (66, 48))]
+    )
+    def test_exhaustive_walk_builds_each_construction_once(
+        self, monkeypatch, theorem, most
+    ):
+        # the counts of identity-distinct operand pairs that an
+        # exhaustive walk of this hexagon joins and meets
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        gon = gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=6)["gon"]
+        monkeypatch.setattr(reduction, "join", counted("join", join))
+        monkeypatch.setattr(reduction, "meet", counted("meet", meet))
+        check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
+        verdict, _ = check(gon, order="exhaustive")
+        assert verdict is True
+        joins, meets = most
+        assert calls["join"] <= joins and calls["meet"] <= meets

@@ -67,6 +67,19 @@ class TestViewport:
         with pytest.raises(ValueError, match="positive size"):
             Viewport(0, 0, 1, 1, width=0)
 
+    @pytest.mark.parametrize(
+        "canvas",
+        [
+            {"width": float("inf")},
+            {"width": 1e309},  # the literal overflows to inf
+            {"height": float("inf")},
+            {"width": float("nan")},
+        ],
+    )
+    def test_unbounded_canvas_rejected(self, canvas):
+        with pytest.raises(ValueError, match="finite, positive size"):
+            Viewport(-1, -1, 1, 1, **canvas)
+
     def test_corner_mapping_flips_y(self):
         vp = Viewport(0, 0, 10, 10, width=100, height=200)
         assert vp.to_canvas(0, 0) == (0.0, 200.0)
