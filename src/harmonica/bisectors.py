@@ -42,7 +42,7 @@ from .pencils import (
     concurrency_triples,
     free_quadrilateral_triples,
 )
-from .reduction import CevaGon, ceva_product, is_pseudo_concurrent
+from .reduction import CevaGon
 from .report import TheoremReport
 
 
@@ -130,32 +130,6 @@ def _bisectors_around(
     ]
 
 
-def lines_parallel(l: Line, m: Line) -> bool:
-    """Whether two float lines have the same direction: the sine of the
-    angle between their normals is zero at float_backend()."""
-    n1 = math.hypot(l.a, l.b)
-    n2 = math.hypot(m.a, m.b)
-    if n1 == 0 or n2 == 0:
-        return False
-    return float_backend().zero((l.a * m.b - l.b * m.a) / (n1 * n2))
-
-
-def classify_against_bisectors(
-    line: Line,
-    prev: EuclideanPoint,
-    v: EuclideanPoint,
-    nxt: EuclideanPoint,
-) -> str | None:
-    """Name the bisector of angle (prev, v, nxt) that a line is parallel
-    to (lines_parallel), or None if it matches neither."""
-    fresh = angle_bisectors(prev, v, nxt)
-    if lines_parallel(line, fresh.internal):
-        return "internal"
-    if lines_parallel(line, fresh.external):
-        return "external"
-    return None
-
-
 def _bisector_config(cls, points: Sequence[EuclideanPoint], backend: Backend):
     """The config of the points' bisector pencils, validated at the
     backend, on the points moved so that the first is the origin and
@@ -216,16 +190,6 @@ def triangle_bisector_concurrencies(
     )
 
 
-def incenter(
-    a1: EuclideanPoint, a2: EuclideanPoint, a3: EuclideanPoint
-) -> tuple[float, float]:
-    """Meet of two internal bisectors, as affine coordinates."""
-    p1 = angle_bisectors(a3, a1, a2)
-    p2 = angle_bisectors(a1, a2, a3)
-    p = meet(p1.internal, p2.internal)
-    return (p.x / p.w, p.y / p.w)
-
-
 # ---------------------------------------------------------------------------
 # bisector quintuples on a complete quadrilateral
 
@@ -238,18 +202,6 @@ def _quintuples(points: Sequence[EuclideanPoint], backend: Backend):
     config, back = _bisector_config(QuadrilateralConfig, points, backend)
     triples = free_quadrilateral_triples(config)
     return [[*triples[i - 1], *triples[j - 1][1:]] for i, j in _QUINTUPLES], back
-
-
-def steiner_quintuples(points: Sequence[EuclideanPoint]) -> list[list[Point]]:
-    """The four quintuples of points that lie on the angle bisectors of
-    the two diagonal points of a quadrilateral.
-
-    Each quintuple holds one diagonal point and four crossings of
-    vertex bisectors; all five are collinear for every nondegenerate
-    quadrilateral.
-    """
-    quintuples, back = _quintuples(points, float_backend())
-    return [[Point(*back(p)) for p in quint] for quint in quintuples]
 
 
 def steiner_add_11_check(
@@ -276,7 +228,7 @@ def steiner_add_11_check(
 
 
 # ---------------------------------------------------------------------------
-# bisector gons and pseudo-concurrency
+# bisector gons
 
 
 def bisector_gon(
@@ -303,26 +255,3 @@ def bisector_gon(
         tuple(p.to_point() for p in points),
         tuple(getattr(pair, kind) for pair, kind in zip(pairs, choice)),
     )
-
-
-def bisector_pseudo_concurrency(
-    points: Sequence[EuclideanPoint],
-    choice: Sequence[str] | None = None,
-    order="first",
-) -> bool:
-    """Pseudo-concurrency verdict for the chosen bisectors of an n-gon,
-    at float_backend().
-
-    Internal bisectors of any n-gon pass; so does any choice with an
-    even number of external bisectors.  An odd count carries no
-    guarantee either way.
-    """
-    gon = bisector_gon(points, choice)
-    return is_pseudo_concurrent(gon, order, float_backend())[0]
-
-
-def bisector_product(
-    points: Sequence[EuclideanPoint], choice: Sequence[str] | None = None
-) -> float:
-    """Cevian ratio product of the chosen bisectors, at float_backend()."""
-    return ceva_product(bisector_gon(points, choice), float_backend())

@@ -6,9 +6,13 @@ scale factor.  A point (x : y : w) with w != 0 is the affine point
 (a : b : c) consists of the points with a*x + b*y + c*w == 0.
 
 Each backend decides its zero tests in one place: ExactBackend by
-== 0, FloatBackend at a relative tolerance.  Called without one, a
-function decides in the data's lane: float_backend() if a coordinate
-is a float, else EXACT.  join, meet, == and, under EXACT, the
+== 0, FloatBackend at a relative tolerance.  Called without one, the
+kernel functions (incident, collinear, coincide, the cross-ratios,
+signed_ratio, the harmonic constructions), the pencils reports and
+the ratio products use EXACT even on float data, whose callers pass
+float_backend(); the gons, the configs, HarmonicPencil, pappus_lines
+and the verdicts infer the data's lane: float_backend() if a
+coordinate is a float, else EXACT.  join, meet, == and, under EXACT, the
 predicates and the gon reductions only add, multiply and compare with
 0, so they run over any exact commutative ring, polynomials included.
 Constructed triples are reduced to keep coordinates small, but
@@ -47,7 +51,6 @@ repr, to_json and the *_residual values.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -353,8 +356,9 @@ class _Element:
     Each subclass is a frozen dataclass (init, eq and repr left to this
     base) that declares its three coordinate fields.  An object stores
     only its triple and its integer form, since every kernel computation
-    reads one of them; the fields read the triple, and their names are
-    the constructor's keywords and the JSON keys.
+    reads one of them.  The constructor takes the three coordinates by
+    position; the fields read the triple, and their names are the JSON
+    keys.
     """
 
     _keys: ClassVar[tuple[str, str, str]]
@@ -366,16 +370,12 @@ class _Element:
         cls._keys = tuple(cls.__annotations__)
         for i, key in enumerate(cls._keys):
             setattr(cls, key, property(lambda self, i=i: self.triple[i]))
-        keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD
-        cls.__signature__ = inspect.Signature(
-            [inspect.Parameter(k, keyword, annotation="Scalar") for k in cls._keys],
-            return_annotation=None,
-        )
 
-    def __init__(self, *triple: Scalar, **named: Scalar) -> None:
-        if named or len(triple) != 3:
-            # keywords, or a wrong count that bind reports as a call would
-            triple = tuple(self.__signature__.bind(*triple, **named).arguments.values())
+    def __init__(self, *triple: Scalar) -> None:
+        if len(triple) != 3:
+            raise TypeError(
+                f"{type(self).__name__} takes 3 coordinates, got {len(triple)}"
+            )
         if triple == (0, 0, 0):
             noun = type(self).__name__.lower()
             raise DegenerateInput(f"(0 : 0 : 0) is not a {noun}")
@@ -465,11 +465,6 @@ def meet(l: Line, m: Line) -> Point:
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
         raise CoincidentLines(f"meet of equal lines {l}")
     return Point(*_tidy(*t))
-
-
-def incidence_residual(l: Line, p: Point) -> tuple[Scalar, Scalar]:
-    """Raw incidence value a*x + b*y + c*w and its magnitude scale."""
-    return _incidence(l.triple, p.triple)
 
 
 def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:

@@ -118,10 +118,11 @@ def no_three_collinear(points: Sequence[Point]) -> bool:
 def sample_general_points(
     rng: Random, bound: int, n: int, retries: int
 ) -> tuple[Point, ...]:
-    """n affine rational points, pairwise distinct, no three collinear."""
+    """n >= 3 affine rational points, no three collinear, and so
+    pairwise distinct: a triple through two equal points is collinear."""
     for _ in range(retries):
         pts = tuple(sample_point(rng, bound) for _ in range(n))
-        if all_distinct(pts) and no_three_collinear(pts):
+        if no_three_collinear(pts):
             return pts
     raise RetryLimitExceeded(
         f"no generic {n}-point configuration within bound {bound}"

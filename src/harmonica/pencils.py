@@ -455,34 +455,20 @@ def _join_distinct(p: Point, q: Point, what: str) -> Line:
 def ell_pairs(q: QuadrilateralConfig) -> list[EllPair]:
     """The four pairs of carrier lines through the diagonal points.
 
-    Pair i is (first, second) with first through the g/h crossings of
-    vertices 1 and 4 (respectively 1 and 2) and second through those of
-    vertices 2 and 3 (respectively 3 and 4).  If one pair coincides,
-    all four do.
+    Pair i joins its diagonal point to the middle points of the
+    free_quadrilateral_triples 2i-1 and 2i: first through the g/h
+    crossings of vertices 1 and 4 (respectively 1 and 2) and second
+    through those of vertices 2 and 3 (respectively 3 and 4).  If one
+    pair coincides, all four do.
     """
-    g, h = q.g, q.h
-    a5, a6 = q.diagonal_point_1, q.diagonal_point_2
+    t = free_quadrilateral_triples(q)
     return [
         EllPair(
-            1,
-            _join_distinct(a5, meet(g[0], h[3]), "ell(1) first"),
-            _join_distinct(a5, meet(g[2], h[1]), "ell(1) second"),
-        ),
-        EllPair(
-            2,
-            _join_distinct(a5, meet(g[0], g[3]), "ell(2) first"),
-            _join_distinct(a5, meet(g[1], g[2]), "ell(2) second"),
-        ),
-        EllPair(
-            3,
-            _join_distinct(a6, meet(g[0], h[1]), "ell(3) first"),
-            _join_distinct(a6, meet(g[2], h[3]), "ell(3) second"),
-        ),
-        EllPair(
-            4,
-            _join_distinct(a6, meet(g[0], g[1]), "ell(4) first"),
-            _join_distinct(a6, meet(g[2], g[3]), "ell(4) second"),
-        ),
+            i,
+            _join_distinct(*t[2 * i - 2][:2], f"ell({i}) first"),
+            _join_distinct(*t[2 * i - 1][:2], f"ell({i}) second"),
+        )
+        for i in range(1, 5)
     ]
 
 

@@ -13,10 +13,11 @@ different cyclic order changes the products and may change the verdict.
 The two gon kinds are dual and share one body, _Gon: validation,
 sides, JSON and the items view (the cevians or the cuts).  Each kind
 adds only its fields, its kind string, its item type and count message,
-and its slot check.  One function, _run_reduction, reduces either kind
-by walking the prefix tree of step choices: an explicit, first or
-seeded order is the walk with one child per depth, and exhaustive
-checking takes every child.  A step carries its untouched vertices,
+its slot check and its step, which reduce_step runs once.  One
+function, _run_reduction, reduces either kind with its step by
+walking the prefix tree of step choices: an explicit, first or seeded
+order is the walk with one child per depth, and exhaustive checking
+takes every child.  A step carries its untouched vertices,
 cevians and cuts over as the same objects, so sibling branches share
 them; the walk's memo (see _built) makes each join and meet of the same
 operand objects once, so each line and point is built once per walk.
@@ -48,7 +49,6 @@ from .core import (
     UndefinedRatio,
     _backend_of,
     collinear,
-    concurrent,
     dualize,
     incident,
     join,
@@ -84,7 +84,7 @@ class ReplayMismatch(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# gon types
+# gon types and their reduction steps
 
 
 # What the constructors reject at slot k (0-based), as the message text;
@@ -118,19 +118,131 @@ def _cut_defect(
     return None
 
 
+def _built(memo: dict, build, a, b):
+    """build(a, b), join or meet, made once per memo: a later call on
+    the same operand objects returns the object made the first time.
+
+    Keys are the operands' ids.  Each entry holds its operands, so no
+    id is reused while the memo lives; and join's operands are points
+    and meet's are lines, so their keys never collide.  Both are pure
+    functions of immutable operands, so the shared object is the one a
+    fresh call would make.  A build that raises stores nothing, and a
+    later call raises again.
+    """
+    key = (id(a), id(b))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = build(a, b), a, b
+    return entry[0]
+
+
+def _ceva_step(
+    gon: CevaGon, i: int, backend: Backend, memo: dict
+) -> tuple[CevaGon, ReductionStep]:
+    """CevaGon._step: collapse the vertex pair (i, i+1) into the meet of
+    its two outer sides; the new cevian joins the new vertex to the
+    crossing of the two removed cevians."""
+    m = gon.n
+    if m < 4:
+        raise ValueError("reduction steps need at least a 4-gon")
+    if not 1 <= i <= m:
+        raise ValueError(f"step index {i} out of range 1..{m}")
+    A, g = gon.vertices, gon.cevians
+    i0 = i - 1
+    j0 = (i0 + 1) % m
+    prev, nxt = (i0 - 1) % m, (j0 + 1) % m
+    side_in = _built(memo, join, A[prev], A[i0])
+    side_out = _built(memo, join, A[j0], A[nxt])
+    try:
+        new_vertex = _built(memo, meet, side_in, side_out)
+    except CoincidentLines:
+        raise DegenerateStep("outer sides of the chosen pair coincide", i)
+    try:
+        crossing = _built(memo, meet, g[i0], g[j0])
+    except CoincidentLines:
+        raise DegenerateStep("the two removed cevians coincide", i)
+    try:
+        new_line = _built(memo, join, new_vertex, crossing)
+    except CoincidentPoints:
+        raise DegenerateStep(
+            "new vertex equals the crossing of the removed cevians", i
+        )
+    if j0 == 0:
+        # wrapped pair (m, 1): the replacement takes slot 1
+        k = 0
+        new_vs = (new_vertex,) + A[1 : m - 1]
+        new_gs = (new_line,) + g[1 : m - 1]
+    else:
+        k = i0
+        new_vs = A[:i0] + (new_vertex,) + A[j0 + 1 :]
+        new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
+    gon2 = _trusted(CevaGon, new_vs, new_gs)
+    # the slots that hold the new vertex, in the constructor's order
+    for s in sorted(((k - 1) % (m - 1), k)):
+        defect = _pair_defect(gon2, s)
+        if defect is None and s == k:
+            defect = _cevian_defect(gon2, k, backend)
+        if defect:
+            raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
+    return gon2, ReductionStep(index=i, vertex=new_vertex, line=new_line)
+
+
+def _menelaos_step(
+    gon: MenelaosGon, i: int, backend: Backend, memo: dict
+) -> tuple[MenelaosGon, ReductionStep]:
+    """MenelaosGon._step: remove vertex i, merging its two sides; the
+    cut on the merged side is its meet with the line through the two
+    removed cuts."""
+    m = gon.n
+    if m < 4:
+        raise ValueError("reduction steps need at least a 4-gon")
+    if not 1 <= i <= m:
+        raise ValueError(f"step index {i} out of range 1..{m}")
+    A, B = gon.vertices, gon.side_points
+    i0 = i - 1
+    prev, nxt = (i0 - 1) % m, (i0 + 1) % m
+    if A[prev] == A[nxt]:
+        raise DegenerateStep("neighbors of the removed vertex coincide", i)
+    merged = _built(memo, join, A[prev], A[nxt])
+    if B[prev] == B[i0]:
+        raise DegenerateStep("the two removed cuts coincide", i)
+    transversal = _built(memo, join, B[prev], B[i0])
+    if transversal == merged:
+        raise DegenerateStep("cut transversal equals the merged side", i)
+    new_point = _built(memo, meet, merged, transversal)
+    if i0 == 0:
+        k = m - 2
+        new_vs = A[1:]
+        new_bs = B[1 : m - 1] + (new_point,)
+    else:
+        k = i0 - 1
+        new_vs = A[:i0] + A[i0 + 1 :]
+        new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
+    gon2 = _trusted(MenelaosGon, new_vs, new_bs)
+    # the merged side k already has distinct endpoints
+    defect = _cut_defect(gon2, k, backend, merged)
+    if defect:
+        raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
+    return gon2, ReductionStep(index=i, point=new_point)
+
+
 class _Gon:
     """What CevaGon and MenelaosGon share: a cyclic vertex list and one
     item per slot, the cevian through vertex i or the cut on side i.
 
     Each subclass declares its two fields (vertices, then the items),
     its kind, its item type with the message for a wrong item count,
-    and its slot check.
+    its slot check and its reduction step: _step(gon, i, backend, memo)
+    is the reduced gon and the ReductionStep that records it; it checks
+    only the slots it creates, and joins and meets through the walk's
+    memo (_built).
     """
 
     kind: ClassVar[str]
     _item: ClassVar[type]
     _count_message: ClassVar[str]
     _items_field: ClassVar[str]
+    _step: ClassVar
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -186,6 +298,7 @@ class CevaGon(_Gon):
     _item = Line
     _count_message = "one cevian per vertex required"
     _slot_defect = _cevian_defect
+    _step = _ceva_step
 
 
 @dataclass(frozen=True)
@@ -203,6 +316,7 @@ class MenelaosGon(_Gon):
     _item = Point
     _count_message = "one side point per side required"
     _slot_defect = _cut_defect
+    _step = _menelaos_step
 
 
 def _trusted(cls, vertices: tuple, items: tuple):
@@ -216,6 +330,19 @@ def _trusted(cls, vertices: tuple, items: tuple):
     object.__setattr__(gon, "vertices", vertices)
     object.__setattr__(gon, cls._items_field, items)
     return gon
+
+
+def reduce_step(gon: CevaGon | MenelaosGon, i: int) -> CevaGon | MenelaosGon:
+    """One reduction step at index i (1-based cyclic): a CevaGon
+    collapses its vertex pair (i, i+1), a MenelaosGon drops vertex i.
+
+    Every vertex, cevian and cut the step does not touch carries over.
+    Only the slots the step creates are validated, in the data's lane,
+    since everything else was already validated in the input gon; a
+    degenerate result raises DegenerateStep.
+    """
+    backend = _backend_of(*gon.vertices, *gon.items)
+    return type(gon)._step(gon, i, backend, {})[0]
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
@@ -285,141 +412,6 @@ def menelaos_product(gon: MenelaosGon, backend: Backend = EXACT) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# reduction steps
-
-
-def ceva_reduce_step(gon: CevaGon, i: int) -> CevaGon:
-    """Collapse the adjacent vertex pair (i, i+1), 1-based cyclic.
-
-    The pair is replaced by the meet of its two outer sides; the new
-    cevian joins the new vertex to the crossing of the two removed
-    cevians.  All other vertices and cevians carry over.  Only the new
-    vertex and cevian are validated, in the data's lane, since
-    everything else was already validated in the input gon; a
-    degenerate result raises DegenerateStep.
-    """
-    gon2, _ = _ceva_step_traced(gon, i, _backend_of(*gon.vertices, *gon.items), {})
-    return gon2
-
-
-def _built(memo: dict, build, a, b):
-    """build(a, b), join or meet, made once per memo: a later call on
-    the same operand objects returns the object made the first time.
-
-    Keys are the operands' ids.  Each entry holds its operands, so no
-    id is reused while the memo lives; and join's operands are points
-    and meet's are lines, so their keys never collide.  Both are pure
-    functions of immutable operands, so the shared object is the one a
-    fresh call would make.  A build that raises stores nothing, and a
-    later call raises again.
-    """
-    key = (id(a), id(b))
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = build(a, b), a, b
-    return entry[0]
-
-
-def _ceva_step_traced(
-    gon: CevaGon, i: int, backend: Backend, memo: dict
-) -> tuple[CevaGon, "ReductionStep"]:
-    m = gon.n
-    if m < 4:
-        raise ValueError("reduction steps need at least a 4-gon")
-    if not 1 <= i <= m:
-        raise ValueError(f"step index {i} out of range 1..{m}")
-    A, g = gon.vertices, gon.cevians
-    i0 = i - 1
-    j0 = (i0 + 1) % m
-    prev, nxt = (i0 - 1) % m, (j0 + 1) % m
-    side_in = _built(memo, join, A[prev], A[i0])
-    side_out = _built(memo, join, A[j0], A[nxt])
-    try:
-        new_vertex = _built(memo, meet, side_in, side_out)
-    except CoincidentLines:
-        raise DegenerateStep("outer sides of the chosen pair coincide", i)
-    try:
-        crossing = _built(memo, meet, g[i0], g[j0])
-    except CoincidentLines:
-        raise DegenerateStep("the two removed cevians coincide", i)
-    try:
-        new_line = _built(memo, join, new_vertex, crossing)
-    except CoincidentPoints:
-        raise DegenerateStep(
-            "new vertex equals the crossing of the removed cevians", i
-        )
-    if j0 == 0:
-        # wrapped pair (m, 1): the replacement takes slot 1
-        k = 0
-        new_vs = (new_vertex,) + A[1 : m - 1]
-        new_gs = (new_line,) + g[1 : m - 1]
-    else:
-        k = i0
-        new_vs = A[:i0] + (new_vertex,) + A[j0 + 1 :]
-        new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
-    gon2 = _trusted(CevaGon, new_vs, new_gs)
-    # the slots that hold the new vertex, in the constructor's order
-    for s in sorted(((k - 1) % (m - 1), k)):
-        defect = _pair_defect(gon2, s)
-        if defect is None and s == k:
-            defect = _cevian_defect(gon2, k, backend)
-        if defect:
-            raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
-    return gon2, ReductionStep(index=i, vertex=new_vertex, line=new_line)
-
-
-def menelaos_reduce_step(gon: MenelaosGon, i: int) -> MenelaosGon:
-    """Remove vertex i (1-based cyclic), merging its two sides.
-
-    The cut on the merged side is the meet of that side with the line
-    through the two removed cuts; all other vertices and cuts carry
-    over with their cyclic positions.  Only the new cut is validated, in
-    the data's lane, since everything else was already validated in the
-    input gon; a degenerate result raises DegenerateStep.
-    """
-    gon2, _ = _menelaos_step_traced(
-        gon, i, _backend_of(*gon.vertices, *gon.items), {}
-    )
-    return gon2
-
-
-def _menelaos_step_traced(
-    gon: MenelaosGon, i: int, backend: Backend, memo: dict
-) -> tuple[MenelaosGon, "ReductionStep"]:
-    m = gon.n
-    if m < 4:
-        raise ValueError("reduction steps need at least a 4-gon")
-    if not 1 <= i <= m:
-        raise ValueError(f"step index {i} out of range 1..{m}")
-    A, B = gon.vertices, gon.side_points
-    i0 = i - 1
-    prev, nxt = (i0 - 1) % m, (i0 + 1) % m
-    if A[prev] == A[nxt]:
-        raise DegenerateStep("neighbors of the removed vertex coincide", i)
-    merged = _built(memo, join, A[prev], A[nxt])
-    if B[prev] == B[i0]:
-        raise DegenerateStep("the two removed cuts coincide", i)
-    transversal = _built(memo, join, B[prev], B[i0])
-    if transversal == merged:
-        raise DegenerateStep("cut transversal equals the merged side", i)
-    new_point = _built(memo, meet, merged, transversal)
-    if i0 == 0:
-        k = m - 2
-        new_vs = A[1:]
-        new_bs = B[1 : m - 1] + (new_point,)
-    else:
-        k = i0 - 1
-        new_vs = A[:i0] + A[i0 + 1 :]
-        new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
-    gon2 = _trusted(MenelaosGon, new_vs, new_bs)
-    # the merged side k already has distinct endpoints
-    defect = _cut_defect(gon2, k, backend, merged)
-    if defect:
-        raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
-    return gon2, ReductionStep(index=i, point=new_point)
-
-
-# ---------------------------------------------------------------------------
 # traces
 
 
@@ -460,42 +452,32 @@ class ReductionTrace:
     """Full record of a reduction run: start gon, steps, final triangle,
     verdict.  Serializes to JSON lines for bit-exact replay."""
 
-    kind: str
     start: CevaGon | MenelaosGon
     steps: list[ReductionStep] = field(default_factory=list)
     final: CevaGon | MenelaosGon | None = None
     verdict: bool | None = None
 
     @property
+    def kind(self) -> str:
+        return self.start.kind
+
+    @property
     def indices(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.steps)
 
     def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "schema": REDUCTION_SCHEMA,
-                    "kind": self.kind,
-                    "gon": self.start.to_json(),
-                },
-                sort_keys=True,
-            )
-        ]
-        for step in self.steps:
-            lines.append(json.dumps(step.to_json(), sort_keys=True))
+        start = self.start.to_json()
+        rows = [{"schema": REDUCTION_SCHEMA, "kind": self.kind, "gon": start}]
+        rows += [step.to_json() for step in self.steps]
         if self.final is not None:
-            lines.append(
-                json.dumps(
-                    {"final": self.final.to_json(), "verdict": self.verdict},
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
+            rows.append({"final": self.final.to_json(), "verdict": self.verdict})
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
     @classmethod
     def from_json_lines(cls, text: str) -> "ReductionTrace":
         """Read a trace back; a malformed line raises ValueError("trace
-        line N: ..."), N counting from 1."""
+        line N: ..."), N counting from 1, and so does a header whose
+        schema is not REDUCTION_SCHEMA or whose kind is not its gon's."""
         trace = None
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -507,7 +489,14 @@ class ReductionTrace:
                 if trace is None:
                     if "kind" not in row:
                         raise ValueError("expected the header line, with a kind")
-                    trace = cls(kind=row["kind"], start=gon_from_json(row["gon"]))
+                    schema, kind = row["schema"], row["kind"]
+                    if type(schema) is not int or schema != REDUCTION_SCHEMA:
+                        raise ValueError(f"unknown schema {schema!r}")
+                    trace = cls(gon_from_json(row["gon"]))
+                    if kind != trace.kind:
+                        raise ValueError(
+                            f"header kind {kind!r} is not the gon's, {trace.kind!r}"
+                        )
                 elif "final" in row:
                     trace.final = gon_from_json(row["final"])
                     trace.verdict = row["verdict"]
@@ -554,11 +543,7 @@ def _run_reduction(
             f"a {n}-gon reduces in exactly {n - 3} steps, "
             f"got {len(indices)} indices"
         )
-    kind = gon.kind
-    if kind == "ceva":
-        step_fn, on_one_triangle = _ceva_step_traced, concurrent
-    else:
-        step_fn, on_one_triangle = _menelaos_step_traced, collinear
+    step = type(gon)._step
     memo: dict = {}  # the walk's lines and points, see _built
     steps: list[ReductionStep] = []
     first: tuple[bool, ReductionTrace] | None = None
@@ -568,11 +553,10 @@ def _run_reduction(
         # m is current.n
         nonlocal first, first_degenerate
         if m == 3:
-            verdict = on_one_triangle(*current.items, backend)
+            # collinear is concurrent: the cuts' or the cevians' test
+            verdict = collinear(*current.items, backend)
             if first is None:
-                first = verdict, ReductionTrace(
-                    kind, gon, list(steps), current, verdict
-                )
+                first = verdict, ReductionTrace(gon, list(steps), current, verdict)
             elif verdict != first[0]:
                 order = tuple(s.index for s in steps)
                 raise InconsistentOrders(
@@ -586,13 +570,13 @@ def _run_reduction(
             choices = (indices[n - m],)
         for idx in choices:
             try:
-                child, step = step_fn(current, idx, backend, memo)
+                child, record = step(current, idx, backend, memo)
             except DegenerateStep as exc:
                 if first_degenerate is None:
-                    exc.trace = ReductionTrace(kind, gon, list(steps))
+                    exc.trace = ReductionTrace(gon, list(steps))
                     first_degenerate = exc
                 continue
-            steps.append(step)
+            steps.append(record)
             walk(child, m - 1)
             steps.pop()
 
@@ -675,23 +659,18 @@ def replay_trace(trace: ReductionTrace, backend: Backend | None = None) -> Reduc
     """Re-run a recorded reduction and demand bit-identical objects.
 
     Raises ReplayMismatch if any recreated vertex, line, point, final
-    gon, or verdict differs from the recording, comparing canonical
-    serializations so the check is exact.
+    gon, or verdict differs from the recording, comparing their JSON
+    forms, whose coordinates are exact, so the check is exact.
     """
     be = backend or _backend_of(*trace.start.vertices, *trace.start.items)
     verdict, fresh = _run_reduction(trace.start, trace.indices, be)
     for old, new in zip(trace.steps, fresh.steps):
-        if json.dumps(old.to_json(), sort_keys=True) != json.dumps(
-            new.to_json(), sort_keys=True
-        ):
+        if old.to_json() != new.to_json():
             raise ReplayMismatch(
                 f"step at index {old.index} reproduced different objects"
             )
-    if trace.final is not None:
-        if json.dumps(trace.final.to_json(), sort_keys=True) != json.dumps(
-            fresh.final.to_json(), sort_keys=True
-        ):
-            raise ReplayMismatch("final gon differs from the recording")
+    if trace.final is not None and trace.final.to_json() != fresh.final.to_json():
+        raise ReplayMismatch("final gon differs from the recording")
     if trace.verdict is not None and trace.verdict != verdict:
         raise ReplayMismatch(
             f"verdict {verdict} differs from recorded {trace.verdict}"

@@ -17,8 +17,7 @@ from random import Random
 
 from harmonica.bisectors import (
     EuclideanPoint,
-    bisector_pseudo_concurrency,
-    incenter,
+    bisector_gon,
     steiner_add_11_check,
     triangle_bisector_concurrencies,
 )
@@ -30,6 +29,7 @@ from harmonica.core import (
     all_collinear,
     cross_ratio_lines,
     cross_ratio_points,
+    float_backend,
     harmonic_conjugate,
     incident,
     is_harmonic_pencil,
@@ -57,12 +57,11 @@ from harmonica.reduction import (
     DegenerateStep,
     MenelaosGon,
     ceva_product,
-    ceva_reduce_step,
     duality_bridge,
     is_pseudo_collinear,
     is_pseudo_concurrent,
     menelaos_product,
-    menelaos_reduce_step,
+    reduce_step,
 )
 from harmonica.registry import run_trial
 from harmonica.render import render_scene
@@ -399,7 +398,7 @@ def test_criterion_06_gon_reductions():
             stepped = 0
             for i in range(1, n + 1):
                 try:
-                    reduced = ceva_reduce_step(gon, i)
+                    reduced = reduce_step(gon, i)
                     after = ceva_product(reduced)
                 except GeometryError:
                     continue
@@ -411,7 +410,7 @@ def test_criterion_06_gon_reductions():
             stepped = 0
             for i in range(1, n + 1):
                 try:
-                    reduced = menelaos_reduce_step(mgon, i)
+                    reduced = reduce_step(mgon, i)
                     after = menelaos_product(reduced)
                 except GeometryError:
                     continue
@@ -493,15 +492,17 @@ def test_criterion_08_bisectors():
             config = gen_hypothesis_forcing(
                 "bisectors-ngon", GenSpec(seed=80000 + i), n=n
             )
-            assert bisector_pseudo_concurrency(config["points"]), (i, n)
+            gon = bisector_gon(config["points"])
+            verdict, _ = is_pseudo_concurrent(gon, "first", float_backend())
+            assert verdict, (i, n)
         for i in range(200):
             n = 3 + (i % 5)
             config = gen_hypothesis_forcing(
                 "bisectors-ngon", GenSpec(seed=81000 + i), n=n
             )
-            assert bisector_pseudo_concurrency(
-                config["points"], config["choice"]
-            ), (i, n, config["choice"])
+            gon = bisector_gon(config["points"], config["choice"])
+            verdict, _ = is_pseudo_concurrent(gon, "first", float_backend())
+            assert verdict, (i, n, config["choice"])
         for i in range(200):
             points = gen_hypothesis_forcing(
                 "bisectors-triangle", GenSpec(seed=82000 + i)
@@ -518,11 +519,11 @@ def test_criterion_08_bisectors():
 
 def test_criterion_09_345_incenter():
     with criterion(9, "3-4-5 right triangle incenter at (1, 1)"):
-        x, y = incenter(
+        x, y = triangle_bisector_concurrencies(
             EuclideanPoint(0.0, 0.0),
             EuclideanPoint(3.0, 0.0),
             EuclideanPoint(0.0, 4.0),
-        )
+        ).witness["incenter"]
         assert abs(x - 1.0) <= 1e-12
         assert abs(y - 1.0) <= 1e-12
 

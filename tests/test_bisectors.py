@@ -15,15 +15,10 @@ from harmonica.bisectors import (
     BisectorPair,
     DegenerateAngle,
     EuclideanPoint,
+    _quintuples,
     angle_bisectors,
     bisector_gon,
-    bisector_product,
-    bisector_pseudo_concurrency,
-    classify_against_bisectors,
-    incenter,
-    lines_parallel,
     steiner_add_11_check,
-    steiner_quintuples,
     triangle_bisector_concurrencies,
 )
 from harmonica.core import (
@@ -35,7 +30,7 @@ from harmonica.core import (
     incident,
     join,
 )
-from harmonica.reduction import ceva_reduce_step
+from harmonica.reduction import ceva_product, is_pseudo_concurrent, reduce_step
 
 
 E = EuclideanPoint
@@ -112,6 +107,27 @@ def weighted_center(vertices, weights):
 def triangle_side_lengths(a1, a2, a3):
     # lengths opposite each vertex
     return (a2.distance(a3), a1.distance(a3), a1.distance(a2))
+
+
+def lines_parallel(l: Line, m: Line) -> bool:
+    """Whether two float lines have the same direction: the sine of the
+    angle between their normals is zero at float_backend()."""
+    n1 = math.hypot(l.a, l.b)
+    n2 = math.hypot(m.a, m.b)
+    if n1 == 0 or n2 == 0:
+        return False
+    return float_backend().zero((l.a * m.b - l.b * m.a) / (n1 * n2))
+
+
+def classify_against_bisectors(line: Line, prev, v, nxt) -> str | None:
+    """Name the bisector of angle (prev, v, nxt) that a line is parallel
+    to (lines_parallel), or None if it matches neither."""
+    fresh = angle_bisectors(prev, v, nxt)
+    if lines_parallel(line, fresh.internal):
+        return "internal"
+    if lines_parallel(line, fresh.external):
+        return "external"
+    return None
 
 
 class TestAngleBisectors:
@@ -197,7 +213,7 @@ class TestTriangleCenters:
         a = E(0, 0)
         b = E(1, 0)
         c = E(0.5, math.sqrt(3) / 2)
-        ix, iy = incenter(a, b, c)
+        ix, iy = triangle_bisector_concurrencies(a, b, c).witness["incenter"]
         assert abs(ix - 0.5) <= 1e-12
         assert abs(iy - math.sqrt(3) / 6) <= 1e-12
 
@@ -307,7 +323,7 @@ class TestSteinerQuintuples:
 
     def test_quintuples_have_five_members(self):
         quad = random_convex_quad(Random(23))
-        quints = steiner_quintuples(quad)
+        quints, _ = _quintuples(quad, float_backend())
         assert len(quints) == 4
         assert all(len(q) == 5 for q in quints)
 
@@ -320,14 +336,15 @@ class TestSteinerQuintuples:
         assert report.all_true(), report.residuals
 
     def test_quintuples_are_in_the_input_frame(self):
-        # the checks run on a unit-size copy; the quintuples returned
-        # are mapped back, so the first member of the first one is the
-        # meet of sides 12 and 34 of the input
+        # the checks run on a unit-size copy; its map back takes the
+        # first member of the first quintuple to the meet of sides 12
+        # and 34 of the input
         quad = [E(100, 100), E(103, 100), E(104, 103), E(100, 104)]
-        a5 = steiner_quintuples(quad)[0][0]
+        quints, back = _quintuples(quad, float_backend())
+        x, y, w = back(quints[0][0])
         # side 12 is y = 100, and side 34 meets it at x = 100 + 4 * 4
-        assert abs(a5.x / a5.w - 116) <= 1e-9
-        assert abs(a5.y / a5.w - 100) <= 1e-9
+        assert abs(x / w - 116) <= 1e-9
+        assert abs(y / w - 100) <= 1e-9
 
     def test_near_parallel_sides_still_pass(self):
         # a12 and a34 nearly parallel: the diagonal point sits far out
@@ -343,14 +360,15 @@ class TestBisectorGons:
         for n in (4, 5, 6, 7):
             for _ in range(5):
                 pts = random_ngon(rng, n)
-                assert bisector_pseudo_concurrency(pts)
+                gon = bisector_gon(pts)
+                assert is_pseudo_concurrent(gon, "first", float_backend())[0]
 
     def test_internal_product_is_one(self):
         rng = Random(31)
         for n in (4, 5, 6, 7):
             for _ in range(5):
                 pts = random_ngon(rng, n)
-                product = bisector_product(pts)
+                product = ceva_product(bisector_gon(pts), float_backend())
                 assert abs(product - 1) <= 1e-8
 
     def test_even_external_choices_pass(self):
@@ -363,7 +381,9 @@ class TestBisectorGons:
                 choice = [
                     "external" if i in outs else "internal" for i in range(n)
                 ]
-                assert bisector_pseudo_concurrency(pts, choice), choice
+                gon = bisector_gon(pts, choice)
+                verdict, _ = is_pseudo_concurrent(gon, "first", float_backend())
+                assert verdict, choice
 
     def test_single_external_choice_fails_generically(self):
         rng = Random(41)
@@ -374,7 +394,8 @@ class TestBisectorGons:
             choice = ["internal"] * 5
             choice[rng.randrange(5)] = "external"
             trials += 1
-            if not bisector_pseudo_concurrency(pts, choice):
+            gon = bisector_gon(pts, choice)
+            if not is_pseudo_concurrent(gon, "first", float_backend())[0]:
                 failures += 1
         assert trials == 10 and failures >= 8
 
@@ -384,7 +405,8 @@ class TestBisectorGons:
             pts = random_ngon(rng, 6)
             outs = rng.sample(range(6), 2)
             choice = ["external" if i in outs else "internal" for i in range(6)]
-            assert abs(bisector_product(pts, choice) - 1) <= 1e-8
+            product = ceva_product(bisector_gon(pts, choice), float_backend())
+            assert abs(product - 1) <= 1e-8
 
     def _reduced_cevian_label(self, pts, kind):
         """Collapse the pair (2, 3) of a pentagon whose bisector kinds
@@ -396,7 +418,7 @@ class TestBisectorGons:
         choice[2] = "internal" if kind[1] == "i" else "external"
         gon = bisector_gon(pts, choice)
         try:
-            reduced = ceva_reduce_step(gon, 2)
+            reduced = reduce_step(gon, 2)
         except GeometryError:
             return None
         new = reduced.vertices[1]

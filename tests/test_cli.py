@@ -319,11 +319,14 @@ class TestReduce:
             (3, (), "{"),
             (1, ("gon",), []),
             (2, ("vertex", "w"), "1/0"),
+            (1, ("kind",), "menelaos"),
+            (1, ("schema",), 99),
         ],
         ids=[
             "no-step-index", "no-verdict", "no-vertices", "no-y",
             "string-index", "bare-number", "string-verdict", "not-json",
-            "gon-not-an-object", "zero-denominator",
+            "gon-not-an-object", "zero-denominator", "header-kind-not-the-gons",
+            "unknown-schema",
         ],
     )
     def test_malformed_trace_is_a_usage_error(self, capsys, tmp_path, line, path, value):

@@ -32,7 +32,6 @@ from harmonica.core import (
     float_backend,
     fourth_harmonic_line,
     harmonic_conjugate,
-    incidence_residual,
     incident,
     is_harmonic_pencil,
     is_harmonic_points,
@@ -110,6 +109,15 @@ def test_zero_triple_rejected():
         Point(0, 0, 0)
     with pytest.raises(DegenerateInput):
         Line(0, 0, 0)
+
+
+def test_constructor_takes_three_positional_coordinates():
+    with pytest.raises(TypeError, match="Point takes 3 coordinates, got 2"):
+        Point(1, 2)
+    with pytest.raises(TypeError, match="Line takes 3 coordinates, got 4"):
+        Line(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        Point(x=1, y=2, w=1)
 
 
 def test_collinear_trivial_cases():
@@ -749,21 +757,12 @@ def test_residuals_use_given_coordinates(kernel_pool):
     for _ in range(500):
         l, m, n = (rng.choice(lines) for _ in range(3))
         p, q, r = (rng.choice(points) for _ in range(3))
-        assert _typed(incidence_residual(l, p)) == _typed(
-            _ref_incidence(l.triple, p.triple)
-        )
         assert _typed(collinearity_residual(p, q, r)) == _typed(
             _ref_det3(p.triple, q.triple, r.triple)
         )
         assert _typed(concurrency_residual(l, m, n)) == _typed(
             _ref_det3(l.triple, m.triple, n.triple)
         )
-    # a scaled copy reports its own residual, not its integer form's
-    half = Line(Fraction(1, 2), Fraction(-1, 2), 0)
-    assert incidence_residual(half, Point(Fraction(1, 3), 0, 1)) == (
-        Fraction(1, 6),
-        Fraction(1, 6),
-    )
 
 
 def test_coordinates_survive_integer_form():

@@ -9,7 +9,7 @@ import pytest
 from harmonica import generate
 from harmonica.bisectors import (
     EuclideanPoint,
-    bisector_pseudo_concurrency,
+    bisector_gon,
     steiner_add_11_check,
     triangle_bisector_concurrencies,
 )
@@ -20,6 +20,7 @@ from harmonica.core import (
     all_collinear,
     collinear,
     cross_ratio_points,
+    float_backend,
     incident,
     join,
 )
@@ -316,7 +317,8 @@ class TestHypothesisForcing:
             points, choice = forced["points"], forced["choice"]
             assert len(points) == len(choice) == 5
             assert sum(1 for c in choice if c == "external") % 2 == 0
-            assert bisector_pseudo_concurrency(points, choice)
+            gon = bisector_gon(points, choice)
+            assert is_pseudo_concurrent(gon, "first", float_backend())[0]
 
     def test_every_forced_config_serializes(self):
         for theorem in FORCED_THEOREMS:

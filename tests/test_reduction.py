@@ -32,13 +32,12 @@ from harmonica.reduction import (
     ReplayMismatch,
     all_reduction_orders,
     ceva_product,
-    ceva_reduce_step,
     duality_bridge,
     gon_from_json,
     is_pseudo_collinear,
     is_pseudo_concurrent,
     menelaos_product,
-    menelaos_reduce_step,
+    reduce_step,
     replay_trace,
 )
 
@@ -163,10 +162,9 @@ def assert_steps_revalidate(gon) -> None:
     validation."""
     if gon.n == 3:
         return
-    step = ceva_reduce_step if isinstance(gon, CevaGon) else menelaos_reduce_step
     for i in range(1, gon.n + 1):
         try:
-            reduced = step(gon, i)
+            reduced = reduce_step(gon, i)
         except DegenerateStep:
             continue
         rebuild(reduced)
@@ -282,7 +280,7 @@ class TestStepOracles:
             (P(0, 0), P(1, 0), P(1, 1), P(0, 1)),
             (L(1, -1, 0), L(1, 0, -1), L(1, -2, 1), L(1, -1, 1)),
         )
-        reduced = ceva_reduce_step(gon, 4)
+        reduced = reduce_step(gon, 4)
         assert reduced.vertices == (
             Point(1, 0, 0),
             P(1, 0),
@@ -302,7 +300,7 @@ class TestStepOracles:
             (P(0, 0), P(2, 0), P(2, 2), P(0, 2)),
             (P(1, 0), P(2, 1), P(Fraction(3, 2), 2), P(0, Fraction(1, 2))),
         )
-        reduced = menelaos_reduce_step(gon, 4)
+        reduced = reduce_step(gon, 4)
         assert reduced.vertices == (P(0, 0), P(2, 0), P(2, 2))
         assert reduced.side_points == (P(1, 0), P(2, 1), Point(1, 1, 0))
         # independent check: this instance is pseudo-collinear and the
@@ -313,13 +311,13 @@ class TestStepOracles:
     def test_untouched_entries_carry_over(self):
         rng = Random(7)
         gon = ceva_gon_random(rng, 6)
-        reduced = ceva_reduce_step(gon, 3)
+        reduced = reduce_step(gon, 3)
         assert reduced.vertices[:2] == gon.vertices[:2]
         assert reduced.vertices[3:] == gon.vertices[4:]
         assert reduced.cevians[:2] == gon.cevians[:2]
         assert reduced.cevians[3:] == gon.cevians[4:]
         mgon = menelaos_gon_random(rng, 6)
-        mreduced = menelaos_reduce_step(mgon, 3)
+        mreduced = reduce_step(mgon, 3)
         assert mreduced.vertices == mgon.vertices[:2] + mgon.vertices[3:]
         assert mreduced.side_points[:1] == mgon.side_points[:1]
         assert mreduced.side_points[2:] == mgon.side_points[3:]
@@ -330,7 +328,7 @@ class TestStepOracles:
         o = meet(gon.cevians[0], gon.cevians[1])
         for i in range(1, 6):
             try:
-                reduced = ceva_reduce_step(gon, i)
+                reduced = reduce_step(gon, i)
             except DegenerateStep:
                 continue
             for l in reduced.cevians:
@@ -342,7 +340,7 @@ class TestStepOracles:
         t = join(gon.side_points[0], gon.side_points[1])
         for i in range(1, 6):
             try:
-                reduced = menelaos_reduce_step(gon, i)
+                reduced = reduce_step(gon, i)
             except DegenerateStep:
                 continue
             for b in reduced.side_points:
@@ -361,7 +359,7 @@ class TestStepOracles:
         with pytest.raises(DegenerateInput, match=message):
             CevaGon((P(1, 0),) + vs[1:4], (L(1, 0, -1),) + gon.cevians[1:4])
         with pytest.raises(DegenerateStep) as info:
-            ceva_reduce_step(gon, 5)
+            reduce_step(gon, 5)
         assert str(info.value) == f"reduced gon is degenerate: {message}"
         assert info.value.index == 5
         with pytest.raises(DegenerateStep, match=message):
@@ -371,7 +369,26 @@ class TestStepOracles:
         rng = Random(17)
         gon = ceva_gon_random(rng, 3)
         with pytest.raises(ValueError):
-            ceva_reduce_step(gon, 1)
+            reduce_step(gon, 1)
+
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    def test_reduce_step_matches_an_explicit_order_trace(self, kind):
+        # each step remakes the objects the trace recorded, and the last
+        # one the recorded final triangle
+        rng = Random(31)
+        if kind == "ceva":
+            gon, check = ceva_gon_concurrent(rng, 6), is_pseudo_concurrent
+        else:
+            gon, check = menelaos_gon_on_transversal(rng, 6), is_pseudo_collinear
+        _, trace = check(gon, order=(6, 3, 1))
+        current = gon
+        for step in trace.steps:
+            current = reduce_step(current, step.index)
+            assert type(current) is type(gon)
+            held = [o.to_json() for o in current.vertices + current.items]
+            for made in (step.vertex, step.line, step.point):
+                assert made is None or made.to_json() in held
+        assert current.to_json() == trace.final.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +407,7 @@ class TestProducts:
                     continue
                 for i in range(1, n + 1):
                     try:
-                        after = ceva_product(ceva_reduce_step(gon, i))
+                        after = ceva_product(reduce_step(gon, i))
                     except Exception:
                         continue
                     assert after == before, (n, i)
@@ -406,7 +423,7 @@ class TestProducts:
                     continue
                 for i in range(1, n + 1):
                     try:
-                        after = menelaos_product(menelaos_reduce_step(gon, i))
+                        after = menelaos_product(reduce_step(gon, i))
                     except Exception:
                         continue
                     assert after == -before, (n, i)
