@@ -41,9 +41,12 @@ not formatting.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
 from .core import (
@@ -115,68 +118,70 @@ class EvaluationError(_Located):
 # tokens
 
 _PUNCT = "()[],;:=/"
-_DIGITS = "0123456789"
+_NUMBER_START = "-0123456789"
+# the first characters of the tokens that are not words, and "" (the
+# end of input's first character, as token[:1] reads it)
+_NOT_A_WORD = _PUNCT + _NUMBER_START
 _ORDERS = ("first", "exhaustive", "seed")
 
+# A token is its text.  Its kind follows from its first character: a
+# word starts with a letter (str.isalpha) or "_", a number with an ASCII
+# digit or "-", punctuation is one character of _PUNCT, and end of
+# input is "", so the parser tests a token by its text alone.  One
+# pattern skips whitespace (exactly space, tab, CR and LF) and comments,
+# then takes a token (group 1), a character that starts none (group 2)
+# or the end of the text.  The skip is greedy and one of the three
+# alternatives always matches after it, so the pattern never backtracks.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:([^\W\d]\w*|-?[0-9]+|[()\[\],;:=/])|(.)|\Z)",
+    re.DOTALL,
+)
+_TOKEN_TEXT = itemgetter(1)
+_NEWLINE = re.compile("\n")
 
-# The kinds never share a value (a word starts with a letter or "_", a
-# number with a digit or "-", eof is ""), so the parser tests a token by
-# its value alone.  A token is a tuple because the lexer makes one per
-# token, and a tuple costs less to build than a frozen dataclass.
-class _Token(NamedTuple):
-    kind: str  # "word" | "number" | "punct" | "eof"
-    value: str
-    line: int
-    col: int
 
+def _lex(text: str) -> tuple[list[str], Callable[[int], Pos]]:
+    """The token texts, end of input "" last, and a function from a
+    token's index to its 1-based (line, column); a column counts code
+    points, a tab as one."""
+    matches = list(_TOKEN.finditer(text))
+    tokens = list(map(_TOKEN_TEXT, matches))
+    # the first match without a token is the end of the text, or a
+    # character that starts no token (finditer may add an empty match
+    # at the end, which this drops too)
+    n = tokens.index(None)
+    bad = matches[n].start(2)
+    if not text.isascii():
+        # [^\W\d] also takes numerals that are not letters, such as "²"
+        # or "½": a word may hold them but not start with one
+        for k in range(n):
+            first = tokens[k][0]
+            if not (first.isascii() or first.isalpha()):
+                bad = matches[k].start(1)
+                break
+    newlines = [m.start() for m in _NEWLINE.finditer(text)]
 
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("word", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS or (
-            ch == "-" and i + 1 < n and text[i + 1] in _DIGITS
-        ):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SceneSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    def position(offset: int) -> Pos:
+        line = bisect_left(newlines, offset)
+        return line + 1, offset - (newlines[line - 1] if line else -1)
+
+    if bad >= 0:
+        raise SceneSyntaxError(
+            f"unexpected character {text[bad]!r}", *position(bad)
+        )
+    del tokens[n:]
+    tokens.append("")
+    # end of input sits at the end of the text, or where a comment on the
+    # last line starts: the lexer never counted a comment's columns
+    last = matches[n - 1].end() if n else 0
+    eof = text.find("#", max(last, text.rfind("\n", last) + 1))
+    if eof < 0:
+        eof = len(text)
+
+    def where(i: int) -> Pos:
+        return position(matches[i].start(1) if i < n else eof)
+
+    return tokens, where
 
 
 # ---------------------------------------------------------------------------
@@ -354,146 +359,150 @@ def _one_of(words) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the token texts; self.i is the index of
+    the next token, and a method that needs a site keeps a token's
+    index for self.where."""
+
+    def __init__(self, tokens: list[str], where: Callable[[int], Pos]):
         self.toks = tokens
+        self.where = where
         self.i = 0
         # name -> "point" | "line" | ("gon", arity)
         self.symbols: dict[str, object] = {}
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def fail(self, message: str, i: int, expected=()):
+        raise SceneSyntaxError(message, *self.where(i), expected)
 
-    def advance(self) -> _Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token, expected=()):
-        raise SceneSyntaxError(message, tok.line, tok.col, expected)
-
-    def found(self, what: str, tok: _Token, expected) -> None:
+    def found(self, what: str, i: int, expected) -> None:
         self.fail(
-            f"expected {what}, found {tok.value or 'end of input'!r}",
-            tok,
+            f"expected {what}, found {self.toks[i] or 'end of input'!r}",
+            i,
             expected,
         )
 
-    def punct(self, value: str) -> _Token:
-        if self.peek().value != value:
-            self.found(repr(value), self.peek(), (value,))
-        return self.advance()
+    def punct(self, value: str) -> int:
+        i = self.i
+        if self.toks[i] != value:
+            self.found(repr(value), i, (value,))
+        self.i = i + 1
+        return i
 
-    def keyword(self, *values: str) -> _Token:
-        if self.peek().value not in values:
-            self.found(" or ".join(map(repr, values)), self.peek(), values)
-        return self.advance()
+    def keyword(self, *values: str) -> str:
+        tok = self.toks[self.i]
+        if tok not in values:
+            self.found(" or ".join(map(repr, values)), self.i, values)
+        self.i += 1
+        return tok
 
-    def name(self) -> _Token:
-        """A word that may name an object: not a keyword."""
-        tok = self.peek()
-        if tok.kind != "word":
-            self.found("a name", tok, ("identifier",))
-        if tok.value in _KEYWORDS:
-            self.fail(f"{tok.value!r} is a reserved word", tok)
-        return self.advance()
+    def name(self) -> int:
+        """A word that may name an object, not a keyword."""
+        i = self.i
+        tok = self.toks[i]
+        # "" (end of input) is in every string, so it fails here too
+        if tok[:1] in _NOT_A_WORD:
+            self.found("a name", i, ("identifier",))
+        if tok in _KEYWORDS:
+            self.fail(f"{tok!r} is a reserved word", i)
+        self.i = i + 1
+        return i
 
     def ident(self, want: str) -> str:
         """A declared name of kind `want`; "any" is a point or a line."""
-        tok = self.name()
-        if tok.value not in self.symbols:
-            raise UnknownIdentifier(tok.value, tok.line, tok.col)
-        kind = self.symbols[tok.value]
+        i = self.i
+        tok = self.toks[i]
+        kind = self.symbols.get(tok)
+        if kind is None:
+            self.name()
+            raise UnknownIdentifier(tok, *self.where(i))
+        self.i = i + 1
+        if kind == want:
+            return tok
         label = kind[0] if isinstance(kind, tuple) else kind
         if want == "any":
             if label not in ("point", "line"):
                 raise TypeMismatch(
-                    f"{tok.value!r} is not a point or line", tok.line, tok.col
+                    f"{tok!r} is not a point or line", *self.where(i)
                 )
         elif label != want:
             raise TypeMismatch(
-                f"{tok.value!r} is a {label}, expected a {want}",
-                tok.line,
-                tok.col,
+                f"{tok!r} is a {label}, expected a {want}", *self.where(i)
             )
-        return tok.value
+        return tok
 
-    def fresh_name(self) -> tuple[str, _Token]:
-        tok = self.name()
-        if tok.value in self.symbols:
-            raise Redeclaration(tok.value, tok.line, tok.col)
-        return tok.value, tok
+    def fresh_name(self) -> int:
+        i = self.name()
+        if self.toks[i] in self.symbols:
+            raise Redeclaration(self.toks[i], *self.where(i))
+        return i
 
     def more(self, want: str) -> list[str]:
         """Names of kind `want`, each after a ','."""
         names = []
-        while self.peek().value == ",":
-            self.advance()
+        while self.toks[self.i] == ",":
+            self.i += 1
             names.append(self.ident(want))
         return names
 
-    def to_int(self, tok: _Token) -> int:
+    def number(self, message: str = "") -> int:
+        """A number token's value; any other token fails with the
+        message, by default "expected a number, found ..."."""
+        i = self.i
+        tok = self.toks[i]
+        if not tok or tok[0] not in _NUMBER_START:
+            if message:
+                self.fail(message, i, ("number",))
+            self.found("a number", i, ("number",))
+        self.i = i + 1
         try:
-            return int(tok.value)
+            return int(tok)
         except ValueError as exc:  # past the interpreter's digit limit
-            self.fail(f"number too long: {exc}", tok)
+            self.fail(f"number too long: {exc}", i)
 
     def rational(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.found("a number", tok, ("number",))
-        self.advance()
-        num = self.to_int(tok)
-        if self.peek().value == "/":
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "number":
-                self.fail("expected a denominator", den_tok, ("number",))
-            self.advance()
-            den = self.to_int(den_tok)
+        num = self.number()
+        if self.toks[self.i] == "/":
+            self.i += 1
+            i = self.i
+            den = self.number("expected a denominator")
             if den == 0:
-                self.fail("denominator cannot be zero", den_tok)
+                self.fail("denominator cannot be zero", i)
             return Fraction(num, den)
         return num
-
-    def integer(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected an integer", tok, ("number",))
-        self.advance()
-        return self.to_int(tok)
 
     # statements ------------------------------------------------------
 
     def scene(self) -> SceneAst:
         statements = []
-        while self.peek().kind != "eof":
+        while self.toks[self.i]:
             statements.append(self.statement())
         return SceneAst(tuple(statements))
 
     def statement(self) -> Statement:
-        tok = self.peek()
-        if tok.value not in _STATEMENTS:
-            self.found(_one_of(_STATEMENTS), tok, tuple(_STATEMENTS))
-        return _STATEMENTS[tok.value](self)
+        method = _STATEMENTS.get(self.toks[self.i])
+        if method is None:
+            self.found(_one_of(_STATEMENTS), self.i, tuple(_STATEMENTS))
+        return method(self)
 
     def decl(self) -> Decl:
-        kind = self.advance().value
-        name, tok = self.fresh_name()
+        kind = self.toks[self.i]
+        self.i += 1
+        i = self.fresh_name()
         self.punct("=")
         expr = self.expr(kind)
+        name = self.toks[i]
         self.symbols[name] = kind
-        return Decl(kind, name, expr, pos=(tok.line, tok.col))
+        return Decl(kind, name, expr, pos=self.where(i))
 
     def expr(self, kind: str):
-        tok = self.peek()
-        if tok.value == "(":
+        tok = self.toks[self.i]
+        if tok == "(":
             return self.literal_triple(kind == "point")
-        call = _CALLS.get(tok.value)
+        call = _CALLS.get(tok)
         if call is None or call.makes != kind:
             calls = tuple(k for k, c in _CALLS.items() if c.makes == kind)
             self.fail(
                 f"expected a coordinate literal, {_one_of(calls)}",
-                tok,
+                self.i,
                 expected=("(",) + calls,
             )
         return self.call()
@@ -501,7 +510,8 @@ class _Parser:
     def call(self, pos: Pos = _NOPOS) -> Call:
         """A call, read as its _CALLS row spells it; an assertion call
         passes the site of its 'assert'."""
-        keyword = self.advance().value
+        keyword = self.toks[self.i]
+        self.i += 1
         groups = _CALLS[keyword].groups
         args = []
         fixed = "any"  # the kind of the first "any" argument, once read
@@ -525,22 +535,21 @@ class _Parser:
             if more and len(names) < count:
                 raise TypeMismatch(
                     f"{keyword} needs at least {count} arguments",
-                    close.line,
-                    close.col,
+                    *self.where(close),
                 )
         return Call(keyword, tuple(args), pos)
 
     def literal_triple(self, point: bool) -> tuple[Scalar, Scalar, Scalar]:
         self.punct("(")
         first = self.rational()
-        sep = self.peek().value
+        sep = self.toks[self.i]
         if point and sep == ",":
-            self.advance()
+            self.i += 1
             second = self.rational()
             self.punct(")")
             return (first, second, 1)
         if sep == ":":
-            self.advance()
+            self.i += 1
             second = self.rational()
             self.punct(":")
             third = self.rational()
@@ -548,40 +557,41 @@ class _Parser:
             return (first, second, third)
         self.fail(
             "expected ',' or ':'" if point else "expected ':'",
-            self.peek(),
+            self.i,
             expected=(",", ":") if point else (":",),
         )
 
     def gon_decl(self) -> GonDecl:
-        self.advance()
-        name, tok = self.fresh_name()
+        self.i += 1
+        i = self.fresh_name()
         self.punct("=")
         self.punct("[")
         names = [self.ident("point")] + self.more("point")
         close = self.punct("]")
         if len(names) < 3:
-            raise TypeMismatch(
-                "a gon needs at least 3 vertices", close.line, close.col
-            )
+            raise TypeMismatch("a gon needs at least 3 vertices", *self.where(close))
+        name = self.toks[i]
         self.symbols[name] = ("gon", len(names))
-        return GonDecl(name, tuple(names), pos=(tok.line, tok.col))
+        return GonDecl(name, tuple(names), pos=self.where(i))
 
     def assertion(self) -> Statement:
-        start = self.advance()
-        tok = self.peek()
-        if tok.value not in _PREDICATES:
+        start = self.i
+        self.i += 1
+        method = _PREDICATES.get(self.toks[self.i])
+        if method is None:
             self.fail(
-                f"unknown predicate {tok.value or 'end of input'!r}",
-                tok,
+                f"unknown predicate {self.toks[self.i] or 'end of input'!r}",
+                self.i,
                 expected=tuple(sorted(_PREDICATES)),
             )
-        return _PREDICATES[tok.value](self, (start.line, start.col))
+        return method(self, self.where(start))
 
     def assert_gon(self, pos: Pos) -> AssertPseudo | AssertProduct:
         """The pseudo_ assertions (then an order clause) and the
         _product assertions (then '= Q'): a gon, then one line (Ceva) or
         cut point (Menelaos) per vertex."""
-        which = self.advance().value
+        which = self.toks[self.i]
+        self.i += 1
         kind = _GON_PREDICATES[which]
         want = "line" if kind == "ceva" else "point"
         self.punct("(")
@@ -593,8 +603,7 @@ class _Parser:
             raise TypeMismatch(
                 f"gon {gon!r} has {arity} vertices, got {len(items)}"
                 f" {want}s",
-                close.line,
-                close.col,
+                *self.where(close),
             )
         if which.startswith("pseudo_"):
             order = self.order_clause()
@@ -603,17 +612,17 @@ class _Parser:
         return AssertProduct(kind, gon, items, target=self.rational(), pos=pos)
 
     def order_clause(self) -> Order:
-        if self.peek().value != "order":
+        if self.toks[self.i] != "order":
             return None
-        self.advance()
+        self.i += 1
         self.punct("=")
         choice = self.keyword(*_ORDERS)
-        if choice.value == "seed":
+        if choice == "seed":
             self.punct("(")
-            k = self.integer()
+            k = self.number("expected an integer")
             self.punct(")")
             return ("seed", k)
-        return choice.value
+        return choice
 
 
 # statement keyword -> parser method
@@ -638,7 +647,7 @@ _KEYWORDS = frozenset(
 def parse(text: str) -> SceneAst:
     """Parse scene text; the first problem raises with 1-based line and
     column inside the offending token."""
-    return _Parser(_lex(text)).scene()
+    return _Parser(*_lex(text)).scene()
 
 
 # ---------------------------------------------------------------------------

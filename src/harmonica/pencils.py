@@ -412,22 +412,34 @@ class QuadrilateralConfig(_PolygonConfig):
         return meet(self.sides[3], self.sides[1])
 
 
+# The eight free triples, one row (d, i, j, mixed) each: diagonal point
+# d + 1, the crossing _free_crossing(g, h, ...) and the same crossing
+# with g and h swapped.  ell_pairs reads only the first two members.
+_FREE_TRIPLES = (
+    (0, 0, 3, True), (0, 2, 1, True), (0, 0, 3, False), (0, 1, 2, False),
+    (1, 0, 1, True), (1, 2, 3, True), (1, 0, 1, False), (1, 2, 3, False),
+)
+
+
+def _free_crossing(g, h, i: int, j: int, mixed: bool) -> Point:
+    """The crossing of g_i with h_j if mixed, else with g_j."""
+    return meet(g[i], (h if mixed else g)[j])
+
+
 def free_quadrilateral_triples(
     q: QuadrilateralConfig,
 ) -> list[tuple[Point, Point, Point]]:
     """The eight point triples that are collinear for every harmonic
     pencil assignment on a quadrilateral."""
     g, h = q.g, q.h
-    a5, a6 = q.diagonal_point_1, q.diagonal_point_2
+    diagonal = (q.diagonal_point_1, q.diagonal_point_2)
     return [
-        (a5, meet(g[0], h[3]), meet(h[0], g[3])),
-        (a5, meet(g[2], h[1]), meet(h[2], g[1])),
-        (a5, meet(g[0], g[3]), meet(h[0], h[3])),
-        (a5, meet(g[1], g[2]), meet(h[1], h[2])),
-        (a6, meet(g[0], h[1]), meet(h[0], g[1])),
-        (a6, meet(g[2], h[3]), meet(h[2], g[3])),
-        (a6, meet(g[0], g[1]), meet(h[0], h[1])),
-        (a6, meet(g[2], g[3]), meet(h[2], h[3])),
+        (
+            diagonal[d],
+            _free_crossing(g, h, i, j, mixed),
+            _free_crossing(h, g, i, j, mixed),
+        )
+        for d, i, j, mixed in _FREE_TRIPLES
     ]
 
 
@@ -461,12 +473,17 @@ def ell_pairs(q: QuadrilateralConfig) -> list[EllPair]:
     through those of vertices 2 and 3 (respectively 3 and 4).  If one
     pair coincides, all four do.
     """
-    t = free_quadrilateral_triples(q)
+    g, h = q.g, q.h
+    diagonal = (q.diagonal_point_1, q.diagonal_point_2)
+    ends = [
+        (diagonal[d], _free_crossing(g, h, i, j, mixed))
+        for d, i, j, mixed in _FREE_TRIPLES
+    ]
     return [
         EllPair(
             i,
-            _join_distinct(*t[2 * i - 2][:2], f"ell({i}) first"),
-            _join_distinct(*t[2 * i - 1][:2], f"ell({i}) second"),
+            _join_distinct(*ends[2 * i - 2], f"ell({i}) first"),
+            _join_distinct(*ends[2 * i - 1], f"ell({i}) second"),
         )
         for i in range(1, 5)
     ]

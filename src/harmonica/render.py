@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EXACT, Backend, Point, exact_div
+from .core import EXACT, Backend, Point
 from .dsl import Decl, GonDecl, SceneAst, evaluate
 
 # the calls whose lines are harmonically derived, so drawn dashed
@@ -66,11 +66,13 @@ class Viewport:
 
 
 def _affine(p: Point) -> tuple[float, float] | None:
-    if p.w == 0:
+    # an exact point has its integer form, and int / int rounds the
+    # exact quotient correctly, as float(Fraction) does
+    x, y, w = p._form or p.triple
+    if w == 0:
         return None
     try:
-        x = float(exact_div(p.x, p.w))
-        y = float(exact_div(p.y, p.w))
+        x, y = x / w, y / w
     except OverflowError:
         return None
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -172,14 +174,9 @@ def _clipped_strokes(strokes, vp: Viewport):
     return out
 
 
-def auto_viewport(ast: SceneAst, backend: Backend = EXACT) -> Viewport:
-    """Square box around the finite declared points, 15% margin."""
-    _, markers = _collect(ast, evaluate(ast, backend).bindings)
-    return _box_around(markers)
-
-
 def _box_around(markers) -> Viewport:
-    # the markers are exactly the finite declared points
+    """Square box around the finite declared points (exactly the
+    markers), 15% margin."""
     coords = [m.at for m in markers]
     if not coords:
         return Viewport(-5.0, -5.0, 5.0, 5.0)

@@ -157,6 +157,8 @@ PINNED_EOF_POSITIONS = [
     ("", (1, 1)),
     ("  # x\n  ", (2, 3)),
     ("point A = (1,\t# c\n", (2, 1)),
+    ("point A = (0, 0)\r\n  # c\r", (2, 3)),
+    ("\tpoint A = (0, 0)\t", (1, 19)),
 ]
 
 # sha256 over the parse outcome of every prefix text[:k], k = 0 ..
@@ -167,6 +169,49 @@ PINNED_EOF_POSITIONS = [
 PINNED_PREFIX_SHA256 = (
     "042e47fcde782a9f19a2a101d75cfd847e8fdbc5b0ae55f157141d6b05261bcb"
 )
+
+# sha256 over the parse outcome of every single-character deletion of
+# every shipped scene (7,204 texts) and of EDIT_SUBSTITUTIONS seeded
+# single-character substitutions per scene, each drawing its position
+# and its character (from EDIT_CHARS) from random.Random(0): one
+# "name\tedit\toutcome" line each, the outcome as for the prefixes.
+# The prefixes reach errors only at end of input; these edits put a
+# bad or missing token inside a statement.
+PINNED_EDIT_SHA256 = (
+    "8fefd91708f195d8d86e765328165e5fb847ca65647b1a1c98225dd3642198fd"
+)
+EDIT_SUBSTITUTIONS = 200
+# the punctuation, the comment and sign characters, a name character,
+# a digit, tab, LF and CR, and two characters that no token takes: a
+# superscript two (str.isdigit) and a no-break space
+EDIT_CHARS = "(),;:=/-#_0A\t\n\r\u00b2\u00a0"
+
+
+def _token_kind(token):
+    # a token's kind follows from its first character
+    if not token:
+        return "eof"
+    if token[0] in "-0123456789":
+        return "number"
+    if token[0] in "()[],;:=/":
+        return "punct"
+    return "word"
+
+
+def _token_stream(text):
+    """(kind, value, line, column) of each token, end of input last."""
+    tokens, where = dsl._lex(text)
+    return [(_token_kind(t), t, *where(i)) for i, t in enumerate(tokens)]
+
+
+def _parse_outcome(text):
+    """format_scene(parse(text)), or the error's class, message and
+    ``expected``."""
+    try:
+        return format_scene(parse(text))
+    except SceneError as exc:
+        expected = getattr(exc, "expected", None)
+        return f"{type(exc).__name__}\t{exc}\t{expected!r}"
 
 
 class TestLexingAndSyntax:
@@ -240,15 +285,43 @@ class TestLexingAndSyntax:
             parse("point A = (0, 0) @")
         assert err.value.col == 18
 
-    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\u216b", "\u00bd"])
     def test_numbers_take_ascii_digits_only(self, digit):
-        # superscript two and Arabic-Indic three are str.isdigit()
+        # superscript two and Arabic-Indic three are str.isdigit(), roman
+        # twelve and one half str.isnumeric(); none is str.isalpha()
         with pytest.raises(SceneSyntaxError) as err:
             parse(f"point A = ({digit}, 1)")
         assert str(err.value) == f"line 1, column 12: unexpected character {digit!r}"
         with pytest.raises(SceneSyntaxError) as err:
             parse(f"point A = (1{digit}, 1)")
         assert err.value.col == 13
+        with pytest.raises(SceneSyntaxError) as err:
+            parse(f"point {digit}A = (0, 1)")
+        assert err.value.col == 7
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("point A = (0,\f0)", 1, 14),
+            ("point A\u00a0= (0, 0)", 1, 8),
+            ("point A = (- 1, 0)", 1, 12),
+            ("point A = (0, 0)\r\npoint B = (0, 0) -", 2, 18),
+        ],
+        ids=["form-feed", "no-break-space", "lone-minus", "minus-at-end"],
+    )
+    def test_character_outside_every_token(self, text, line, col):
+        ch = text.split("\n")[line - 1][col - 1]
+        with pytest.raises(SceneSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == (
+            f"line {line}, column {col}: unexpected character {ch!r}"
+        )
+
+    @pytest.mark.parametrize("name", ["\u00c4", "x\u00b2", "_1", "\u00e9t\u00e9"])
+    def test_names_start_with_a_letter_or_underscore(self, name):
+        assert parse(f"point {name} = (0, 0)") == SceneAst(
+            (Decl("point", name, (0, 0, 1)),)
+        )
 
     def test_comments_and_whitespace_are_insignificant(self):
         ast = parse(
@@ -383,18 +456,28 @@ class TestPinnedBehaviour:
         assert names == sorted(PINNED_SCENE_SHA256)
         assert names == sorted(PINNED_TOKEN_SHA256)
 
-    @pytest.mark.parametrize("name, digest", sorted(PINNED_TOKEN_SHA256.items()))
-    def test_shipped_scene_lexes_to_pinned_tokens(self, name, digest):
-        tokens = dsl._lex((SCENE_DIR / name).read_text())
+    @pytest.mark.parametrize(
+        "name, digest, newline",
+        [
+            pytest.param(name, digest, newline, id=f"{name}-{digest}{suffix}")
+            for name, digest in sorted(PINNED_TOKEN_SHA256.items())
+            for newline, suffix in (("\n", ""), ("\r\n", "-crlf"))
+        ],
+    )
+    def test_shipped_scene_lexes_to_pinned_tokens(self, name, digest, newline):
+        # a CR before each LF is whitespace at the end of its line, so
+        # it moves no token
+        text = (SCENE_DIR / name).read_text().replace("\n", newline)
         stream = "".join(
-            f"{t.kind}\t{t.value}\t{t.line}\t{t.col}\n" for t in tokens
+            f"{kind}\t{value}\t{line}\t{col}\n"
+            for kind, value, line, col in _token_stream(text)
         )
         assert hashlib.sha256(stream.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("text, pos", PINNED_EOF_POSITIONS)
     def test_end_of_input_position(self, text, pos):
-        eof = dsl._lex(text)[-1]
-        assert (eof.kind, eof.value, (eof.line, eof.col)) == ("eof", "", pos)
+        kind, value, line, col = _token_stream(text)[-1]
+        assert (kind, value, (line, col)) == ("eof", "", pos)
 
     def test_every_prefix_of_every_shipped_scene(self):
         digest = hashlib.sha256()
@@ -402,15 +485,31 @@ class TestPinnedBehaviour:
         for path in sorted(SCENE_DIR.glob("*.hgeo")):
             text = path.read_text()
             for k in range(len(text) + 1):
-                try:
-                    outcome = format_scene(parse(text[:k]))
-                except SceneError as exc:
-                    expected = getattr(exc, "expected", None)
-                    outcome = f"{type(exc).__name__}\t{exc}\t{expected!r}"
+                outcome = _parse_outcome(text[:k])
                 digest.update(f"{path.name}\t{k}\t{outcome!r}\n".encode())
                 count += 1
         assert count == 7212
         assert digest.hexdigest() == PINNED_PREFIX_SHA256
+
+    def test_every_single_character_edit_of_every_shipped_scene(self):
+        rng = random.Random(0)
+        digest = hashlib.sha256()
+        count = 0
+        for path in sorted(SCENE_DIR.glob("*.hgeo")):
+            text = path.read_text()
+            edits = [
+                (f"del {k}", text[:k] + text[k + 1 :]) for k in range(len(text))
+            ]
+            for _ in range(EDIT_SUBSTITUTIONS):
+                k = rng.randrange(len(text))
+                ch = rng.choice(EDIT_CHARS)
+                edits.append((f"sub {k} {ch!r}", text[:k] + ch + text[k + 1 :]))
+            for edit, edited in edits:
+                outcome = _parse_outcome(edited)
+                digest.update(f"{path.name}\t{edit}\t{outcome!r}\n".encode())
+                count += 1
+        assert count == 7204 + 8 * EDIT_SUBSTITUTIONS
+        assert digest.hexdigest() == PINNED_EDIT_SHA256
 
     def test_input_ending_in_a_comment_fails_where_the_comment_starts(self):
         with pytest.raises(SceneSyntaxError) as err:

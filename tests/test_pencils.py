@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from harmonica import core
+from harmonica import core, pencils
 from harmonica.core import (
     DegenerateConfig,
     DegenerateInput,
@@ -518,6 +518,22 @@ class TestQuadrilateral:
         # config is the quadrilateral now
         config.diagonal_point_1, config.diagonal_point_2, quad_zeta(config)
         assert calls == []
+
+    def test_crossings_are_met_once(self, monkeypatch):
+        calls = []
+        original = pencils.meet
+
+        def counting(l, m):
+            calls.append((l, m))
+            return original(l, m)
+
+        monkeypatch.setattr(pencils, "meet", counting)
+        for seed in range(200):
+            assert run_trial("quad-equivalence", seed)[0]
+        # per trial: the forcer's fourth cevian 3, ell_pairs 10 (the two
+        # diagonal points and the middle point of each free triple, whose
+        # third points it does not read) and quad_zeta's 8 feet
+        assert len(calls) == 21 * 200
 
     def test_diag_product_matches_quad_wrapper(self):
         rng = Random(73)

@@ -1,5 +1,6 @@
 """Figure rendering: viewport math, clipping, styling, determinism."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from harmonica import render as render_module
 from harmonica.cli import main
 from harmonica.core import EXACT, float_backend
-from harmonica.dsl import EvaluationError, parse
-from harmonica.render import Viewport, auto_viewport, render_scene
+from harmonica.dsl import EvaluationError, evaluate, parse
+from harmonica.render import Viewport, render_scene
 
 # Every coordinate sits inside the explicit viewport used below, so
 # marker and stroke counts are exact.
@@ -32,6 +33,15 @@ SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
 def render(text=BASE_SCENE, fmt="svg", viewport=VIEW):
     return render_scene(parse(text), fmt=fmt, viewport=viewport)
+
+
+def implicit_box(text):
+    """(x0, y0, x1, y1) of the box render_scene picks without a
+    viewport, read from the \\clip line of its TikZ figure."""
+    tikz = render_scene(parse(text), fmt="tikz")
+    clip = tikz.splitlines()[1]
+    assert clip.startswith("\\clip ")
+    return tuple(float(v) for v in re.findall(r"-?[0-9]+\.[0-9]+", clip))
 
 
 class TestViewport:
@@ -242,9 +252,11 @@ class TestAutoViewport:
 
     def test_implicit_box_is_auto_viewport(self):
         ast = parse(BASE_SCENE)
+        _, markers = render_module._collect(ast, evaluate(ast).bindings)
+        box = render_module._box_around(markers)
         for fmt in ("svg", "tikz"):
             assert render_scene(ast, fmt=fmt) == render_scene(
-                ast, fmt=fmt, viewport=auto_viewport(ast)
+                ast, fmt=fmt, viewport=box
             )
 
     def test_raising_assertion_fails_render(self):
@@ -254,24 +266,23 @@ class TestAutoViewport:
 
     def test_square_with_margin(self):
         text = "point A = (0, 0)\npoint B = (10, 0)\n"
-        vp = auto_viewport(parse(text))
-        assert (vp.x0, vp.y0, vp.x1, vp.y1) == (-1.5, -6.5, 11.5, 6.5)
+        assert implicit_box(text) == (-1.5, -6.5, 11.5, 6.5)
 
     def test_degenerate_cloud_gets_unit_span(self):
-        vp = auto_viewport(parse("point A = (3, 3)\n"))
-        assert vp.x1 - vp.x0 == pytest.approx(1.3)
+        x0, _, x1, _ = implicit_box("point A = (3, 3)\n")
+        assert x1 - x0 == pytest.approx(1.3)
 
     def test_no_points_default_box(self):
-        vp = auto_viewport(parse("line l = (1 : 0 : 0)\n"))
-        assert (vp.x0, vp.y0, vp.x1, vp.y1) == (-5.0, -5.0, 5.0, 5.0)
+        box = implicit_box("line l = (1 : 0 : 0)\n")
+        assert box == (-5.0, -5.0, 5.0, 5.0)
 
     def test_infinite_point_ignored(self):
         text = (
             "point A = (0, 0)\npoint B = (10, 0)\n"
             "point I = (1 : 0 : 0)\n"
         )
-        vp = auto_viewport(parse(text))
-        assert (vp.x0, vp.x1) == (-1.5, 11.5)
+        x0, _, x1, _ = implicit_box(text)
+        assert (x0, x1) == (-1.5, 11.5)
 
 
 class TestEdges:
