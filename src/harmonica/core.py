@@ -33,6 +33,10 @@ Each point and line with int or Fraction coordinates also keeps an
 integer form, computed once when it is built: the primitive int triple
 that is a positive multiple of its coordinates (an int triple is its
 own integer form; a triple with a float or any other scalar has none).
+A construction on exact operands (join, meet, harmonic_conjugate,
+fourth_harmonic_line) yields a primitive int triple, which is then both
+the element's triple and its integer form, so the element takes it
+from the construction, with none of the constructor's checks.
 join, meet, ==, incident, collinear, concurrent and coincide, and the
 ratio kernel (signed_ratio, cross_ratio_points, cross_ratio_lines,
 harmonic_conjugate and fourth_harmonic_line), compute on integer forms
@@ -231,6 +235,26 @@ def _tidy(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
     return _integer_form(x, y, z) or (x, y, z)
 
 
+def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
+    """cls(*_tidy(*t)) for a nonzero triple t that a construction
+    computed.
+
+    An int or Fraction triple tidies to a primitive int triple, which
+    is its own integer form, so the element is set up directly, with
+    none of the constructor's checks; any other triple goes through
+    the constructor.
+    """
+    t = _tidy(*t)
+    x, y, z = t
+    if not (type(x) is int and type(y) is int and type(z) is int):
+        return cls(*t)
+    obj = object.__new__(cls)
+    fields = obj.__dict__
+    fields["triple"] = t
+    fields["_form"] = t
+    return obj
+
+
 def _integer_form(x: Scalar, y: Scalar, z: Scalar) -> tuple[int, int, int] | None:
     """Primitive int triple that is a positive multiple of an exact triple.
 
@@ -263,7 +287,7 @@ def _integer_form(x: Scalar, y: Scalar, z: Scalar) -> tuple[int, int, int] | Non
 # they run on every kernel call; _operands takes any number.
 
 
-def _pair_operands(a, b, backend: Backend = EXACT):
+def _pair_operands(a, b, backend: Backend):
     fa, fb = a._form, b._form
     if fa is None or fb is None or backend.kind != "exact":
         return a.triple, b.triple
@@ -385,7 +409,14 @@ class _Element:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return _proportional(*_pair_operands(self, other))
+        p, q = self._form, other._form
+        if p is None or q is None:
+            p, q = self.triple, other.triple
+        return (
+            p[0] * q[1] == p[1] * q[0]
+            and p[0] * q[2] == p[2] * q[0]
+            and p[1] * q[2] == p[2] * q[1]
+        )
 
     def __repr__(self) -> str:
         return "%s(%s : %s : %s)" % (
@@ -453,18 +484,24 @@ def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
 
 def join(p: Point, q: Point) -> Line:
     """Line through two distinct points."""
-    t = _cross(*_pair_operands(p, q))
+    a, b = p._form, q._form
+    if a is None or b is None:
+        a, b = p.triple, q.triple
+    t = _cross(a, b)
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
         raise CoincidentPoints(f"join of equal points {p}")
-    return Line(*_tidy(*t))
+    return _built(Line, t)
 
 
 def meet(l: Line, m: Line) -> Point:
     """Common point of two distinct lines."""
-    t = _cross(*_pair_operands(l, m))
+    a, b = l._form, m._form
+    if a is None or b is None:
+        a, b = l.triple, m.triple
+    t = _cross(a, b)
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
         raise CoincidentLines(f"meet of equal lines {l}")
-    return Point(*_tidy(*t))
+    return _built(Point, t)
 
 
 def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:
@@ -726,7 +763,7 @@ def _fourth_harmonic(a, b, x, k: int, message: str) -> tuple[Scalar, Scalar, Sca
     beta = _bracket(a2, x2)
     if alpha == 0 or beta == 0:
         raise DegenerateInput(message)
-    return _tidy(*(alpha * ai - beta * bi for ai, bi in zip(a, b)))
+    return tuple(alpha * ai - beta * bi for ai, bi in zip(a, b))
 
 
 def harmonic_conjugate(
@@ -746,7 +783,7 @@ def harmonic_conjugate(
         raise NotCollinear(f"{x} is not on the line through the base points")
     k = _chart_index(carrier)
     message = "harmonic conjugate needs x distinct from a and b"
-    return Point(*_fourth_harmonic(ta, tb, tx, k, message))
+    return _built(Point, _fourth_harmonic(ta, tb, tx, k, message))
 
 
 def fourth_harmonic_line(
@@ -760,4 +797,4 @@ def fourth_harmonic_line(
     if _proportional(t[0], t[1]):
         raise CoincidentLines("fourth harmonic needs a != b")
     message = "fourth harmonic needs g distinct from a and b"
-    return Line(*_fourth_harmonic(*t, _chart_index(tv), message))
+    return _built(Line, _fourth_harmonic(*t, _chart_index(tv), message))

@@ -19,6 +19,12 @@ constructions draw several objects from one stream; a caller that
 wants a single object draws it from GenSpec.rng().  Harmonic
 completion of a triangle or quadrilateral is the configs' own
 complete (pencils), not a generator.
+
+The samplers compute on ints: sample_rational reduces each drawn
+(numerator, denominator) pair once, in a cache of a few hundred
+pairs, and sample_point_on writes each coordinate of lam*a + mu*b as
+one integer quotient.  The random stream, and so every generated
+configuration, is the one Fraction arithmetic on the draws gives.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 from typing import Sequence
@@ -37,6 +44,7 @@ from .core import (
     Line,
     Point,
     collinear,
+    exact_div,
     incident,
     join,
     meet,
@@ -88,9 +96,15 @@ class GenSpec:
 # stream-level samplers
 
 
+@lru_cache(maxsize=256)
+def _reduced(num: int, den: int) -> Fraction:
+    # bound 10, the default, draws only 21 * 10 = 210 distinct pairs
+    return Fraction(num, den)
+
+
 def sample_rational(rng: Random, bound: int) -> Fraction:
-    # numerator and denominator drawn uniformly, Fraction reduces
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    # numerator and denominator drawn uniformly, reduced once per pair
+    return _reduced(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def sample_point(rng: Random, bound: int) -> Point:
@@ -156,37 +170,36 @@ def sample_point_on(
 ) -> Point:
     """Point on l distinct from every point in avoid.
 
-    The carrier is parameterized by two of its points, so the sample
-    is rational whenever the inputs are.
+    The carrier is parameterized by two of its points a and b, so the
+    sample lam*a + mu*b is rational whenever the inputs are.  With
+    lam = p/q and mu = r/s, each coordinate is the one quotient
+    (p*s*a + r*q*b) / (q*s), computed on ints when a and b are int.
     """
-    base = _two_points_of(l)
+    base_a, base_b = _two_points_of(l)
     for _ in range(retries):
         lam = sample_rational(rng, bound)
         mu = sample_rational(rng, bound)
-        triple = tuple(
-            lam * a + mu * b for a, b in zip(base[0].triple, base[1].triple)
-        )
+        p, q = lam.numerator, lam.denominator
+        r, s = mu.numerator, mu.denominator
+        ps, rq, qs = p * s, r * q, q * s
+        triple = tuple(exact_div(ps * a + rq * b, qs) for a, b in zip(base_a, base_b))
         if triple == (0, 0, 0):
             continue
-        p = Point(*triple)
-        if all(p != q for q in avoid):
-            return p
+        point = Point(*triple)
+        if all(point != other for other in avoid):
+            return point
     raise RetryLimitExceeded(f"no admissible point on {l}")
 
 
-def _two_points_of(l: Line) -> tuple[Point, Point]:
-    """Two distinct points spanning a line, chosen deterministically."""
+def _two_points_of(l: Line) -> tuple[tuple, tuple]:
+    """Triples of two distinct points spanning a line, chosen
+    deterministically."""
     a, b, c = l.triple
     if a != 0:
-        p1 = Point(-c, 0, a)
-        p2 = Point(-b, a, 0)
-    elif b != 0:
-        p1 = Point(0, -c, b)
-        p2 = Point(b, -a, 0)
-    else:
-        p1 = Point(1, 0, 0)
-        p2 = Point(0, 1, 0)
-    return p1, p2
+        return (-c, 0, a), (-b, a, 0)
+    if b != 0:
+        return (0, -c, b), (b, -a, 0)
+    return (1, 0, 0), (0, 1, 0)
 
 
 def sample_float_ngon(

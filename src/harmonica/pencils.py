@@ -15,7 +15,10 @@ HarmonicPencil runs too), complete and JSON.  At vertex i both test
 the pencil whose first two lines are the sides from vertex i-1 and to
 vertex i+1; each kind keeps its own side numbering and its own
 messages.  A config checks at the backend it is given, else, as
-complete builds, in the data's lane (core._backend_of).
+complete builds, in the data's lane (core._backend_of).  In the exact
+lane complete builds each h with fourth_harmonic_line, which tests all
+that the pencil check would, so complete checks each pencil only in
+the float lane.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .core import (
     UndefinedFoot,
     UndefinedRatio,
     _backend_of,
+    _built,
     _det3,
-    _tidy,
     all_collinear,
     coincide,
     collinear,
@@ -81,9 +84,15 @@ class HarmonicPencil:
 
     @classmethod
     def complete(cls, vertex: Point, a1: Line, a2: Line, g: Line) -> "HarmonicPencil":
-        """Pencil with the fourth line filled in harmonically."""
+        """Pencil with the fourth line filled in harmonically, tested
+        again only in the float lane (see the module docstring)."""
         be = _backend_of(vertex, a1, a2, g)
-        return cls(vertex, a1, a2, g, fourth_harmonic_line(vertex, a1, a2, g, be))
+        h = fourth_harmonic_line(vertex, a1, a2, g, be)
+        if be is EXACT:
+            pencil = cls.__new__(cls)
+            pencil.__dict__.update(vertex=vertex, a1=a1, a2=a2, g=g, h=h)
+            return pencil
+        return cls(vertex, a1, a2, g, h)
 
     @property
     def lines(self) -> tuple[Line, Line, Line, Line]:
@@ -214,7 +223,8 @@ class _PolygonConfig:
     def complete(
         cls, vertices: Sequence[Point], g: Sequence[Line]
     ) -> "_PolygonConfig":
-        """Config with each h_i filled in as the fourth harmonic line."""
+        """Config with each h_i filled in as the fourth harmonic line,
+        each pencil tested again only in the float lane."""
         v = tuple(vertices)
         cls._check_count(v, g)
         be = _backend_of(*v, *g)
@@ -226,7 +236,10 @@ class _PolygonConfig:
         )
         config = cls.__new__(cls)
         config.__dict__["sides"] = sides
-        config.__init__(v, tuple(g), h, be)
+        if be is EXACT:
+            config.__dict__.update(vertices=v, g=tuple(g), h=h)
+        else:
+            config.__init__(v, tuple(g), h, be)
         return config
 
     @cached_property
@@ -632,7 +645,7 @@ def _divide_segment(a: Point, b: Point, t: Scalar) -> Point:
     d = tuple(coeff_a * ai + coeff_b * bi for ai, bi in zip(a.triple, b.triple))
     if d == (0, 0, 0):
         raise NoSolution("segment division degenerates")
-    return Point(*_tidy(*d))
+    return _built(Point, d)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from harmonica.core import (
     SegmentRatio,
     TooFewDistinct,
     UndefinedRatio,
+    _built,
     _tidy,
     coincide,
     collinear,
@@ -763,6 +764,79 @@ def test_residuals_use_given_coordinates(kernel_pool):
         assert _typed(concurrency_residual(l, m, n)) == _typed(
             _ref_det3(l.triple, m.triple, n.triple)
         )
+
+
+def _state(obj):
+    """Everything an element shows or keeps: its class, typed triple,
+    integer form, repr and JSON."""
+    form = None if obj._form is None else _typed(obj._form)
+    return type(obj), _typed(obj.triple), form, repr(obj), obj.to_json()
+
+
+def test_built_elements_match_the_constructor():
+    # a constructed triple skips the constructor exactly when it tidies
+    # to an int triple, and the element is the one the constructor makes
+    rng = Random(18)
+    for kind in ("int", "fraction", "mixed", "float", "float-mixed"):
+        for _ in range(300):
+            t = _triple(rng, kind)
+            if kind == "int" and rng.random() < 0.5:
+                t = tuple(v * rng.randint(2, 9) for v in t)
+            for cls in (Point, Line):
+                built = _built(cls, t)
+                assert _state(built) == _state(cls(*_tidy(*t)))
+                assert (built._form is None) is ("float" in kind)
+                floats = {type(v) is float for v in built.triple}
+                if kind == "float":
+                    assert floats == {True}
+                elif kind == "float-mixed":
+                    assert True in floats
+                else:
+                    assert floats == {False}
+
+
+def test_constructions_match_the_constructor_on_their_triples(kernel_pool):
+    # join, meet and the harmonic fourths build what the public
+    # constructor builds from the tidied triple they computed, on
+    # int and Fraction operands; float operands keep float triples
+    # and no integer form
+    rng, points, lines = kernel_pool
+    built = 0
+    for build, objs, cls in ((join, points, Line), (meet, lines, Point)):
+        for a in objs:
+            for b in objs:
+                t = _ref_cross(a.triple, b.triple)
+                if all(v == 0 for v in t):
+                    continue
+                got = build(a, b)
+                assert _state(got) == _state(cls(*_tidy(*t)))
+                floats = a._form is None or b._form is None
+                assert (got._form is None) is floats
+                built += not floats
+    exact_points = [p for p in points if p._form is not None]
+    exact_lines = [l for l in lines if l._form is not None]
+    for i in range(300):
+        exact = i % 2 == 0
+        v = rng.choice(exact_points if exact else points)
+        l = rng.choice(exact_lines if exact else lines)
+        row = _members(rng, l, exact_lines if exact else lines, meet, exact_points)
+        pencil = _members(rng, v, exact_points if exact else points, join, exact_lines)
+        for kernel, ref, args in (
+            (harmonic_conjugate, _ref_harmonic_conjugate, rng.choices(row, k=3)),
+            (fourth_harmonic_line, _ref_fourth_harmonic_line, [v] + rng.choices(pencil, k=3)),
+        ):
+            try:
+                expected = ref(*args, EXACT)
+            except GeometryError as exc:
+                with pytest.raises(type(exc)):
+                    kernel(*args)
+                continue
+            got = kernel(*args)
+            assert _state(got) == _state(expected)
+            floats = any(o._form is None for o in args)
+            assert (got._form is None) is floats
+            built += not floats
+    assert built > 1000
 
 
 def test_coordinates_survive_integer_form():

@@ -3,6 +3,7 @@ harmonic completion, and the hypothesis-forcing constructions."""
 
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,6 +14,7 @@ from harmonica.bisectors import (
     steiner_add_11_check,
     triangle_bisector_concurrencies,
 )
+from harmonica.cli import main
 from harmonica.core import (
     DegenerateInput,
     Line,
@@ -126,6 +128,59 @@ class TestBasicGenerators:
             p = sample_point_on(rng, spec.bound, l, avoid)
             assert incident(l, p)
             assert p != avoid[0]
+
+
+class TestSamplers:
+    def test_sample_rational_draws_reduced_fractions(self):
+        # the same two randint calls per draw as Fraction(num, den)
+        rng, ref = Random(5), Random(5)
+        for bound in (1, 10, 1000):
+            for _ in range(500):
+                got = generate.sample_rational(rng, bound)
+                num, den = ref.randint(-bound, bound), ref.randint(1, bound)
+                assert type(got) is Fraction and got == Fraction(num, den)
+        assert rng.random() == ref.random()
+
+    def test_fraction_cache_stays_bounded(self, capsys):
+        # a bound far past the cache's size draws many more distinct
+        # pairs than it holds
+        info = generate._reduced.cache_info()
+        misses = info.misses
+        for tid in FORCED_THEOREMS:
+            for seed in range(20):
+                argv = ["gen", tid, "--seed", str(seed), "--bound", "1000"]
+                assert main(argv) == 0
+        capsys.readouterr()
+        info = generate._reduced.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 512
+        assert info.misses - misses > info.maxsize
+        assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ((3, -2, 1), (0, 5, -4)),
+            ((Fraction(1, 2), 0, Fraction(-3, 4)), (2, Fraction(5, 3), 0)),
+            ((0.5, -1.25, 3.0), (2.0, 0.0, -0.75)),
+        ],
+        ids=["int", "fraction", "float"],
+    )
+    def test_sample_point_on_is_the_combination_of_two_points(self, monkeypatch, base):
+        a, b = base
+        l = join(Point(*a), Point(*b))
+        monkeypatch.setattr(generate, "_two_points_of", lambda line: base)
+        rng, ref = Random(9), Random(9)
+        for _ in range(200):
+            p = sample_point_on(rng, 10, l)
+            lam = generate.sample_rational(ref, 10)
+            mu = generate.sample_rational(ref, 10)
+            expected = tuple(lam * x + mu * y for x, y in zip(a, b))
+            if isinstance(a[0], float):
+                assert p.triple == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                assert [(type(v), v) for v in p.triple] == [
+                    (type(v), v) for v in expected
+                ]
 
 
 class TestHarmonicLinesAt:

@@ -52,6 +52,7 @@ from harmonica.pencils import (
     triangle_concurrency_transfer,
     two_pencils_points,
 )
+from harmonica.generate import GenSpec, gen_hypothesis_forcing
 from harmonica.reduction import diagonal_ratio_product
 from harmonica.registry import run_trial
 
@@ -350,6 +351,80 @@ class TestFloatComplete:
             TriangleConfig.complete(v, g)
         with pytest.raises(DegenerateConfig, match="collinear"):
             TriangleConfig(v, g, g)
+
+
+def _floated(obj):
+    return type(obj)(*(float(v) for v in obj.triple))
+
+
+class TestCompleteChecksOnlyInTheFloatLane:
+    """In the exact lane complete builds each h with
+    fourth_harmonic_line, which tests everything the pencil check
+    would, so the check is not run again; the float lane runs it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = pencils._check_pencil
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(pencils, "_check_pencil", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "tid",
+        [
+            "two-pencils",
+            "cor2",
+            "free-triangle",
+            "triangle-transfer",
+            "free-quad",
+            "quad-equivalence",
+        ],
+    )
+    def test_forced_exact_instances_pass_the_skipped_check(self, checks, tid):
+        for seed in range(40):
+            config = gen_hypothesis_forcing(tid, GenSpec(seed))
+            completed = config.get("pencils") or (config["config"],)
+            assert checks == [], (tid, seed)
+            expected = 0
+            for obj in completed:
+                # the public constructors run the full pencil check
+                if isinstance(obj, HarmonicPencil):
+                    again = HarmonicPencil(obj.vertex, *obj.lines)
+                    expected += 1
+                else:
+                    again = type(obj)(obj.vertices, obj.g, obj.h)
+                    expected += len(obj.vertices)
+                assert again == obj
+            assert len(checks) == expected
+            checks.clear()
+
+    def test_float_complete_runs_the_check(self, checks):
+        for seed in range(10):
+            for tid in ("cor2", "free-quad"):
+                config = gen_hypothesis_forcing(tid, GenSpec(seed))
+                checks.clear()
+                for p in config.get("pencils", ()):
+                    HarmonicPencil.complete(
+                        _floated(p.vertex), *map(_floated, p.lines[:3])
+                    )
+                    assert len(checks) == 1
+                    checks.clear()
+                if "config" in config:
+                    q = config["config"]
+                    QuadrilateralConfig.complete(
+                        tuple(map(_floated, q.vertices)), tuple(map(_floated, q.g))
+                    )
+                    assert checks == ["vertex 1", "vertex 2", "vertex 3", "vertex 4"]
+                    checks.clear()
+        rng = Random(73)
+        v = tuple(float_point(rng) for _ in range(3))
+        TriangleConfig.complete(v, tuple(join(p, float_point(rng)) for p in v))
+        assert checks == ["vertex 1", "vertex 2", "vertex 3"]
 
 
 # ---------------------------------------------------------------------------

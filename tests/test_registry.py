@@ -1,9 +1,17 @@
 """Theorem registry: table shape, seeded trials, backend coercion."""
 
+import hashlib
+import json
+
 import pytest
 
 from harmonica.core import FloatBackend, GeometryError, float_backend
-from harmonica.generate import GenSpec, gen_hypothesis_forcing
+from harmonica.generate import (
+    FORCED_THEOREMS,
+    GenSpec,
+    config_to_json,
+    gen_hypothesis_forcing,
+)
 from harmonica.registry import (
     THEOREMS,
     UnknownTheorem,
@@ -155,3 +163,32 @@ class TestGeneratorContract:
     def test_registry_covers_every_forcer_id(self):
         for tid in ALL_IDS:
             gen_hypothesis_forcing(tid, GenSpec(seed=2))  # must not raise
+
+
+def _trial_record(tid: str, seed: int, backend: str | None = None) -> str:
+    try:
+        passed, detail = run_trial(tid, seed, backend=backend)
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([passed, config_to_json(detail)])
+
+
+class TestPinnedInstances:
+    def test_gen_and_trial_output_is_pinned(self):
+        # sha256 over the gen JSON and the natural-arithmetic trial of
+        # every forced theorem at seeds 0-49, and the float-lane trial
+        # of every exact theorem at seeds 0-9, recorded on an earlier
+        # commit: how the samplers and constructions compute must not
+        # move a byte (CI runs it on every supported Python)
+        digest = hashlib.sha256()
+        for tid in FORCED_THEOREMS:
+            for seed in range(50):
+                config = gen_hypothesis_forcing(tid, GenSpec(seed))
+                digest.update(json.dumps(config_to_json(config)).encode())
+                digest.update(_trial_record(tid, seed).encode())
+            if tid not in FLOAT_ONLY:
+                for seed in range(10):
+                    digest.update(_trial_record(tid, seed, "float").encode())
+        assert digest.hexdigest() == (
+            "3bddf4c21cc5d0f68b6d115bd3bbeb50c4a90a6d01611d4a869385932a48345b"
+        )
