@@ -240,18 +240,26 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
     computed.
 
     An int or Fraction triple tidies to a primitive int triple, which
-    is its own integer form, so the element is set up directly, with
-    none of the constructor's checks; any other triple goes through
-    the constructor.
+    is its own integer form, and an all-float triple with a finite
+    nonzero max-norm to its quotient by that norm, which has none; both
+    are set up directly, with none of the constructor's checks.  Any
+    other triple goes through the constructor, which rejects a zero.
     """
-    t = _tidy(*t)
     x, y, z = t
-    if not (type(x) is int and type(y) is int and type(z) is int):
-        return cls(*t)
+    if type(x) is float and type(y) is float and type(z) is float:
+        m = max(abs(x), abs(y), abs(z))
+        if m == 0 or not math.isfinite(m):
+            return cls(x, y, z)
+        t, form = (x / m, y / m, z / m), None
+    else:
+        t = form = _tidy(x, y, z)
+        x, y, z = t
+        if not (type(x) is int and type(y) is int and type(z) is int):
+            return cls(*t)
     obj = object.__new__(cls)
     fields = obj.__dict__
     fields["triple"] = t
-    fields["_form"] = t
+    fields["_form"] = form
     return obj
 
 

@@ -21,6 +21,11 @@ takes every child.  A step carries its untouched vertices,
 cevians and cuts over as the same objects, so sibling branches share
 them; the walk's memo (see _built) makes each join and meet of the same
 operand objects once, so each line and point is built once per walk.
+Steps run on the vertex and item tuples and record plain tuples; gons
+and ReductionSteps are built only for the traces a caller gets.  An
+exhaustive walk skips a reduced gon made of the same objects as one it
+has walked, and in the exact lane a step does not re-test the two
+incidences that hold by construction.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -87,35 +92,52 @@ class ReplayMismatch(GeometryError):
 # gon types and their reduction steps
 
 
-# What the constructors reject at slot k (0-based), as the message text;
+# What the constructors reject at slot k (0-based), as the message text,
+# read off the vertex tuple A and the item tuple (cevians g, cuts B);
 # reduction steps run the same checks on the slots they create.
 
 
-def _pair_defect(gon, k: int) -> str | None:
-    n = gon.n
-    if gon.vertices[k] == gon.vertices[(k + 1) % n]:
+def _pair_defect(A: tuple, k: int) -> str | None:
+    n = len(A)
+    if A[k] == A[(k + 1) % n]:
         return f"consecutive vertices {k + 1} and {(k + 1) % n + 1} coincide"
     return None
 
 
-def _cevian_defect(gon: CevaGon, k: int, backend: Backend) -> str | None:
-    if not incident(gon.cevians[k], gon.vertices[k], backend):
+def _cevian_defect(A: tuple, g: tuple, k: int, backend: Backend) -> str | None:
+    if not incident(g[k], A[k], backend):
         return f"cevian {k + 1} does not pass through vertex {k + 1}"
     return None
 
 
 def _cut_defect(
-    gon: MenelaosGon, k: int, backend: Backend, side: Line | None = None
+    A: tuple, B: tuple, k: int, backend: Backend, built_on: Line | None = None
 ) -> str | None:
-    # side k + 1, when the caller has not built it already
-    if side is None:
-        side = gon.side(k + 1)
-    cut = gon.side_points[k]
-    if not incident(side, cut, backend):
+    # built_on: side k + 1, when a step built the cut on it
+    n = len(A)
+    cut = B[k]
+    if built_on is None:
+        on_side = incident(join(A[k], A[(k + 1) % n]), cut, backend)
+    else:
+        on_side = _on_integer_forms(backend, built_on, cut) or incident(
+            built_on, cut, backend
+        )
+    if not on_side:
         return f"cut {k + 1} is not on side {k + 1}"
-    if cut == gon.vertices[k] or cut == gon.vertices[(k + 1) % gon.n]:
+    if cut == A[k] or cut == A[(k + 1) % n]:
         return f"cut {k + 1} coincides with a vertex"
     return None
+
+
+def _on_integer_forms(backend: Backend, a, b) -> bool:
+    """Whether incident(a, b, backend) would run on integer forms.
+
+    A step skips an incidence that holds by construction, (p x q).p = 0
+    in any commutative ring, only then: on float coordinates rounding
+    may break it, and under the exact backend the test is what rejects
+    such data.
+    """
+    return backend.kind == "exact" and a._form is not None and b._form is not None
 
 
 def _built(memo: dict, build, a, b):
@@ -136,18 +158,15 @@ def _built(memo: dict, build, a, b):
     return entry[0]
 
 
-def _ceva_step(
-    gon: CevaGon, i: int, backend: Backend, memo: dict
-) -> tuple[CevaGon, ReductionStep]:
+def _ceva_step(A: tuple, g: tuple, i: int, backend: Backend, memo: dict):
     """CevaGon._step: collapse the vertex pair (i, i+1) into the meet of
     its two outer sides; the new cevian joins the new vertex to the
     crossing of the two removed cevians."""
-    m = gon.n
+    m = len(A)
     if m < 4:
         raise ValueError("reduction steps need at least a 4-gon")
     if not 1 <= i <= m:
         raise ValueError(f"step index {i} out of range 1..{m}")
-    A, g = gon.vertices, gon.cevians
     i0 = i - 1
     j0 = (i0 + 1) % m
     prev, nxt = (i0 - 1) % m, (j0 + 1) % m
@@ -176,29 +195,27 @@ def _ceva_step(
         k = i0
         new_vs = A[:i0] + (new_vertex,) + A[j0 + 1 :]
         new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
-    gon2 = _trusted(CevaGon, new_vs, new_gs)
-    # the slots that hold the new vertex, in the constructor's order
+    # the slots that hold the new vertex, in the constructor's order;
+    # the new cevian passes through the new vertex by construction
+    tautology = _on_integer_forms(backend, new_line, new_vertex)
     for s in sorted(((k - 1) % (m - 1), k)):
-        defect = _pair_defect(gon2, s)
-        if defect is None and s == k:
-            defect = _cevian_defect(gon2, k, backend)
+        defect = _pair_defect(new_vs, s)
+        if defect is None and s == k and not tautology:
+            defect = _cevian_defect(new_vs, new_gs, k, backend)
         if defect:
             raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
-    return gon2, ReductionStep(index=i, vertex=new_vertex, line=new_line)
+    return new_vs, new_gs, (i, new_vertex, new_line, None)
 
 
-def _menelaos_step(
-    gon: MenelaosGon, i: int, backend: Backend, memo: dict
-) -> tuple[MenelaosGon, ReductionStep]:
+def _menelaos_step(A: tuple, B: tuple, i: int, backend: Backend, memo: dict):
     """MenelaosGon._step: remove vertex i, merging its two sides; the
     cut on the merged side is its meet with the line through the two
     removed cuts."""
-    m = gon.n
+    m = len(A)
     if m < 4:
         raise ValueError("reduction steps need at least a 4-gon")
     if not 1 <= i <= m:
         raise ValueError(f"step index {i} out of range 1..{m}")
-    A, B = gon.vertices, gon.side_points
     i0 = i - 1
     prev, nxt = (i0 - 1) % m, (i0 + 1) % m
     if A[prev] == A[nxt]:
@@ -218,12 +235,11 @@ def _menelaos_step(
         k = i0 - 1
         new_vs = A[:i0] + A[i0 + 1 :]
         new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
-    gon2 = _trusted(MenelaosGon, new_vs, new_bs)
     # the merged side k already has distinct endpoints
-    defect = _cut_defect(gon2, k, backend, merged)
+    defect = _cut_defect(new_vs, new_bs, k, backend, merged)
     if defect:
         raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
-    return gon2, ReductionStep(index=i, point=new_point)
+    return new_vs, new_bs, (i, None, None, new_point)
 
 
 class _Gon:
@@ -232,10 +248,12 @@ class _Gon:
 
     Each subclass declares its two fields (vertices, then the items),
     its kind, its item type with the message for a wrong item count,
-    its slot check and its reduction step: _step(gon, i, backend, memo)
-    is the reduced gon and the ReductionStep that records it; it checks
-    only the slots it creates, and joins and meets through the walk's
-    memo (_built).
+    its slot check and its reduction step.  Both run on the vertex and
+    item tuples, not on a gon: _step(A, items, i, backend, memo) returns
+    the reduced tuples and a plain record (index, vertex, line, point)
+    of the objects it made; it checks only the slots it creates, and
+    joins and meets through the walk's memo (_built).  A gon and a
+    ReductionStep are built from them only where a caller sees them.
     """
 
     kind: ClassVar[str]
@@ -257,9 +275,12 @@ class _Gon:
         items = self.items
         if len(items) != n:
             raise DegenerateInput(self._count_message)
-        be = _backend_of(*self.vertices, *items)
+        vertices = self.vertices
+        be = _backend_of(*vertices, *items)
         for i in range(n):
-            defect = _pair_defect(self, i) or self._slot_defect(i, be)
+            defect = _pair_defect(vertices, i) or self._slot_defect(
+                vertices, items, i, be
+            )
             if defect:
                 raise DegenerateInput(defect)
 
@@ -297,8 +318,8 @@ class CevaGon(_Gon):
     kind = "ceva"
     _item = Line
     _count_message = "one cevian per vertex required"
-    _slot_defect = _cevian_defect
-    _step = _ceva_step
+    _slot_defect = staticmethod(_cevian_defect)
+    _step = staticmethod(_ceva_step)
 
 
 @dataclass(frozen=True)
@@ -315,16 +336,16 @@ class MenelaosGon(_Gon):
     kind = "menelaos"
     _item = Point
     _count_message = "one side point per side required"
-    _slot_defect = _cut_defect
-    _step = _menelaos_step
+    _slot_defect = staticmethod(_cut_defect)
+    _step = staticmethod(_menelaos_step)
 
 
 def _trusted(cls, vertices: tuple, items: tuple):
     """A gon built without __post_init__.
 
-    Only reduction steps use it: every slot a step carries over was
-    validated in the parent gon, and the step checks the slots it
-    creates.
+    Only for the tuples a reduction step returns: every slot a step
+    carries over was validated in the parent gon, and the step checks
+    the slots it creates.
     """
     gon = object.__new__(cls)
     object.__setattr__(gon, "vertices", vertices)
@@ -341,8 +362,9 @@ def reduce_step(gon: CevaGon | MenelaosGon, i: int) -> CevaGon | MenelaosGon:
     since everything else was already validated in the input gon; a
     degenerate result raises DegenerateStep.
     """
+    cls = type(gon)
     backend = _backend_of(*gon.vertices, *gon.items)
-    return type(gon)._step(gon, i, backend, {})[0]
+    return _trusted(cls, *cls._step(gon.vertices, gon.items, i, backend, {})[:2])
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
@@ -536,6 +558,14 @@ def _run_reduction(
     raise the same error.  The steps join and meet through one memo
     that lives as long as this call, so a line or point that several
     branches need is built once.
+
+    Steps run on vertex and item tuples and leave plain records; a
+    ReductionStep, and the final gon, are built only for a trace this
+    returns or attaches to a DegenerateStep.  An exhaustive walk skips
+    a reduced gon of four or more vertices made of the same objects,
+    slot by slot, as one it has walked: its subtree's leaves repeat
+    verdicts that all agreed with the first one, and its degenerate
+    steps come after the first.
     """
     n = gon.n
     if indices is not None and len(indices) != n - 3:
@@ -543,22 +573,31 @@ def _run_reduction(
             f"a {n}-gon reduces in exactly {n - 3} steps, "
             f"got {len(indices)} indices"
         )
-    step = type(gon)._step
+    cls = type(gon)
+    step = cls._step
     memo: dict = {}  # the walk's lines and points, see _built
-    steps: list[ReductionStep] = []
+    # walked reduced gons by the ids of their objects; each entry holds
+    # the objects, so no id is reused while the walk lives
+    walked: dict | None = {} if indices is None else None
+    records: list[tuple] = []  # (index, vertex, line, point) per step
     first: tuple[bool, ReductionTrace] | None = None
     first_degenerate: DegenerateStep | None = None
 
-    def walk(current, m: int) -> None:
-        # m is current.n
+    def trace(final=None, verdict=None) -> ReductionTrace:
+        steps = [ReductionStep(*record) for record in records]
+        return ReductionTrace(gon, steps, final, verdict)
+
+    def walk(A: tuple, items: tuple, m: int) -> None:
+        # m is len(A)
         nonlocal first, first_degenerate
         if m == 3:
             # collinear is concurrent: the cuts' or the cevians' test
-            verdict = collinear(*current.items, backend)
+            verdict = collinear(*items, backend)
             if first is None:
-                first = verdict, ReductionTrace(gon, list(steps), current, verdict)
+                final = _trusted(cls, A, items) if records else gon
+                first = verdict, trace(final, verdict)
             elif verdict != first[0]:
-                order = tuple(s.index for s in steps)
+                order = tuple(record[0] for record in records)
                 raise InconsistentOrders(
                     f"order {order} gave {verdict}, "
                     f"order {first[1].indices} gave {first[0]}"
@@ -570,17 +609,22 @@ def _run_reduction(
             choices = (indices[n - m],)
         for idx in choices:
             try:
-                child, record = step(current, idx, backend, memo)
+                A2, items2, record = step(A, items, idx, backend, memo)
             except DegenerateStep as exc:
                 if first_degenerate is None:
-                    exc.trace = ReductionTrace(gon, list(steps))
+                    exc.trace = trace()
                     first_degenerate = exc
                 continue
-            steps.append(record)
-            walk(child, m - 1)
-            steps.pop()
+            if walked is not None and m > 4:
+                key = (*map(id, A2), *map(id, items2))
+                if key in walked:
+                    continue
+                walked[key] = A2, items2
+            records.append(record)
+            walk(A2, items2, m - 1)
+            records.pop()
 
-    walk(gon, n)
+    walk(gon.vertices, gon.items, n)
     del walk  # it refers to itself: drop the cycle instead of leaving it to gc
     if first is None:
         raise first_degenerate
@@ -615,9 +659,10 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     be = backend or _backend_of(*gon.vertices, *gon.items)
     indices = _resolve_order(gon, order)
-    # an n-gon has n!/6 orders (840 at n = 7, 6,720 at n = 8)
-    if indices is None and gon.n > 7:
-        raise ValueError("exhaustive order checking is limited to n <= 7")
+    # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
+    # the walk reduces each shared prefix and each distinct gon once
+    if indices is None and gon.n > 8:
+        raise ValueError("exhaustive order checking is limited to n <= 8")
     return _run_reduction(gon, indices, be)
 
 
@@ -627,17 +672,18 @@ def is_pseudo_concurrent(
     """Whether the cevians reduce to a concurrent triangle triple.
 
     order: "first" (always collapse the pair at index 1),
-    "exhaustive" (run every order, n <= 7, and require agreement),
+    "exhaustive" (run every order, n <= 8, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
     1-based indices with one entry per step.  backend None decides in
     the data's lane (see harmonica.core).
 
-    "exhaustive" reduces each prefix shared by several orders once, and
-    builds each line and point of the walk once.  It returns the trace
-    of the lexicographically first non-degenerate order, raises
-    InconsistentOrders at the first order whose verdict differs from
-    it, and when every order degenerates raises the DegenerateStep of
-    the first order, carrying that order's trace prefix.
+    "exhaustive" reduces each prefix shared by several orders once,
+    walks each distinct reduced gon once and builds each line and point
+    of the walk once.  It returns the trace of the lexicographically
+    first non-degenerate order, raises InconsistentOrders at the first
+    order whose verdict differs from it, and when every order
+    degenerates raises the DegenerateStep of the first order, carrying
+    that order's trace prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -648,9 +694,9 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" likewise shares step prefixes, lines and points
-    between orders and returns the trace of the lexicographically first
-    non-degenerate order.
+    "exhaustive" likewise shares step prefixes, reduced gons, lines and
+    points between orders and returns the trace of the
+    lexicographically first non-degenerate order.
     """
     return _pseudo_check(gon, order, backend)
 

@@ -839,6 +839,66 @@ def test_constructions_match_the_constructor_on_their_triples(kernel_pool):
     assert built > 1000
 
 
+def _hex_state(obj):
+    """_state with float coordinates compared by float.hex, so that the
+    sign of a zero counts."""
+    triple = [v.hex() if type(v) is float else (type(v), v) for v in obj.triple]
+    return type(obj), triple, obj._form, repr(obj), obj.to_json()
+
+
+def test_float_constructions_match_the_constructor():
+    # on float and mixed int/float operands each construction makes
+    # cls(*_tidy(*t)) for the triple t it computed, -0.0 included
+    rng = Random(23)
+    kinds = ("float", "float-mixed", "int")
+    points = [Point(*_triple(rng, kinds[i % 3])) for i in range(24)]
+    lines = [Line(*_triple(rng, kinds[i % 3])) for i in range(24)]
+    built = harmonics = negative_zeros = 0
+    for build, objs, cls in ((join, points, Line), (meet, lines, Point)):
+        for a in objs:
+            for b in objs:
+                t = _ref_cross(a.triple, b.triple)
+                if (a._form and b._form) or all(v == 0 for v in t):
+                    continue
+                got = build(a, b)
+                assert _hex_state(got) == _hex_state(cls(*_tidy(*t)))
+                assert got._form is None
+                built += 1
+                negative_zeros += any(str(v) == "-0.0" for v in got.triple)
+    backend = FloatBackend(1e-9)
+    floats = [p for p in points if p._form is None]
+    float_lines = [l for l in lines if l._form is None]
+    for _ in range(300):
+        v, l = rng.choice(floats), rng.choice(float_lines)
+        row = _members(rng, l, lines, meet, points)
+        pencil = _members(rng, v, points, join, lines)
+        draws = (
+            (harmonic_conjugate, _ref_harmonic_conjugate, rng.choices(row, k=3)),
+            (fourth_harmonic_line, _ref_fourth_harmonic_line, [v] + rng.choices(pencil, k=3)),
+        )
+        for kernel, ref, args in draws:
+            try:
+                expected = ref(*args, backend)
+            except GeometryError as exc:
+                with pytest.raises(type(exc)):
+                    kernel(*args, backend)
+                continue
+            got = kernel(*args, backend)
+            assert _hex_state(got) == _hex_state(expected)
+            assert got._form is None
+            harmonics += 1
+    assert built > 900 and harmonics > 150 and negative_zeros > 50
+    # a zero triple still reaches the constructor, which rejects it, and
+    # a non-finite one is kept as the constructor keeps it
+    for cls in (Point, Line):
+        with pytest.raises(DegenerateInput):
+            _built(cls, (0.0, -0.0, 0.0))
+        inf = (math.inf, 1.0, -0.0)
+        assert _hex_state(_built(cls, inf)) == _hex_state(cls(*_tidy(*inf)))
+    with pytest.raises(CoincidentPoints):
+        join(Point(1.0, -2.0, 0.5), Point(2.0, -4.0, 1.0))
+
+
 def test_coordinates_survive_integer_form():
     p = Point(Fraction(2, 4), Fraction(-1, 3), 1)
     assert p.triple == (Fraction(1, 2), Fraction(-1, 3), 1)

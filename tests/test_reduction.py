@@ -12,6 +12,7 @@ import pytest
 
 from harmonica import reduction
 from harmonica.core import (
+    EXACT,
     DegenerateInput,
     GeometryError,
     Line,
@@ -578,12 +579,32 @@ class TestPseudoPredicates:
 
     def test_exhaustive_capped(self):
         rng = Random(71)
-        gon = ceva_gon_concurrent(rng, 8)
-        with pytest.raises(ValueError):
+        gon = ceva_gon_concurrent(rng, 9)
+        with pytest.raises(ValueError, match="limited to n <= 8"):
             is_pseudo_concurrent(gon, order="exhaustive")
 
+    def test_exhaustive_octagons_agree_with_explicit_orders(self):
+        # n = 8 is the largest gon exhaustive checking takes; its 6,720
+        # orders are too many to run one by one, so a few stand in
+        rng = Random(79)
+        cases = [
+            (ceva_gon_concurrent(rng, 8), True),
+            (ceva_gon_random(rng, 8), False),
+            (menelaos_gon_on_transversal(rng, 8), True),
+            (menelaos_gon_random(rng, 8), False),
+        ]
+        for gon, expected in cases:
+            for data in (gon, floatify(gon)):
+                check = check_of(data)
+                verdict, trace = check(data, order="exhaustive")
+                assert verdict is expected
+                # order (1, 1, 1, 1, 1) is the lexicographically first
+                _, first = check(data, order="first")
+                assert trace.to_json_lines() == first.to_json_lines()
+                for order in (("seed", 1), (8, 7, 6, 5, 4), (2, 6, 1, 3, 2)):
+                    assert check(data, order=order)[0] is expected
+
     def test_exhaustive_heptagons_agree_with_every_explicit_order(self):
-        # n = 7 is the largest gon exhaustive checking takes
         rng = Random(73)
         assert len(list(all_reduction_orders(7))) == 840
         for gon, check in (
@@ -761,19 +782,44 @@ def pinned_gons():
     return [g for gon in exact for g in (gon, floatify(gon))]
 
 
-def walk_record(gon, order) -> tuple[str, str]:
+def walk_record(gon, order, backend=None) -> tuple[str, str]:
     """How one walk ended, and its record: the trace, or the type,
     message, index and trace prefix of the error it raised."""
     check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
     head = f"{json.dumps(gon.to_json(), sort_keys=True)} {order}\n"
     try:
-        _, trace = check(gon, order=order)
+        _, trace = check(gon, order=order, backend=backend)
     except DegenerateStep as exc:
         record = f"DegenerateStep {exc} @{exc.index}\n{exc.trace.to_json_lines()}"
         return "DegenerateStep", head + record
     except InconsistentOrders as exc:
         return "InconsistentOrders", head + f"InconsistentOrders {exc}\n"
     return "trace", head + trace.to_json_lines()
+
+
+def check_of(gon):
+    return is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
+
+
+def forced_hexagon(theorem: str):
+    return gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=6)["gon"]
+
+
+def counted(calls: Counter, name: str, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def count_steps(monkeypatch, calls: Counter) -> None:
+    # both kinds' reduction steps, counted in calls["step"]
+    for cls in (CevaGon, MenelaosGon):
+        step = staticmethod(counted(calls, "step", cls._step))
+        monkeypatch.setattr(cls, "_step", step)
 
 
 class TestPinnedWalks:
@@ -791,6 +837,24 @@ class TestPinnedWalks:
             "64585ecd070a7e5eacb8e9e2cf0416dffc6dbaf33c26b2c4c4a260ef5547eea6"
         )
 
+    def test_walk_output_under_the_exact_backend_is_pinned(self):
+        # the same gons decided by EXACT whatever their data's lane, so
+        # float data meets the exact backend's zero test on float triples
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for gon in pinned_gons():
+            # the last index at every step: wrapped pairs, dropped last vertices
+            last = tuple(range(gon.n, 3, -1))
+            for order in ("exhaustive", ("seed", 3), last):
+                outcome, record = walk_record(gon, order, EXACT)
+                outcomes[outcome] += 1
+                digest.update(record.encode())
+        assert outcomes["trace"] and outcomes["DegenerateStep"]
+        assert outcomes["InconsistentOrders"]
+        assert digest.hexdigest() == (
+            "483a86830a61e79bb77237bffdc0c9d64e2a2d007d6067a79367dd30f6a95652"
+        )
+
     @pytest.mark.parametrize(
         "theorem, most", [("ceva-ngon", (204, 204)), ("menelaos-ngon", (66, 48))]
     )
@@ -800,19 +864,94 @@ class TestPinnedWalks:
         # the counts of identity-distinct operand pairs that an
         # exhaustive walk of this hexagon joins and meets
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        gon = gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=6)["gon"]
-        monkeypatch.setattr(reduction, "join", counted("join", join))
-        monkeypatch.setattr(reduction, "meet", counted("meet", meet))
-        check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
-        verdict, _ = check(gon, order="exhaustive")
+        gon = forced_hexagon(theorem)
+        monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
+        monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
+        verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
         joins, meets = most
         assert calls["join"] <= joins and calls["meet"] <= meets
+
+
+    @pytest.mark.parametrize(
+        "theorem, steps", [("ceva-ngon", 144), ("menelaos-ngon", 120)]
+    )
+    def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
+        # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
+        # reduced gon made of the objects of one walked before is not
+        # walked again, but every other one is (keying on the vertices
+        # alone would skip Menelaos quadrilaterals whose cuts differ),
+        # and a one-branch order takes one step per depth
+        calls = Counter()
+        gon = forced_hexagon(theorem)
+        count_steps(monkeypatch, calls)
+        verdict, _ = check_of(gon)(gon, order="exhaustive")
+        assert verdict is True
+        assert calls["step"] == steps
+        for order in ("first", ("seed", 3), (6, 2, 1), (1, 5, 4)):
+            calls.clear()
+            check_of(gon)(gon, order=order)
+            assert calls["step"] == gon.n - 3
+
+
+class TestStepIncidences:
+    """A step builds the new cevian through the new vertex and the new
+    cut on the merged side, so on integer forms in the exact lane it
+    does not test those incidences again."""
+
+    def test_they_hold_in_exact_rings(self):
+        # over ints, Fractions and polynomials, on every reachable step
+        from test_polynomial_ring import X, generic_point, gon_vertices
+
+        rng = Random(227)
+        gons = [small_gon(rng, kind, 5, False) for kind in ("ceva", "menelaos") * 6]
+        gons += [ceva_gon_random(rng, 5), menelaos_gon_random(rng, 5)]
+        v = gon_vertices(5)
+        centre, other = generic_point(2), generic_point(3)
+        cevians = (join(v[0], other),) + tuple(join(p, centre) for p in v[1:])
+        lines = [Line(X[4], X[5], 1)] + [Line(X[6], X[7], 1)] * 4
+        cuts = tuple(meet(join(v[i], v[(i + 1) % 5]), lines[i]) for i in range(5))
+        gons += [CevaGon(v, cevians), MenelaosGon(v, cuts)]
+        assert {type(c) for g in gons for o in g.vertices for c in o.triple} >= {
+            int, Fraction, type(X[0])
+        }
+        checked = 0
+        pending = list(gons)
+        while pending:
+            gon = pending.pop()
+            m = gon.n
+            if m == 3:
+                continue
+            for i in range(1, m + 1):
+                try:
+                    reduced = reduce_step(gon, i)
+                except DegenerateStep:
+                    continue
+                if isinstance(gon, CevaGon):
+                    k = 0 if i == m else i - 1
+                    assert incident(reduced.cevians[k], reduced.vertices[k])
+                else:
+                    k = m - 2 if i == 1 else i - 2
+                    assert incident(reduced.side(k + 1), reduced.side_points[k])
+                checked += 1
+                pending.append(reduced)
+        assert checked > 300
+
+    @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon"])
+    def test_they_are_tested_off_integer_forms(self, monkeypatch, theorem):
+        # exact data in its own lane tests none; float data tests one
+        # per step, in the float lane and under the exact backend alike
+        gon = forced_hexagon(theorem)
+        floats = floatify(gon)
+        calls = Counter()
+        count_steps(monkeypatch, calls)
+        monkeypatch.setattr(reduction, "incident", counted(calls, "incident", incident))
+        runs = ((gon, None, False), (floats, None, True), (floats, EXACT, True))
+        for data, backend, tested in runs:
+            calls.clear()
+            try:
+                check_of(data)(data, order="exhaustive", backend=backend)
+            except DegenerateStep:
+                pass
+            assert calls["step"] > 0
+            assert calls["incident"] == (calls["step"] if tested else 0)
