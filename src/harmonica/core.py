@@ -246,7 +246,12 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
     other triple goes through the constructor, which rejects a zero.
     """
     x, y, z = t
-    if type(x) is float and type(y) is float and type(z) is float:
+    if type(x) is int and type(y) is int and type(z) is int:
+        g = math.gcd(x, y, z)
+        if g > 1:
+            t = x // g, y // g, z // g
+        form = t
+    elif type(x) is float and type(y) is float and type(z) is float:
         m = max(abs(x), abs(y), abs(z))
         if m == 0 or not math.isfinite(m):
             return cls(x, y, z)
@@ -257,9 +262,8 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
         if not (type(x) is int and type(y) is int and type(z) is int):
             return cls(*t)
     obj = object.__new__(cls)
-    fields = obj.__dict__
-    fields["triple"] = t
-    fields["_form"] = form
+    _set_triple(obj, t)
+    _set_form(obj, form)
     return obj
 
 
@@ -386,13 +390,15 @@ class _Element:
     identified up to a nonzero scale, with its integer form.
 
     Each subclass is a frozen dataclass (init, eq and repr left to this
-    base) that declares its three coordinate fields.  An object stores
-    only its triple and its integer form, since every kernel computation
-    reads one of them.  The constructor takes the three coordinates by
+    base) that declares its three coordinate fields and no slots of its
+    own.  The triple and the integer form are an object's only two
+    slots, since every kernel computation reads one of them; an object
+    has no __dict__.  The constructor takes the three coordinates by
     position; the fields read the triple, and their names are the JSON
     keys.
     """
 
+    __slots__ = ("triple", "_form")
     _keys: ClassVar[tuple[str, str, str]]
     triple: tuple[Scalar, Scalar, Scalar]
     _form: tuple[int, int, int] | None
@@ -432,6 +438,11 @@ class _Element:
             *map(format_scalar, self.triple),
         )
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: a frozen
+        # object without a __dict__ cannot take its state back
+        return type(self), self.triple
+
     def to_json(self) -> dict:
         return dict(zip(self._keys, map(format_scalar, self.triple)))
 
@@ -440,10 +451,17 @@ class _Element:
         return cls(*(_scalar_from_str(obj[k]) for k in cls._keys))
 
 
+# what _built sets up a constructed element with, past the frozen
+# dataclass's __setattr__
+_set_triple = _Element.triple.__set__
+_set_form = _Element._form.__set__
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Point(_Element):
     """Projective point (x : y : w)."""
 
+    __slots__ = ()
     x: Scalar
     y: Scalar
     w: Scalar
@@ -465,6 +483,7 @@ class Point(_Element):
 class Line(_Element):
     """Projective line (a : b : c), the locus of a*x + b*y + c*w == 0."""
 
+    __slots__ = ()
     a: Scalar
     b: Scalar
     c: Scalar

@@ -23,9 +23,10 @@ them; the walk's memo (see _built) makes each join and meet of the same
 operand objects once, so each line and point is built once per walk.
 Steps run on the vertex and item tuples and record plain tuples; gons
 and ReductionSteps are built only for the traces a caller gets.  An
-exhaustive walk skips a reduced gon made of the same objects as one it
-has walked, and in the exact lane a step does not re-test the two
-incidences that hold by construction.
+exhaustive walk skips a reduced gon equal to one it has walked: in the
+exact lane projectively equal slot by slot (see _walk_key), otherwise
+made of the same objects.  In the exact lane a step also does not
+re-test the two incidences that hold by construction.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -541,6 +542,32 @@ class ReductionTrace:
 # drivers
 
 
+def _walk_key(objs: tuple, by_value: bool) -> tuple:
+    """The key under which an exhaustive walk records a reduced gon,
+    its vertices then its items: their integer forms up to sign when
+    by_value (the exact backend) and every one has a form, else their
+    ids.
+
+    A form is a multiple of its triple, so gons with one value key are
+    projectively equal slot by slot.  Under the exact backend every
+    test in the subtree of such a gon runs on integer forms and is a
+    zero test, which a change of sign does not change, and each join
+    and meet returns the same primitive form up to sign; so the two
+    subtrees end in the same verdicts and DegenerateSteps.  Constructed
+    forms are primitive, so constructed elements that are projectively
+    equal have one key.  Tolerance tests, and tests that mix a form
+    with a triple that has none, can change when data is rescaled, so
+    those gons keep identity keys.
+    """
+    if by_value:
+        forms = [o._form for o in objs]
+        if None not in forms:
+            return tuple(
+                [f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in forms]
+            )
+    return tuple(map(id, objs))
+
+
 def _run_reduction(
     gon: CevaGon | MenelaosGon,
     indices: Sequence[int] | None,
@@ -562,10 +589,12 @@ def _run_reduction(
     Steps run on vertex and item tuples and leave plain records; a
     ReductionStep, and the final gon, are built only for a trace this
     returns or attaches to a DegenerateStep.  An exhaustive walk skips
-    a reduced gon of four or more vertices made of the same objects,
-    slot by slot, as one it has walked: its subtree's leaves repeat
-    verdicts that all agreed with the first one, and its degenerate
-    steps come after the first.
+    a reduced gon of four or more vertices with the _walk_key of one it
+    has walked: under the exact backend one projectively equal to it,
+    slot by slot, and under the float backend one made of the same
+    objects.  Its subtree would repeat the walked one's events, so its
+    leaves would repeat verdicts that all agreed with the first one,
+    and its degenerate steps would come after the first.
     """
     n = gon.n
     if indices is not None and len(indices) != n - 3:
@@ -576,9 +605,10 @@ def _run_reduction(
     cls = type(gon)
     step = cls._step
     memo: dict = {}  # the walk's lines and points, see _built
-    # walked reduced gons by the ids of their objects; each entry holds
-    # the objects, so no id is reused while the walk lives
+    # walked reduced gons by _walk_key; each entry holds the objects, so
+    # no id in a key is reused while the walk lives
     walked: dict | None = {} if indices is None else None
+    by_value = backend.kind == "exact"
     records: list[tuple] = []  # (index, vertex, line, point) per step
     first: tuple[bool, ReductionTrace] | None = None
     first_degenerate: DegenerateStep | None = None
@@ -616,7 +646,7 @@ def _run_reduction(
                     first_degenerate = exc
                 continue
             if walked is not None and m > 4:
-                key = (*map(id, A2), *map(id, items2))
+                key = _walk_key((*A2, *items2), by_value)
                 if key in walked:
                     continue
                 walked[key] = A2, items2
@@ -678,8 +708,9 @@ def is_pseudo_concurrent(
     the data's lane (see harmonica.core).
 
     "exhaustive" reduces each prefix shared by several orders once,
-    walks each distinct reduced gon once and builds each line and point
-    of the walk once.  It returns the trace of the lexicographically
+    walks each distinct reduced gon once (under the exact backend, each
+    projectively distinct one) and builds each line and point of the
+    walk once.  It returns the trace of the lexicographically
     first non-degenerate order, raises InconsistentOrders at the first
     order whose verdict differs from it, and when every order
     degenerates raises the DegenerateStep of the first order, carrying
@@ -694,9 +725,10 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" likewise shares step prefixes, reduced gons, lines and
-    points between orders and returns the trace of the
-    lexicographically first non-degenerate order.
+    "exhaustive" likewise shares step prefixes, reduced gons (under the
+    exact backend, projectively equal ones), lines and points between
+    orders and returns the trace of the lexicographically first
+    non-degenerate order.
     """
     return _pseudo_check(gon, order, backend)
 

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -42,6 +45,7 @@ from harmonica.core import (
     signed_area,
     signed_ratio,
 )
+from harmonica.generate import sample_point
 from helpers import (
     affine_cross_ratio,
     apply_matrix,
@@ -793,6 +797,35 @@ def test_built_elements_match_the_constructor():
                     assert True in floats
                 else:
                     assert floats == {False}
+
+
+def test_elements_have_only_their_two_slots():
+    # however a point or line is made, its triple and integer form are
+    # all it stores: it has no __dict__, no attribute can be set on it,
+    # and copy and pickle rebuild it whole
+    a, b, x = Point(0, 0, 1), Point(Fraction(4), 0, 1), Point(1, 0, 1)
+    fa, fb, fx = (Point(*map(float, p.triple)) for p in (a, b, x))
+    l, m = Line(1, 2, 3), Line(Fraction(1, 2), -1, 0)
+    fl, fm = (Line(*map(float, g.triple)) for g in (l, m))
+    made = [
+        a, b, fa, l, m, fl,
+        Point.from_json({"x": "1/2", "y": "-3", "w": "1"}),
+        Line.from_json({"a": "0.5", "b": "2", "c": "1"}),
+        join(a, b), join(fa, fb), join(fa, b), meet(l, m), meet(fl, fm),
+        dualize(a), dualize(fl),
+        harmonic_conjugate(a, b, x),
+        harmonic_conjugate(fa, fb, fx, float_backend()),
+        fourth_harmonic_line(ORIGIN, Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0)),
+        sample_point(Random(20), 10),
+    ]
+    assert {o._form is None for o in made} == {False, True}
+    for obj in made:
+        assert not hasattr(obj, "__dict__")
+        for name in ("triple", "_form", obj._keys[0], "label"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert _state(twin) == _state(obj)
 
 
 def test_constructions_match_the_constructor_on_their_triples(kernel_pool):

@@ -5,6 +5,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -19,6 +20,7 @@ from harmonica.core import (
     Point,
     collinear,
     concurrent,
+    float_backend,
     incident,
     join,
     meet,
@@ -782,6 +784,26 @@ def pinned_gons():
     return [g for gon in exact for g in (gon, floatify(gon))]
 
 
+def lane_gons():
+    """The exact gons of the three-lane pin: 400 seeded small-integer
+    gons (n = 4-7, fewer of 7, both kinds, coordinates in [-3, 3]) and
+    forced Ceva, Menelaos and duality gons (n = 4-7) with the duals of
+    the last."""
+    rng = Random(419)
+    gons = [
+        small_gon(rng, kind, rng.choice([4, 4, 5, 5, 6, 6, 7]), False)
+        for kind in ("ceva", "menelaos")
+        for _ in range(200)
+    ]
+    for n in (4, 5, 6, 7):
+        for theorem in ("ceva-ngon", "menelaos-ngon", "duality"):
+            gon = gen_hypothesis_forcing(theorem, GenSpec(seed=n), n=n)["gon"]
+            gons.append(gon)
+            if theorem == "duality":
+                gons.append(duality_bridge(gon))
+    return gons
+
+
 def walk_record(gon, order, backend=None) -> tuple[str, str]:
     """How one walk ended, and its record: the trace, or the type,
     message, index and trace prefix of the error it raised."""
@@ -855,6 +877,24 @@ class TestPinnedWalks:
             "483a86830a61e79bb77237bffdc0c9d64e2a2d007d6067a79367dd30f6a95652"
         )
 
+    def test_walk_output_in_three_lanes_is_pinned(self):
+        # small-integer gons, where orders often degenerate or disagree,
+        # and forced gons, each walked exhaustively as exact data, as
+        # floatified data and as exact data under the float backend
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for gon in lane_gons():
+            floats = floatify(gon)
+            for data, backend in ((gon, None), (floats, None), (gon, float_backend())):
+                outcome, record = walk_record(data, "exhaustive", backend)
+                outcomes[outcome] += 1
+                digest.update(record.encode())
+        assert outcomes["trace"] and outcomes["DegenerateStep"]
+        assert outcomes["InconsistentOrders"]
+        assert digest.hexdigest() == (
+            "c5a6fd0b0595e6d9334b4959349b2322f48b5705d72274d1f6ad15ccac67c8f0"
+        )
+
     @pytest.mark.parametrize(
         "theorem, most", [("ceva-ngon", (204, 204)), ("menelaos-ngon", (66, 48))]
     )
@@ -874,14 +914,17 @@ class TestPinnedWalks:
 
 
     @pytest.mark.parametrize(
-        "theorem, steps", [("ceva-ngon", 144), ("menelaos-ngon", 120)]
+        "theorem, steps", [("ceva-ngon", 96), ("menelaos-ngon", 96)]
     )
     def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
-        # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
-        # reduced gon made of the objects of one walked before is not
-        # walked again, but every other one is (keying on the vertices
-        # alone would skip Menelaos quadrilaterals whose cuts differ),
-        # and a one-branch order takes one step per depth
+        # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; in
+        # the exact lane a reduced gon projectively equal, slot by slot,
+        # to one walked before is not walked again, but every other one
+        # is (keying on the vertices alone would skip Menelaos
+        # quadrilaterals whose cuts differ); each reduced gon is fixed
+        # by the slots removed, so the walk steps from 1, 6 and 15 gons
+        # of 6, 5 and 4 vertices, 6 + 30 + 60 = 96 steps; and a
+        # one-branch order takes one step per depth
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
@@ -892,6 +935,47 @@ class TestPinnedWalks:
             calls.clear()
             check_of(gon)(gon, order=order)
             assert calls["step"] == gon.n - 3
+
+    @pytest.mark.parametrize(
+        "theorem, steps", [("ceva-ngon", 144), ("menelaos-ngon", 120)]
+    )
+    @pytest.mark.parametrize("lane", ["floatified", "exact data, float backend"])
+    def test_float_walks_skip_only_gons_of_walked_objects(
+        self, monkeypatch, theorem, steps, lane
+    ):
+        # a tolerance test is not invariant when exact data is rescaled,
+        # so the float backend keys reduced gons on their objects alone
+        calls = Counter()
+        gon = forced_hexagon(theorem)
+        if lane == "floatified":
+            data, backend = floatify(gon), None
+        else:
+            data, backend = gon, float_backend()
+        count_steps(monkeypatch, calls)
+        verdict, _ = check_of(gon)(data, order="exhaustive", backend=backend)
+        assert verdict is True
+        assert calls["step"] == steps
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
+    def test_exact_walks_reduce_each_slot_choice_once(self, monkeypatch, n, theorem):
+        # a forced exact gon reduced by removing k slots depends only on
+        # which k of the n slots went, so the walk steps once from each
+        # such gon of 4 or more vertices: the sum of C(n, k) (n - k)
+        steps = sum(comb(n, k) * (n - k) for k in range(n - 3))
+        calls = Counter()
+        count_steps(monkeypatch, calls)
+        for seed in range(3):
+            gon = gen_hypothesis_forcing(theorem, GenSpec(seed=seed), n=n)["gon"]
+            gons = (gon, duality_bridge(gon)) if theorem == "duality" else (gon,)
+            verdicts = set()
+            for data in gons:
+                calls.clear()
+                verdicts.add(check_of(data)(data, order="exhaustive")[0])
+                assert calls["step"] == steps
+            # a forced Ceva or Menelaos gon is pseudo-concurrent or
+            # pseudo-collinear; a duality gon and its dual agree
+            assert verdicts == {True} or theorem == "duality" and len(verdicts) == 1
 
 
 class TestStepIncidences:
