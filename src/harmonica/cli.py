@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -76,18 +77,23 @@ def _parse_order(text: str):
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            # UTF-8 whatever the locale, as an --out file is
+            sys.stdout.reconfigure(encoding="utf-8")
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         # a reader that has gone fails here, inside main, not at exit
         sys.stdout.flush()
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(
+            text if text.endswith("\n") else text + "\n", encoding="utf-8"
+        )
 
 
 def _read_scene(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read scene {path!r}: {exc}")
     return parse(text)
@@ -188,7 +194,7 @@ def _gon_from_scene(ast, report, mode: str):
 def cmd_reduce(args) -> int:
     if args.replay is not None:
         try:
-            text = Path(args.replay).read_text()
+            text = Path(args.replay).read_text(encoding="utf-8")
         except OSError as exc:
             raise _UsageError(f"cannot read trace {args.replay!r}: {exc}")
         trace = ReductionTrace.from_json_lines(text)

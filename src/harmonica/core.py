@@ -261,6 +261,13 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
         x, y, z = t
         if not (type(x) is int and type(y) is int and type(z) is int):
             return cls(*t)
+    return _with_form(cls, t, form)
+
+
+def _with_form(cls, t: tuple, form: tuple[int, int, int] | None):
+    """An element of cls with triple t and integer form `form`, set up
+    with none of the constructor's checks: the caller vouches that t is
+    nonzero and that form is _integer_form(*t)."""
     obj = object.__new__(cls)
     _set_triple(obj, t)
     _set_form(obj, form)

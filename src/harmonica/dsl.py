@@ -34,6 +34,14 @@ AssertProduct carry the gon kind, "ceva" (one line per vertex) or
 "menelaos" (one cut point per vertex), and their order or target
 clause.
 
+parse has two readers.  The statement reader (_read) takes one match
+of a compiled pattern per statement and checks its names against the
+_CALLS rows and the symbol table; it reads every scene the formatter
+writes and every shipped one.  It refuses what it is unsure of, such as
+a comment inside a statement, non-ASCII text or any error, and then the
+token reader (_lex and _Parser) reads the whole text again: it returns
+the same AST or raises the error, so it alone words every error.
+
 format_scene is the inverse of parse on ASTs: parse(format_scene(ast))
 returns an equal AST.  Comments (# to end of line) survive parsing but
 not formatting.
@@ -644,10 +652,189 @@ _KEYWORDS = frozenset(
 )
 
 
+# ---------------------------------------------------------------------------
+# statement reader
+
+# One match reads the gap before a statement (whitespace and comments;
+# a comment ends at a line break or the end of the text, so the gap
+# splits one way only) and then one statement, or the end of the text.
+# Groups: 1 point, line or gon and 2 its name, or 3 assert; then a
+# literal (4/5, 6 ',' or ':', 7/8, 9/10: numerators over denominators),
+# 11 a bracketed name list, or 12 a word and 13 its names with an
+# optional tail, 14 an order word and 15 its seed, or '=' 16/17.  _read
+# checks what the match holds against _CALLS and the symbol table.  A
+# comment inside a statement does not match.
+_WS = "[ \t\r\n]*"
+_NAMES = rf"[A-Za-z_]\w*(?:{_WS}[,;]{_WS}[A-Za-z_]\w*)*"
+_Q = rf"(-?[0-9]+)(?:{_WS}/{_WS}(-?[0-9]+))?"
+_STATEMENT = re.compile(
+    rf"{_WS}(?:#[^\n]*(?:\n{_WS}|\Z))*(?:(?:(point|line|gon)[ \t\r\n]+"
+    rf"([A-Za-z_]\w*){_WS}={_WS}|(assert)[ \t\r\n]+)(?:\({_WS}{_Q}{_WS}"
+    rf"([,:]){_WS}{_Q}(?:{_WS}:{_WS}{_Q})?{_WS}\)|\[{_WS}({_NAMES}){_WS}\]"
+    rf"|(\w+){_WS}\({_WS}({_NAMES}){_WS}\)(?:{_WS}order{_WS}={_WS}(\w+)"
+    rf"(?:{_WS}\({_WS}(-?[0-9]+){_WS}\))?|{_WS}={_WS}{_Q})?)|\Z)",
+    re.ASCII,
+)
+# (kind, separator, no third coordinate) of a literal
+_LITERALS = {("point", ",", True), ("point", ":", False), ("line", ":", False)}
+# (order word, no seed) of a pseudo_ assertion's tail
+_ORDER_TAILS = {(None, True), ("first", True), ("exhaustive", True), ("seed", False)}
+
+
+def _read(text: str) -> SceneAst | None:
+    """The AST of text, one _STATEMENT match per statement, or None at
+    the first statement that the pattern or a check refuses: non-ASCII
+    text, a comment inside a statement, a reserved, unknown or
+    redeclared name, a wrong kind or count of names, a zero denominator
+    or a number int() rejects.  A check refuses by raising ValueError,
+    as int() does.  A site is where the lexer's where puts it, found
+    from the match offset through a running line count."""
+    if not text.isascii():
+        return None
+    symbols: dict[str, object] = {}
+    statements = []
+    at = last = start = 0
+    line = 1
+    try:
+        while m := _STATEMENT.match(text, at):
+            (kind, name, assertion, n1, d1, sep, n2, d2, n3, d3, vertices,
+             word, args, order, seed, n4, d4) = m.groups()
+            if not (kind or assertion):
+                return SceneAst(tuple(statements))
+            at = m.end()
+            site = m.start(3 if assertion else 2)
+            newlines = text.count("\n", last, site)
+            if newlines:
+                line += newlines
+                start = text.rfind("\n", last, site) + 1
+            last = site
+            pos = (line, site - start + 1)
+            if name in symbols or name in _KEYWORDS:
+                raise ValueError
+            row = _CALLS.get(word)
+            if n1 is not None:
+                if (kind, sep, n3 is None) not in _LITERALS:
+                    raise ValueError
+                z = 1 if n3 is None else _value(n3, d3)
+                node = _decl(kind, name, (_value(n1, d1), _value(n2, d2), z), pos)
+            elif vertices is not None:
+                names = vertices.replace(",", " ").split()
+                if kind != "gon" or ";" in vertices or len(names) < 3 or {
+                    *map(symbols.get, names)
+                } != {"point"}:
+                    raise ValueError
+                kind = ("gon", len(names))
+                node = GonDecl(name, tuple(names), pos)
+            elif assertion and word in _GON_PREDICATES:
+                node = _gon_assertion(word, args, order, seed, n4, d4, symbols, pos)
+            elif order or n4 or row is None or row.makes != (kind or "assert"):
+                raise ValueError
+            else:
+                args = _call_args(row.groups, args, symbols)
+                node = _call(word, args, _NOPOS if kind else pos)
+                if kind:
+                    node = _decl(kind, name, node, pos)
+            if kind:
+                symbols[name] = kind
+            statements.append(node)
+    except ValueError:
+        pass
+    return None
+
+
+def _value(num: str, den: str | None) -> Scalar:
+    """What a rational literal reads as: an int, or a Fraction over a
+    nonzero denominator."""
+    if den is None:
+        return int(num)
+    den = int(den)
+    if not den:
+        raise ValueError
+    return Fraction(int(num), den)
+
+
+def _call_args(groups, text: str, symbols: dict) -> tuple:
+    """A call's arguments from its name list, slot by slot as
+    _Parser.call reads them."""
+    parts = text.split(";")
+    if len(parts) != len(groups):
+        raise ValueError
+    args = []
+    names = []  # every name of the call
+    kinds = []  # the kind each name must have
+    fixed = "any"  # the kind of the first "any" argument, once read
+    for part, group in zip(parts, groups):
+        k = len(names)
+        names += part.replace(",", " ").split()
+        for want, count, more in group:
+            end = len(names) if more else k + (count or 1)
+            if end > len(names) or end - k < count:
+                raise ValueError
+            if want == "any":
+                if fixed == "any":
+                    fixed = symbols.get(names[k])
+                    if fixed != "point" and fixed != "line":
+                        raise ValueError
+                want = fixed
+            kinds += [want] * (end - k)
+            args.append(tuple(names[k:end]) if count else names[k])
+            k = end
+        if k != len(names):
+            raise ValueError
+    if [*map(symbols.get, names)] != kinds:
+        raise ValueError
+    return tuple(args)
+
+
+def _gon_assertion(word, args, order, seed, n4, d4, symbols, pos):
+    """A pseudo_ or _product assertion, as _Parser.assert_gon reads it."""
+    kind = _GON_PREDICATES[word]
+    want = "line" if kind == "ceva" else "point"
+    gon, *items = args.replace(",", " ").split()
+    arity = symbols.get(gon)
+    if ";" in args or type(arity) is not tuple or arity[1] != len(items) or {
+        *map(symbols.get, items)
+    } != {want}:
+        raise ValueError
+    if not word.startswith("pseudo_"):
+        if order or n4 is None:
+            raise ValueError
+        return AssertProduct(kind, gon, tuple(items), _value(n4, d4), pos)
+    if n4 or (order, seed is None) not in _ORDER_TAILS:
+        raise ValueError
+    order = ("seed", int(seed)) if seed else order
+    return AssertPseudo(kind, gon, tuple(items), order, pos)
+
+
+# The reader sets up Decl and Call nodes, the most frequent, past the
+# frozen dataclass __init__, as core._built sets up elements.  Each
+# field goes into the instance dict in declared order, so the dicts
+# keep sharing their class's keys.
+def _decl(kind, name, expr, pos) -> Decl:
+    node = object.__new__(Decl)
+    d = node.__dict__
+    d["kind"], d["name"], d["expr"], d["pos"] = kind, name, expr, pos
+    return node
+
+
+def _call(keyword, args, pos) -> Call:
+    node = object.__new__(Call)
+    d = node.__dict__
+    d["keyword"], d["args"], d["pos"] = keyword, args, pos
+    return node
+
+
 def parse(text: str) -> SceneAst:
     """Parse scene text; the first problem raises with 1-based line and
-    column inside the offending token."""
-    return _Parser(*_lex(text)).scene()
+    column inside the offending token.
+
+    The statement reader reads the text; where it refuses a statement,
+    the token reader reads the whole text again and returns the AST or
+    raises the error."""
+    ast = _read(text)
+    if ast is None:
+        ast = _Parser(*_lex(text)).scene()
+    return ast
 
 
 # ---------------------------------------------------------------------------

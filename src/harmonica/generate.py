@@ -21,8 +21,9 @@ completion of a triangle or quadrilateral is the configs' own
 complete (pencils), not a generator.
 
 The samplers compute on ints: sample_rational reduces each drawn
-(numerator, denominator) pair once, in a cache of a few hundred
-pairs, and sample_point_on writes each coordinate of lam*a + mu*b as
+(numerator, denominator) pair once, in a cache of a few hundred pairs;
+sample_point sets up its point with the integer form it reads off the
+draws, and sample_point_on writes each coordinate of lam*a + mu*b as
 one integer quotient.  The random stream, and so every generated
 configuration, is the one Fraction arithmetic on the draws gives.
 """
@@ -43,6 +44,7 @@ from .core import (
     GeometryError,
     Line,
     Point,
+    _with_form,
     collinear,
     exact_div,
     incident,
@@ -103,12 +105,24 @@ def _reduced(num: int, den: int) -> Fraction:
 
 
 def sample_rational(rng: Random, bound: int) -> Fraction:
-    # numerator and denominator drawn uniformly, reduced once per pair
-    return _reduced(rng.randint(-bound, bound), rng.randint(1, bound))
+    # numerator and denominator drawn uniformly, reduced once per pair;
+    # randrange(a, b + 1) is the stream of randint(a, b)
+    return _reduced(rng.randrange(-bound, bound + 1), rng.randrange(1, bound + 1))
 
 
 def sample_point(rng: Random, bound: int) -> Point:
-    return Point(sample_rational(rng, bound), sample_rational(rng, bound), 1)
+    """Point(x, y, 1) for two drawn rationals x = p1/q1 and y = p2/q2.
+
+    Its integer form is (p1*L/q1, p2*L/q2, L) with L = lcm(q1, q2),
+    which is primitive: a prime's full power in L divides q1 (say), so
+    the prime divides neither L/q1 nor p1.
+    """
+    x = sample_rational(rng, bound)
+    y = sample_rational(rng, bound)
+    q1, q2 = x.denominator, y.denominator
+    lcm = math.lcm(q1, q2)
+    form = (x.numerator * (lcm // q1), y.numerator * (lcm // q2), lcm)
+    return _with_form(Point, (x, y, 1), form)
 
 
 def all_distinct(points: Sequence[Point]) -> bool:

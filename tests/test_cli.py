@@ -743,6 +743,45 @@ def _fresh_env() -> dict:
     return env
 
 
+# A Ceva triangle whose names are not ASCII.
+UTF8_SCENE = """\
+point \u00e9 = (0, 0)
+point B = (6, 0)
+point C = (2, 5)
+point O = (2, 2)
+line g\u00e9 = join(\u00e9, O)
+line gB = join(B, O)
+line gC = join(C, O)
+gon T\u00e9 = [\u00e9, B, C]
+assert pseudo_concurrent(T\u00e9, g\u00e9, gB, gC)
+"""
+
+
+def test_scene_and_trace_files_are_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "e.hgeo").write_text(UTF8_SCENE, encoding="utf-8")
+    env = _fresh_env()
+    # the C locale's encoding is ASCII once coercion and UTF-8 mode are off
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "harmonica.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    assert json.loads(run("check", "e.hgeo"))["passed"] is True
+    run("render", "e.hgeo", "--out", "e.svg")
+    svg = (tmp_path / "e.svg").read_text(encoding="utf-8")
+    assert ">\u00e9</text>" in svg
+    assert run("render", "e.hgeo") == svg.encode("utf-8")
+    run("reduce", "e.hgeo", "--mode", "ceva", "--out", "e.jsonl")
+    assert json.loads(run("reduce", "--replay", "e.jsonl"))["replay"] == "ok"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,6 +1,7 @@
 """Scene language: lexing, parsing, formatting, evaluation."""
 
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -181,6 +182,10 @@ PINNED_EDIT_SHA256 = (
     "8fefd91708f195d8d86e765328165e5fb847ca65647b1a1c98225dd3642198fd"
 )
 EDIT_SUBSTITUTIONS = 200
+# How many of those prefixes and edits the statement reader reads; it
+# refuses the others, and the token reader words their errors.
+PREFIXES_READ = 2122
+EDITS_READ = 2946
 # the punctuation, the comment and sign characters, a name character,
 # a digit, tab, LF and CR, and two characters that no token takes: a
 # superscript two (str.isdigit) and a no-break space
@@ -202,6 +207,28 @@ def _token_stream(text):
     """(kind, value, line, column) of each token, end of input last."""
     tokens, where = dsl._lex(text)
     return [(_token_kind(t), t, *where(i)) for i, t in enumerate(tokens)]
+
+
+def _token_read(text):
+    """The token reader's AST of text, or its error."""
+    try:
+        return dsl._Parser(*dsl._lex(text)).scene()
+    except SceneError as exc:
+        return exc
+
+
+def _readers_agree(text):
+    """Whether the statement reader read text rather than refuse it.
+    Where the token reader fails the statement reader must refuse; where
+    it reads, the statement reader refuses or reads the same AST with
+    the same positions and scalar types, which the reprs show."""
+    read = dsl._read(text)
+    if read is None:
+        return False
+    token = _token_read(text)
+    assert not isinstance(token, SceneError), (text, token)
+    assert read == token and repr(read) == repr(token), text
+    return True
 
 
 def _parse_outcome(text):
@@ -473,6 +500,7 @@ class TestPinnedBehaviour:
             for kind, value, line, col in _token_stream(text)
         )
         assert hashlib.sha256(stream.encode()).hexdigest() == digest
+        assert _readers_agree(text)
 
     @pytest.mark.parametrize("text, pos", PINNED_EOF_POSITIONS)
     def test_end_of_input_position(self, text, pos):
@@ -481,20 +509,22 @@ class TestPinnedBehaviour:
 
     def test_every_prefix_of_every_shipped_scene(self):
         digest = hashlib.sha256()
-        count = 0
+        count = read = 0
         for path in sorted(SCENE_DIR.glob("*.hgeo")):
             text = path.read_text()
             for k in range(len(text) + 1):
                 outcome = _parse_outcome(text[:k])
                 digest.update(f"{path.name}\t{k}\t{outcome!r}\n".encode())
                 count += 1
+                read += _readers_agree(text[:k])
         assert count == 7212
         assert digest.hexdigest() == PINNED_PREFIX_SHA256
+        assert read == PREFIXES_READ
 
     def test_every_single_character_edit_of_every_shipped_scene(self):
         rng = random.Random(0)
         digest = hashlib.sha256()
-        count = 0
+        count = read = 0
         for path in sorted(SCENE_DIR.glob("*.hgeo")):
             text = path.read_text()
             edits = [
@@ -508,8 +538,33 @@ class TestPinnedBehaviour:
                 outcome = _parse_outcome(edited)
                 digest.update(f"{path.name}\t{edit}\t{outcome!r}\n".encode())
                 count += 1
+                read += _readers_agree(edited)
         assert count == 7204 + 8 * EDIT_SUBSTITUTIONS
         assert digest.hexdigest() == PINNED_EDIT_SHA256
+        assert read == EDITS_READ
+
+    def test_shipped_and_generated_scenes_need_no_token_reader(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "scenegen", SCENE_DIR.parent / "bench" / "scenegen.py"
+        )
+        scenegen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scenegen)
+        texts = [path.read_text() for path in sorted(SCENE_DIR.glob("*.hgeo"))]
+        # three seeds of the scenes benchmark's pool of generated scenes
+        texts += [
+            scenegen.generate_scene(seed, index)[0]
+            for seed in range(3)
+            for index in range(48)
+        ]
+        expected = [_token_read(text) for text in texts]
+
+        def refuse(self):
+            raise AssertionError("the token reader ran")
+
+        monkeypatch.setattr(dsl._Parser, "scene", refuse)
+        for text, ast in zip(texts, expected):
+            got = parse(text)
+            assert got == ast and repr(got) == repr(ast)
 
     def test_input_ending_in_a_comment_fails_where_the_comment_starts(self):
         with pytest.raises(SceneSyntaxError) as err:
@@ -715,6 +770,8 @@ class TestRoundTrip:
             again = parse(text)
             assert again == ast
             assert format_scene(again) == text
+            # canonical text is read without the token reader
+            assert _readers_agree(text)
 
     def test_round_trip_preserves_homogeneous_literals(self):
         ast = parse("point A = (1 : 2 : 3)\nline l = (0 : 1 : -4/5)\n")

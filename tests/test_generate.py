@@ -156,6 +156,24 @@ class TestSamplers:
         assert info.misses - misses > info.maxsize
         assert info.currsize <= info.maxsize
 
+    def test_sample_point_is_the_constructed_point(self):
+        # the integer form read off the draws is the one the constructor
+        # computes, over bounds with and without shared denominators
+        for bound in (1, 2, 10, 97, 1000):
+            for seed in range(40):
+                rng, ref = Random(seed), Random(seed)
+                for _ in range(50):
+                    got = generate.sample_point(rng, bound)
+                    x = generate.sample_rational(ref, bound)
+                    y = generate.sample_rational(ref, bound)
+                    want = Point(x, y, 1)
+                    assert type(got) is Point
+                    assert [(type(v), v) for v in got.triple] == [
+                        (type(v), v) for v in want.triple
+                    ]
+                    assert got._form == want._form
+                assert rng.random() == ref.random()
+
     @pytest.mark.parametrize(
         "base",
         [
