@@ -198,7 +198,9 @@ def cmd_reduce(args) -> int:
         except OSError as exc:
             raise _UsageError(f"cannot read trace {args.replay!r}: {exc}")
         trace = ReductionTrace.from_json_lines(text)
-        replayed = replay_trace(trace)
+        # without --backend the trace replays in its data's lane
+        backend = args.backend and _backend_for(args.backend)
+        replayed = replay_trace(trace, backend)
         confirmation = {
             "schema": SCHEMA,
             "command": "reduce",
@@ -304,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("scene", nargs="?", default=None)
     r.add_argument("--mode", choices=("ceva", "menelaos"), default=None)
     r.add_argument("--order", default="first")
-    r.add_argument("--backend", choices=("exact", "float"), default="exact")
+    r.add_argument("--backend", choices=("exact", "float"), default=None)
     r.add_argument("--replay", default=None, help="re-run a saved trace")
     r.add_argument("--out", default=None)
 

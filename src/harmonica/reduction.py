@@ -19,14 +19,20 @@ walking the prefix tree of step choices: an explicit, first or seeded
 order is the walk with one child per depth, and exhaustive checking
 takes every child.  A step carries its untouched vertices,
 cevians and cuts over as the same objects, so sibling branches share
-them; the walk's memo (see _built) makes each join and meet of the same
-operand objects once, so each line and point is built once per walk.
-Steps run on the vertex and item tuples and record plain tuples; gons
-and ReductionSteps are built only for the traces a caller gets.  An
-exhaustive walk skips a reduced gon equal to one it has walked: in the
-exact lane projectively equal slot by slot (see _walk_key), otherwise
-made of the same objects.  In the exact lane a step also does not
-re-test the two incidences that hold by construction.
+them; the walk's memo (see _ObjectLane) makes each join and meet of the
+same operand objects once, so each line and point is built once per
+walk.  Steps run on the vertex and item tuples and record plain tuples;
+gons and ReductionSteps are built only for the traces a caller gets.
+An exhaustive walk skips a reduced gon made of the same objects as one
+it has walked.
+
+Exact data under the exact backend, where every test is a zero test on
+integer forms, is walked exhaustively on the forms alone (_walk_forms):
+the same step bodies run on a lane of form tuples (_FormLane), a
+reduced gon projectively equal slot by slot to one walked is skipped,
+and a step does not re-test the two incidences that hold by
+construction.  Objects are built only along the order the walk
+reports, by _run_reduction.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -35,8 +41,11 @@ the usual way polygon vertices are numbered.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as _iter_product
+from math import gcd
 from operator import attrgetter
 from random import Random
 from typing import ClassVar, Iterator, Sequence
@@ -54,6 +63,7 @@ from .core import (
     UndefinedFoot,
     UndefinedRatio,
     _backend_of,
+    _proportional,
     collinear,
     dualize,
     incident,
@@ -95,71 +105,133 @@ class ReplayMismatch(GeometryError):
 
 # What the constructors reject at slot k (0-based), as the message text,
 # read off the vertex tuple A and the item tuple (cevians g, cuts B);
-# reduction steps run the same checks on the slots they create.
+# reduction steps run the same checks on the slots they create.  eq is
+# the equality and on(line, point) the incidence test of the caller:
+# a constructor's backend, or a step's lane (see _ObjectLane).
 
 
-def _pair_defect(A: tuple, k: int) -> str | None:
+def _pair_defect(A: tuple, k: int, eq=operator.eq) -> str | None:
     n = len(A)
-    if A[k] == A[(k + 1) % n]:
+    if eq(A[k], A[(k + 1) % n]):
         return f"consecutive vertices {k + 1} and {(k + 1) % n + 1} coincide"
     return None
 
 
-def _cevian_defect(A: tuple, g: tuple, k: int, backend: Backend) -> str | None:
-    if not incident(g[k], A[k], backend):
+def _cevian_defect(A: tuple, g: tuple, k: int, on) -> str | None:
+    if not on(g[k], A[k]):
         return f"cevian {k + 1} does not pass through vertex {k + 1}"
     return None
 
 
 def _cut_defect(
-    A: tuple, B: tuple, k: int, backend: Backend, built_on: Line | None = None
+    A: tuple, B: tuple, k: int, on, eq=operator.eq, side: Line | None = None
 ) -> str | None:
-    # built_on: side k + 1, when a step built the cut on it
+    # side: side k + 1, when a step built the cut on it
     n = len(A)
     cut = B[k]
-    if built_on is None:
-        on_side = incident(join(A[k], A[(k + 1) % n]), cut, backend)
-    else:
-        on_side = _on_integer_forms(backend, built_on, cut) or incident(
-            built_on, cut, backend
-        )
-    if not on_side:
+    if not on(join(A[k], A[(k + 1) % n]) if side is None else side, cut):
         return f"cut {k + 1} is not on side {k + 1}"
-    if cut == A[k] or cut == A[(k + 1) % n]:
+    if eq(cut, A[k]) or eq(cut, A[(k + 1) % n]):
         return f"cut {k + 1} coincides with a vertex"
     return None
 
 
-def _on_integer_forms(backend: Backend, a, b) -> bool:
-    """Whether incident(a, b, backend) would run on integer forms.
-
-    A step skips an incidence that holds by construction, (p x q).p = 0
-    in any commutative ring, only then: on float coordinates rounding
-    may break it, and under the exact backend the test is what rejects
-    such data.
-    """
-    return backend.kind == "exact" and a._form is not None and b._form is not None
+# A step runs on a lane: the joins, meets, equality and built_on test
+# (of an incidence that holds by construction) of the elements it reads.
 
 
-def _built(memo: dict, build, a, b):
-    """build(a, b), join or meet, made once per memo: a later call on
-    the same operand objects returns the object made the first time.
+class _ObjectLane:
+    """A walk's lane over Point and Line objects under its backend: for
+    reduce_step, one-branch orders, the float backend and data without
+    integer forms (floats, ring elements, or a mix).
 
-    Keys are the operands' ids.  Each entry holds its operands, so no
-    id is reused while the memo lives; and join's operands are points
-    and meet's are lines, so their keys never collide.  Both are pure
+    join and meet go through the walk's memo, so a later call on the
+    same operand objects returns the object made the first time.  Keys
+    are the operands' ids.  Each entry holds its operands, so no id is
+    reused while the memo lives; and join's operands are points and
+    meet's are lines, so their keys never collide.  Both are pure
     functions of immutable operands, so the shared object is the one a
     fresh call would make.  A build that raises stores nothing, and a
     later call raises again.
     """
-    key = (id(a), id(b))
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = build(a, b), a, b
-    return entry[0]
+
+    __slots__ = ("backend", "_memo")
+    eq = staticmethod(operator.eq)
+
+    def __init__(self, backend: Backend) -> None:
+        self.backend = backend
+        self._memo: dict = {}
+
+    # join and meet are written out, not shared through a helper: they
+    # run on every construction of a walk on objects, and a helper
+    # would add a call to each
+
+    def join(self, p: Point, q: Point) -> Line:
+        key = (id(p), id(q))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = join(p, q), p, q
+        return entry[0]
+
+    def meet(self, l: Line, m: Line) -> Point:
+        key = (id(l), id(m))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = meet(l, m), l, m
+        return entry[0]
+
+    def built_on(self, line: Line, point: Point) -> bool:
+        """Whether the point a step built on the line, or the line it
+        built through the point, is incident with it.
+
+        (p x q).p = 0 in any commutative ring, so the test is skipped
+        where incident would run on integer forms; on float coordinates
+        rounding may break it, and under the exact backend the test is
+        what rejects such data.
+        """
+        backend = self.backend
+        on_forms = line._form is not None and point._form is not None
+        return (on_forms and backend.kind == "exact") or incident(line, point, backend)
 
 
-def _ceva_step(A: tuple, g: tuple, i: int, backend: Backend, memo: dict):
+def _primitive_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
+    # core's join and meet on integer forms: the cross product divided
+    # by its gcd, which is positive unless the operands are proportional
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    g = gcd(x, y, z)
+    if not g:
+        raise error(f"{a} and {b} are proportional")
+    if g > 1:
+        return x // g, y // g, z // g
+    return x, y, z
+
+
+class _FormLane:
+    """The lane of the exhaustive walk of exact data under the exact
+    backend (see _walk_forms), over integer-form tuples.
+
+    join and meet give the integer form core's join and meet would give
+    the elements, and raise CoincidentPoints and CoincidentLines as they
+    do; eq is projective equality; and an incidence a step built holds
+    over the integers.  Every test is then the exact backend's.
+    """
+
+    __slots__ = ()
+    join = staticmethod(partial(_primitive_cross, CoincidentPoints))
+    meet = staticmethod(partial(_primitive_cross, CoincidentLines))
+    eq = staticmethod(_proportional)
+
+    @staticmethod
+    def built_on(line: tuple, point: tuple) -> bool:
+        return True
+
+
+_FORMS = _FormLane()
+
+
+def _ceva_step(A: tuple, g: tuple, i: int, lane):
     """CevaGon._step: collapse the vertex pair (i, i+1) into the meet of
     its two outer sides; the new cevian joins the new vertex to the
     crossing of the two removed cevians."""
@@ -171,18 +243,18 @@ def _ceva_step(A: tuple, g: tuple, i: int, backend: Backend, memo: dict):
     i0 = i - 1
     j0 = (i0 + 1) % m
     prev, nxt = (i0 - 1) % m, (j0 + 1) % m
-    side_in = _built(memo, join, A[prev], A[i0])
-    side_out = _built(memo, join, A[j0], A[nxt])
+    side_in = lane.join(A[prev], A[i0])
+    side_out = lane.join(A[j0], A[nxt])
     try:
-        new_vertex = _built(memo, meet, side_in, side_out)
+        new_vertex = lane.meet(side_in, side_out)
     except CoincidentLines:
         raise DegenerateStep("outer sides of the chosen pair coincide", i)
     try:
-        crossing = _built(memo, meet, g[i0], g[j0])
+        crossing = lane.meet(g[i0], g[j0])
     except CoincidentLines:
         raise DegenerateStep("the two removed cevians coincide", i)
     try:
-        new_line = _built(memo, join, new_vertex, crossing)
+        new_line = lane.join(new_vertex, crossing)
     except CoincidentPoints:
         raise DegenerateStep(
             "new vertex equals the crossing of the removed cevians", i
@@ -198,17 +270,16 @@ def _ceva_step(A: tuple, g: tuple, i: int, backend: Backend, memo: dict):
         new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
     # the slots that hold the new vertex, in the constructor's order;
     # the new cevian passes through the new vertex by construction
-    tautology = _on_integer_forms(backend, new_line, new_vertex)
     for s in sorted(((k - 1) % (m - 1), k)):
-        defect = _pair_defect(new_vs, s)
-        if defect is None and s == k and not tautology:
-            defect = _cevian_defect(new_vs, new_gs, k, backend)
+        defect = _pair_defect(new_vs, s, lane.eq)
+        if defect is None and s == k:
+            defect = _cevian_defect(new_vs, new_gs, k, lane.built_on)
         if defect:
             raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return new_vs, new_gs, (i, new_vertex, new_line, None)
 
 
-def _menelaos_step(A: tuple, B: tuple, i: int, backend: Backend, memo: dict):
+def _menelaos_step(A: tuple, B: tuple, i: int, lane):
     """MenelaosGon._step: remove vertex i, merging its two sides; the
     cut on the merged side is its meet with the line through the two
     removed cuts."""
@@ -219,15 +290,16 @@ def _menelaos_step(A: tuple, B: tuple, i: int, backend: Backend, memo: dict):
         raise ValueError(f"step index {i} out of range 1..{m}")
     i0 = i - 1
     prev, nxt = (i0 - 1) % m, (i0 + 1) % m
-    if A[prev] == A[nxt]:
+    eq = lane.eq
+    if eq(A[prev], A[nxt]):
         raise DegenerateStep("neighbors of the removed vertex coincide", i)
-    merged = _built(memo, join, A[prev], A[nxt])
-    if B[prev] == B[i0]:
+    merged = lane.join(A[prev], A[nxt])
+    if eq(B[prev], B[i0]):
         raise DegenerateStep("the two removed cuts coincide", i)
-    transversal = _built(memo, join, B[prev], B[i0])
-    if transversal == merged:
+    transversal = lane.join(B[prev], B[i0])
+    if eq(transversal, merged):
         raise DegenerateStep("cut transversal equals the merged side", i)
-    new_point = _built(memo, meet, merged, transversal)
+    new_point = lane.meet(merged, transversal)
     if i0 == 0:
         k = m - 2
         new_vs = A[1:]
@@ -236,8 +308,9 @@ def _menelaos_step(A: tuple, B: tuple, i: int, backend: Backend, memo: dict):
         k = i0 - 1
         new_vs = A[:i0] + A[i0 + 1 :]
         new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
-    # the merged side k already has distinct endpoints
-    defect = _cut_defect(new_vs, new_bs, k, backend, merged)
+    # the merged side k already has distinct endpoints, and the new cut
+    # is on it by construction
+    defect = _cut_defect(new_vs, new_bs, k, lane.built_on, eq, merged)
     if defect:
         raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return new_vs, new_bs, (i, None, None, new_point)
@@ -250,11 +323,14 @@ class _Gon:
     Each subclass declares its two fields (vertices, then the items),
     its kind, its item type with the message for a wrong item count,
     its slot check and its reduction step.  Both run on the vertex and
-    item tuples, not on a gon: _step(A, items, i, backend, memo) returns
-    the reduced tuples and a plain record (index, vertex, line, point)
-    of the objects it made; it checks only the slots it creates, and
-    joins and meets through the walk's memo (_built).  A gon and a
-    ReductionStep are built from them only where a caller sees them.
+    item tuples, not on a gon: _step(A, items, i, lane) returns the
+    reduced tuples and a plain record (index, vertex, line, point) of
+    what it made; it checks only the slots it creates, and joins, meets
+    and tests through its lane.  One body serves both lanes: objects
+    (_ObjectLane, with the walk's memo) and, in the exhaustive walk of
+    exact data, integer forms (_FormLane), where objects are built only
+    for the order a walk reports.  A gon and a ReductionStep are built
+    only where a caller sees them.
     """
 
     kind: ClassVar[str]
@@ -278,9 +354,13 @@ class _Gon:
             raise DegenerateInput(self._count_message)
         vertices = self.vertices
         be = _backend_of(*vertices, *items)
+
+        def on(line: Line, point: Point) -> bool:
+            return incident(line, point, be)
+
         for i in range(n):
             defect = _pair_defect(vertices, i) or self._slot_defect(
-                vertices, items, i, be
+                vertices, items, i, on
             )
             if defect:
                 raise DegenerateInput(defect)
@@ -364,8 +444,8 @@ def reduce_step(gon: CevaGon | MenelaosGon, i: int) -> CevaGon | MenelaosGon:
     degenerate result raises DegenerateStep.
     """
     cls = type(gon)
-    backend = _backend_of(*gon.vertices, *gon.items)
-    return _trusted(cls, *cls._step(gon.vertices, gon.items, i, backend, {})[:2])
+    lane = _ObjectLane(_backend_of(*gon.vertices, *gon.items))
+    return _trusted(cls, *cls._step(gon.vertices, gon.items, i, lane)[:2])
 
 
 def gon_from_json(data: dict) -> CevaGon | MenelaosGon:
@@ -542,32 +622,6 @@ class ReductionTrace:
 # drivers
 
 
-def _walk_key(objs: tuple, by_value: bool) -> tuple:
-    """The key under which an exhaustive walk records a reduced gon,
-    its vertices then its items: their integer forms up to sign when
-    by_value (the exact backend) and every one has a form, else their
-    ids.
-
-    A form is a multiple of its triple, so gons with one value key are
-    projectively equal slot by slot.  Under the exact backend every
-    test in the subtree of such a gon runs on integer forms and is a
-    zero test, which a change of sign does not change, and each join
-    and meet returns the same primitive form up to sign; so the two
-    subtrees end in the same verdicts and DegenerateSteps.  Constructed
-    forms are primitive, so constructed elements that are projectively
-    equal have one key.  Tolerance tests, and tests that mix a form
-    with a triple that has none, can change when data is rescaled, so
-    those gons keep identity keys.
-    """
-    if by_value:
-        forms = [o._form for o in objs]
-        if None not in forms:
-            return tuple(
-                [f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in forms]
-            )
-    return tuple(map(id, objs))
-
-
 def _run_reduction(
     gon: CevaGon | MenelaosGon,
     indices: Sequence[int] | None,
@@ -582,19 +636,19 @@ def _run_reduction(
     the first disagreement and the first DegenerateStep are those of a
     run over each order in turn; but each shared prefix is reduced once.
     A degenerate prefix prunes its subtree, whose every order would
-    raise the same error.  The steps join and meet through one memo
-    that lives as long as this call, so a line or point that several
-    branches need is built once.
+    raise the same error.  The steps run on one _ObjectLane that lives
+    as long as this call, so a line or point that several branches need
+    is built once.
 
     Steps run on vertex and item tuples and leave plain records; a
     ReductionStep, and the final gon, are built only for a trace this
     returns or attaches to a DegenerateStep.  An exhaustive walk skips
-    a reduced gon of four or more vertices with the _walk_key of one it
-    has walked: under the exact backend one projectively equal to it,
-    slot by slot, and under the float backend one made of the same
-    objects.  Its subtree would repeat the walked one's events, so its
-    leaves would repeat verdicts that all agreed with the first one,
-    and its degenerate steps would come after the first.
+    a reduced gon of four or more vertices made of the same objects as
+    one it has walked.  Its subtree would repeat the walked one's
+    events, so its leaves would repeat verdicts that all agreed with
+    the first one, and its degenerate steps would come after the first.
+    _pseudo_check walks exact data under the exact backend on integer
+    forms instead (_walk_forms), which calls this along one order.
     """
     n = gon.n
     if indices is not None and len(indices) != n - 3:
@@ -604,11 +658,10 @@ def _run_reduction(
         )
     cls = type(gon)
     step = cls._step
-    memo: dict = {}  # the walk's lines and points, see _built
-    # walked reduced gons by _walk_key; each entry holds the objects, so
-    # no id in a key is reused while the walk lives
+    lane = _ObjectLane(backend)
+    # walked reduced gons by their objects' ids; each entry holds the
+    # objects, so no id in a key is reused while the walk lives
     walked: dict | None = {} if indices is None else None
-    by_value = backend.kind == "exact"
     records: list[tuple] = []  # (index, vertex, line, point) per step
     first: tuple[bool, ReductionTrace] | None = None
     first_degenerate: DegenerateStep | None = None
@@ -639,14 +692,14 @@ def _run_reduction(
             choices = (indices[n - m],)
         for idx in choices:
             try:
-                A2, items2, record = step(A, items, idx, backend, memo)
+                A2, items2, record = step(A, items, idx, lane)
             except DegenerateStep as exc:
                 if first_degenerate is None:
                     exc.trace = trace()
                     first_degenerate = exc
                 continue
             if walked is not None and m > 4:
-                key = _walk_key((*A2, *items2), by_value)
+                key = tuple(map(id, A2 + items2))
                 if key in walked:
                     continue
                 walked[key] = A2, items2
@@ -659,6 +712,75 @@ def _run_reduction(
     if first is None:
         raise first_degenerate
     return first
+
+
+def _walk_forms(
+    gon: CevaGon | MenelaosGon, backend: Backend
+) -> tuple[bool, ReductionTrace]:
+    """The exhaustive walk of a gon whose vertices and items all have
+    integer forms, under the exact backend: _run_reduction's walk, in
+    the same order, on the forms alone.
+
+    Every test such a walk makes is the exact backend's zero test on
+    integer forms, so the steps run on the forms (_FormLane) and build
+    no Point or Line.  The walk records the first successful order
+    only.  It raises InconsistentOrders as the object walk would;
+    otherwise it returns _run_reduction along that order, whose n - 3
+    steps on objects build the trace the object walk returns.  When
+    every order degenerates it runs the first order instead, (1, ...,
+    1): the walk's first descent, so its DegenerateStep, with its
+    trace, is the object walk's first.
+
+    It skips a reduced gon of four or more vertices that is
+    projectively equal, slot by slot, to one it has walked: the key is
+    the forms up to sign, an original's form as it is (it need not be
+    primitive).  Every test in the subtree of such a gon is a zero
+    test, which a change of sign does not change, and each join and
+    meet returns the same primitive form up to sign; so the two
+    subtrees end in the same verdicts and DegenerateSteps, and the
+    skipped one's come later.  Constructed forms are primitive, so
+    constructed elements that are projectively equal have one key.
+    """
+    n = gon.n
+    step = type(gon)._step
+    walked: set = set()
+    path: list[int] = []  # the step indices from gon down to the current gon
+    first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
+
+    def walk(A: tuple, items: tuple, m: int) -> None:
+        nonlocal first
+        if m == 3:
+            verdict = backend.dependent(*items)
+            if first is None:
+                first = verdict, tuple(path)
+            elif verdict != first[0]:
+                raise InconsistentOrders(
+                    f"order {tuple(path)} gave {verdict}, "
+                    f"order {first[1]} gave {first[0]}"
+                )
+            return
+        for idx in range(1, m + 1):
+            try:
+                A2, items2, _ = step(A, items, idx, _FORMS)
+            except DegenerateStep:
+                continue
+            if m > 4:
+                key = tuple(
+                    [f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in A2 + items2]
+                )
+                if key in walked:
+                    continue
+                walked.add(key)
+            path.append(idx)
+            walk(A2, items2, m - 1)
+            path.pop()
+
+    walk(
+        tuple(v._form for v in gon.vertices), tuple(o._form for o in gon.items), n
+    )
+    del walk  # it refers to itself: drop the cycle instead of leaving it to gc
+    indices = (1,) * (n - 3) if first is None else first[1]
+    return _run_reduction(gon, indices, backend)
 
 
 def all_reduction_orders(n: int) -> Iterator[tuple[int, ...]]:
@@ -687,12 +809,16 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
 
 
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
-    be = backend or _backend_of(*gon.vertices, *gon.items)
+    objs = (*gon.vertices, *gon.items)
+    be = backend or _backend_of(*objs)
     indices = _resolve_order(gon, order)
-    # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
-    # the walk reduces each shared prefix and each distinct gon once
-    if indices is None and gon.n > 8:
-        raise ValueError("exhaustive order checking is limited to n <= 8")
+    if indices is None:
+        # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
+        # the walk reduces each shared prefix and each distinct gon once
+        if gon.n > 8:
+            raise ValueError("exhaustive order checking is limited to n <= 8")
+        if be.kind == "exact" and all(o._form is not None for o in objs):
+            return _walk_forms(gon, be)
     return _run_reduction(gon, indices, be)
 
 
@@ -707,10 +833,13 @@ def is_pseudo_concurrent(
     1-based indices with one entry per step.  backend None decides in
     the data's lane (see harmonica.core).
 
-    "exhaustive" reduces each prefix shared by several orders once,
-    walks each distinct reduced gon once (under the exact backend, each
-    projectively distinct one) and builds each line and point of the
-    walk once.  It returns the trace of the lexicographically
+    "exhaustive" reduces each prefix shared by several orders once and
+    walks each distinct reduced gon once.  On exact data under the exact
+    backend it walks the integer forms, skipping each reduced gon
+    projectively equal to one walked, and builds points and lines only
+    along the order it reports; otherwise it walks the objects, builds
+    each line and point of the walk once and skips a reduced gon made of
+    the same objects.  It returns the trace of the lexicographically
     first non-degenerate order, raises InconsistentOrders at the first
     order whose verdict differs from it, and when every order
     degenerates raises the DegenerateStep of the first order, carrying
@@ -725,10 +854,10 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" likewise shares step prefixes, reduced gons (under the
-    exact backend, projectively equal ones), lines and points between
-    orders and returns the trace of the lexicographically first
-    non-degenerate order.
+    "exhaustive" likewise shares step prefixes and reduced gons between
+    orders (on exact data under the exact backend, projectively equal
+    ones, walked on integer forms) and returns the trace of the
+    lexicographically first non-degenerate order.
     """
     return _pseudo_check(gon, order, backend)
 

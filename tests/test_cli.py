@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from harmonica import reduction
 from harmonica.cli import _build_parser, _parse_order, _UsageError, main
 from harmonica.core import EPS_ENV_VAR, float_backend
 from harmonica.reduction import ReductionTrace
@@ -295,6 +296,41 @@ class TestReduce:
         confirmation = json.loads(out)
         assert confirmation["replay"] == "ok"
         assert confirmation["verdict"] is True
+
+    @pytest.mark.parametrize(
+        "data, flag, lane",
+        [
+            ("exact", None, "exact"),
+            ("exact", "float", "float"),
+            ("float", None, "float"),
+        ],
+    )
+    def test_replay_runs_under_the_given_backend(
+        self, capsys, scene_file, tmp_path, monkeypatch, data, flag, lane
+    ):
+        # without --backend a trace replays in its data's lane
+        path = scene_file(PENTAGON_SCENE)
+        trace_path = tmp_path / "trace.jsonl"
+        code, _, _ = run(
+            capsys, "reduce", path, "--mode", "ceva", "--backend", data,
+            "--out", str(trace_path),
+        )
+        assert code == 0
+        lanes = []
+        run_reduction = reduction._run_reduction
+
+        def recorded(gon, indices, backend):
+            lanes.append(backend.kind)
+            return run_reduction(gon, indices, backend)
+
+        monkeypatch.setattr(reduction, "_run_reduction", recorded)
+        argv = ["reduce", "--replay", str(trace_path)]
+        if flag is not None:
+            argv += ["--backend", flag]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["replay"] == "ok"
+        assert lanes == [lane]
 
     def test_tampered_trace_fails_replay(self, capsys, scene_file, tmp_path):
         path = scene_file(PENTAGON_SCENE)

@@ -838,10 +838,42 @@ def counted(calls: Counter, name: str, fn):
 
 
 def count_steps(monkeypatch, calls: Counter) -> None:
-    # both kinds' reduction steps, counted in calls["step"]
+    # both kinds' reduction steps in both lanes: calls["step"] counts
+    # those on objects, calls["form step"] those on integer forms (the
+    # exhaustive walk of exact data)
     for cls in (CevaGon, MenelaosGon):
-        step = staticmethod(counted(calls, "step", cls._step))
-        monkeypatch.setattr(cls, "_step", step)
+        step = cls._step
+
+        def counted_step(A, items, i, lane, step=step):
+            calls["form step" if lane is reduction._FORMS else "step"] += 1
+            return step(A, items, i, lane)
+
+        monkeypatch.setattr(cls, "_step", staticmethod(counted_step))
+
+
+def walk_outcome(run) -> tuple:
+    """How a walk ended: its verdict and trace, or the type, message,
+    step index and trace of the error it raised."""
+    try:
+        verdict, trace = run()
+    except (DegenerateStep, InconsistentOrders) as exc:
+        trace = getattr(exc, "trace", None)
+        return (
+            type(exc).__name__,
+            str(exc),
+            getattr(exc, "index", None),
+            trace and trace.to_json_lines(),
+        )
+    return "trace", verdict, trace.to_json_lines()
+
+
+def forms_and_object_walks(gon) -> tuple[tuple, tuple]:
+    """The outcomes of an exact gon's exhaustive walk, which runs on its
+    integer forms, and of the walk on its objects under the exact
+    backend, the reference."""
+    forms = walk_outcome(lambda: check_of(gon)(gon, order="exhaustive"))
+    objects = walk_outcome(lambda: reduction._run_reduction(gon, None, EXACT))
+    return forms, objects
 
 
 class TestPinnedWalks:
@@ -902,16 +934,16 @@ class TestPinnedWalks:
         self, monkeypatch, theorem, most
     ):
         # the counts of identity-distinct operand pairs that an
-        # exhaustive walk of this hexagon joins and meets
+        # exhaustive walk of this hexagon on objects joins and meets, the
+        # most it may build, and with the memo exactly what it builds;
+        # floatified so that the walk runs on objects
         calls = Counter()
-        gon = forced_hexagon(theorem)
+        gon = floatify(forced_hexagon(theorem))
         monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
         monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
         verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
-        joins, meets = most
-        assert calls["join"] <= joins and calls["meet"] <= meets
-
+        assert (calls["join"], calls["meet"]) == most
 
     @pytest.mark.parametrize(
         "theorem, steps", [("ceva-ngon", 96), ("menelaos-ngon", 96)]
@@ -923,18 +955,20 @@ class TestPinnedWalks:
         # is (keying on the vertices alone would skip Menelaos
         # quadrilaterals whose cuts differ); each reduced gon is fixed
         # by the slots removed, so the walk steps from 1, 6 and 15 gons
-        # of 6, 5 and 4 vertices, 6 + 30 + 60 = 96 steps; and a
-        # one-branch order takes one step per depth
+        # of 6, 5 and 4 vertices, 6 + 30 + 60 = 96 steps on integer
+        # forms, and then n - 3 on objects along the reported order; a
+        # one-branch order takes one step per depth, on objects
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
         verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
-        assert calls["step"] == steps
+        assert calls["form step"] == steps
+        assert calls["step"] == gon.n - 3
         for order in ("first", ("seed", 3), (6, 2, 1), (1, 5, 4)):
             calls.clear()
             check_of(gon)(gon, order=order)
-            assert calls["step"] == gon.n - 3
+            assert calls == {"step": gon.n - 3}
 
     @pytest.mark.parametrize(
         "theorem, steps", [("ceva-ngon", 144), ("menelaos-ngon", 120)]
@@ -954,14 +988,16 @@ class TestPinnedWalks:
         count_steps(monkeypatch, calls)
         verdict, _ = check_of(gon)(data, order="exhaustive", backend=backend)
         assert verdict is True
-        assert calls["step"] == steps
+        assert calls == {"step": steps}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
     def test_exact_walks_reduce_each_slot_choice_once(self, monkeypatch, n, theorem):
         # a forced exact gon reduced by removing k slots depends only on
-        # which k of the n slots went, so the walk steps once from each
-        # such gon of 4 or more vertices: the sum of C(n, k) (n - k)
+        # which k of the n slots went, so the walk on integer forms steps
+        # once from each such gon of 4 or more vertices, the sum of
+        # C(n, k) (n - k) steps; the reported order then takes n - 3 on
+        # objects
         steps = sum(comb(n, k) * (n - k) for k in range(n - 3))
         calls = Counter()
         count_steps(monkeypatch, calls)
@@ -972,10 +1008,43 @@ class TestPinnedWalks:
             for data in gons:
                 calls.clear()
                 verdicts.add(check_of(data)(data, order="exhaustive")[0])
-                assert calls["step"] == steps
+                assert calls == {"form step": steps, "step": n - 3}
             # a forced Ceva or Menelaos gon is pseudo-concurrent or
             # pseudo-collinear; a duality gon and its dual agree
             assert verdicts == {True} or theorem == "duality" and len(verdicts) == 1
+
+
+class TestFormsWalk:
+    """Exact data under the exact backend is walked exhaustively on
+    integer forms, and objects are built only for the reported order;
+    it must end as the walk on objects does."""
+
+    def test_it_ends_as_the_object_walk(self, monkeypatch):
+        gons = [
+            gon
+            for gon in pinned_gons() + lane_gons()
+            if all(o._form is not None for o in gon.vertices + gon.items)
+        ]
+        for n in (3, 4, 5, 6, 7, 8):
+            for theorem in ("ceva-ngon", "menelaos-ngon", "duality"):
+                for seed in range(2):
+                    gon = gen_hypothesis_forcing(theorem, GenSpec(seed=seed), n=n)["gon"]
+                    gons.append(gon)
+                    if theorem == "duality":
+                        gons.append(duality_bridge(gon))
+        calls = Counter()
+        count_steps(monkeypatch, calls)
+        outcomes = Counter()
+        for gon in gons:
+            calls.clear()
+            forms, objects = forms_and_object_walks(gon)
+            assert forms == objects
+            # the first walk ran on forms (a triangle takes no step)
+            assert calls["form step"] > 0 or gon.n == 3
+            outcomes[forms[0]] += 1
+        # every order degenerates in some, orders disagree in others
+        assert outcomes["trace"] and outcomes["DegenerateStep"]
+        assert outcomes["InconsistentOrders"]
 
 
 class TestStepIncidences:
