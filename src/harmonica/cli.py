@@ -63,11 +63,11 @@ def _parse_order(text: str):
         return text
     if text.startswith("seed:"):
         tail = text[len("seed:"):]
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise _UsageError(f"bad order spec {text!r}: seed:<int> expected")
         return ("seed", int(tail))
     parts = text.split(",")
-    if all(p.isdigit() and p for p in parts):
+    if all(p.isdecimal() for p in parts):
         return tuple(int(p) for p in parts)
     raise _UsageError(
         f"bad order spec {text!r}: use first, exhaustive, seed:<k>,"

@@ -13,26 +13,21 @@ different cyclic order changes the products and may change the verdict.
 The two gon kinds are dual and share one body, _Gon: validation,
 sides, JSON and the items view (the cevians or the cuts).  Each kind
 adds only its fields, its kind string, its item type and count message,
-its slot check and its step, which reduce_step runs once.  One
-function, _run_reduction, reduces either kind with its step by
-walking the prefix tree of step choices: an explicit, first or seeded
-order is the walk with one child per depth, and exhaustive checking
-takes every child.  A step carries its untouched vertices,
-cevians and cuts over as the same objects, so sibling branches share
-them; the walk's memo (see _ObjectLane) makes each join and meet of the
-same operand objects once, so each line and point is built once per
-walk.  Steps run on the vertex and item tuples and record plain tuples;
-gons and ReductionSteps are built only for the traces a caller gets.
-An exhaustive walk skips a reduced gon made of the same objects as one
-it has walked.
+its slot check and its step, which reduce_step runs once.  Steps run
+on the vertex and item tuples, through a lane: Point and Line objects
+under a backend (_ObjectLane), or integer forms (_FormLane).
 
-Exact data under the exact backend, where every test is a zero test on
-integer forms, is walked exhaustively on the forms alone (_walk_forms):
-the same step bodies run on a lane of form tuples (_FormLane), a
-reduced gon projectively equal slot by slot to one walked is skipped,
-and a step does not re-test the two incidences that hold by
-construction.  Objects are built only along the order the walk
-reports, by _run_reduction.
+_run_reduction reduces a gon along one order on objects.  Exhaustive
+checking first finds the order to report: one walk, _first_order,
+takes every step choice in the prefix tree, reduces each shared prefix
+once and skips a reduced gon whose lane key is that of one it has
+walked.  Exact data under the exact backend, where every test is a
+zero test on integer forms, is walked on the forms, and a step there
+does not re-test the two incidences that hold by construction; all
+other data is walked on objects, whose memo makes each join and meet
+of the same operand objects once.  In both lanes _run_reduction then
+reduces the reported order on objects, on the walk's memo where there
+is one, and that is the trace a caller gets.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -137,13 +132,15 @@ def _cut_defect(
 
 
 # A step runs on a lane: the joins, meets, equality and built_on test
-# (of an incidence that holds by construction) of the elements it reads.
+# (of an incidence that holds by construction) of the elements it reads;
+# a walk reads its verdicts (dependent) and skip keys (key) there too.
 
 
 class _ObjectLane:
-    """A walk's lane over Point and Line objects under its backend: for
-    reduce_step, one-branch orders, the float backend and data without
-    integer forms (floats, ring elements, or a mix).
+    """The lane over Point and Line objects under a backend: every
+    reduction along one order, and the exhaustive walk of data that is
+    not walked on integer forms (the float backend; floats, ring
+    elements, or a mix).
 
     join and meet go through the walk's memo, so a later call on the
     same operand objects returns the object made the first time.  Keys
@@ -193,6 +190,16 @@ class _ObjectLane:
         on_forms = line._form is not None and point._form is not None
         return (on_forms and backend.kind == "exact") or incident(line, point, backend)
 
+    def dependent(self, p, q, r) -> bool:
+        return collinear(p, q, r, self.backend)
+
+    @staticmethod
+    def key(elements: tuple) -> tuple:
+        # the elements' ids: every element of a reduced gon is the
+        # gon's or a memo entry's, which holds it, so no id is reused
+        # while the walk lives
+        return tuple(map(id, elements))
+
 
 def _primitive_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
     # core's join and meet on integer forms: the cross product divided
@@ -210,12 +217,19 @@ def _primitive_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
 
 class _FormLane:
     """The lane of the exhaustive walk of exact data under the exact
-    backend (see _walk_forms), over integer-form tuples.
+    backend, over integer-form tuples.
 
     join and meet give the integer form core's join and meet would give
     the elements, and raise CoincidentPoints and CoincidentLines as they
     do; eq is projective equality; and an incidence a step built holds
     over the integers.  Every test is then the exact backend's.
+
+    key is the forms up to sign (an original's as it is): equal keys
+    mean reduced gons projectively equal slot by slot, and a constructed
+    form, being primitive, has one key per element.  Such gons' subtrees
+    end in the same verdicts and DegenerateSteps: every test is a zero
+    test, which a sign does not change, and each join and meet gives
+    the same form up to sign.
     """
 
     __slots__ = ()
@@ -226,6 +240,12 @@ class _FormLane:
     @staticmethod
     def built_on(line: tuple, point: tuple) -> bool:
         return True
+
+    dependent = staticmethod(EXACT.dependent)
+
+    @staticmethod
+    def key(elements: tuple) -> tuple:
+        return tuple([f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in elements])
 
 
 _FORMS = _FormLane()
@@ -327,10 +347,10 @@ class _Gon:
     reduced tuples and a plain record (index, vertex, line, point) of
     what it made; it checks only the slots it creates, and joins, meets
     and tests through its lane.  One body serves both lanes: objects
-    (_ObjectLane, with the walk's memo) and, in the exhaustive walk of
-    exact data, integer forms (_FormLane), where objects are built only
-    for the order a walk reports.  A gon and a ReductionStep are built
-    only where a caller sees them.
+    (_ObjectLane, with its memo) and, in the exhaustive walk of exact
+    data, integer forms (_FormLane).  In both, the trace is the
+    reported order reduced on objects.  A gon and a ReductionStep are
+    built only where a caller sees them.
     """
 
     kind: ClassVar[str]
@@ -622,135 +642,29 @@ class ReductionTrace:
 # drivers
 
 
-def _run_reduction(
-    gon: CevaGon | MenelaosGon,
-    indices: Sequence[int] | None,
-    backend: Backend,
-) -> tuple[bool, ReductionTrace]:
-    """Reduce the gon to triangles, walking a prefix tree of step choices.
+def _first_order(
+    gon: CevaGon | MenelaosGon, A: tuple, items: tuple, lane
+) -> tuple[int, ...] | None:
+    """The lexicographically first order that reduces the gon (A and
+    items in the lane) to a triangle, or None if every order degenerates.
 
-    At depth d the choice is indices[d], so one order is a single
-    branch; with indices None every choice 1..m at an m-gon is a child,
-    so every order is walked.  Children are visited in the
-    lexicographic order of all_reduction_orders, so the first success,
-    the first disagreement and the first DegenerateStep are those of a
-    run over each order in turn; but each shared prefix is reduced once.
-    A degenerate prefix prunes its subtree, whose every order would
-    raise the same error.  The steps run on one _ObjectLane that lives
-    as long as this call, so a line or point that several branches need
-    is built once.
-
-    Steps run on vertex and item tuples and leave plain records; a
-    ReductionStep, and the final gon, are built only for a trace this
-    returns or attaches to a DegenerateStep.  An exhaustive walk skips
-    a reduced gon of four or more vertices made of the same objects as
-    one it has walked.  Its subtree would repeat the walked one's
-    events, so its leaves would repeat verdicts that all agreed with
-    the first one, and its degenerate steps would come after the first.
-    _pseudo_check walks exact data under the exact backend on integer
-    forms instead (_walk_forms), which calls this along one order.
+    The walk visits the orders of all_reduction_orders in turn, reducing
+    each shared prefix once, and raises InconsistentOrders at the first
+    verdict that differs from the first one.  It skips a reduced gon of
+    four or more vertices whose lane.key it has walked: that subtree's
+    verdicts and degenerate steps would repeat the walked one's, later.
     """
-    n = gon.n
-    if indices is not None and len(indices) != n - 3:
-        raise ValueError(
-            f"a {n}-gon reduces in exactly {n - 3} steps, "
-            f"got {len(indices)} indices"
-        )
-    cls = type(gon)
-    step = cls._step
-    lane = _ObjectLane(backend)
-    # walked reduced gons by their objects' ids; each entry holds the
-    # objects, so no id in a key is reused while the walk lives
-    walked: dict | None = {} if indices is None else None
-    records: list[tuple] = []  # (index, vertex, line, point) per step
-    first: tuple[bool, ReductionTrace] | None = None
-    first_degenerate: DegenerateStep | None = None
-
-    def trace(final=None, verdict=None) -> ReductionTrace:
-        steps = [ReductionStep(*record) for record in records]
-        return ReductionTrace(gon, steps, final, verdict)
-
-    def walk(A: tuple, items: tuple, m: int) -> None:
-        # m is len(A)
-        nonlocal first, first_degenerate
-        if m == 3:
-            # collinear is concurrent: the cuts' or the cevians' test
-            verdict = collinear(*items, backend)
-            if first is None:
-                final = _trusted(cls, A, items) if records else gon
-                first = verdict, trace(final, verdict)
-            elif verdict != first[0]:
-                order = tuple(record[0] for record in records)
-                raise InconsistentOrders(
-                    f"order {order} gave {verdict}, "
-                    f"order {first[1].indices} gave {first[0]}"
-                )
-            return
-        if indices is None:
-            choices = range(1, m + 1)
-        else:
-            choices = (indices[n - m],)
-        for idx in choices:
-            try:
-                A2, items2, record = step(A, items, idx, lane)
-            except DegenerateStep as exc:
-                if first_degenerate is None:
-                    exc.trace = trace()
-                    first_degenerate = exc
-                continue
-            if walked is not None and m > 4:
-                key = tuple(map(id, A2 + items2))
-                if key in walked:
-                    continue
-                walked[key] = A2, items2
-            records.append(record)
-            walk(A2, items2, m - 1)
-            records.pop()
-
-    walk(gon.vertices, gon.items, n)
-    del walk  # it refers to itself: drop the cycle instead of leaving it to gc
-    if first is None:
-        raise first_degenerate
-    return first
-
-
-def _walk_forms(
-    gon: CevaGon | MenelaosGon, backend: Backend
-) -> tuple[bool, ReductionTrace]:
-    """The exhaustive walk of a gon whose vertices and items all have
-    integer forms, under the exact backend: _run_reduction's walk, in
-    the same order, on the forms alone.
-
-    Every test such a walk makes is the exact backend's zero test on
-    integer forms, so the steps run on the forms (_FormLane) and build
-    no Point or Line.  The walk records the first successful order
-    only.  It raises InconsistentOrders as the object walk would;
-    otherwise it returns _run_reduction along that order, whose n - 3
-    steps on objects build the trace the object walk returns.  When
-    every order degenerates it runs the first order instead, (1, ...,
-    1): the walk's first descent, so its DegenerateStep, with its
-    trace, is the object walk's first.
-
-    It skips a reduced gon of four or more vertices that is
-    projectively equal, slot by slot, to one it has walked: the key is
-    the forms up to sign, an original's form as it is (it need not be
-    primitive).  Every test in the subtree of such a gon is a zero
-    test, which a change of sign does not change, and each join and
-    meet returns the same primitive form up to sign; so the two
-    subtrees end in the same verdicts and DegenerateSteps, and the
-    skipped one's come later.  Constructed forms are primitive, so
-    constructed elements that are projectively equal have one key.
-    """
-    n = gon.n
     step = type(gon)._step
     walked: set = set()
     path: list[int] = []  # the step indices from gon down to the current gon
     first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
 
     def walk(A: tuple, items: tuple, m: int) -> None:
+        # m is len(A)
         nonlocal first
         if m == 3:
-            verdict = backend.dependent(*items)
+            # collinear is concurrent: the cuts' or the cevians' test
+            verdict = lane.dependent(*items)
             if first is None:
                 first = verdict, tuple(path)
             elif verdict != first[0]:
@@ -761,13 +675,11 @@ def _walk_forms(
             return
         for idx in range(1, m + 1):
             try:
-                A2, items2, _ = step(A, items, idx, _FORMS)
+                A2, items2, _ = step(A, items, idx, lane)
             except DegenerateStep:
                 continue
             if m > 4:
-                key = tuple(
-                    [f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in A2 + items2]
-                )
+                key = lane.key(A2 + items2)
                 if key in walked:
                     continue
                 walked.add(key)
@@ -775,12 +687,45 @@ def _walk_forms(
             walk(A2, items2, m - 1)
             path.pop()
 
-    walk(
-        tuple(v._form for v in gon.vertices), tuple(o._form for o in gon.items), n
-    )
+    walk(A, items, len(A))
     del walk  # it refers to itself: drop the cycle instead of leaving it to gc
-    indices = (1,) * (n - 3) if first is None else first[1]
-    return _run_reduction(gon, indices, backend)
+    return None if first is None else first[1]
+
+
+def _run_reduction(
+    gon: CevaGon | MenelaosGon,
+    indices: Sequence[int],
+    backend: Backend,
+    lane: _ObjectLane | None = None,
+) -> tuple[bool, ReductionTrace]:
+    """Reduce the gon to a triangle along one order, on objects.
+
+    The steps run on lane, a fresh _ObjectLane under the backend by
+    default; an exhaustive check that walked objects passes the walk's
+    lane, so the steps reuse its joins and meets.  A DegenerateStep carries
+    the trace prefix of the steps that succeeded.
+    """
+    n = gon.n
+    if len(indices) != n - 3:
+        raise ValueError(
+            f"a {n}-gon reduces in exactly {n - 3} steps, "
+            f"got {len(indices)} indices"
+        )
+    cls = type(gon)
+    if lane is None:
+        lane = _ObjectLane(backend)
+    A, items = gon.vertices, gon.items
+    steps: list[ReductionStep] = []
+    for idx in indices:
+        try:
+            A, items, record = cls._step(A, items, idx, lane)
+        except DegenerateStep as exc:
+            exc.trace = ReductionTrace(gon, steps)
+            raise
+        steps.append(ReductionStep(*record))
+    verdict = lane.dependent(*items)
+    final = _trusted(cls, A, items) if steps else gon
+    return verdict, ReductionTrace(gon, steps, final, verdict)
 
 
 def all_reduction_orders(n: int) -> Iterator[tuple[int, ...]]:
@@ -812,14 +757,26 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     objs = (*gon.vertices, *gon.items)
     be = backend or _backend_of(*objs)
     indices = _resolve_order(gon, order)
+    lane = _ObjectLane(be)
     if indices is None:
         # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
         # the walk reduces each shared prefix and each distinct gon once
         if gon.n > 8:
             raise ValueError("exhaustive order checking is limited to n <= 8")
         if be.kind == "exact" and all(o._form is not None for o in objs):
-            return _walk_forms(gon, be)
-    return _run_reduction(gon, indices, be)
+            found = _first_order(
+                gon,
+                tuple(v._form for v in gon.vertices),
+                tuple(o._form for o in gon.items),
+                _FORMS,
+            )
+        else:
+            found = _first_order(gon, gon.vertices, gon.items, lane)
+        # None when every order degenerates: the first order, (1, ..., 1),
+        # is the walk's first descent, so it raises the walk's first
+        # DegenerateStep, with its trace prefix
+        indices = found or (1,) * (gon.n - 3)
+    return _run_reduction(gon, indices, be, lane)
 
 
 def is_pseudo_concurrent(
@@ -836,14 +793,14 @@ def is_pseudo_concurrent(
     "exhaustive" reduces each prefix shared by several orders once and
     walks each distinct reduced gon once.  On exact data under the exact
     backend it walks the integer forms, skipping each reduced gon
-    projectively equal to one walked, and builds points and lines only
-    along the order it reports; otherwise it walks the objects, builds
-    each line and point of the walk once and skips a reduced gon made of
-    the same objects.  It returns the trace of the lexicographically
-    first non-degenerate order, raises InconsistentOrders at the first
-    order whose verdict differs from it, and when every order
-    degenerates raises the DegenerateStep of the first order, carrying
-    that order's trace prefix.
+    projectively equal to one walked; otherwise it walks the objects,
+    builds each line and point of the walk once and skips a reduced gon
+    made of the same objects.  It finds the lexicographically first
+    non-degenerate order, or raises InconsistentOrders at the first
+    order whose verdict differs from that one's; the trace is that
+    order reduced on objects.  When every order degenerates it raises
+    the DegenerateStep of the first order, carrying that order's trace
+    prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -857,7 +814,7 @@ def is_pseudo_collinear(
     "exhaustive" likewise shares step prefixes and reduced gons between
     orders (on exact data under the exact backend, projectively equal
     ones, walked on integer forms) and returns the trace of the
-    lexicographically first non-degenerate order.
+    lexicographically first non-degenerate order, reduced on objects.
     """
     return _pseudo_check(gon, order, backend)
 

@@ -98,6 +98,10 @@ class TestParseOrder:
             _parse_order("seed:x")
         with pytest.raises(_UsageError):
             _parse_order("1,,2")
+        with pytest.raises(_UsageError):
+            _parse_order("seed:²")
+        with pytest.raises(_UsageError):
+            _parse_order("1,²")
 
 
 class TestVerify:

@@ -24,6 +24,7 @@ from harmonica.core import (
     incident,
     join,
     meet,
+    _backend_of,
 )
 from harmonica.generate import GenSpec, gen_hypothesis_forcing
 from harmonica.reduction import (
@@ -174,45 +175,65 @@ def assert_steps_revalidate(gon) -> None:
         assert_steps_revalidate(reduced)
 
 
-def assert_exhaustive_matches_explicit_orders(gon) -> str:
-    """Check order="exhaustive" against running every explicit order on
-    its own; return which outcome it had."""
-    check = is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
-    first = None
-    first_degenerate = None
-    disagreement = None
+def check_of(gon):
+    return is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
+
+
+def walk_outcome(run) -> tuple:
+    """How a walk ended: its verdict and trace, or the type, message,
+    step index and trace of the error it raised."""
+    try:
+        verdict, trace = run()
+    except (DegenerateStep, InconsistentOrders) as exc:
+        trace = getattr(exc, "trace", None)
+        return (
+            type(exc).__name__,
+            str(exc),
+            getattr(exc, "index", None),
+            trace and trace.to_json_lines(),
+        )
+    return "trace", verdict, trace.to_json_lines()
+
+
+def every_order(gon, backend) -> tuple[bool, ReductionTrace]:
+    """An exhaustive check with no walk and no skipping: each order of
+    all_reduction_orders reduced on its own.  It returns the first
+    success, raises InconsistentOrders at the first disagreement and,
+    when every order degenerates, the first order's DegenerateStep."""
+    first = first_degenerate = None
     for order in all_reduction_orders(gon.n):
         try:
-            verdict, trace = check(gon, order=order)
+            verdict, trace = reduction._run_reduction(gon, order, backend)
         except DegenerateStep as exc:
             first_degenerate = first_degenerate or exc
             continue
         if first is None:
             first = verdict, trace
-        elif verdict != first[0] and disagreement is None:
-            disagreement = (
+        elif verdict != first[0]:
+            raise InconsistentOrders(
                 f"order {order} gave {verdict}, "
                 f"order {first[1].indices} gave {first[0]}"
             )
-    if disagreement is not None:
-        with pytest.raises(InconsistentOrders) as info:
-            check(gon, order="exhaustive")
-        assert str(info.value) == disagreement
-        return "inconsistent"
     if first is None:
-        with pytest.raises(DegenerateStep) as info:
-            check(gon, order="exhaustive")
-        got = info.value
-        assert (str(got), got.index, got.trace.to_json_lines()) == (
-            str(first_degenerate),
-            first_degenerate.index,
-            first_degenerate.trace.to_json_lines(),
-        )
-        return "degenerate"
-    verdict, trace = check(gon, order="exhaustive")
-    assert verdict == first[0]
-    assert trace.to_json_lines() == first[1].to_json_lines()
-    return "agree"
+        raise first_degenerate
+    return first
+
+
+def walk_and_every_order(gon) -> tuple[tuple, tuple]:
+    """The outcomes of a gon's exhaustive check and of every_order, the
+    reference, in the data's lane."""
+    backend = _backend_of(*gon.vertices, *gon.items)
+    walked = walk_outcome(lambda: check_of(gon)(gon, order="exhaustive"))
+    reference = walk_outcome(lambda: every_order(gon, backend))
+    return walked, reference
+
+
+def assert_exhaustive_matches_explicit_orders(gon) -> str:
+    """Check order="exhaustive" against every_order; return how both
+    ended: "trace", "InconsistentOrders" or "DegenerateStep"."""
+    walked, reference = walk_and_every_order(gon)
+    assert walked == reference
+    return walked[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +499,7 @@ class TestPseudoPredicates:
                 assert verdict, (n, order)
                 assert len(trace.steps) == n - 3
                 assert trace.verdict is True
-            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
+            assert assert_exhaustive_matches_explicit_orders(gon) == "trace"
 
     def test_negative_under_every_order_strategy(self):
         rng = Random(43)
@@ -501,7 +522,7 @@ class TestPseudoPredicates:
             gon = menelaos_gon_on_transversal(rng, n)
             verdict, _ = is_pseudo_collinear(gon, order="exhaustive")
             assert verdict
-            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
+            assert assert_exhaustive_matches_explicit_orders(gon) == "trace"
         found = 0
         while found < 3:
             gon = menelaos_gon_random(rng, 5)
@@ -561,7 +582,7 @@ class TestPseudoPredicates:
             gon = small_gon(rng, kind, rng.choice([4, 5, 6]), floats)
             outcomes.add(assert_exhaustive_matches_explicit_orders(gon))
             assert_steps_revalidate(gon)
-        assert "agree" in outcomes and len(outcomes) >= 2
+        assert "trace" in outcomes and len(outcomes) >= 2
 
     def test_all_orders_enumerated(self):
         assert list(all_reduction_orders(3)) == [()]
@@ -613,7 +634,7 @@ class TestPseudoPredicates:
             (ceva_gon_concurrent(rng, 7), is_pseudo_concurrent),
             (menelaos_gon_on_transversal(rng, 7), is_pseudo_collinear),
         ):
-            assert assert_exhaustive_matches_explicit_orders(gon) == "agree"
+            assert assert_exhaustive_matches_explicit_orders(gon) == "trace"
             verdict, _ = check(gon, order="exhaustive")
             assert verdict is True
 
@@ -819,10 +840,6 @@ def walk_record(gon, order, backend=None) -> tuple[str, str]:
     return "trace", head + trace.to_json_lines()
 
 
-def check_of(gon):
-    return is_pseudo_concurrent if isinstance(gon, CevaGon) else is_pseudo_collinear
-
-
 def forced_hexagon(theorem: str):
     return gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=6)["gon"]
 
@@ -849,31 +866,6 @@ def count_steps(monkeypatch, calls: Counter) -> None:
             return step(A, items, i, lane)
 
         monkeypatch.setattr(cls, "_step", staticmethod(counted_step))
-
-
-def walk_outcome(run) -> tuple:
-    """How a walk ended: its verdict and trace, or the type, message,
-    step index and trace of the error it raised."""
-    try:
-        verdict, trace = run()
-    except (DegenerateStep, InconsistentOrders) as exc:
-        trace = getattr(exc, "trace", None)
-        return (
-            type(exc).__name__,
-            str(exc),
-            getattr(exc, "index", None),
-            trace and trace.to_json_lines(),
-        )
-    return "trace", verdict, trace.to_json_lines()
-
-
-def forms_and_object_walks(gon) -> tuple[tuple, tuple]:
-    """The outcomes of an exact gon's exhaustive walk, which runs on its
-    integer forms, and of the walk on its objects under the exact
-    backend, the reference."""
-    forms = walk_outcome(lambda: check_of(gon)(gon, order="exhaustive"))
-    objects = walk_outcome(lambda: reduction._run_reduction(gon, None, EXACT))
-    return forms, objects
 
 
 class TestPinnedWalks:
@@ -988,7 +980,9 @@ class TestPinnedWalks:
         count_steps(monkeypatch, calls)
         verdict, _ = check_of(gon)(data, order="exhaustive", backend=backend)
         assert verdict is True
-        assert calls == {"step": steps}
+        # the walk's steps, then n - 3 more: the reported order reduced
+        # again for its trace (on the walk's memo, so it builds nothing)
+        assert calls == {"step": steps + gon.n - 3}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
@@ -1017,9 +1011,9 @@ class TestPinnedWalks:
 class TestFormsWalk:
     """Exact data under the exact backend is walked exhaustively on
     integer forms, and objects are built only for the reported order;
-    it must end as the walk on objects does."""
+    it must end as reducing every order on its own does."""
 
-    def test_it_ends_as_the_object_walk(self, monkeypatch):
+    def test_it_ends_as_every_order_reduced_alone(self, monkeypatch):
         gons = [
             gon
             for gon in pinned_gons() + lane_gons()
@@ -1037,11 +1031,9 @@ class TestFormsWalk:
         outcomes = Counter()
         for gon in gons:
             calls.clear()
-            forms, objects = forms_and_object_walks(gon)
-            assert forms == objects
-            # the first walk ran on forms (a triangle takes no step)
+            outcomes[assert_exhaustive_matches_explicit_orders(gon)] += 1
+            # the walk ran on forms (a triangle takes no step)
             assert calls["form step"] > 0 or gon.n == 3
-            outcomes[forms[0]] += 1
         # every order degenerates in some, orders disagree in others
         assert outcomes["trace"] and outcomes["DegenerateStep"]
         assert outcomes["InconsistentOrders"]
