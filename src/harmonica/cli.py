@@ -116,6 +116,9 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     order = _parse_order(args.order)
     ids = theorem_ids() if args.theorem == "all" else (args.theorem,)
+    # all gives n to the theorems that take it; one theorem must take it
+    if args.theorem != "all" and args.n is not None and not get_entry(ids[0]).takes_n:
+        raise _UsageError(f"theorem {ids[0]!r} does not take an n parameter")
     results = []
     for tid in ids:
         entry = get_entry(tid)

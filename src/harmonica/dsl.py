@@ -944,7 +944,10 @@ class SceneReport:
 def _to_backend_scalar(value: Scalar, backend: Backend) -> Scalar:
     if backend.kind == "exact":
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise GeometryError("a literal is past the float range") from None
 
 
 def evaluate(ast: SceneAst, backend: Backend = EXACT) -> SceneReport:

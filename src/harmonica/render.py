@@ -2,10 +2,13 @@
 
 Styling follows the hand-drawn figures the scenes mirror: base lines
 solid, harmonically derived lines dashed, coordinate (literal) points
-as filled disks, constructed points as hollow ones.  Output is a pure
-function of the scene text and viewport: statements are walked in
-order and every coordinate is printed with six decimals, so repeated
-runs are byte-identical.
+as filled disks, constructed points as hollow ones.  Both formats draw
+one canvas: the viewport maps the box onto it, and SVG writes its
+coordinates in pixels, TikZ at 0.02cm per unit with the y flip in the
+picture's unit vectors, so every number either writes stays on the
+canvas whatever the box.  Output is a pure function of the scene text
+and viewport: statements are walked in order and every coordinate is
+printed with six decimals, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EXACT, Backend, Point
+from .core import EXACT, Backend, Line, Point
 from .dsl import Decl, GonDecl, SceneAst, evaluate
 
 # the calls whose lines are harmonically derived, so drawn dashed
@@ -56,7 +59,7 @@ class Viewport:
         return cls(x0, y0, x1, y1)
 
     def to_canvas(self, x: float, y: float) -> tuple[float, float]:
-        """Box coordinates to canvas pixels, y growing downward."""
+        """Box coordinates to canvas coordinates, y growing downward."""
         sx = (x - self.x0) / (self.x1 - self.x0) * self.width
         sy = self.height - (y - self.y0) / (self.y1 - self.y0) * self.height
         return sx, sy
@@ -104,26 +107,20 @@ def _clip_param(p0, d, vp: Viewport, tmin: float, tmax: float):
     )
 
 
-def _clip_line(a: float, b: float, c: float, vp: Viewport):
-    """The segment of the line ax + by + c = 0 inside the box."""
+def _through(line: Line):
+    """A point of the line and its direction, or None at infinity."""
+    try:
+        a, b, c = float(line.a), float(line.b), float(line.c)
+    except OverflowError:
+        # an exact line past the float range: int / int cannot overflow
+        # when the divisor is the largest entry of the integer form
+        a, b, c = line._form
+        m = max(abs(a), abs(b), abs(c))
+        a, b, c = a / m, b / m, c / m
     n2 = a * a + b * b
     if n2 == 0 or not math.isfinite(n2):
         return None
-    p0 = (-a * c / n2, -b * c / n2)
-    return _clip_param(p0, (b, -a), vp, -math.inf, math.inf)
-
-
-def _clip_segment(p, q, vp: Viewport):
-    d = (q[0] - p[0], q[1] - p[1])
-    if d == (0.0, 0.0):
-        return None
-    return _clip_param(p, d, vp, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class _Stroke:
-    ends: tuple[tuple[float, float], tuple[float, float]]
-    dashed: bool
+    return (-a * c / n2, -b * c / n2), (b, -a)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,8 @@ class _Marker:
 
 
 def _collect(ast: SceneAst, env: dict):
-    """Strokes and markers in statement order, unclipped."""
+    """Strokes and markers in statement order, unclipped; a stroke
+    (p0, d, tmin, tmax, dashed) is p0 + t*d for t in [tmin, tmax]."""
     strokes = []
     markers = []
     for st in ast.statements:
@@ -144,34 +142,22 @@ def _collect(ast: SceneAst, env: dict):
                 hollow = not isinstance(st.expr, tuple)
                 markers.append(_Marker(st.name, at, hollow))
         elif isinstance(st, Decl):
-            line = env[st.name]
-            strokes.append(
-                (
-                    "line",
-                    (float(line.a), float(line.b), float(line.c)),
+            ray = _through(env[st.name])
+            if ray is not None:
+                dashed = (
                     not isinstance(st.expr, tuple)
-                    and st.expr.keyword in _DERIVED_LINE,
+                    and st.expr.keyword in _DERIVED_LINE
                 )
-            )
+                strokes.append((*ray, -math.inf, math.inf, dashed))
         elif isinstance(st, GonDecl):
             pts = [_affine(env[v]) for v in st.vertices]
             for i, p in enumerate(pts):
                 q = pts[(i + 1) % len(pts)]
                 if p is not None and q is not None:
-                    strokes.append(("segment", (p, q), False))
+                    d = (q[0] - p[0], q[1] - p[1])
+                    if d != (0.0, 0.0):
+                        strokes.append((p, d, 0.0, 1.0, False))
     return strokes, markers
-
-
-def _clipped_strokes(strokes, vp: Viewport):
-    out = []
-    for kind, payload, dashed in strokes:
-        if kind == "line":
-            ends = _clip_line(*payload, vp)
-        else:
-            ends = _clip_segment(*payload, vp)
-        if ends is not None:
-            out.append(_Stroke(ends, dashed))
-    return out
 
 
 def _box_around(markers) -> Viewport:
@@ -194,27 +180,40 @@ def _fmt(v: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def _render_svg(strokes, markers, vp: Viewport) -> str:
+def _canvas(strokes, markers, vp: Viewport):
+    """Clipped stroke ends and in-box marker centres on the canvas,
+    each coordinate formatted once: what both formats draw."""
+    ends = []
+    for p0, d, tmin, tmax, dashed in strokes:
+        clipped = _clip_param(p0, d, vp, tmin, tmax)
+        if clipped is not None:
+            (xa, ya), (xb, yb) = (vp.to_canvas(*e) for e in clipped)
+            ends.append((_fmt(xa), _fmt(ya), _fmt(xb), _fmt(yb), dashed))
+    centres = []
+    for m in markers:
+        if vp.contains(*m.at):
+            cx, cy = vp.to_canvas(*m.at)
+            centres.append((m, cx, cy, _fmt(cx), _fmt(cy)))
+    return ends, centres
+
+
+def _render_svg(ends, centres, vp: Viewport) -> str:
     w, h = _fmt(vp.width), _fmt(vp.height)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
         f' viewBox="0 0 {w} {h}">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
-    for s in strokes:
-        (xa, ya), (xb, yb) = (vp.to_canvas(*e) for e in s.ends)
-        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
+    for xa, ya, xb, yb, dashed in ends:
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
         out.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}"'
-            f' y2="{_fmt(yb)}" stroke="black" stroke-width="1"{dash}/>'
+            f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"'
+            f' stroke="black" stroke-width="1"{dash}/>'
         )
-    for m in markers:
-        if not vp.contains(*m.at):
-            continue
-        cx, cy = vp.to_canvas(*m.at)
+    for m, cx, cy, x, y in centres:
         fill = "white" if m.hollow else "black"
         out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="{fill}"'
+            f'<circle cx="{x}" cy="{y}" r="3" fill="{fill}"'
             ' stroke="black" stroke-width="1"/>'
         )
         out.append(
@@ -225,44 +224,18 @@ def _render_svg(strokes, markers, vp: Viewport) -> str:
     return "\n".join(out) + "\n"
 
 
-# TeX reads no number and holds no dimension (in points) past 16383.99.
-# At TikZ's default unit, 1cm = 28.45274pt, that bounds a coordinate at
-# about 575.8; a larger box is drawn at 0.01cm per unit, which holds
-# every number TeX reads.
-_TEX_MAX = 16383.99
-_TIKZ_CM_MAX = _TEX_MAX / 28.45274
-
-
-def _render_tikz(strokes, markers, vp: Viewport) -> str:
-    # every stroke end and drawn marker lies in the clip box, so its
-    # corners bound every coordinate written
-    corners = {"x0": vp.x0, "y0": vp.y0, "x1": vp.x1, "y1": vp.y1}
-    for name, value in corners.items():
-        if not abs(value) <= _TEX_MAX:
-            raise ValueError(
-                f"tikz coordinate {name} = {_fmt(value)} of the \\clip box is"
-                f" past {_TEX_MAX}, the largest number TeX reads; choose a"
-                " smaller viewport or render svg"
-            )
-    begin = "\\begin{tikzpicture}"
-    if max(abs(v) for v in corners.values()) > _TIKZ_CM_MAX:
-        begin += "[x=0.01cm, y=0.01cm]"
+def _render_tikz(ends, centres, vp: Viewport) -> str:
+    # the unit vectors carry the scale and the canvas's downward y, so a
+    # 480-unit canvas is a 9.6cm picture; node anchors and the marker
+    # radius are not flipped by them
     out = [
-        begin,
-        f"\\clip ({_fmt(vp.x0)}, {_fmt(vp.y0)}) rectangle"
-        f" ({_fmt(vp.x1)}, {_fmt(vp.y1)});",
+        "\\begin{tikzpicture}[x=0.02cm, y=-0.02cm]",
+        f"\\clip (0, 0) rectangle ({_fmt(vp.width)}, {_fmt(vp.height)});",
     ]
-    for s in strokes:
-        (xa, ya), (xb, yb) = s.ends
-        style = "dashed" if s.dashed else "solid"
-        out.append(
-            f"\\draw[{style}] ({_fmt(xa)}, {_fmt(ya)}) --"
-            f" ({_fmt(xb)}, {_fmt(yb)});"
-        )
-    for m in markers:
-        if not vp.contains(*m.at):
-            continue
-        x, y = _fmt(m.at[0]), _fmt(m.at[1])
+    for xa, ya, xb, yb, dashed in ends:
+        style = "dashed" if dashed else "solid"
+        out.append(f"\\draw[{style}] ({xa}, {ya}) -- ({xb}, {yb});")
+    for m, _, _, x, y in centres:
         fill = "white" if m.hollow else "black"
         out.append(f"\\filldraw[fill={fill}] ({x}, {y}) circle (2pt);")
         # a name may contain "_", which LaTeX accepts only in math mode
@@ -288,7 +261,7 @@ def render_scene(
     # every assertion, so one that raises still fails the render
     strokes, markers = _collect(ast, evaluate(ast, backend).bindings)
     vp = viewport if viewport is not None else _box_around(markers)
-    clipped = _clipped_strokes(strokes, vp)
+    ends, centres = _canvas(strokes, markers, vp)
     if fmt == "svg":
-        return _render_svg(clipped, markers, vp)
-    return _render_tikz(clipped, markers, vp)
+        return _render_svg(ends, centres, vp)
+    return _render_tikz(ends, centres, vp)

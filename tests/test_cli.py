@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from harmonica import reduction
+from harmonica import cli, reduction
 from harmonica.cli import _build_parser, _parse_order, _UsageError, main
 from harmonica.core import EPS_ENV_VAR, float_backend
 from harmonica.reduction import ReductionTrace
@@ -234,6 +234,18 @@ class TestCheck:
         code, _, _ = run(
             capsys, "check", scene_file(GOOD_SCENE), "--backend", "float"
         )
+        assert code == 0
+
+    def test_literal_past_the_float_range(self, capsys, scene_file):
+        path = scene_file(f"line l = ({'9' * 400} : 1 : 0)\n")
+        code, out, err = run(capsys, "check", path, "--backend", "float")
+        assert (code, out) == (2, "")
+        assert err == (
+            "evaluation error: line 1, column 6: a literal is past the float"
+            " range\n"
+        )
+        # the exact lane holds it
+        code, _, _ = run(capsys, "check", path)
         assert code == 0
 
     def test_figure9_float_completes_fourth_line_at_default_eps(
@@ -462,38 +474,36 @@ class TestRender:
         assert code == 2
         assert "viewport" in err
 
-    def test_tikz_refuses_coordinates_past_tex_range(self, capsys, scene_file):
-        path = scene_file(
+    def test_every_box_renders_in_both_formats(self, capsys, scene_file):
+        # tikz draws the canvas svg draws, so no box is too large for TeX
+        far = scene_file(
             "point A = (99999999999999999999999999999999, 1)\n"
             "point B = (0, 0)\n"
-            "line l = join(A, B)\n"
+            "line l = join(A, B)\n",
+            name="far.hgeo",
         )
-        code, out, err = run(capsys, "render", path, "--format", "tikz")
-        assert code == 2
-        assert out == ""
-        assert "x0 = -15000000000000001705644256133120.000000" in err
-        assert "largest number TeX reads" in err
-        # svg maps the box onto a fixed canvas and still renders it
+        good = scene_file(GOOD_SCENE)
+        for argv in ((far,), (good,), (good, "--viewport=-1,-16384,1,1")):
+            for fmt, stroke in (("svg", "<line"), ("tikz", "\\draw[")):
+                code, out, err = run(capsys, "render", *argv, "--format", fmt)
+                assert (code, err) == (0, "")
+                assert out.count(stroke) == (argv[0] == far)
+
+    def test_exact_line_past_the_float_range(self, capsys, scene_file):
+        # drawn from its integer form over its largest entry: x = 0
+        path = scene_file(f"line l = ({'9' * 400} : 1 : 0)\n")
         code, out, _ = run(capsys, "render", path)
         assert code == 0
-        assert out.count("<line") == 1
-
-    def test_tikz_unit_keeps_coordinates_in_tex_range(self, capsys, scene_file):
-        # TeX's largest dimension is 16383.99pt, about 575.8cm; past it
-        # the picture is drawn at 0.01cm per unit, up to the largest
-        # number TeX reads, 16383.99
-        path = scene_file(GOOD_SCENE)
-        tikz = ("render", path, "--format", "tikz")
-        code, out, _ = run(capsys, *tikz, "--viewport=-575,-575,575,575")
+        assert '<line x1="240.000000" y1="0.000000" x2="240.000000"' in out
+        code, out, _ = run(capsys, "render", path, "--format", "tikz")
         assert code == 0
-        assert out.startswith("\\begin{tikzpicture}\n\\clip (-575.000000,")
-        code, out, _ = run(capsys, *tikz, "--viewport=-1,-1,1,576")
-        assert code == 0
-        assert out.startswith("\\begin{tikzpicture}[x=0.01cm, y=0.01cm]\n")
-        assert "(1.000000, 576.000000);" in out
-        code, _, err = run(capsys, *tikz, "--viewport=-1,-16384,1,1")
-        assert code == 2
-        assert "y0 = -16384.000000" in err
+        assert "(240.000000, 0.000000) -- (240.000000, 480.000000);" in out
+        code, out, err = run(capsys, "render", path, "--backend", "float")
+        assert (code, out) == (2, "")
+        assert err == (
+            "evaluation error: line 1, column 6: a literal is past the float"
+            " range\n"
+        )
 
     def test_out_file(self, capsys, scene_file, tmp_path):
         path = scene_file(GOOD_SCENE)
@@ -531,11 +541,29 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_verify_refuses_n_on_fixed_size_theorem(self, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(
+            cli, "run_trial", lambda tid, seed, n, **kw: trials.append((tid, n))
+            or (True, {})
+        )
+        argv = ("verify", "two-pencils", "--n", "5", "--trials", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, trials) == (2, "", [])
+        assert err == "error: theorem 'two-pencils' does not take an n parameter\n"
+        # all gives n to the theorems that take it
+        code, _, _ = run(capsys, "verify", "all", "--n", "5", "--trials", "1")
+        assert code == 0
+        takes_n = {tid for tid, n in trials if n == 5}
+        assert takes_n == {"ceva-ngon", "menelaos-ngon", "duality", "bisectors-ngon"}
+        assert all(n is None for tid, n in trials if tid not in takes_n)
+
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of stdout, recorded on earlier commits; gen JSON, verify and
-# check reports, reduction traces and TikZ renders must not move.  Every
+# check reports, reduction traces and TikZ renders must not move (the
+# TikZ pins were recorded when TikZ took svg's canvas coordinates).  Every
 # shipped scene is checked with both backends, which runs cr_equal,
 # harmonic, fourth_harmonic and the ratio products through the exact
 # and the float ratio kernel.
@@ -629,7 +657,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure1.hgeo", "--format", "tikz"),
-        "25cb9e1b3e2dae1bd1b308ab4b554c7f07538397c7a200aa026b8987bd026a91",
+        "4ca30895ec95d50b4826b68f13da6baddc38f68e648778cc34e82ecd0a49cd80",
     ),
     (
         ("check", "scenes/figure11.hgeo"),
@@ -641,7 +669,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure11.hgeo", "--format", "tikz"),
-        "1fe12c9e3335dc7ddcad42ec621bb8ed4daa48eb8be13baa353eebe4a161a79b",
+        "1032f294808dafa884ff8ff2bb7bf21e4a84e9d438c17599b25a630943f0f831",
     ),
     (
         ("check", "scenes/figure13.hgeo"),
@@ -653,7 +681,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure13.hgeo", "--format", "tikz"),
-        "8635427007e19d555d8901bcff524453052e7ef4b67f513148738305e3c05a8c",
+        "80991a39f0729c821f74a7d7c90d3051d6770e313a8bc067b9c6433a4f804096",
     ),
     (
         ("check", "scenes/figure2.hgeo"),
@@ -665,7 +693,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure2.hgeo", "--format", "tikz"),
-        "35c73eb3eb58737bf03a608d2d0c5ef7f1e806073e3e12ccf865e639845120d1",
+        "02f29bcdb5ec938fc3c82e18abdcaa1017376b67437725852f9003effec24717",
     ),
     (
         ("check", "scenes/figure5.hgeo"),
@@ -677,7 +705,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure5.hgeo", "--format", "tikz"),
-        "8c0aaf8e6d873da8d09eaafb2152f452df5456249ee12396abcbd2329f4fc8f3",
+        "dea2de5719c5c42ee10fa8bec06fc37a11970f78b1fe51d67a3822b916173740",
     ),
     (
         ("check", "scenes/figure6.hgeo"),
@@ -689,7 +717,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure6.hgeo", "--format", "tikz"),
-        "f031b0e82edb77f1a19785116208f8092e6e6001caa8d66107cca253945f7fec",
+        "12e8059fd5582a1c48dc8ebafe68b584febd28343d236097635f25309e913e0e",
     ),
     (
         ("check", "scenes/figure7.hgeo"),
@@ -701,7 +729,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure7.hgeo", "--format", "tikz"),
-        "ab5cc5b7dd7f4dec3f2b66ad6ca20b1b1c5080160251143600c6019d1cc02ef1",
+        "074df715dd2057df3155092f377b62bbdb6c83b7cd4d3d1e5328313d186a66a3",
     ),
     (
         ("check", "scenes/figure9.hgeo"),
@@ -713,7 +741,7 @@ PINNED_STDOUT = [
     ),
     (
         ("render", "scenes/figure9.hgeo", "--format", "tikz"),
-        "866b9040457644bb8ae126f421d911891ed07ad1532a683a963df48a278402dc",
+        "b2c43a69f942d37ddcad482b7ef2d012e69c7dc693cb7e17eb049c5428b5f390",
     ),
     (
         (

@@ -37,11 +37,11 @@ def render(text=BASE_SCENE, fmt="svg", viewport=VIEW):
 
 def implicit_box(text):
     """(x0, y0, x1, y1) of the box render_scene picks without a
-    viewport, read from the \\clip line of its TikZ figure."""
-    tikz = render_scene(parse(text), fmt="tikz")
-    clip = tikz.splitlines()[1]
-    assert clip.startswith("\\clip ")
-    return tuple(float(v) for v in re.findall(r"-?[0-9]+\.[0-9]+", clip))
+    viewport."""
+    ast = parse(text)
+    _, markers = render_module._collect(ast, evaluate(ast).bindings)
+    vp = render_module._box_around(markers)
+    return (vp.x0, vp.y0, vp.x1, vp.y1)
 
 
 class TestViewport:
@@ -201,7 +201,10 @@ class TestTikz:
 
     def test_clip_header_and_env(self):
         tikz = render(fmt="tikz")
-        assert tikz.startswith("\\begin{tikzpicture}\n\\clip")
+        assert tikz.startswith(
+            "\\begin{tikzpicture}[x=0.02cm, y=-0.02cm]\n"
+            "\\clip (0, 0) rectangle (480.000000, 480.000000);\n"
+        )
         assert tikz.endswith("\\end{tikzpicture}\n")
 
     def test_dashed_style(self):
@@ -304,11 +307,96 @@ class TestEdges:
         # only the finite side A-B survives
         assert svg.count("<line") == 1
 
+    def test_gon_side_between_equal_vertices_skipped(self):
+        text = (
+            "point A = (0, 0)\npoint B = (1, 0)\npoint C = (1, 0)\n"
+            "gon G = [A, B, C]\n"
+        )
+        for fmt, stroke in (("svg", "<line"), ("tikz", "\\draw[")):
+            figure = render_scene(parse(text), fmt=fmt, viewport=VIEW)
+            # A-B and C-A; B-C has no length
+            assert figure.count(stroke) == 2
+
     def test_float_backend_render(self):
         svg = render_scene(
             parse(BASE_SCENE), viewport=VIEW, backend=float_backend()
         )
         assert svg.count("<circle") == 4
+
+
+_COORDINATE = re.compile(r"-?[0-9]+\.[0-9]+")
+
+
+def _drawn(figure, stroke, marker, dashed):
+    """The coordinate strings and style of each stroke, then of each
+    marker, in the order the figure draws them."""
+    lines = figure.splitlines()
+    return (
+        [
+            (_COORDINATE.findall(line), dashed in line)
+            for line in lines
+            if line.startswith(stroke)
+        ],
+        [
+            (_COORDINATE.findall(line)[:2], "white" in line)
+            for line in lines
+            if line.startswith(marker)
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENE_DIR.glob("*.hgeo")), ids=lambda p: p.name
+)
+def test_tikz_draws_the_svg_canvas(path):
+    ast = parse(path.read_text())
+    svg = _drawn(render_scene(ast), "<line ", "<circle ", "dasharray")
+    tikz = _drawn(
+        render_scene(ast, fmt="tikz"), "\\draw[", "\\filldraw[", "dashed"
+    )
+    assert svg == tikz
+    assert svg[0] and svg[1]
+
+
+# One far meet pushed the automatic box, and with it every TikZ
+# coordinate, past 16383.99, the largest number TeX reads; the 3-4-5
+# triangle near (1e5, 1e5) lies there whole.
+FAR_MEET = """\
+point A = (0, 0)
+point B = (1, 0)
+point C = (0, 1)
+point D = (1, 20001/20000)
+line ab = join(A, B)
+line cd = join(C, D)
+point P = meet(ab, cd)
+"""
+
+FAR_TRIANGLE = """\
+point A = (100000, 100000)
+point B = (100003, 100000)
+point C = (100000, 100004)
+assert collinear(A, B, C)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, strokes, markers",
+    [(FAR_MEET, 2, 5), (FAR_TRIANGLE, 0, 3)],
+    ids=["far-meet", "far-triangle"],
+)
+def test_far_scenes_render_on_the_canvas(text, strokes, markers):
+    ast = parse(text)
+    svg = render_scene(ast)
+    assert (svg.count("<line "), svg.count("<circle ")) == (strokes, markers)
+    head, body = render_scene(ast, fmt="tikz").split("\n", 1)
+    assert head == "\\begin{tikzpicture}[x=0.02cm, y=-0.02cm]"
+    assert (body.count("\\draw["), body.count("\\filldraw[")) == (
+        strokes,
+        markers,
+    )
+    numbers = [float(v) for v in _COORDINATE.findall(body)]
+    assert len(numbers) == 2 + 4 * strokes + 4 * markers
+    assert all(0 <= v <= 480 for v in numbers)
 
 
 # a 10**308 coordinate is a finite float, but the box around two of
