@@ -228,11 +228,17 @@ def _tidy(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
             return x // g, y // g, z // g
         return x, y, z
     if _is_float(x, y, z):
-        m = max(abs(x), abs(y), abs(z))
-        if m == 0 or not math.isfinite(m):
-            return x, y, z
-        return x / m, y / m, z / m
+        return _max_normalized(x, y, z)
     return _integer_form(x, y, z) or (x, y, z)
+
+
+def _max_normalized(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar]:
+    """The float rule of _tidy: the triple divided by its max-norm, or
+    kept as it is when that norm is zero or not finite."""
+    m = max(abs(x), abs(y), abs(z))
+    if m == 0 or not math.isfinite(m):
+        return x, y, z
+    return x / m, y / m, z / m
 
 
 def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
@@ -240,10 +246,10 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
     computed.
 
     An int or Fraction triple tidies to a primitive int triple, which
-    is its own integer form, and an all-float triple with a finite
-    nonzero max-norm to its quotient by that norm, which has none; both
-    are set up directly, with none of the constructor's checks.  Any
-    other triple goes through the constructor, which rejects a zero.
+    is its own integer form, and a nonzero all-float triple to
+    _max_normalized's, which has none; both are set up directly, with
+    none of the constructor's checks.  Any other triple goes through the
+    constructor, which rejects a zero.
     """
     x, y, z = t
     if type(x) is int and type(y) is int and type(z) is int:
@@ -252,10 +258,9 @@ def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
             t = x // g, y // g, z // g
         form = t
     elif type(x) is float and type(y) is float and type(z) is float:
-        m = max(abs(x), abs(y), abs(z))
-        if m == 0 or not math.isfinite(m):
+        if not (x or y or z):
             return cls(x, y, z)
-        t, form = (x / m, y / m, z / m), None
+        t, form = _max_normalized(x, y, z), None
     else:
         t = form = _tidy(x, y, z)
         x, y, z = t

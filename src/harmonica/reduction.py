@@ -15,7 +15,8 @@ sides, JSON and the items view (the cevians or the cuts).  Each kind
 adds only its fields, its kind string, its item type and count message,
 its slot check and its step, which reduce_step runs once.  Steps run
 on the vertex and item tuples, through a lane: Point and Line objects
-under a backend (_ObjectLane), or integer forms (_FormLane).
+under a backend (_ObjectLane), integer forms (_FormLane) or float
+triples (_FloatLane).
 
 _run_reduction reduces a gon along one order on objects.  Exhaustive
 checking first finds the order to report: one walk, _first_order,
@@ -23,11 +24,13 @@ takes every step choice in the prefix tree, reduces each shared prefix
 once and skips a reduced gon whose lane key is that of one it has
 walked.  Exact data under the exact backend, where every test is a
 zero test on integer forms, is walked on the forms, and a step there
-does not re-test the two incidences that hold by construction; all
-other data is walked on objects, whose memo makes each join and meet
-of the same operand objects once.  In both lanes _run_reduction then
-reduces the reported order on objects, on the walk's memo where there
-is one, and that is the trace a caller gets.
+does not re-test the two incidences that hold by construction.
+All-float data under the float backend is walked on its float triples,
+with the object lane's arithmetic and tests.  Other data is walked on
+objects.  Triples and objects go through a memo, so each join and meet
+of the same operands is made once.  In every lane _run_reduction then
+reduces the reported order on objects, on the walk's memo when the
+walk ran on objects, and that is the trace a caller gets.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -51,6 +54,7 @@ from .core import (
     CoincidentLines,
     CoincidentPoints,
     DegenerateInput,
+    FloatBackend,
     GeometryError,
     Line,
     Point,
@@ -58,6 +62,7 @@ from .core import (
     UndefinedFoot,
     UndefinedRatio,
     _backend_of,
+    _max_normalized,
     _proportional,
     collinear,
     dualize,
@@ -138,9 +143,9 @@ def _cut_defect(
 
 class _ObjectLane:
     """The lane over Point and Line objects under a backend: every
-    reduction along one order, and the exhaustive walk of data that is
-    not walked on integer forms (the float backend; floats, ring
-    elements, or a mix).
+    reduction along one order, and the exhaustive walk of the data no
+    other lane takes: mixed data, ring elements, exact data under the
+    float backend and float data under the exact backend.
 
     join and meet go through the walk's memo, so a later call on the
     same operand objects returns the object made the first time.  Keys
@@ -251,6 +256,58 @@ class _FormLane:
 _FORMS = _FormLane()
 
 
+def _float_cross(error: type, a: tuple, b: tuple) -> tuple:
+    # core's join and meet on all-float triples: the cross product,
+    # normalized as _built normalizes it
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    if x == 0 and y == 0 and z == 0:
+        raise error(f"{a} and {b} are proportional")
+    return _max_normalized(x, y, z)
+
+
+class _FloatLane:
+    """The lane of the exhaustive walk of all-float data under the float
+    backend, over the elements' float triples.
+
+    join and meet give the triple core's join and meet would give the
+    elements, and raise CoincidentPoints and CoincidentLines where they
+    do; eq is == on elements without an integer form; built_on and
+    dependent are the backend's incidence and dependence tests.  So
+    every test is the one the object lane makes on the same data.
+
+    The memo and the keys are _ObjectLane's, over the triples: an entry
+    holds its operands, and every triple of a reduced gon is the gon's
+    or a memo entry's, so no id is reused while the walk lives.  join
+    and meet are one cross product, so a key they shared would give the
+    same triple.
+    """
+
+    __slots__ = ("built_on", "dependent", "_memo")
+    eq = staticmethod(_proportional)
+    key = staticmethod(_ObjectLane.key)
+
+    def __init__(self, backend: FloatBackend) -> None:
+        self.built_on = backend.incident
+        self.dependent = backend.dependent
+        self._memo: dict = {}
+
+    def join(self, p: tuple, q: tuple) -> tuple:
+        key = (id(p), id(q))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = _float_cross(CoincidentPoints, p, q), p, q
+        return entry[0]
+
+    def meet(self, l: tuple, m: tuple) -> tuple:
+        key = (id(l), id(m))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = _float_cross(CoincidentLines, l, m), l, m
+        return entry[0]
+
+
 def _ceva_step(A: tuple, g: tuple, i: int, lane):
     """CevaGon._step: collapse the vertex pair (i, i+1) into the meet of
     its two outer sides; the new cevian joins the new vertex to the
@@ -346,11 +403,12 @@ class _Gon:
     item tuples, not on a gon: _step(A, items, i, lane) returns the
     reduced tuples and a plain record (index, vertex, line, point) of
     what it made; it checks only the slots it creates, and joins, meets
-    and tests through its lane.  One body serves both lanes: objects
+    and tests through its lane.  One body serves every lane: objects
     (_ObjectLane, with its memo) and, in the exhaustive walk of exact
-    data, integer forms (_FormLane).  In both, the trace is the
-    reported order reduced on objects.  A gon and a ReductionStep are
-    built only where a caller sees them.
+    data under the exact backend or all-float data under the float
+    backend, integer forms (_FormLane) or float triples (_FloatLane).
+    In each, the trace is the reported order reduced on objects.  A gon
+    and a ReductionStep are built only where a caller sees them.
     """
 
     kind: ClassVar[str]
@@ -702,8 +760,9 @@ def _run_reduction(
 
     The steps run on lane, a fresh _ObjectLane under the backend by
     default; an exhaustive check that walked objects passes the walk's
-    lane, so the steps reuse its joins and meets.  A DegenerateStep carries
-    the trace prefix of the steps that succeeded.
+    lane, so the steps reuse its joins and meets, and one that walked
+    forms or float triples passes none.  A DegenerateStep carries the
+    trace prefix of the steps that succeeded.
     """
     n = gon.n
     if len(indices) != n - 3:
@@ -746,31 +805,38 @@ def _resolve_order(gon, order) -> Sequence[int] | None:
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "seed":
         rng = Random(order[1])
         return tuple(rng.randint(1, m) for m in range(gon.n, 3, -1))
-    if isinstance(order, (tuple, list)) and all(isinstance(i, int) for i in order):
+    # type, not isinstance: a bool is an int, but not a step index
+    if isinstance(order, (tuple, list)) and all(type(i) is int for i in order):
         return tuple(order)
     if order == "exhaustive":
         return None
     raise ValueError(f"unknown reduction order {order!r}")
 
 
+def _read(gon, field: str) -> tuple[tuple, tuple]:
+    # the gon's vertex and item tuples, each element read as its field
+    get = attrgetter(field)
+    return tuple(map(get, gon.vertices)), tuple(map(get, gon.items))
+
+
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     objs = (*gon.vertices, *gon.items)
     be = backend or _backend_of(*objs)
     indices = _resolve_order(gon, order)
-    lane = _ObjectLane(be)
+    lane = None  # the reduction's: a fresh one unless the walk ran on objects
     if indices is None:
         # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
         # the walk reduces each shared prefix and each distinct gon once
         if gon.n > 8:
             raise ValueError("exhaustive order checking is limited to n <= 8")
         if be.kind == "exact" and all(o._form is not None for o in objs):
-            found = _first_order(
-                gon,
-                tuple(v._form for v in gon.vertices),
-                tuple(o._form for o in gon.items),
-                _FORMS,
-            )
+            found = _first_order(gon, *_read(gon, "_form"), _FORMS)
+        elif be.kind == "float" and all(
+            type(c) is float for o in objs for c in o.triple
+        ):
+            found = _first_order(gon, *_read(gon, "triple"), _FloatLane(be))
         else:
+            lane = _ObjectLane(be)
             found = _first_order(gon, gon.vertices, gon.items, lane)
         # None when every order degenerates: the first order, (1, ..., 1),
         # is the walk's first descent, so it raises the walk's first
@@ -793,14 +859,15 @@ def is_pseudo_concurrent(
     "exhaustive" reduces each prefix shared by several orders once and
     walks each distinct reduced gon once.  On exact data under the exact
     backend it walks the integer forms, skipping each reduced gon
-    projectively equal to one walked; otherwise it walks the objects,
-    builds each line and point of the walk once and skips a reduced gon
-    made of the same objects.  It finds the lexicographically first
-    non-degenerate order, or raises InconsistentOrders at the first
-    order whose verdict differs from that one's; the trace is that
-    order reduced on objects.  When every order degenerates it raises
-    the DegenerateStep of the first order, carrying that order's trace
-    prefix.
+    projectively equal to one walked.  On all-float data under the float
+    backend it walks the float triples, and on any other data the
+    objects; both build each line and point of the walk once and skip a
+    reduced gon made of the same triples or objects.  It finds the
+    lexicographically first non-degenerate order, or raises
+    InconsistentOrders at the first order whose verdict differs from
+    that one's; the trace is that order reduced on objects.  When every
+    order degenerates it raises the DegenerateStep of the first order,
+    carrying that order's trace prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -813,8 +880,10 @@ def is_pseudo_collinear(
     Accepts the same orders and backend as is_pseudo_concurrent, and
     "exhaustive" likewise shares step prefixes and reduced gons between
     orders (on exact data under the exact backend, projectively equal
-    ones, walked on integer forms) and returns the trace of the
-    lexicographically first non-degenerate order, reduced on objects.
+    ones, walked on integer forms; on all-float data under the float
+    backend, ones of the same float triples, walked on the triples) and
+    returns the trace of the lexicographically first non-degenerate
+    order, reduced on objects.
     """
     return _pseudo_check(gon, order, backend)
 

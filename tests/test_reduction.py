@@ -5,7 +5,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 from random import Random
 
@@ -14,7 +14,10 @@ import pytest
 from harmonica import reduction
 from harmonica.core import (
     EXACT,
+    CoincidentPoints,
     DegenerateInput,
+    ExactBackend,
+    FloatBackend,
     GeometryError,
     Line,
     Point,
@@ -148,6 +151,34 @@ def small_gon(rng: Random, kind: str, n: int, floats: bool):
                 vs, items = (
                     tuple(type(o)(*map(float, o.triple)) for o in objs)
                     for objs in (vs, items)
+                )
+            return (CevaGon if kind == "ceva" else MenelaosGon)(vs, items)
+        except GeometryError:
+            continue
+
+
+def uniform_point(rng: Random) -> Point:
+    return Point(rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0)
+
+
+def uniform_gon(rng: Random, kind: str, n: int, forced: bool):
+    """Gon with random uniform float coordinates in [-1, 1], where every
+    construction rounds: cevians through one point or cuts on one line
+    when forced, else each through a point or on a line of its own."""
+    while True:
+        vs = tuple(uniform_point(rng) for _ in range(n))
+        try:
+            if kind == "ceva":
+                o = uniform_point(rng)
+                items = tuple(join(v, o if forced else uniform_point(rng)) for v in vs)
+            else:
+                t = join(uniform_point(rng), uniform_point(rng))
+                items = tuple(
+                    meet(
+                        join(vs[i], vs[(i + 1) % n]),
+                        t if forced else join(uniform_point(rng), uniform_point(rng)),
+                    )
+                    for i in range(n)
                 )
             return (CevaGon if kind == "ceva" else MenelaosGon)(vs, items)
         except GeometryError:
@@ -599,6 +630,11 @@ class TestPseudoPredicates:
             is_pseudo_concurrent(gon, order=(1, 9))
         with pytest.raises(ValueError):
             is_pseudo_concurrent(gon, order="sideways")
+        # a bool is an int to isinstance, but a trace whose step index
+        # is true cannot be read back
+        for order in ((True, 1), [1, False]):
+            with pytest.raises(ValueError, match="unknown reduction order"):
+                is_pseudo_concurrent(gon, order=order)
 
     def test_exhaustive_capped(self):
         rng = Random(71)
@@ -855,14 +891,20 @@ def counted(calls: Counter, name: str, fn):
 
 
 def count_steps(monkeypatch, calls: Counter) -> None:
-    # both kinds' reduction steps in both lanes: calls["step"] counts
+    # both kinds' reduction steps in every lane: calls["step"] counts
     # those on objects, calls["form step"] those on integer forms (the
-    # exhaustive walk of exact data)
+    # exhaustive walk of exact data) and calls["float step"] those on
+    # float triples (the exhaustive walk of float data)
     for cls in (CevaGon, MenelaosGon):
         step = cls._step
 
         def counted_step(A, items, i, lane, step=step):
-            calls["form step" if lane is reduction._FORMS else "step"] += 1
+            if lane is reduction._FORMS:
+                calls["form step"] += 1
+            elif isinstance(lane, reduction._FloatLane):
+                calls["float step"] += 1
+            else:
+                calls["step"] += 1
             return step(A, items, i, lane)
 
         monkeypatch.setattr(cls, "_step", staticmethod(counted_step))
@@ -920,22 +962,33 @@ class TestPinnedWalks:
         )
 
     @pytest.mark.parametrize(
-        "theorem, most", [("ceva-ngon", (204, 204)), ("menelaos-ngon", (66, 48))]
+        "theorem, most, replay",
+        [("ceva-ngon", (204, 204), (9, 6)), ("menelaos-ngon", (66, 48), (6, 3))],
     )
     def test_exhaustive_walk_builds_each_construction_once(
-        self, monkeypatch, theorem, most
+        self, monkeypatch, theorem, most, replay
     ):
         # the counts of identity-distinct operand pairs that an
-        # exhaustive walk of this hexagon on objects joins and meets, the
-        # most it may build, and with the memo exactly what it builds;
-        # floatified so that the walk runs on objects
+        # exhaustive walk of this floatified hexagon on its float triples
+        # joins and meets, the most it may build, and with the memo
+        # exactly what it builds; the reported order is then reduced on
+        # a fresh object lane, n - 3 steps of 3 joins and 2 meets (Ceva)
+        # or 2 joins and 1 meet (Menelaos)
         calls = Counter()
         gon = floatify(forced_hexagon(theorem))
+        cross = reduction._float_cross
+
+        def counted_cross(error, a, b):
+            calls["float " + ("join" if error is CoincidentPoints else "meet")] += 1
+            return cross(error, a, b)
+
+        monkeypatch.setattr(reduction, "_float_cross", counted_cross)
         monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
         monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
         verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
-        assert (calls["join"], calls["meet"]) == most
+        assert (calls["float join"], calls["float meet"]) == most
+        assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
         "theorem, steps", [("ceva-ngon", 96), ("menelaos-ngon", 96)]
@@ -970,19 +1023,24 @@ class TestPinnedWalks:
         self, monkeypatch, theorem, steps, lane
     ):
         # a tolerance test is not invariant when exact data is rescaled,
-        # so the float backend keys reduced gons on their objects alone
+        # so the float backend keys reduced gons on their triples or
+        # objects alone; floatified data walks its float triples, exact
+        # data under the float backend its objects
         calls = Counter()
         gon = forced_hexagon(theorem)
+        # the walk's steps, then n - 3 more on objects: the reported
+        # order reduced again for its trace (on the walk's memo after an
+        # object walk, on a fresh object lane after a float walk)
         if lane == "floatified":
             data, backend = floatify(gon), None
+            expected = {"float step": steps, "step": gon.n - 3}
         else:
             data, backend = gon, float_backend()
+            expected = {"step": steps + gon.n - 3}
         count_steps(monkeypatch, calls)
         verdict, _ = check_of(gon)(data, order="exhaustive", backend=backend)
         assert verdict is True
-        # the walk's steps, then n - 3 more: the reported order reduced
-        # again for its trace (on the walk's memo, so it builds nothing)
-        assert calls == {"step": steps + gon.n - 3}
+        assert calls == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
@@ -1039,6 +1097,100 @@ class TestFormsWalk:
         assert outcomes["InconsistentOrders"]
 
 
+def scaled(gon, vertex_scale: float, item_scale: float):
+    def scale(obj, s):
+        return type(obj)(*(c * s for c in obj.triple))
+
+    return type(gon)(
+        tuple(scale(v, vertex_scale) for v in gon.vertices),
+        tuple(scale(o, item_scale) for o in gon.items),
+    )
+
+
+def lanes_outcome(gon) -> tuple:
+    """How the walk of all-float data under the float backend ends on
+    its float triples, asserted equal to how it ends on its objects:
+    ("order", the order found or None), or the type and message of the
+    error it raised."""
+    be = float_backend()
+    walks = (
+        (*reduction._read(gon, "triple"), reduction._FloatLane(be)),
+        (gon.vertices, gon.items, reduction._ObjectLane(be)),
+    )
+    outcomes = []
+    for A, items, lane in walks:
+        try:
+            outcomes.append(("order", reduction._first_order(gon, A, items, lane)))
+        except GeometryError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestFloatLane:
+    """All-float data under the float backend is walked exhaustively on
+    its float triples; the walk must end as the walk on its objects
+    does, with the same order or the same error."""
+
+    def test_floatified_small_integer_gons(self):
+        rng = Random(431)
+        outcomes = Counter()
+        for kind in ("ceva", "menelaos"):
+            for _ in range(100):
+                gon = small_gon(rng, kind, rng.choice([4, 4, 5, 5, 6, 6, 7]), True)
+                outcome = lanes_outcome(gon)
+                outcomes[outcome[0] if outcome[1] else "none"] += 1
+        # orders succeed, disagree, and all degenerate
+        assert outcomes["order"] and outcomes["InconsistentOrders"]
+        assert outcomes["none"]
+
+    def test_floatified_forced_gons_and_duals(self):
+        orders = []
+        for n in (4, 5, 6, 7, 8):
+            for theorem in ("ceva-ngon", "menelaos-ngon", "duality"):
+                for seed in range(2 if n < 8 else 1):
+                    gon = gen_hypothesis_forcing(theorem, GenSpec(seed=seed), n=n)["gon"]
+                    gons = (gon, duality_bridge(gon)) if theorem == "duality" else (gon,)
+                    orders += [lanes_outcome(floatify(g)) for g in gons]
+        assert len(orders) == 36
+        assert all(kind == "order" and order for kind, order in orders)
+
+    def test_uniform_float_gons_at_every_scale(self):
+        # a scale changes every rounding, so each copy walks other floats
+        rng = Random(433)
+        walked = Counter()
+        for kind in ("ceva", "menelaos"):
+            for i in range(24):
+                gon = uniform_gon(rng, kind, 4 + i % 4, forced=i % 2 == 0)
+                walked[lanes_outcome(gon)[0]] += 1
+                if i % 4 == 3:
+                    continue
+                for s in (1e-150, 1e-50, 1e-3, 1e3, 1e50, 1e150):
+                    try:
+                        copy = scaled(gon, s, s)
+                    except GeometryError:
+                        continue
+                    walked[lanes_outcome(copy)[0]] += 1
+        assert walked["order"] >= 200
+
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    def test_overflowing_cross_products(self, monkeypatch, kind):
+        # items scaled by 1e155: their joins or meets overflow, and the
+        # normalization keeps a triple whose max-norm is not finite
+        kept = []
+        normalized = reduction._max_normalized
+
+        def recorded(x, y, z):
+            if not isfinite(max(abs(x), abs(y), abs(z))):
+                kept.append((x, y, z))
+            return normalized(x, y, z)
+
+        monkeypatch.setattr(reduction, "_max_normalized", recorded)
+        gon = scaled(uniform_gon(Random(439), kind, 5, forced=True), 1.0, 1e155)
+        lanes_outcome(gon)
+        assert kept
+
+
 class TestStepIncidences:
     """A step builds the new cevian through the new vertex and the new
     cut on the merged side, so on integer forms in the exact lane it
@@ -1085,18 +1237,26 @@ class TestStepIncidences:
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon"])
     def test_they_are_tested_off_integer_forms(self, monkeypatch, theorem):
         # exact data in its own lane tests none; float data tests one
-        # per step, in the float lane and under the exact backend alike
+        # per step, on float triples and on objects under the float
+        # backend and under the exact one alike; every incidence test
+        # ends in a backend's incident
         gon = forced_hexagon(theorem)
         floats = floatify(gon)
         calls = Counter()
         count_steps(monkeypatch, calls)
-        monkeypatch.setattr(reduction, "incident", counted(calls, "incident", incident))
-        runs = ((gon, None, False), (floats, None, True), (floats, EXACT, True))
-        for data, backend, tested in runs:
+        for cls in (ExactBackend, FloatBackend):
+            monkeypatch.setattr(cls, "incident", counted(calls, "incident", cls.incident))
+        runs = (
+            (gon, None, "form step", False),
+            (floats, None, "float step", True),
+            (floats, EXACT, "step", True),
+        )
+        for data, backend, walk, tested in runs:
             calls.clear()
             try:
                 check_of(data)(data, order="exhaustive", backend=backend)
             except DegenerateStep:
                 pass
-            assert calls["step"] > 0
-            assert calls["incident"] == (calls["step"] if tested else 0)
+            assert calls[walk] > 0
+            steps = calls["form step"] + calls["float step"] + calls["step"]
+            assert calls["incident"] == (steps if tested else 0)
