@@ -21,8 +21,8 @@ triples (_FloatLane).
 _run_reduction reduces a gon along one order on objects.  Exhaustive
 checking first finds the order to report: one walk, _first_order,
 takes every step choice in the prefix tree, reduces each shared prefix
-once and skips a reduced gon whose lane key is that of one it has
-walked.  Exact data under the exact backend, where every test is a
+once and, in every lane, skips a reduced gon whose removed slots it
+has walked.  Exact data under the exact backend, where every test is a
 zero test on integer forms, is walked on the forms, and a step there
 does not re-test the two incidences that hold by construction.
 All-float data under the float backend is walked on its float triples,
@@ -138,7 +138,7 @@ def _cut_defect(
 
 # A step runs on a lane: the joins, meets, equality and built_on test
 # (of an incidence that holds by construction) of the elements it reads;
-# a walk reads its verdicts (dependent) and skip keys (key) there too.
+# a walk reads its verdicts (dependent) there too.
 
 
 class _ObjectLane:
@@ -198,13 +198,6 @@ class _ObjectLane:
     def dependent(self, p, q, r) -> bool:
         return collinear(p, q, r, self.backend)
 
-    @staticmethod
-    def key(elements: tuple) -> tuple:
-        # the elements' ids: every element of a reduced gon is the
-        # gon's or a memo entry's, which holds it, so no id is reused
-        # while the walk lives
-        return tuple(map(id, elements))
-
 
 def _primitive_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
     # core's join and meet on integer forms: the cross product divided
@@ -228,13 +221,6 @@ class _FormLane:
     the elements, and raise CoincidentPoints and CoincidentLines as they
     do; eq is projective equality; and an incidence a step built holds
     over the integers.  Every test is then the exact backend's.
-
-    key is the forms up to sign (an original's as it is): equal keys
-    mean reduced gons projectively equal slot by slot, and a constructed
-    form, being primitive, has one key per element.  Such gons' subtrees
-    end in the same verdicts and DegenerateSteps: every test is a zero
-    test, which a sign does not change, and each join and meet gives
-    the same form up to sign.
     """
 
     __slots__ = ()
@@ -247,10 +233,6 @@ class _FormLane:
         return True
 
     dependent = staticmethod(EXACT.dependent)
-
-    @staticmethod
-    def key(elements: tuple) -> tuple:
-        return tuple([f if f > (0, 0, 0) else (-f[0], -f[1], -f[2]) for f in elements])
 
 
 _FORMS = _FormLane()
@@ -277,16 +259,14 @@ class _FloatLane:
     dependent are the backend's incidence and dependence tests.  So
     every test is the one the object lane makes on the same data.
 
-    The memo and the keys are _ObjectLane's, over the triples: an entry
-    holds its operands, and every triple of a reduced gon is the gon's
-    or a memo entry's, so no id is reused while the walk lives.  join
-    and meet are one cross product, so a key they shared would give the
-    same triple.
+    The memo is _ObjectLane's, over the triples: an entry holds its
+    operands, so no id is reused while the walk lives.  join and meet
+    are one cross product, so a key they shared would give the same
+    triple.
     """
 
     __slots__ = ("built_on", "dependent", "_memo")
     eq = staticmethod(_proportional)
-    key = staticmethod(_ObjectLane.key)
 
     def __init__(self, backend: FloatBackend) -> None:
         self.built_on = backend.incident
@@ -708,17 +688,22 @@ def _first_order(
 
     The walk visits the orders of all_reduction_orders in turn, reducing
     each shared prefix once, and raises InconsistentOrders at the first
-    verdict that differs from the first one.  It skips a reduced gon of
-    four or more vertices whose lane.key it has walked: that subtree's
-    verdicts and degenerate steps would repeat the walked one's, later.
+    verdict that differs from the first one.  In every lane it skips a
+    reduced gon of four or more vertices whose removed slots it has
+    walked: such gons are projectively equal (Lemma A of ROADMAP.md,
+    measured, not proved), so that subtree's verdicts and degenerate
+    steps would repeat the walked one's, later.  On float data they are
+    equal only up to rounding, so a float walk may miss a disagreement
+    that reducing each order on its own would meet.
     """
     step = type(gon)._step
+    ceva = step is _ceva_step
     walked: set = set()
     path: list[int] = []  # the step indices from gon down to the current gon
     first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
 
-    def walk(A: tuple, items: tuple, m: int) -> None:
-        # m is len(A)
+    def walk(A: tuple, items: tuple, labels: tuple, m: int) -> None:
+        # m is len(A); labels is kept only while m > 4: no triangle is keyed
         nonlocal first
         if m == 3:
             # collinear is concurrent: the cuts' or the cevians' test
@@ -736,16 +721,28 @@ def _first_order(
                 A2, items2, _ = step(A, items, idx, lane)
             except DegenerateStep:
                 continue
+            labels2 = None
             if m > 4:
-                key = lane.key(A2 + items2)
+                # the original slot of each position, kept beside the
+                # tuples: a Ceva step keeps its pair's first label (in
+                # front at the wrapped pair), a Menelaos step drops its
+                # vertex's; the key is the set of the labels left
+                if not ceva:
+                    labels2 = labels[: idx - 1] + labels[idx:]
+                elif idx < m:
+                    labels2 = labels[:idx] + labels[idx + 1 :]
+                else:
+                    labels2 = labels[-1:] + labels[1:-1]
+                key = frozenset(labels2)
                 if key in walked:
                     continue
                 walked.add(key)
             path.append(idx)
-            walk(A2, items2, m - 1)
+            walk(A2, items2, labels2, m - 1)
             path.pop()
 
-    walk(A, items, len(A))
+    n = len(A)
+    walk(A, items, tuple(range(n)), n)
     del walk  # it refers to itself: drop the cycle instead of leaving it to gc
     return None if first is None else first[1]
 
@@ -825,10 +822,10 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     indices = _resolve_order(gon, order)
     lane = None  # the reduction's: a fresh one unless the walk ran on objects
     if indices is None:
-        # an n-gon has n!/6 orders (6,720 at n = 8, 60,480 at n = 9), though
-        # the walk reduces each shared prefix and each distinct gon once
-        if gon.n > 8:
-            raise ValueError("exhaustive order checking is limited to n <= 8")
+        # an n-gon has n!/6 orders, but the walk steps at most the sum of
+        # C(n, k) (n - k) times, once per removed slots: 23,772 at n = 12
+        if gon.n > 12:
+            raise ValueError("exhaustive order checking is limited to n <= 12")
         if be.kind == "exact" and all(o._form is not None for o in objs):
             found = _first_order(gon, *_read(gon, "_form"), _FORMS)
         elif be.kind == "float" and all(
@@ -851,23 +848,23 @@ def is_pseudo_concurrent(
     """Whether the cevians reduce to a concurrent triangle triple.
 
     order: "first" (always collapse the pair at index 1),
-    "exhaustive" (run every order, n <= 8, and require agreement),
+    "exhaustive" (run every order, n <= 12, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
     1-based indices with one entry per step.  backend None decides in
     the data's lane (see harmonica.core).
 
     "exhaustive" reduces each prefix shared by several orders once and
-    walks each distinct reduced gon once.  On exact data under the exact
-    backend it walks the integer forms, skipping each reduced gon
-    projectively equal to one walked.  On all-float data under the float
-    backend it walks the float triples, and on any other data the
-    objects; both build each line and point of the walk once and skip a
-    reduced gon made of the same triples or objects.  It finds the
-    lexicographically first non-degenerate order, or raises
-    InconsistentOrders at the first order whose verdict differs from
-    that one's; the trace is that order reduced on objects.  When every
-    order degenerates it raises the DegenerateStep of the first order,
-    carrying that order's trace prefix.
+    skips a reduced gon whose set of removed slots it has walked, since
+    such gons are projectively equal (up to rounding on float data): it
+    steps from each set of removed slots once.  On exact data under the
+    exact backend it walks the integer forms, on all-float data under
+    the float backend the float triples, and on any other data the
+    objects; the last two build each line and point of the walk once.
+    It finds the lexicographically first non-degenerate order, or
+    raises InconsistentOrders at the first order whose verdict differs
+    from that one's; the trace is that order reduced on objects.  When
+    every order degenerates it raises the DegenerateStep of the first
+    order, carrying that order's trace prefix.
     """
     return _pseudo_check(gon, order, backend)
 
@@ -878,12 +875,10 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" likewise shares step prefixes and reduced gons between
-    orders (on exact data under the exact backend, projectively equal
-    ones, walked on integer forms; on all-float data under the float
-    backend, ones of the same float triples, walked on the triples) and
-    returns the trace of the lexicographically first non-degenerate
-    order, reduced on objects.
+    "exhaustive" (n <= 12) likewise shares step prefixes and reduced
+    gons with the same removed slots between orders, walks in the same
+    lanes and returns the trace of the lexicographically first
+    non-degenerate order, reduced on objects.
     """
     return _pseudo_check(gon, order, backend)
 

@@ -3,11 +3,13 @@ traces, and the duality bridge."""
 
 import hashlib
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import comb, isfinite
 from pathlib import Path
 from random import Random
+from typing import Iterator
 
 import pytest
 
@@ -226,44 +228,123 @@ def walk_outcome(run) -> tuple:
     return "trace", verdict, trace.to_json_lines()
 
 
+def merged_slots(kind: str, blocks: tuple, i: int) -> tuple:
+    """The original slots each slot of a reduced gon stands for, after
+    a step at i: a Ceva step merges the blocks of the vertex pair
+    (i, i + 1), a Menelaos step those of sides i - 1 and i, the two
+    sides of the vertex it removes.  The merged block takes the lower
+    position, or at the wrapped pair the first (Ceva) or last
+    (Menelaos)."""
+    m = len(blocks)
+    a, b = (i - 1, i % m) if kind == "ceva" else ((i - 2) % m, i - 1)
+    merged = blocks[a] | blocks[b]
+    if a < b:
+        return blocks[:a] + (merged,) + blocks[b + 1 :]
+    rest = blocks[1 : m - 1]
+    return (merged,) + rest if kind == "ceva" else rest + (merged,)
+
+
+def order_runs(gon, backend) -> Iterator[tuple[tuple, bool, object]]:
+    """Each order of all_reduction_orders reduced on its own, on objects:
+    the order, whether the walk's skip rule passes it over, and its
+    verdict and trace or its DegenerateStep.
+
+    The rule, without the walk's slot labels: a reduced gon of four or
+    more vertices is keyed on how its slots partition the original ones,
+    which fixes the removed slots, and an order is passed over at the
+    first prefix whose key an earlier non-degenerate prefix reached."""
+    n = gon.n
+    blocks = {(): tuple(frozenset([k]) for k in range(n))}  # of each prefix
+    reached: dict = {}  # key: the prefix that reached it first
+    for order in all_reduction_orders(n):
+        try:
+            result = reduction._run_reduction(gon, order, backend)
+            done = len(order)
+        except DegenerateStep as exc:
+            result, done = exc, len(exc.trace.steps)
+        skipped = False
+        for length in range(1, min(done, n - 4) + 1):
+            prefix, i = order[:length], order[length - 1]
+            if prefix not in blocks:
+                blocks[prefix] = merged_slots(gon.kind, blocks[prefix[:-1]], i)
+            if reached.setdefault(frozenset(blocks[prefix]), prefix) != prefix:
+                skipped = True
+                break
+        yield order, skipped, result
+
+
+class Agreement:
+    """An exhaustive check fed one order's run at a time: it ends in the
+    first success, in InconsistentOrders at the first disagreement or,
+    when every order degenerates, in the first order's DegenerateStep."""
+
+    def __init__(self) -> None:
+        self.first = self.first_degenerate = self.disagreement = None
+
+    def add(self, order: tuple, result) -> None:
+        if self.disagreement:
+            return
+        if isinstance(result, DegenerateStep):
+            self.first_degenerate = self.first_degenerate or result
+        elif self.first is None:
+            self.first = result
+        elif result[0] != self.first[0]:
+            self.disagreement = InconsistentOrders(
+                f"order {order} gave {result[0]}, "
+                f"order {self.first[1].indices} gave {self.first[0]}"
+            )
+
+    def outcome(self) -> tuple[bool, ReductionTrace]:
+        if self.disagreement:
+            raise self.disagreement
+        if self.first is None:
+            raise self.first_degenerate
+        return self.first
+
+
+def references(gon, backend) -> tuple[Agreement, Agreement]:
+    """every_order and every_slot_set, with each order reduced once for
+    both."""
+    every, slot_sets = Agreement(), Agreement()
+    for order, skipped, result in order_runs(gon, backend):
+        every.add(order, result)
+        if not skipped:
+            slot_sets.add(order, result)
+        if every.disagreement and slot_sets.disagreement:
+            break
+    return every, slot_sets
+
+
 def every_order(gon, backend) -> tuple[bool, ReductionTrace]:
     """An exhaustive check with no walk and no skipping: each order of
-    all_reduction_orders reduced on its own.  It returns the first
-    success, raises InconsistentOrders at the first disagreement and,
-    when every order degenerates, the first order's DegenerateStep."""
-    first = first_degenerate = None
-    for order in all_reduction_orders(gon.n):
-        try:
-            verdict, trace = reduction._run_reduction(gon, order, backend)
-        except DegenerateStep as exc:
-            first_degenerate = first_degenerate or exc
-            continue
-        if first is None:
-            first = verdict, trace
-        elif verdict != first[0]:
-            raise InconsistentOrders(
-                f"order {order} gave {verdict}, "
-                f"order {first[1].indices} gave {first[0]}"
-            )
-    if first is None:
-        raise first_degenerate
-    return first
+    all_reduction_orders reduced on its own."""
+    return references(gon, backend)[0].outcome()
 
 
-def walk_and_every_order(gon) -> tuple[tuple, tuple]:
-    """The outcomes of a gon's exhaustive check and of every_order, the
-    reference, in the data's lane."""
+def every_slot_set(gon, backend) -> tuple[bool, ReductionTrace]:
+    """every_order without the orders the walk's skip rule passes over:
+    the walk's reference on float data, where gons with the same
+    removed slots are equal only up to rounding."""
+    return references(gon, backend)[1].outcome()
+
+
+def walk_and_references(gon) -> tuple[tuple, tuple, tuple]:
+    """The outcomes of a gon's exhaustive check, every_order and
+    every_slot_set, in the data's lane."""
     backend = _backend_of(*gon.vertices, *gon.items)
     walked = walk_outcome(lambda: check_of(gon)(gon, order="exhaustive"))
-    reference = walk_outcome(lambda: every_order(gon, backend))
-    return walked, reference
+    every, slot_sets = references(gon, backend)
+    return walked, walk_outcome(every.outcome), walk_outcome(slot_sets.outcome)
 
 
 def assert_exhaustive_matches_explicit_orders(gon) -> str:
-    """Check order="exhaustive" against every_order; return how both
+    """Check order="exhaustive" against every_slot_set and, on exact
+    data, every_slot_set against every_order; return how the walk
     ended: "trace", "InconsistentOrders" or "DegenerateStep"."""
-    walked, reference = walk_and_every_order(gon)
-    assert walked == reference
+    walked, every, slot_sets = walk_and_references(gon)
+    assert walked == slot_sets
+    if _backend_of(*gon.vertices, *gon.items).kind == "exact":
+        assert slot_sets == every
     return walked[0]
 
 
@@ -638,9 +719,22 @@ class TestPseudoPredicates:
 
     def test_exhaustive_capped(self):
         rng = Random(71)
-        gon = ceva_gon_concurrent(rng, 9)
-        with pytest.raises(ValueError, match="limited to n <= 8"):
+        gon = ceva_gon_concurrent(rng, 13)
+        with pytest.raises(ValueError, match="limited to n <= 12"):
             is_pseudo_concurrent(gon, order="exhaustive")
+
+    @pytest.mark.parametrize("n", [9, 12])
+    @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon"])
+    def test_exhaustive_walks_forced_gons_up_to_the_cap(self, theorem, n):
+        # the walk steps from each set of removed slots once, 1,971
+        # steps at n = 9 and 23,772 at n = 12, in the exact and the
+        # float lane; every order of a forced gon says True, so the
+        # first order, (1, ..., 1), is the one reported
+        gon = gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=n)["gon"]
+        for data in (gon, floatify(gon)):
+            verdict, trace = check_of(data)(data, order="exhaustive")
+            assert verdict is True
+            assert trace.indices == (1,) * (n - 3)
 
     def test_exhaustive_octagons_agree_with_explicit_orders(self):
         # n = 8 is the largest gon exhaustive checking takes; its 6,720
@@ -958,23 +1052,25 @@ class TestPinnedWalks:
         assert outcomes["trace"] and outcomes["DegenerateStep"]
         assert outcomes["InconsistentOrders"]
         assert digest.hexdigest() == (
-            "c5a6fd0b0595e6d9334b4959349b2322f48b5705d72274d1f6ad15ccac67c8f0"
+            "ef750296adfe24cd10afef44cb5645047fab0db3fd2362dccfdd4c9e84a9d3aa"
         )
 
     @pytest.mark.parametrize(
-        "theorem, most, replay",
-        [("ceva-ngon", (204, 204), (9, 6)), ("menelaos-ngon", (66, 48), (6, 3))],
+        "theorem, built, replay",
+        [("ceva-ngon", (132, 132), (9, 6)), ("menelaos-ngon", (54, 36), (6, 3))],
     )
     def test_exhaustive_walk_builds_each_construction_once(
-        self, monkeypatch, theorem, most, replay
+        self, monkeypatch, theorem, built, replay
     ):
-        # the counts of identity-distinct operand pairs that an
-        # exhaustive walk of this floatified hexagon on its float triples
-        # joins and meets, the most it may build, and with the memo
-        # exactly what it builds; the reported order is then reduced on
-        # a fresh object lane, n - 3 steps of 3 joins and 2 meets (Ceva)
-        # or 2 joins and 1 meet (Menelaos)
+        # an exhaustive walk of this floatified hexagon on its float
+        # triples joins and meets these counts of identity-distinct
+        # operand pairs, stepping from the 1, 6 and 15 gons of 6, 5 and
+        # 4 vertices that its sets of removed slots give, and with the
+        # memo builds each pair's cross product once; the reported order
+        # is then reduced on a fresh object lane, n - 3 steps of 3 joins
+        # and 2 meets (Ceva) or 2 joins and 1 meet (Menelaos)
         calls = Counter()
+        operands = {"float join": {}, "float meet": {}}
         gon = floatify(forced_hexagon(theorem))
         cross = reduction._float_cross
 
@@ -982,27 +1078,35 @@ class TestPinnedWalks:
             calls["float " + ("join" if error is CoincidentPoints else "meet")] += 1
             return cross(error, a, b)
 
+        for name in ("join", "meet"):
+            build = getattr(reduction._FloatLane, name)
+
+            def recorded(lane, a, b, name="float " + name, build=build):
+                # holding the operands keeps their ids theirs
+                operands[name][id(a), id(b)] = a, b
+                return build(lane, a, b)
+
+            monkeypatch.setattr(reduction._FloatLane, name, recorded)
         monkeypatch.setattr(reduction, "_float_cross", counted_cross)
         monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
         monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
         verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
-        assert (calls["float join"], calls["float meet"]) == most
+        builds = (calls["float join"], calls["float meet"])
+        distinct = (len(operands["float join"]), len(operands["float meet"]))
+        assert builds == distinct == built
         assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
         "theorem, steps", [("ceva-ngon", 96), ("menelaos-ngon", 96)]
     )
     def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
-        # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; in
-        # the exact lane a reduced gon projectively equal, slot by slot,
-        # to one walked before is not walked again, but every other one
-        # is (keying on the vertices alone would skip Menelaos
-        # quadrilaterals whose cuts differ); each reduced gon is fixed
-        # by the slots removed, so the walk steps from 1, 6 and 15 gons
-        # of 6, 5 and 4 vertices, 6 + 30 + 60 = 96 steps on integer
-        # forms, and then n - 3 on objects along the reported order; a
-        # one-branch order takes one step per depth, on objects
+        # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
+        # reduced gon whose removed slots the walk has walked is not
+        # walked again, so it steps from 1, 6 and 15 gons of 6, 5 and 4
+        # vertices, 6 + 30 + 60 = 96 steps on integer forms, and then
+        # n - 3 on objects along the reported order; a one-branch order
+        # takes one step per depth, on objects
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
@@ -1015,42 +1119,27 @@ class TestPinnedWalks:
             check_of(gon)(gon, order=order)
             assert calls == {"step": gon.n - 3}
 
-    @pytest.mark.parametrize(
-        "theorem, steps", [("ceva-ngon", 144), ("menelaos-ngon", 120)]
-    )
-    @pytest.mark.parametrize("lane", ["floatified", "exact data, float backend"])
-    def test_float_walks_skip_only_gons_of_walked_objects(
-        self, monkeypatch, theorem, steps, lane
-    ):
-        # a tolerance test is not invariant when exact data is rescaled,
-        # so the float backend keys reduced gons on their triples or
-        # objects alone; floatified data walks its float triples, exact
-        # data under the float backend its objects
-        calls = Counter()
-        gon = forced_hexagon(theorem)
-        # the walk's steps, then n - 3 more on objects: the reported
-        # order reduced again for its trace (on the walk's memo after an
-        # object walk, on a fresh object lane after a float walk)
-        if lane == "floatified":
-            data, backend = floatify(gon), None
-            expected = {"float step": steps, "step": gon.n - 3}
-        else:
-            data, backend = gon, float_backend()
-            expected = {"step": steps + gon.n - 3}
-        count_steps(monkeypatch, calls)
-        verdict, _ = check_of(gon)(data, order="exhaustive", backend=backend)
-        assert verdict is True
-        assert calls == expected
-
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
-    def test_exact_walks_reduce_each_slot_choice_once(self, monkeypatch, n, theorem):
+    @pytest.mark.parametrize("lane", ["forms", "float", "objects"])
+    def test_exact_walks_reduce_each_slot_choice_once(
+        self, monkeypatch, n, theorem, lane
+    ):
         # a forced exact gon reduced by removing k slots depends only on
-        # which k of the n slots went, so the walk on integer forms steps
-        # once from each such gon of 4 or more vertices, the sum of
-        # C(n, k) (n - k) steps; the reported order then takes n - 3 on
-        # objects
+        # which k of the n slots went, and the walk keys reduced gons on
+        # that set in every lane, so it steps once from each such gon of
+        # 4 or more vertices, the sum of C(n, k) (n - k) steps: on
+        # integer forms (exact data), on float triples (floatified data)
+        # or on objects (exact data under the float backend); the
+        # reported order then takes n - 3 more on objects (on the walk's
+        # memo after an object walk)
         steps = sum(comb(n, k) * (n - k) for k in range(n - 3))
+        expected = {
+            "forms": {"form step": steps, "step": n - 3},
+            "float": {"float step": steps, "step": n - 3},
+            "objects": {"step": steps + n - 3},
+        }[lane]
+        backend = float_backend() if lane == "objects" else None
         calls = Counter()
         count_steps(monkeypatch, calls)
         for seed in range(3):
@@ -1058,9 +1147,12 @@ class TestPinnedWalks:
             gons = (gon, duality_bridge(gon)) if theorem == "duality" else (gon,)
             verdicts = set()
             for data in gons:
+                if lane == "float":
+                    data = floatify(data)
                 calls.clear()
-                verdicts.add(check_of(data)(data, order="exhaustive")[0])
-                assert calls == {"form step": steps, "step": n - 3}
+                verdict, _ = check_of(data)(data, order="exhaustive", backend=backend)
+                verdicts.add(verdict)
+                assert calls == expected
             # a forced Ceva or Menelaos gon is pseudo-concurrent or
             # pseudo-collinear; a duality gon and its dual agree
             assert verdicts == {True} or theorem == "duality" and len(verdicts) == 1
@@ -1189,6 +1281,93 @@ class TestFloatLane:
         gon = scaled(uniform_gon(Random(439), kind, 5, forced=True), 1.0, 1e155)
         lanes_outcome(gon)
         assert kept
+
+
+class TestSlotSets:
+    """The walk skips a reduced gon whose removed slots it has walked.
+    every_slot_set reduces each order on its own with the same rule;
+    on exact data it must also end as every_order does, since gons
+    with the same removed slots are projectively equal (Lemma A of
+    ROADMAP.md, measured here, not proved)."""
+
+    def test_walk_ends_as_every_slot_set_reduced_alone(self):
+        rng = Random(2203)
+        kinds = ("ceva", "menelaos")
+        gons = [
+            small_gon(rng, kinds[i % 2], rng.choice([4, 5, 6, 7]), False)
+            for i in range(100)
+        ]
+        uniform = [
+            uniform_gon(rng, kinds[i % 2], rng.choice([4, 5, 6]), i % 4 < 2)
+            for i in range(40)
+        ]
+        outcomes = Counter()
+        lanes = ((True, gons), (False, map(floatify, gons)), (False, uniform))
+        for exact, data in lanes:
+            for gon in data:
+                walked, every, slot_sets = walk_and_references(gon)
+                assert walked == slot_sets
+                if exact:
+                    assert slot_sets == every
+                outcomes[walked[0]] += 1
+        # orders succeed, disagree and all degenerate
+        assert outcomes["trace"] and outcomes["InconsistentOrders"]
+        assert outcomes["DegenerateStep"]
+
+
+def cofactors(M: tuple) -> tuple:
+    """The cofactor matrix of a 3 x 3 matrix: a line maps by it when
+    points map by M, so incidence survives the map."""
+    (a, b, c), (d, e, f), (g, h, i) = M
+    return (
+        (e * i - f * h, f * g - d * i, d * h - e * g),
+        (c * h - b * i, a * i - c * g, b * g - a * h),
+        (b * f - c * e, c * d - a * f, a * e - b * d),
+    )
+
+
+def projective_image(gon, M: tuple):
+    """The gon with each vertex mapped by M and each item by its
+    cofactor matrix (points by M for a Menelaos gon's cuts)."""
+
+    def mapped(obj, rows):
+        return type(obj)(*(sum(map(operator.mul, row, obj.triple)) for row in rows))
+
+    item_rows = cofactors(M) if isinstance(gon, CevaGon) else M
+    return type(gon)(
+        tuple(mapped(v, M) for v in gon.vertices),
+        tuple(mapped(o, item_rows) for o in gon.items),
+    )
+
+
+class TestProjectiveImages:
+    """Reductions are projective: an exact gon mapped by an integer
+    matrix of nonzero determinant walks to the same outcome."""
+
+    def test_exact_walks_survive_a_change_of_frame(self):
+        rng = Random(2207)
+        kinds = ("ceva", "menelaos")
+        outcomes = Counter()
+        for i in range(500):
+            gon = small_gon(rng, kinds[i % 2], rng.choice([4, 5, 6, 7]), False)
+            while True:
+                M = tuple(tuple(rng.randint(-3, 3) for _ in "xyz") for _ in "xyz")
+                # det M, expanded along the first row
+                if sum(map(operator.mul, M[0], cofactors(M)[0])):
+                    break
+            image = projective_image(gon, M)
+            results = []
+            for data in (gon, image):
+                try:
+                    verdict, trace = check_of(data)(data, order="exhaustive")
+                    results.append(("trace", verdict, trace.indices))
+                except (DegenerateStep, InconsistentOrders) as exc:
+                    index = getattr(exc, "index", None)
+                    results.append((type(exc).__name__, str(exc), index))
+            assert results[0] == results[1]
+            outcomes[results[0][0]] += 1
+        assert outcomes["trace"] and outcomes["InconsistentOrders"]
+        assert outcomes["DegenerateStep"]
 
 
 class TestStepIncidences:
