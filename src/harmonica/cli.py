@@ -230,7 +230,11 @@ def cmd_reduce(args) -> int:
         return 2
     _emit(trace.to_json_lines(), args.out)
     if order == "exhaustive":
-        print("exhaustive: all reduction orders agree", file=sys.stderr)
+        print(
+            "exhaustive: reduction orders agree; orders that remove the same"
+            " slots were checked once",
+            file=sys.stderr,
+        )
     return 0 if verdict else 1
 
 

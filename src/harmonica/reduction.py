@@ -688,13 +688,14 @@ def _first_order(
 
     The walk visits the orders of all_reduction_orders in turn, reducing
     each shared prefix once, and raises InconsistentOrders at the first
-    verdict that differs from the first one.  In every lane it skips a
-    reduced gon of four or more vertices whose removed slots it has
-    walked: such gons are projectively equal (Lemma A of ROADMAP.md,
-    measured, not proved), so that subtree's verdicts and degenerate
-    steps would repeat the walked one's, later.  On float data they are
-    equal only up to rounding, so a float walk may miss a disagreement
-    that reducing each order on its own would meet.
+    verdict that differs from the first one.  In every lane it skips,
+    before stepping, any reduced gon, triangles included, whose removed
+    slots it has walked: such gons are projectively equal (Lemma A of
+    ROADMAP.md, measured, not proved), so that subtree's verdicts and
+    degenerate steps would repeat the walked one's, later.  So it steps
+    once to each set of removed slots that a step reaches.  On float
+    data such gons are equal only up to rounding, so a float walk may
+    miss a disagreement that reducing each order on its own would meet.
     """
     step = type(gon)._step
     ceva = step is _ceva_step
@@ -703,8 +704,7 @@ def _first_order(
     first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
 
     def walk(A: tuple, items: tuple, labels: tuple, m: int) -> None:
-        # m is len(A); labels is kept only while m > 4: no triangle is keyed
-        nonlocal first
+        nonlocal first  # m is len(A)
         if m == 3:
             # collinear is concurrent: the cuts' or the cevians' test
             verdict = lane.dependent(*items)
@@ -717,26 +717,24 @@ def _first_order(
                 )
             return
         for idx in range(1, m + 1):
+            # the original slot of each position, kept beside the tuples:
+            # a Ceva step keeps its pair's first label (in front at the
+            # wrapped pair), a Menelaos step drops its vertex's; the key,
+            # the set of the labels left, is known before the step
+            if not ceva:
+                labels2 = labels[: idx - 1] + labels[idx:]
+            elif idx < m:
+                labels2 = labels[:idx] + labels[idx + 1 :]
+            else:
+                labels2 = labels[-1:] + labels[1:-1]
+            key = frozenset(labels2)
+            if key in walked:
+                continue
             try:
                 A2, items2, _ = step(A, items, idx, lane)
             except DegenerateStep:
-                continue
-            labels2 = None
-            if m > 4:
-                # the original slot of each position, kept beside the
-                # tuples: a Ceva step keeps its pair's first label (in
-                # front at the wrapped pair), a Menelaos step drops its
-                # vertex's; the key is the set of the labels left
-                if not ceva:
-                    labels2 = labels[: idx - 1] + labels[idx:]
-                elif idx < m:
-                    labels2 = labels[:idx] + labels[idx + 1 :]
-                else:
-                    labels2 = labels[-1:] + labels[1:-1]
-                key = frozenset(labels2)
-                if key in walked:
-                    continue
-                walked.add(key)
+                continue  # its key stays open: another path may reach it
+            walked.add(key)
             path.append(idx)
             walk(A2, items2, labels2, m - 1)
             path.pop()
@@ -822,8 +820,8 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     indices = _resolve_order(gon, order)
     lane = None  # the reduction's: a fresh one unless the walk ran on objects
     if indices is None:
-        # an n-gon has n!/6 orders, but the walk steps at most the sum of
-        # C(n, k) (n - k) times, once per removed slots: 23,772 at n = 12
+        # an n-gon has n!/6 orders; the walk steps once per set of removed
+        # slots (4,016 at n = 12), at most sum C(n, k) (n - k) times (23,772)
         if gon.n > 12:
             raise ValueError("exhaustive order checking is limited to n <= 12")
         if be.kind == "exact" and all(o._form is not None for o in objs):
@@ -848,15 +846,16 @@ def is_pseudo_concurrent(
     """Whether the cevians reduce to a concurrent triangle triple.
 
     order: "first" (always collapse the pair at index 1),
-    "exhaustive" (run every order, n <= 12, and require agreement),
+    "exhaustive" (check every order, n <= 12, and require agreement),
     ("seed", k) for a seeded random order, or an explicit tuple of
     1-based indices with one entry per step.  backend None decides in
     the data's lane (see harmonica.core).
 
-    "exhaustive" reduces each prefix shared by several orders once and
-    skips a reduced gon whose set of removed slots it has walked, since
-    such gons are projectively equal (up to rounding on float data): it
-    steps from each set of removed slots once.  On exact data under the
+    "exhaustive" reduces each prefix shared by several orders once.
+    Before each step it skips the reduced gon, triangle or not, whose
+    set of removed slots it has walked, since such gons are
+    projectively equal (up to rounding on float data): orders that
+    remove the same slots are checked once.  On exact data under the
     exact backend it walks the integer forms, on all-float data under
     the float backend the float triples, and on any other data the
     objects; the last two build each line and point of the walk once.
@@ -875,8 +874,8 @@ def is_pseudo_collinear(
     """Whether the side cuts reduce to a collinear triangle triple.
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" (n <= 12) likewise shares step prefixes and reduced
-    gons with the same removed slots between orders, walks in the same
+    "exhaustive" (n <= 12) likewise shares step prefixes between orders,
+    checks orders that remove the same slots once, walks in the same
     lanes and returns the trace of the lexicographically first
     non-degenerate order, reduced on objects.
     """

@@ -249,8 +249,8 @@ def order_runs(gon, backend) -> Iterator[tuple[tuple, bool, object]]:
     the order, whether the walk's skip rule passes it over, and its
     verdict and trace or its DegenerateStep.
 
-    The rule, without the walk's slot labels: a reduced gon of four or
-    more vertices is keyed on how its slots partition the original ones,
+    The rule, without the walk's slot labels: a reduced gon, triangles
+    included, is keyed on how its slots partition the original ones,
     which fixes the removed slots, and an order is passed over at the
     first prefix whose key an earlier non-degenerate prefix reached."""
     n = gon.n
@@ -263,7 +263,7 @@ def order_runs(gon, backend) -> Iterator[tuple[tuple, bool, object]]:
         except DegenerateStep as exc:
             result, done = exc, len(exc.trace.steps)
         skipped = False
-        for length in range(1, min(done, n - 4) + 1):
+        for length in range(1, min(done, n - 3) + 1):
             prefix, i = order[:length], order[length - 1]
             if prefix not in blocks:
                 blocks[prefix] = merged_slots(gon.kind, blocks[prefix[:-1]], i)
@@ -724,21 +724,26 @@ class TestPseudoPredicates:
             is_pseudo_concurrent(gon, order="exhaustive")
 
     @pytest.mark.parametrize("n", [9, 12])
-    @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon"])
+    @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
     def test_exhaustive_walks_forced_gons_up_to_the_cap(self, theorem, n):
-        # the walk steps from each set of removed slots once, 1,971
-        # steps at n = 9 and 23,772 at n = 12, in the exact and the
-        # float lane; every order of a forced gon says True, so the
-        # first order, (1, ..., 1), is the one reported
+        # the walk steps to each set of removed slots once, 465 steps
+        # at n = 9 and 4,016 at n = 12, in the exact and the float lane;
+        # every order of a forced Ceva or Menelaos gon says True, and a
+        # duality gon and its bridged dual agree; no first order
+        # degenerates, so (1, ..., 1) is the one reported
         gon = gen_hypothesis_forcing(theorem, GenSpec(seed=0), n=n)["gon"]
         for data in (gon, floatify(gon)):
-            verdict, trace = check_of(data)(data, order="exhaustive")
-            assert verdict is True
-            assert trace.indices == (1,) * (n - 3)
+            gons = (data, duality_bridge(data)) if theorem == "duality" else (data,)
+            verdicts = set()
+            for g in gons:
+                verdict, trace = check_of(g)(g, order="exhaustive")
+                verdicts.add(verdict)
+                assert trace.indices == (1,) * (n - 3)
+            assert verdicts == {True} or theorem == "duality" and len(verdicts) == 1
 
     def test_exhaustive_octagons_agree_with_explicit_orders(self):
-        # n = 8 is the largest gon exhaustive checking takes; its 6,720
-        # orders are too many to run one by one, so a few stand in
+        # an octagon's 6,720 orders are too many to run one by one in a
+        # test (the exhaustive cap is n = 12), so a few stand in
         rng = Random(79)
         cases = [
             (ceva_gon_concurrent(rng, 8), True),
@@ -1052,20 +1057,20 @@ class TestPinnedWalks:
         assert outcomes["trace"] and outcomes["DegenerateStep"]
         assert outcomes["InconsistentOrders"]
         assert digest.hexdigest() == (
-            "ef750296adfe24cd10afef44cb5645047fab0db3fd2362dccfdd4c9e84a9d3aa"
+            "0d3bd241df7e5d3b1134438190eadace3bfba778a9da879bab5492516b0b7686"
         )
 
     @pytest.mark.parametrize(
         "theorem, built, replay",
-        [("ceva-ngon", (132, 132), (9, 6)), ("menelaos-ngon", (54, 36), (6, 3))],
+        [("ceva-ngon", (66, 59), (9, 6)), ("menelaos-ngon", (36, 18), (6, 3))],
     )
     def test_exhaustive_walk_builds_each_construction_once(
         self, monkeypatch, theorem, built, replay
     ):
         # an exhaustive walk of this floatified hexagon on its float
         # triples joins and meets these counts of identity-distinct
-        # operand pairs, stepping from the 1, 6 and 15 gons of 6, 5 and
-        # 4 vertices that its sets of removed slots give, and with the
+        # operand pairs, stepping to the 6, 15 and 20 gons of 5, 4 and
+        # 3 vertices that its sets of removed slots give, and with the
         # memo builds each pair's cross product once; the reported order
         # is then reduced on a fresh object lane, n - 3 steps of 3 joins
         # and 2 meets (Ceva) or 2 joins and 1 meet (Menelaos)
@@ -1098,15 +1103,16 @@ class TestPinnedWalks:
         assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
-        "theorem, steps", [("ceva-ngon", 96), ("menelaos-ngon", 96)]
+        "theorem, steps", [("ceva-ngon", 41), ("menelaos-ngon", 41)]
     )
     def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
         # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
-        # reduced gon whose removed slots the walk has walked is not
-        # walked again, so it steps from 1, 6 and 15 gons of 6, 5 and 4
-        # vertices, 6 + 30 + 60 = 96 steps on integer forms, and then
-        # n - 3 on objects along the reported order; a one-branch order
-        # takes one step per depth, on objects
+        # step to a reduced gon whose removed slots the walk has walked,
+        # triangles included, is not taken, so it steps once to each of
+        # the 6, 15 and 20 gons of 5, 4 and 3 vertices, 6 + 15 + 20 = 41
+        # steps on integer forms, and then n - 3 on objects along the
+        # reported order; a one-branch order takes one step per depth,
+        # on objects
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
@@ -1127,13 +1133,13 @@ class TestPinnedWalks:
     ):
         # a forced exact gon reduced by removing k slots depends only on
         # which k of the n slots went, and the walk keys reduced gons on
-        # that set in every lane, so it steps once from each such gon of
-        # 4 or more vertices, the sum of C(n, k) (n - k) steps: on
-        # integer forms (exact data), on float triples (floatified data)
-        # or on objects (exact data under the float backend); the
-        # reported order then takes n - 3 more on objects (on the walk's
-        # memo after an object walk)
-        steps = sum(comb(n, k) * (n - k) for k in range(n - 3))
+        # that set in every lane, triangles included, testing the key
+        # before the step, so it steps once to each such gon, the sum of
+        # C(n, k) steps for k = 1, ..., n - 3: on integer forms (exact
+        # data), on float triples (floatified data) or on objects (exact
+        # data under the float backend); the reported order then takes
+        # n - 3 more on objects (on the walk's memo after an object walk)
+        steps = sum(comb(n, k) for k in range(1, n - 2))
         expected = {
             "forms": {"form step": steps, "step": n - 3},
             "float": {"float step": steps, "step": n - 3},
@@ -1284,13 +1290,16 @@ class TestFloatLane:
 
 
 class TestSlotSets:
-    """The walk skips a reduced gon whose removed slots it has walked.
-    every_slot_set reduces each order on its own with the same rule;
-    on exact data it must also end as every_order does, since gons
-    with the same removed slots are projectively equal (Lemma A of
-    ROADMAP.md, measured here, not proved)."""
+    """The walk skips a reduced gon, triangles included, whose removed
+    slots it has walked.  every_slot_set reduces each order on its own
+    with the same rule; on exact data it must also end as every_order
+    does, since gons with the same removed slots are projectively equal
+    (Lemma A of ROADMAP.md, measured here, not proved)."""
 
-    def test_walk_ends_as_every_slot_set_reduced_alone(self):
+    @staticmethod
+    def drawn_gons() -> tuple[list, list]:
+        # 100 small-integer gons, n = 4-7, and 40 uniform float gons,
+        # n = 4-6, of both kinds
         rng = Random(2203)
         kinds = ("ceva", "menelaos")
         gons = [
@@ -1301,6 +1310,10 @@ class TestSlotSets:
             uniform_gon(rng, kinds[i % 2], rng.choice([4, 5, 6]), i % 4 < 2)
             for i in range(40)
         ]
+        return gons, uniform
+
+    def test_walk_ends_as_every_slot_set_reduced_alone(self):
+        gons, uniform = self.drawn_gons()
         outcomes = Counter()
         lanes = ((True, gons), (False, map(floatify, gons)), (False, uniform))
         for exact, data in lanes:
@@ -1313,6 +1326,30 @@ class TestSlotSets:
         # orders succeed, disagree and all degenerate
         assert outcomes["trace"] and outcomes["InconsistentOrders"]
         assert outcomes["DegenerateStep"]
+
+    def test_orders_that_remove_the_same_slots_agree(self):
+        # Lemma A at the triangle, which the walk's triangle skip rests
+        # on: every full order reduced on its own, grouped by the slots
+        # it removed (as the partition of the original slots among the
+        # triangle's three); the non-degenerate orders of one group give
+        # one verdict
+        shared = split = 0  # groups of two or more orders; gons whose groups differ
+        for gon in self.drawn_gons()[0]:
+            verdicts: dict = {}
+            for order in all_reduction_orders(gon.n):
+                try:
+                    verdict, _ = reduction._run_reduction(gon, order, EXACT)
+                except DegenerateStep:
+                    continue
+                blocks = tuple(frozenset([k]) for k in range(gon.n))
+                for i in order:
+                    blocks = merged_slots(gon.kind, blocks, i)
+                verdicts.setdefault(frozenset(blocks), []).append(verdict)
+            for group in verdicts.values():
+                assert len(set(group)) == 1
+                shared += len(group) > 1
+            split += len({group[0] for group in verdicts.values()}) > 1
+        assert shared > 1000 and split
 
 
 def cofactors(M: tuple) -> tuple:
