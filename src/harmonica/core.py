@@ -241,6 +241,32 @@ def _max_normalized(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Sc
     return x / m, y / m, z / m
 
 
+def _int_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
+    """The cross product of two int triples divided by its gcd: a
+    primitive int triple, which is its own integer form.  Proportional
+    operands raise error."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    g = math.gcd(x, y, z)
+    if not g:
+        raise error(f"{a} and {b} are proportional")
+    if g > 1:
+        return x // g, y // g, z // g
+    return x, y, z
+
+
+def _float_cross(error: type, a: tuple, b: tuple) -> tuple[float, float, float]:
+    """The cross product of two all-float triples, normalized by
+    _max_normalized.  Proportional operands raise error."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    if x == 0 and y == 0 and z == 0:
+        raise error(f"{a} and {b} are proportional")
+    return _max_normalized(x, y, z)
+
+
 def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
     """cls(*_tidy(*t)) for a nonzero triple t that a construction
     computed.
@@ -523,24 +549,38 @@ def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:
 
 def join(p: Point, q: Point) -> Line:
     """Line through two distinct points."""
-    a, b = p._form, q._form
-    if a is None or b is None:
-        a, b = p.triple, q.triple
-    t = _cross(a, b)
-    if t[0] == 0 and t[1] == 0 and t[2] == 0:
-        raise CoincidentPoints(f"join of equal points {p}")
-    return _built(Line, t)
+    try:
+        return _crossed(Line, CoincidentPoints, p, q)
+    except CoincidentPoints:
+        raise CoincidentPoints(f"join of equal points {p}") from None
 
 
 def meet(l: Line, m: Line) -> Point:
     """Common point of two distinct lines."""
-    a, b = l._form, m._form
-    if a is None or b is None:
-        a, b = l.triple, m.triple
-    t = _cross(a, b)
+    try:
+        return _crossed(Point, CoincidentLines, l, m)
+    except CoincidentLines:
+        raise CoincidentLines(f"meet of equal lines {l}") from None
+
+
+def _crossed(cls, error: type, a: _Element, b: _Element):
+    """The element of cls on the cross product of a and b, join's and
+    meet's one body: _int_cross on integer forms, _float_cross on
+    all-float triples and _cross with _built on any other triples.
+    Proportional operands raise error."""
+    fa, fb = a._form, b._form
+    if fa is not None and fb is not None:
+        t = _int_cross(error, fa, fb)
+        return _with_form(cls, t, t)
+    ta, tb = a.triple, b.triple
+    a1, a2, a3 = ta
+    b1, b2, b3 = tb
+    if type(a1) is type(a2) is type(a3) is type(b1) is type(b2) is type(b3) is float:
+        return _with_form(cls, _float_cross(error, ta, tb), None)
+    t = _cross(ta, tb)
     if t[0] == 0 and t[1] == 0 and t[2] == 0:
-        raise CoincidentLines(f"meet of equal lines {l}")
-    return _built(Point, t)
+        raise error
+    return _built(cls, t)
 
 
 def incident(l: Line, p: Point, backend: Backend = EXACT) -> bool:

@@ -14,23 +14,15 @@ The two gon kinds are dual and share one body, _Gon: validation,
 sides, JSON and the items view (the cevians or the cuts).  Each kind
 adds only its fields, its kind string, its item type and count message,
 its slot check and its step, which reduce_step runs once.  Steps run
-on the vertex and item tuples, through a lane: Point and Line objects
-under a backend (_ObjectLane), integer forms (_FormLane) or float
-triples (_FloatLane).
+on the vertex and item tuples, through a lane; _Lane says which lane
+takes which data.
 
 _run_reduction reduces a gon along one order on objects.  Exhaustive
 checking first finds the order to report: one walk, _first_order,
 takes every step choice in the prefix tree, reduces each shared prefix
-once and, in every lane, skips a reduced gon whose removed slots it
-has walked.  Exact data under the exact backend, where every test is a
-zero test on integer forms, is walked on the forms, and a step there
-does not re-test the two incidences that hold by construction.
-All-float data under the float backend is walked on its float triples,
-with the object lane's arithmetic and tests.  Other data is walked on
-objects.  Triples and objects go through a memo, so each join and meet
-of the same operands is made once.  In every lane _run_reduction then
-reduces the reported order on objects, on the walk's memo when the
-walk ran on objects, and that is the trace a caller gets.
+once and skips a reduced gon whose removed slots it has walked.
+_run_reduction then reduces the reported order, and that is the trace
+a caller gets.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -43,10 +35,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as _iter_product
-from math import gcd
 from operator import attrgetter
 from random import Random
-from typing import ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 from .core import (
     EXACT,
@@ -62,7 +53,8 @@ from .core import (
     UndefinedFoot,
     UndefinedRatio,
     _backend_of,
-    _max_normalized,
+    _float_cross,
+    _int_cross,
     _proportional,
     collinear,
     dualize,
@@ -107,7 +99,7 @@ class ReplayMismatch(GeometryError):
 # read off the vertex tuple A and the item tuple (cevians g, cuts B);
 # reduction steps run the same checks on the slots they create.  eq is
 # the equality and on(line, point) the incidence test of the caller:
-# a constructor's backend, or a step's lane (see _ObjectLane).
+# a constructor's backend, or a step's lane (see _Lane).
 
 
 def _pair_defect(A: tuple, k: int, eq=operator.eq) -> str | None:
@@ -136,156 +128,109 @@ def _cut_defect(
     return None
 
 
-# A step runs on a lane: the joins, meets, equality and built_on test
-# (of an incidence that holds by construction) of the elements it reads;
-# a walk reads its verdicts (dependent) there too.
+class _Lane(NamedTuple):
+    """The five operations a reduction step and a walk run on elements:
+    join, meet, eq (projective equality), built_on (the incidence test
+    of a point a step built on a line, or of a line it built through a
+    point) and dependent (the triangle's verdict).  A step touches its
+    elements only through its lane, so one step body serves three lanes:
 
+    - _FORMS, the exhaustive walk of exact data under the exact backend,
+      on integer-form tuples.  join and meet are core's _int_cross, so
+      they give the form core's join and meet give the elements and
+      raise the same error classes; eq is projective equality; and
+      built_on holds, since (p x q).p = 0 over the integers.  Every
+      test is the exact backend's.
+    - _float_lane(backend), the exhaustive walk of all-float data under
+      the float backend, on the elements' float triples.  join and meet
+      are core's _float_cross, so they give the triple core's join and
+      meet give and raise where they raise; eq is == on elements
+      without an integer form; built_on and dependent are the backend's
+      tests.  Every test is the one the object lane makes on the same
+      data.
+    - _object_lane(backend), on Point and Line objects: every reduction
+      along one order, and the exhaustive walk of any other data (mixed
+      data, ring elements, exact data under the float backend and float
+      data under the exact backend).
 
-class _ObjectLane:
-    """The lane over Point and Line objects under a backend: every
-    reduction along one order, and the exhaustive walk of the data no
-    other lane takes: mixed data, ring elements, exact data under the
-    float backend and float data under the exact backend.
-
-    join and meet go through the walk's memo, so a later call on the
-    same operand objects returns the object made the first time.  Keys
-    are the operands' ids.  Each entry holds its operands, so no id is
-    reused while the memo lives; and join's operands are points and
-    meet's are lines, so their keys never collide.  Both are pure
-    functions of immutable operands, so the shared object is the one a
-    fresh call would make.  A build that raises stores nothing, and a
-    later call raises again.
+    An exhaustive walk runs the last two through _memoized.  In every
+    lane the trace is the reported order reduced again on objects, with
+    no memo.
     """
 
-    __slots__ = ("backend", "_memo")
-    eq = staticmethod(operator.eq)
+    join: Callable
+    meet: Callable
+    eq: Callable
+    built_on: Callable
+    dependent: Callable
 
-    def __init__(self, backend: Backend) -> None:
-        self.backend = backend
-        self._memo: dict = {}
 
-    # join and meet are written out, not shared through a helper: they
-    # run on every construction of a walk on objects, and a helper
-    # would add a call to each
+def _built_on_integers(line: tuple, point: tuple) -> bool:
+    return True
 
-    def join(self, p: Point, q: Point) -> Line:
-        key = (id(p), id(q))
-        entry = self._memo.get(key)
+
+_FORMS = _Lane(
+    partial(_int_cross, CoincidentPoints),
+    partial(_int_cross, CoincidentLines),
+    _proportional,
+    _built_on_integers,
+    EXACT.dependent,
+)
+
+
+def _float_lane(backend: FloatBackend) -> _Lane:
+    return _Lane(
+        partial(_float_cross, CoincidentPoints),
+        partial(_float_cross, CoincidentLines),
+        _proportional,
+        backend.incident,
+        backend.dependent,
+    )
+
+
+def _built_on_objects(backend: Backend, line: Line, point: Point) -> bool:
+    # (p x q).p = 0 in any commutative ring, so the test is skipped
+    # where incident would run on integer forms; on float coordinates
+    # rounding may break it, and under the exact backend the test is
+    # what rejects such data
+    on_forms = line._form is not None and point._form is not None
+    return (on_forms and backend.kind == "exact") or incident(line, point, backend)
+
+
+def _object_lane(backend: Backend) -> _Lane:
+    # join and meet are read when the lane is built, so a caller that
+    # replaced this module's join or meet (the benchmark's tracer) sees
+    # every call
+    return _Lane(
+        join,
+        meet,
+        operator.eq,
+        partial(_built_on_objects, backend),
+        partial(collinear, backend=backend),
+    )
+
+
+def _memo(build: Callable) -> Callable:
+    # build, a pure function of two immutable operands, through a memo
+    # keyed by the operands' ids: each entry holds its operands, so no
+    # id is reused while the memo lives, and a build that raises stores
+    # nothing, so a later call raises again
+    memo: dict = {}
+
+    def memoized(a, b):
+        key = (id(a), id(b))
+        entry = memo.get(key)
         if entry is None:
-            entry = self._memo[key] = join(p, q), p, q
+            entry = memo[key] = build(a, b), a, b
         return entry[0]
 
-    def meet(self, l: Line, m: Line) -> Point:
-        key = (id(l), id(m))
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = meet(l, m), l, m
-        return entry[0]
-
-    def built_on(self, line: Line, point: Point) -> bool:
-        """Whether the point a step built on the line, or the line it
-        built through the point, is incident with it.
-
-        (p x q).p = 0 in any commutative ring, so the test is skipped
-        where incident would run on integer forms; on float coordinates
-        rounding may break it, and under the exact backend the test is
-        what rejects such data.
-        """
-        backend = self.backend
-        on_forms = line._form is not None and point._form is not None
-        return (on_forms and backend.kind == "exact") or incident(line, point, backend)
-
-    def dependent(self, p, q, r) -> bool:
-        return collinear(p, q, r, self.backend)
+    return memoized
 
 
-def _primitive_cross(error: type, a: tuple, b: tuple) -> tuple[int, int, int]:
-    # core's join and meet on integer forms: the cross product divided
-    # by its gcd, which is positive unless the operands are proportional
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    g = gcd(x, y, z)
-    if not g:
-        raise error(f"{a} and {b} are proportional")
-    if g > 1:
-        return x // g, y // g, z // g
-    return x, y, z
-
-
-class _FormLane:
-    """The lane of the exhaustive walk of exact data under the exact
-    backend, over integer-form tuples.
-
-    join and meet give the integer form core's join and meet would give
-    the elements, and raise CoincidentPoints and CoincidentLines as they
-    do; eq is projective equality; and an incidence a step built holds
-    over the integers.  Every test is then the exact backend's.
-    """
-
-    __slots__ = ()
-    join = staticmethod(partial(_primitive_cross, CoincidentPoints))
-    meet = staticmethod(partial(_primitive_cross, CoincidentLines))
-    eq = staticmethod(_proportional)
-
-    @staticmethod
-    def built_on(line: tuple, point: tuple) -> bool:
-        return True
-
-    dependent = staticmethod(EXACT.dependent)
-
-
-_FORMS = _FormLane()
-
-
-def _float_cross(error: type, a: tuple, b: tuple) -> tuple:
-    # core's join and meet on all-float triples: the cross product,
-    # normalized as _built normalizes it
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    if x == 0 and y == 0 and z == 0:
-        raise error(f"{a} and {b} are proportional")
-    return _max_normalized(x, y, z)
-
-
-class _FloatLane:
-    """The lane of the exhaustive walk of all-float data under the float
-    backend, over the elements' float triples.
-
-    join and meet give the triple core's join and meet would give the
-    elements, and raise CoincidentPoints and CoincidentLines where they
-    do; eq is == on elements without an integer form; built_on and
-    dependent are the backend's incidence and dependence tests.  So
-    every test is the one the object lane makes on the same data.
-
-    The memo is _ObjectLane's, over the triples: an entry holds its
-    operands, so no id is reused while the walk lives.  join and meet
-    are one cross product, so a key they shared would give the same
-    triple.
-    """
-
-    __slots__ = ("built_on", "dependent", "_memo")
-    eq = staticmethod(_proportional)
-
-    def __init__(self, backend: FloatBackend) -> None:
-        self.built_on = backend.incident
-        self.dependent = backend.dependent
-        self._memo: dict = {}
-
-    def join(self, p: tuple, q: tuple) -> tuple:
-        key = (id(p), id(q))
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = _float_cross(CoincidentPoints, p, q), p, q
-        return entry[0]
-
-    def meet(self, l: tuple, m: tuple) -> tuple:
-        key = (id(l), id(m))
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = _float_cross(CoincidentLines, l, m), l, m
-        return entry[0]
+def _memoized(lane: _Lane) -> _Lane:
+    """The lane with join and meet through a memo, so a later call on
+    the same operands returns the element made the first time."""
+    return lane._replace(join=_memo(lane.join), meet=_memo(lane.meet))
 
 
 def _ceva_step(A: tuple, g: tuple, i: int, lane):
@@ -383,12 +328,8 @@ class _Gon:
     item tuples, not on a gon: _step(A, items, i, lane) returns the
     reduced tuples and a plain record (index, vertex, line, point) of
     what it made; it checks only the slots it creates, and joins, meets
-    and tests through its lane.  One body serves every lane: objects
-    (_ObjectLane, with its memo) and, in the exhaustive walk of exact
-    data under the exact backend or all-float data under the float
-    backend, integer forms (_FormLane) or float triples (_FloatLane).
-    In each, the trace is the reported order reduced on objects.  A gon
-    and a ReductionStep are built only where a caller sees them.
+    and tests through its lane (see _Lane).  A gon and a ReductionStep
+    are built only where a caller sees them.
     """
 
     kind: ClassVar[str]
@@ -499,10 +440,14 @@ def reduce_step(gon: CevaGon | MenelaosGon, i: int) -> CevaGon | MenelaosGon:
     Every vertex, cevian and cut the step does not touch carries over.
     Only the slots the step creates are validated, in the data's lane,
     since everything else was already validated in the input gon; a
-    degenerate result raises DegenerateStep.
+    degenerate result raises DegenerateStep.  An index that is not an
+    int (a bool, a float, a string) raises ValueError.
     """
+    # type, not isinstance: a bool is an int, but not a step index
+    if type(i) is not int:
+        raise ValueError(f"step index must be an integer, got {i!r}")
     cls = type(gon)
-    lane = _ObjectLane(_backend_of(*gon.vertices, *gon.items))
+    lane = _object_lane(_backend_of(*gon.vertices, *gon.items))
     return _trusted(cls, *cls._step(gon.vertices, gon.items, i, lane)[:2])
 
 
@@ -746,18 +691,11 @@ def _first_order(
 
 
 def _run_reduction(
-    gon: CevaGon | MenelaosGon,
-    indices: Sequence[int],
-    backend: Backend,
-    lane: _ObjectLane | None = None,
+    gon: CevaGon | MenelaosGon, indices: Sequence[int], backend: Backend
 ) -> tuple[bool, ReductionTrace]:
-    """Reduce the gon to a triangle along one order, on objects.
-
-    The steps run on lane, a fresh _ObjectLane under the backend by
-    default; an exhaustive check that walked objects passes the walk's
-    lane, so the steps reuse its joins and meets, and one that walked
-    forms or float triples passes none.  A DegenerateStep carries the
-    trace prefix of the steps that succeeded.
+    """Reduce the gon to a triangle along one order, on objects under
+    the backend.  A DegenerateStep carries the trace prefix of the
+    steps that succeeded.
     """
     n = gon.n
     if len(indices) != n - 3:
@@ -766,8 +704,7 @@ def _run_reduction(
             f"got {len(indices)} indices"
         )
     cls = type(gon)
-    if lane is None:
-        lane = _ObjectLane(backend)
+    lane = _object_lane(backend)
     A, items = gon.vertices, gon.items
     steps: list[ReductionStep] = []
     for idx in indices:
@@ -818,7 +755,6 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     objs = (*gon.vertices, *gon.items)
     be = backend or _backend_of(*objs)
     indices = _resolve_order(gon, order)
-    lane = None  # the reduction's: a fresh one unless the walk ran on objects
     if indices is None:
         # an n-gon has n!/6 orders; the walk steps once per set of removed
         # slots (4,016 at n = 12), at most sum C(n, k) (n - k) times (23,772)
@@ -829,15 +765,16 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
         elif be.kind == "float" and all(
             type(c) is float for o in objs for c in o.triple
         ):
-            found = _first_order(gon, *_read(gon, "triple"), _FloatLane(be))
+            lane = _memoized(_float_lane(be))
+            found = _first_order(gon, *_read(gon, "triple"), lane)
         else:
-            lane = _ObjectLane(be)
+            lane = _memoized(_object_lane(be))
             found = _first_order(gon, gon.vertices, gon.items, lane)
         # None when every order degenerates: the first order, (1, ..., 1),
         # is the walk's first descent, so it raises the walk's first
         # DegenerateStep, with its trace prefix
         indices = found or (1,) * (gon.n - 3)
-    return _run_reduction(gon, indices, be, lane)
+    return _run_reduction(gon, indices, be)
 
 
 def is_pseudo_concurrent(
@@ -855,11 +792,8 @@ def is_pseudo_concurrent(
     Before each step it skips the reduced gon, triangle or not, whose
     set of removed slots it has walked, since such gons are
     projectively equal (up to rounding on float data): orders that
-    remove the same slots are checked once.  On exact data under the
-    exact backend it walks the integer forms, on all-float data under
-    the float backend the float triples, and on any other data the
-    objects; the last two build each line and point of the walk once.
-    It finds the lexicographically first non-degenerate order, or
+    remove the same slots are checked once.  It finds the
+    lexicographically first non-degenerate order, or
     raises InconsistentOrders at the first order whose verdict differs
     from that one's; the trace is that order reduced on objects.  When
     every order degenerates it raises the DegenerateStep of the first
@@ -875,9 +809,9 @@ def is_pseudo_collinear(
 
     Accepts the same orders and backend as is_pseudo_concurrent, and
     "exhaustive" (n <= 12) likewise shares step prefixes between orders,
-    checks orders that remove the same slots once, walks in the same
-    lanes and returns the trace of the lexicographically first
-    non-degenerate order, reduced on objects.
+    checks orders that remove the same slots once and returns the trace
+    of the lexicographically first non-degenerate order, reduced on
+    objects.
     """
     return _pseudo_check(gon, order, backend)
 

@@ -13,9 +13,10 @@ from typing import Iterator
 
 import pytest
 
-from harmonica import reduction
+from harmonica import core, reduction
 from harmonica.core import (
     EXACT,
+    CoincidentLines,
     CoincidentPoints,
     DegenerateInput,
     ExactBackend,
@@ -506,6 +507,15 @@ class TestStepOracles:
         gon = ceva_gon_random(rng, 3)
         with pytest.raises(ValueError):
             reduce_step(gon, 1)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_step_index_must_be_an_int(self, index):
+        # True would reduce at index 1 and 1.0 fail to index a tuple
+        gon = ceva_gon_random(Random(17), 5)
+        message = f"step index must be an integer, got {index!r}"
+        with pytest.raises(ValueError) as info:
+            reduce_step(gon, index)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
     def test_reduce_step_matches_an_explicit_order_trace(self, kind):
@@ -1000,7 +1010,8 @@ def count_steps(monkeypatch, calls: Counter) -> None:
         def counted_step(A, items, i, lane, step=step):
             if lane is reduction._FORMS:
                 calls["form step"] += 1
-            elif isinstance(lane, reduction._FloatLane):
+            elif lane.eq is reduction._proportional:
+                # the float walk's lane, the other one on bare triples
                 calls["float step"] += 1
             else:
                 calls["step"] += 1
@@ -1078,20 +1089,28 @@ class TestPinnedWalks:
         operands = {"float join": {}, "float meet": {}}
         gon = floatify(forced_hexagon(theorem))
         cross = reduction._float_cross
+        first_order = reduction._first_order
 
         def counted_cross(error, a, b):
             calls["float " + ("join" if error is CoincidentPoints else "meet")] += 1
             return cross(error, a, b)
 
-        for name in ("join", "meet"):
-            build = getattr(reduction._FloatLane, name)
-
-            def recorded(lane, a, b, name="float " + name, build=build):
+        def recorded(name, build):
+            def wrapper(a, b):
                 # holding the operands keeps their ids theirs
                 operands[name][id(a), id(b)] = a, b
-                return build(lane, a, b)
+                return build(a, b)
 
-            monkeypatch.setattr(reduction._FloatLane, name, recorded)
+            return wrapper
+
+        def recorded_walk(gon, A, items, lane):
+            lane = lane._replace(
+                join=recorded("float join", lane.join),
+                meet=recorded("float meet", lane.meet),
+            )
+            return first_order(gon, A, items, lane)
+
+        monkeypatch.setattr(reduction, "_first_order", recorded_walk)
         monkeypatch.setattr(reduction, "_float_cross", counted_cross)
         monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
         monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
@@ -1138,7 +1157,7 @@ class TestPinnedWalks:
         # C(n, k) steps for k = 1, ..., n - 3: on integer forms (exact
         # data), on float triples (floatified data) or on objects (exact
         # data under the float backend); the reported order then takes
-        # n - 3 more on objects (on the walk's memo after an object walk)
+        # n - 3 more on objects
         steps = sum(comb(n, k) for k in range(1, n - 2))
         expected = {
             "forms": {"form step": steps, "step": n - 3},
@@ -1212,8 +1231,8 @@ def lanes_outcome(gon) -> tuple:
     error it raised."""
     be = float_backend()
     walks = (
-        (*reduction._read(gon, "triple"), reduction._FloatLane(be)),
-        (gon.vertices, gon.items, reduction._ObjectLane(be)),
+        (*reduction._read(gon, "triple"), reduction._memoized(reduction._float_lane(be))),
+        (gon.vertices, gon.items, reduction._memoized(reduction._object_lane(be))),
     )
     outcomes = []
     for A, items, lane in walks:
@@ -1276,17 +1295,152 @@ class TestFloatLane:
         # items scaled by 1e155: their joins or meets overflow, and the
         # normalization keeps a triple whose max-norm is not finite
         kept = []
-        normalized = reduction._max_normalized
+        normalized = core._max_normalized
 
         def recorded(x, y, z):
             if not isfinite(max(abs(x), abs(y), abs(z))):
                 kept.append((x, y, z))
             return normalized(x, y, z)
 
-        monkeypatch.setattr(reduction, "_max_normalized", recorded)
+        monkeypatch.setattr(core, "_max_normalized", recorded)
         gon = scaled(uniform_gon(Random(439), kind, 5, forced=True), 1.0, 1e155)
         lanes_outcome(gon)
         assert kept
+
+
+def lane_pools(rng: Random) -> dict[str, list[tuple]]:
+    """Seeded coordinate triples by number kind: ints with common
+    factors, negatives and w = 0; Fractions; mixes of ints, Fractions
+    and floats; and floats scaled from 1e-150 to 1e150."""
+
+    def small(k: int) -> int:
+        return rng.randint(-k, k)
+
+    ints = []
+    while len(ints) < 30:
+        t = (small(6), small(6), 0 if len(ints) % 5 == 0 else small(6))
+        if any(t):
+            factor = rng.choice([1, 1, 2, 3, -4, 6])
+            ints.append(tuple(v * factor for v in t))
+    fractions = []
+    while len(fractions) < 20:
+        t = tuple(Fraction(small(9), rng.randint(1, 7)) for _ in range(3))
+        if any(t):
+            fractions.append(t)
+    mixed = []
+    while len(mixed) < 20:
+        t = tuple(
+            rng.choice([small(5), Fraction(small(9), rng.randint(1, 7)), small(5) / 4])
+            for _ in range(3)
+        )
+        if any(t) and len({type(v) for v in t}) > 1:
+            mixed.append(t)
+    floats = [
+        tuple(rng.uniform(-1, 1) * scale for _ in range(3))
+        for scale in (1e-150, 1e-50, 1e-3, 1.0, 1e3, 1e50, 1e150)
+        for _ in range(4)
+    ]
+    return {"int": ints, "fraction": fractions, "mixed": mixed, "float": floats}
+
+
+def element_state(obj) -> tuple:
+    """An element's class, typed triple and integer form, with floats
+    compared by float.hex, so that the sign of a zero counts."""
+    triple = tuple(v.hex() if type(v) is float else (type(v), v) for v in obj.triple)
+    return type(obj), triple, obj._form
+
+
+def hexed(t: tuple) -> tuple:
+    return tuple(map(float.hex, t))
+
+
+class TestLaneConstructions:
+    """Each lane's join and meet give what core's join and meet give
+    the same elements, and raise the same error class where they raise;
+    so do the memoized lanes of the exhaustive walk."""
+
+    @staticmethod
+    def lanes() -> list:
+        be = float_backend()
+        return [
+            ("forms", reduction._FORMS),
+            ("float", reduction._float_lane(be)),
+            ("float", reduction._memoized(reduction._float_lane(be))),
+            ("objects", reduction._object_lane(EXACT)),
+            ("objects", reduction._object_lane(be)),
+            ("objects", reduction._memoized(reduction._object_lane(be))),
+        ]
+
+    @staticmethod
+    def operands(kind: str, a, b):
+        """What a lane of this kind reads of elements a and b, or None
+        if it takes no such data."""
+        if kind == "forms":
+            return None if a._form is None or b._form is None else (a._form, b._form)
+        if kind == "float":
+            floats = all(type(v) is float for v in a.triple + b.triple)
+            return (a.triple, b.triple) if floats else None
+        return a, b
+
+    @pytest.mark.parametrize(
+        "cls, name, error, message",
+        [
+            (Point, "join", CoincidentPoints, "join of equal points {}"),
+            (Line, "meet", CoincidentLines, "meet of equal lines {}"),
+        ],
+    )
+    def test_lanes_build_what_core_builds(self, cls, name, error, message):
+        rng = Random(443)
+        build = {"join": join, "meet": meet}[name]
+        lanes = self.lanes()
+        taken = Counter()
+        for pool_kind, pool in lane_pools(rng).items():
+            elements = [cls(*t) for t in pool]
+            # proportional copies, scaled by a factor that keeps the
+            # cross product exactly zero in every number kind
+            twins = [
+                cls(*(v * factor for v in e.triple))
+                for e, factor in zip(elements, [2, -4, Fraction(1, 8), -1] * 10)
+            ]
+            pairs = [(a, b) for a in elements for b in elements]
+            pairs += list(zip(elements, twins))
+            for a, b in pairs:
+                try:
+                    expected = build(a, b)
+                except error as exc:
+                    assert str(exc) == message.format(a)
+                    expected = None
+                for kind, lane in lanes:
+                    args = self.operands(kind, a, b)
+                    if args is None:
+                        continue
+                    taken[kind, pool_kind, expected is None] += 1
+                    made = getattr(lane, name)
+                    if expected is None:
+                        with pytest.raises(error):
+                            made(*args)
+                        # a memo stores nothing for a build that raised
+                        with pytest.raises(error):
+                            made(*args)
+                        continue
+                    got = made(*args)
+                    assert made(*args) == got
+                    if kind == "forms":
+                        assert got == expected._form
+                        assert all(type(v) is int for v in got)
+                    elif kind == "float":
+                        assert hexed(got) == hexed(expected.triple)
+                    else:
+                        assert element_state(got) == element_state(expected)
+        # every lane met its pools' data, and proportional operands
+        pools = {
+            "forms": ("int", "fraction"),
+            "float": ("float",),
+            "objects": ("int", "fraction", "mixed", "float"),
+        }
+        for kind, kinds in pools.items():
+            for pool_kind in kinds:
+                assert taken[kind, pool_kind, False] and taken[kind, pool_kind, True]
 
 
 class TestSlotSets:
