@@ -153,7 +153,8 @@ class _Lane(NamedTuple):
       data, ring elements, exact data under the float backend and float
       data under the exact backend).
 
-    An exhaustive walk runs the last two through _memoized.  In every
+    Only the exhaustive walk on objects runs through _memoized: the
+    other two walks join and meet bare tuples, with no memo.  In every
     lane the trace is the reported order reduced again on objects, with
     no memo.
     """
@@ -272,7 +273,7 @@ def _ceva_step(A: tuple, g: tuple, i: int, lane):
         new_gs = g[:i0] + (new_line,) + g[j0 + 1 :]
     # the slots that hold the new vertex, in the constructor's order;
     # the new cevian passes through the new vertex by construction
-    for s in sorted(((k - 1) % (m - 1), k)):
+    for s in (k - 1, k) if k else (0, m - 2):
         defect = _pair_defect(new_vs, s, lane.eq)
         if defect is None and s == k:
             defect = _cevian_defect(new_vs, new_gs, k, lane.built_on)
@@ -643,12 +644,12 @@ def _first_order(
     miss a disagreement that reducing each order on its own would meet.
     """
     step = type(gon)._step
-    ceva = step is _ceva_step
-    walked: set = set()
+    ceva = gon.kind == "ceva"  # by kind: a caller may wrap the step to count it
+    walked: set[int] = set()  # the keys of the reduced gons stepped to
     path: list[int] = []  # the step indices from gon down to the current gon
     first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
 
-    def walk(A: tuple, items: tuple, labels: tuple, m: int) -> None:
+    def walk(A: tuple, items: tuple, labels: tuple, mask: int, m: int) -> None:
         nonlocal first  # m is len(A)
         if m == 3:
             # collinear is concurrent: the cuts' or the cevians' test
@@ -662,17 +663,19 @@ def _first_order(
                 )
             return
         for idx in range(1, m + 1):
-            # the original slot of each position, kept beside the tuples:
-            # a Ceva step keeps its pair's first label (in front at the
-            # wrapped pair), a Menelaos step drops its vertex's; the key,
-            # the set of the labels left, is known before the step
+            # labels, kept beside the tuples, give each position's
+            # original slot, and mask has a bit for each; the key is the
+            # mask without gone, the label the step drops, so it is known
+            # before the step: a Menelaos step drops its vertex's label,
+            # a Ceva step its pair's second, labels[0] at the wrapped
+            # pair (m, 1), whose first label moves to the front
             if not ceva:
-                labels2 = labels[: idx - 1] + labels[idx:]
+                gone = labels[idx - 1]
             elif idx < m:
-                labels2 = labels[:idx] + labels[idx + 1 :]
+                gone = labels[idx]
             else:
-                labels2 = labels[-1:] + labels[1:-1]
-            key = frozenset(labels2)
+                gone = labels[0]
+            key = mask ^ (1 << gone)
             if key in walked:
                 continue
             try:
@@ -680,12 +683,18 @@ def _first_order(
             except DegenerateStep:
                 continue  # its key stays open: another path may reach it
             walked.add(key)
+            if not ceva:
+                labels2 = labels[: idx - 1] + labels[idx:]
+            elif idx < m:
+                labels2 = labels[:idx] + labels[idx + 1 :]
+            else:
+                labels2 = labels[-1:] + labels[1:-1]
             path.append(idx)
-            walk(A2, items2, labels2, m - 1)
+            walk(A2, items2, labels2, key, m - 1)
             path.pop()
 
     n = len(A)
-    walk(A, items, tuple(range(n)), n)
+    walk(A, items, tuple(range(n)), (1 << n) - 1, n)
     del walk  # it refers to itself: drop the cycle instead of leaving it to gc
     return None if first is None else first[1]
 
@@ -765,8 +774,7 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
         elif be.kind == "float" and all(
             type(c) is float for o in objs for c in o.triple
         ):
-            lane = _memoized(_float_lane(be))
-            found = _first_order(gon, *_read(gon, "triple"), lane)
+            found = _first_order(gon, *_read(gon, "triple"), _float_lane(be))
         else:
             lane = _memoized(_object_lane(be))
             found = _first_order(gon, gon.vertices, gon.items, lane)

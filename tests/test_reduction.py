@@ -1073,52 +1073,31 @@ class TestPinnedWalks:
 
     @pytest.mark.parametrize(
         "theorem, built, replay",
-        [("ceva-ngon", (66, 59), (9, 6)), ("menelaos-ngon", (36, 18), (6, 3))],
+        [("ceva-ngon", (123, 82), (9, 6)), ("menelaos-ngon", (82, 41), (6, 3))],
     )
-    def test_exhaustive_walk_builds_each_construction_once(
+    def test_exhaustive_float_walk_builds_each_step_afresh(
         self, monkeypatch, theorem, built, replay
     ):
         # an exhaustive walk of this floatified hexagon on its float
-        # triples joins and meets these counts of identity-distinct
-        # operand pairs, stepping to the 6, 15 and 20 gons of 5, 4 and
-        # 3 vertices that its sets of removed slots give, and with the
-        # memo builds each pair's cross product once; the reported order
-        # is then reduced on a fresh object lane, n - 3 steps of 3 joins
-        # and 2 meets (Ceva) or 2 joins and 1 meet (Menelaos)
+        # triples steps to the 6, 15 and 20 gons of 5, 4 and 3 vertices
+        # that its sets of removed slots give, 41 steps, and with no memo
+        # each step builds its own cross products: 3 joins and 2 meets
+        # (Ceva) or 2 joins and 1 meet (Menelaos); the reported order is
+        # then reduced on a fresh object lane, n - 3 steps of those
         calls = Counter()
-        operands = {"float join": {}, "float meet": {}}
         gon = floatify(forced_hexagon(theorem))
         cross = reduction._float_cross
-        first_order = reduction._first_order
 
         def counted_cross(error, a, b):
             calls["float " + ("join" if error is CoincidentPoints else "meet")] += 1
             return cross(error, a, b)
 
-        def recorded(name, build):
-            def wrapper(a, b):
-                # holding the operands keeps their ids theirs
-                operands[name][id(a), id(b)] = a, b
-                return build(a, b)
-
-            return wrapper
-
-        def recorded_walk(gon, A, items, lane):
-            lane = lane._replace(
-                join=recorded("float join", lane.join),
-                meet=recorded("float meet", lane.meet),
-            )
-            return first_order(gon, A, items, lane)
-
-        monkeypatch.setattr(reduction, "_first_order", recorded_walk)
         monkeypatch.setattr(reduction, "_float_cross", counted_cross)
         monkeypatch.setattr(reduction, "join", counted(calls, "join", join))
         monkeypatch.setattr(reduction, "meet", counted(calls, "meet", meet))
         verdict, _ = check_of(gon)(gon, order="exhaustive")
         assert verdict is True
-        builds = (calls["float join"], calls["float meet"])
-        distinct = (len(operands["float join"]), len(operands["float meet"]))
-        assert builds == distinct == built
+        assert (calls["float join"], calls["float meet"]) == built
         assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
@@ -1231,7 +1210,7 @@ def lanes_outcome(gon) -> tuple:
     error it raised."""
     be = float_backend()
     walks = (
-        (*reduction._read(gon, "triple"), reduction._memoized(reduction._float_lane(be))),
+        (*reduction._read(gon, "triple"), reduction._float_lane(be)),
         (gon.vertices, gon.items, reduction._memoized(reduction._object_lane(be))),
     )
     outcomes = []
@@ -1357,7 +1336,7 @@ def hexed(t: tuple) -> tuple:
 class TestLaneConstructions:
     """Each lane's join and meet give what core's join and meet give
     the same elements, and raise the same error class where they raise;
-    so do the memoized lanes of the exhaustive walk."""
+    so does the memoized object lane of the exhaustive walk."""
 
     @staticmethod
     def lanes() -> list:
@@ -1365,7 +1344,6 @@ class TestLaneConstructions:
         return [
             ("forms", reduction._FORMS),
             ("float", reduction._float_lane(be)),
-            ("float", reduction._memoized(reduction._float_lane(be))),
             ("objects", reduction._object_lane(EXACT)),
             ("objects", reduction._object_lane(be)),
             ("objects", reduction._memoized(reduction._object_lane(be))),
