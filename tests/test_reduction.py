@@ -1,6 +1,7 @@
 """Gon reduction: step rules, product formulas, order independence,
 traces, and the duality bridge."""
 
+import gc
 import hashlib
 import json
 import operator
@@ -736,8 +737,9 @@ class TestPseudoPredicates:
     @pytest.mark.parametrize("n", [9, 12])
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
     def test_exhaustive_walks_forced_gons_up_to_the_cap(self, theorem, n):
-        # the walk steps to each set of removed slots once, 465 steps
-        # at n = 9 and 4,016 at n = 12, in the exact and the float lane;
+        # each set of removed slots is stepped to once, 465 steps at
+        # n = 9 and 4,016 at n = 12, the first order's n - 3 on objects
+        # and the rest in the walk, in the exact and the float lane;
         # every order of a forced Ceva or Menelaos gon says True, and a
         # duality gon and its bridged dual agree; no first order
         # degenerates, so (1, ..., 1) is the one reported
@@ -1073,17 +1075,19 @@ class TestPinnedWalks:
 
     @pytest.mark.parametrize(
         "theorem, built, replay",
-        [("ceva-ngon", (123, 82), (9, 6)), ("menelaos-ngon", (82, 41), (6, 3))],
+        [("ceva-ngon", (114, 76), (9, 6)), ("menelaos-ngon", (76, 38), (6, 3))],
     )
     def test_exhaustive_float_walk_builds_each_step_afresh(
         self, monkeypatch, theorem, built, replay
     ):
-        # an exhaustive walk of this floatified hexagon on its float
-        # triples steps to the 6, 15 and 20 gons of 5, 4 and 3 vertices
-        # that its sets of removed slots give, 41 steps, and with no memo
-        # each step builds its own cross products: 3 joins and 2 meets
-        # (Ceva) or 2 joins and 1 meet (Menelaos); the reported order is
-        # then reduced on a fresh object lane, n - 3 steps of those
+        # the first order, (1, 1, 1), is reduced on objects, n - 3 steps,
+        # and is the trace; an exhaustive walk of this floatified hexagon
+        # on its float triples takes that order's reduced gons from it
+        # and steps to the rest of the 6, 15 and 20 gons of 5, 4 and 3
+        # vertices that its sets of removed slots give, 41 - 3 = 38
+        # steps, and with no memo each step builds its own cross
+        # products: 3 joins and 2 meets (Ceva) or 2 joins and 1 meet
+        # (Menelaos)
         calls = Counter()
         gon = floatify(forced_hexagon(theorem))
         cross = reduction._float_cross
@@ -1101,16 +1105,16 @@ class TestPinnedWalks:
         assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
-        "theorem, steps", [("ceva-ngon", 41), ("menelaos-ngon", 41)]
+        "theorem, steps", [("ceva-ngon", 38), ("menelaos-ngon", 38)]
     )
     def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
         # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
         # step to a reduced gon whose removed slots the walk has walked,
         # triangles included, is not taken, so it steps once to each of
         # the 6, 15 and 20 gons of 5, 4 and 3 vertices, 6 + 15 + 20 = 41
-        # steps on integer forms, and then n - 3 on objects along the
-        # reported order; a one-branch order takes one step per depth,
-        # on objects
+        # steps: n - 3 on objects along the first order, which is the
+        # trace, and the other 38 on integer forms; a one-branch order
+        # takes one step per depth, on objects
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
@@ -1133,11 +1137,11 @@ class TestPinnedWalks:
         # which k of the n slots went, and the walk keys reduced gons on
         # that set in every lane, triangles included, testing the key
         # before the step, so it steps once to each such gon, the sum of
-        # C(n, k) steps for k = 1, ..., n - 3: on integer forms (exact
-        # data), on float triples (floatified data) or on objects (exact
-        # data under the float backend); the reported order then takes
-        # n - 3 more on objects
-        steps = sum(comb(n, k) for k in range(1, n - 2))
+        # C(n, k) steps for k = 1, ..., n - 3: n - 3 on objects along the
+        # first order, which is the trace, and the rest on integer forms
+        # (exact data), on float triples (floatified data) or on objects
+        # (exact data under the float backend)
+        steps = sum(comb(n, k) for k in range(1, n - 2)) - (n - 3)
         expected = {
             "forms": {"form step": steps, "step": n - 3},
             "float": {"float step": steps, "step": n - 3},
@@ -1191,6 +1195,77 @@ class TestFormsWalk:
         # every order degenerates in some, orders disagree in others
         assert outcomes["trace"] and outcomes["DegenerateStep"]
         assert outcomes["InconsistentOrders"]
+
+
+class TestFirstOrderFallbacks:
+    """An exhaustive check reduces the first order, (1, ..., 1), on
+    objects before it walks, and the walk takes that reduction's gons
+    instead of stepping to them.  Where the first order degenerates, the
+    trace must be the reported order reduced alone, and where every
+    order degenerates, the error must be the first order's."""
+
+    @pytest.mark.parametrize("lane", ["forms", "float", "objects"])
+    def test_they_end_as_one_order_reduced_alone(self, monkeypatch, lane):
+        # the CI step's 1,000 small-integer gons, walked as exact data on
+        # integer forms, as floatified data on float triples, and as
+        # exact data under the float backend on objects; every step of
+        # the check is either in the walk's lane or on objects
+        backend = float_backend() if lane == "objects" else None
+        walk_step = {"forms": "form step", "float": "float step"}.get(lane, "step")
+        calls = Counter()
+        count_steps(monkeypatch, calls)
+        outcomes = Counter()
+        rng = Random(2200)
+        for i in range(1000):
+            kind = ("ceva", "menelaos")[i % 2]
+            gon = small_gon(rng, kind, rng.choice([4, 5, 6, 7]), False)
+            if lane == "float":
+                gon = floatify(gon)
+            check = check_of(gon)
+            first = walk_outcome(lambda: check(gon, order="first", backend=backend))
+            if first[0] != "DegenerateStep":
+                continue
+            calls.clear()
+            walked = walk_outcome(
+                lambda: check(gon, order="exhaustive", backend=backend)
+            )
+            assert set(calls) == {"step", walk_step}
+            outcomes[walked[0]] += 1
+            if walked[0] == "trace":
+                order = ReductionTrace.from_json_lines(walked[2]).indices
+                alone = walk_outcome(lambda: check(gon, order=order, backend=backend))
+                assert walked == alone
+            elif walked[0] == "DegenerateStep":
+                assert walked == first
+        # another order reduces in some, every order degenerates in others
+        assert outcomes["trace"] and outcomes["DegenerateStep"]
+
+    def test_checks_leave_no_reference_cycles(self):
+        # a walk that raises, or a first order's DegenerateStep kept for
+        # later, must not leave frames that refer to themselves to gc
+        rng = Random(2200)
+        gons = []
+        for i in range(300):
+            kind = ("ceva", "menelaos")[i % 2]
+            gons.append(small_gon(rng, kind, rng.choice([4, 5, 6, 7]), False))
+        outcomes = Counter()
+        gc.collect()
+        gc.disable()
+        try:
+            for gon in gons:
+                try:
+                    _, trace = check_of(gon)(gon, order="exhaustive")
+                    outcomes[trace.indices == (1,) * (gon.n - 3)] += 1
+                except (DegenerateStep, InconsistentOrders) as exc:
+                    outcomes[type(exc).__name__] += 1
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        # the first order is reported, another order is, orders disagree,
+        # and every order degenerates
+        assert outcomes[True] and outcomes[False]
+        assert outcomes["InconsistentOrders"] and outcomes["DegenerateStep"]
 
 
 def scaled(gon, vertex_scale: float, item_scale: float):
