@@ -185,7 +185,7 @@ class FloatBackend:
         return all(abs(v) <= bound for v in _cross(p, q))
 
 
-Backend = Union[ExactBackend, FloatBackend]
+Backend = ExactBackend | FloatBackend
 
 EXACT = ExactBackend()
 
@@ -464,11 +464,7 @@ class _Element:
         p, q = self._form, other._form
         if p is None or q is None:
             p, q = self.triple, other.triple
-        return (
-            p[0] * q[1] == p[1] * q[0]
-            and p[0] * q[2] == p[2] * q[0]
-            and p[1] * q[2] == p[2] * q[1]
-        )
+        return _proportional(p, q)
 
     def __repr__(self) -> str:
         return "%s(%s : %s : %s)" % (

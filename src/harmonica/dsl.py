@@ -248,7 +248,7 @@ class AssertProduct:
 
 
 # a Call at the top level is an assertion
-Statement = Union[Decl, GonDecl, Call, AssertPseudo, AssertProduct]
+Statement = Decl | GonDecl | Call | AssertPseudo | AssertProduct
 
 
 @dataclass(frozen=True)

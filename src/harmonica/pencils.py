@@ -576,16 +576,12 @@ def complete_fourth_line(
     g1: Line,
     g2: Line,
     g3: Line,
-    via: str = "diagonal",
     backend: Backend = EXACT,
 ) -> Line:
     """The unique line through A4 making the coincidence criterion hold.
 
-    via="diagonal" solves the diagonal ratio product for the missing
-    cut; via="crossing" intersects g1 with the carrier line through
-    the crossing of g2 and g3 and the first diagonal point.  Both
-    routes construct the same line.  The given lines' incidence and
-    the cut ratios are tested with the backend.
+    It solves the diagonal ratio product for the missing cut.  The given
+    lines' incidence and the cut ratios are tested with the backend.
     """
     A = tuple(vertices)
     if len(A) != 4:
@@ -594,17 +590,6 @@ def complete_fourth_line(
     for i in range(3):
         if not incident(g[i], A[i], backend):
             raise DegenerateInput(f"g{i + 1} does not pass through vertex {i + 1}")
-    if via == "crossing":
-        try:
-            a5 = meet(join(A[0], A[1]), join(A[2], A[3]))
-            crossing = meet(g2, g3)
-            carrier = join(a5, crossing)
-            target = meet(carrier, g1)
-            return join(A[3], target)
-        except (CoincidentLines, CoincidentPoints) as exc:
-            raise NoSolution(f"degenerate crossing construction: {exc}")
-    if via != "diagonal":
-        raise ValueError(f"unknown completion route {via!r}")
     diag24 = _join_distinct(A[1], A[3], "diagonal A2 A4")
     diag13 = _join_distinct(A[0], A[2], "diagonal A1 A3")
     if incident(diag13, A[3], backend):

@@ -154,10 +154,8 @@ class _Lane(NamedTuple):
       data, ring elements, exact data under the float backend and float
       data under the exact backend).
 
-    Only the exhaustive walk on objects runs through _memoized: the
-    other two walks join and meet bare tuples, with no memo.  In every
-    lane the trace is one order reduced on objects, with no memo: the
-    first order, (1, ..., 1), reduced before the walk, which reads that
+    In every lane the trace is one order reduced on objects: the first
+    order, (1, ..., 1), reduced before the walk, which reads that
     reduction's gons in its lane instead of stepping to them, or, if the
     walk reports another order, that order reduced after it.
     """
@@ -214,27 +212,14 @@ def _object_lane(backend: Backend) -> _Lane:
     )
 
 
-def _memo(build: Callable) -> Callable:
-    # build, a pure function of two immutable operands, through a memo
-    # keyed by the operands' ids: each entry holds its operands, so no
-    # id is reused while the memo lives, and a build that raises stores
-    # nothing, so a later call raises again
-    memo: dict = {}
-
-    def memoized(a, b):
-        key = (id(a), id(b))
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = build(a, b), a, b
-        return entry[0]
-
-    return memoized
-
-
-def _memoized(lane: _Lane) -> _Lane:
-    """The lane with join and meet through a memo, so a later call on
-    the same operands returns the element made the first time."""
-    return lane._replace(join=_memo(lane.join), meet=_memo(lane.meet))
+def _made(build: Callable, a, b, reason: str, i: int):
+    """build(a, b), a lane's join or meet in the step at index i, with
+    the coincidence that makes it raise given as DegenerateStep(reason,
+    i): the construction decides the coincidence, not a test before it."""
+    try:
+        return build(a, b)
+    except (CoincidentPoints, CoincidentLines):
+        raise DegenerateStep(reason, i)
 
 
 def _ceva_step(A: tuple, g: tuple, i: int, lane):
@@ -251,20 +236,17 @@ def _ceva_step(A: tuple, g: tuple, i: int, lane):
     prev, nxt = (i0 - 1) % m, (j0 + 1) % m
     side_in = lane.join(A[prev], A[i0])
     side_out = lane.join(A[j0], A[nxt])
-    try:
-        new_vertex = lane.meet(side_in, side_out)
-    except CoincidentLines:
-        raise DegenerateStep("outer sides of the chosen pair coincide", i)
-    try:
-        crossing = lane.meet(g[i0], g[j0])
-    except CoincidentLines:
-        raise DegenerateStep("the two removed cevians coincide", i)
-    try:
-        new_line = lane.join(new_vertex, crossing)
-    except CoincidentPoints:
-        raise DegenerateStep(
-            "new vertex equals the crossing of the removed cevians", i
-        )
+    new_vertex = _made(
+        lane.meet, side_in, side_out, "outer sides of the chosen pair coincide", i
+    )
+    crossing = _made(lane.meet, g[i0], g[j0], "the two removed cevians coincide", i)
+    new_line = _made(
+        lane.join,
+        new_vertex,
+        crossing,
+        "new vertex equals the crossing of the removed cevians",
+        i,
+    )
     if j0 == 0:
         # wrapped pair (m, 1): the replacement takes slot 1
         k = 0
@@ -296,16 +278,13 @@ def _menelaos_step(A: tuple, B: tuple, i: int, lane):
         raise ValueError(f"step index {i} out of range 1..{m}")
     i0 = i - 1
     prev, nxt = (i0 - 1) % m, (i0 + 1) % m
-    eq = lane.eq
-    if eq(A[prev], A[nxt]):
-        raise DegenerateStep("neighbors of the removed vertex coincide", i)
-    merged = lane.join(A[prev], A[nxt])
-    if eq(B[prev], B[i0]):
-        raise DegenerateStep("the two removed cuts coincide", i)
-    transversal = lane.join(B[prev], B[i0])
-    if eq(transversal, merged):
-        raise DegenerateStep("cut transversal equals the merged side", i)
-    new_point = lane.meet(merged, transversal)
+    merged = _made(
+        lane.join, A[prev], A[nxt], "neighbors of the removed vertex coincide", i
+    )
+    transversal = _made(lane.join, B[prev], B[i0], "the two removed cuts coincide", i)
+    new_point = _made(
+        lane.meet, merged, transversal, "cut transversal equals the merged side", i
+    )
     if i0 == 0:
         k = m - 2
         new_vs = A[1:]
@@ -316,7 +295,7 @@ def _menelaos_step(A: tuple, B: tuple, i: int, lane):
         new_bs = B[: i0 - 1] + (new_point,) + B[i0 + 1 :]
     # the merged side k already has distinct endpoints, and the new cut
     # is on it by construction
-    defect = _cut_defect(new_vs, new_bs, k, lane.built_on, eq, merged)
+    defect = _cut_defect(new_vs, new_bs, k, lane.built_on, lane.eq, merged)
     if defect:
         raise DegenerateStep(f"reduced gon is degenerate: {defect}", i)
     return new_vs, new_bs, (i, None, None, new_point)
@@ -484,12 +463,10 @@ def diagonal_ratio_product(
     n = len(A)
     cuts = []
     for i in range(n):
-        lo, hi = A[(i - 1) % n], A[(i + 1) % n]
-        if lo == hi:
-            raise UndefinedFoot(f"diagonal at vertex {i + 1} collapses")
-        diag = join(lo, hi)
         try:
-            cuts.append(meet(diag, g[i]))
+            cuts.append(meet(join(A[(i - 1) % n], A[(i + 1) % n]), g[i]))
+        except CoincidentPoints:
+            raise UndefinedFoot(f"diagonal at vertex {i + 1} collapses")
         except CoincidentLines:
             raise UndefinedFoot(f"line {i + 1} lies on its diagonal")
     terms = []
@@ -650,11 +627,13 @@ def _first_order(
     verdict that differs from the first one.  In every lane it skips,
     before stepping, any reduced gon, triangles included, whose removed
     slots it has walked: such gons are projectively equal (Lemma A of
-    ROADMAP.md, measured, not proved), so that subtree's verdicts and
-    degenerate steps would repeat the walked one's, later.  So it steps
-    once to each set of removed slots that a step reaches.  On float
-    data such gons are equal only up to rounding, so a float walk may
-    miss a disagreement that reducing each order on its own would meet.
+    ROADMAP.md, proved where the kept slots are in general position by
+    test_merging_three_arcs_is_associative in the ring tests), so that
+    subtree's verdicts and degenerate steps would repeat the walked
+    one's, later.  So it steps once to each set of removed slots that a
+    step reaches.  On float data such gons are equal only up to
+    rounding, so a float walk may miss a disagreement that reducing each
+    order on its own would meet.
     """
     step = type(gon)._step
     ceva = gon.kind == "ceva"  # by kind: a caller may wrap the step to count it
@@ -824,7 +803,7 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     elif be.kind == "float" and all(type(c) is float for o in objs for c in o.triple):
         lane, field = _float_lane(be), "triple"
     else:
-        lane, field = _memoized(_object_lane(be)), None
+        lane, field = _object_lane(be), None
     descent = [_read(reduced, field) for reduced in reached]
     found = _first_order(gon, *_read(gon, field), lane, descent)
     if found is None:

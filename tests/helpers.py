@@ -117,3 +117,13 @@ def affine_cross_ratio(a, b, c, d) -> Fraction:
     else:
         xa, xb, xc, xd = pa[0], pb[0], pc[0], pd[0]
     return ((xc - xa) * (xd - xb)) / ((xb - xc) * (xa - xd))
+
+
+def fourth_line_by_crossing(vertices, g1: Line, g2: Line, g3: Line) -> Line:
+    """The fourth cevian of a quadrilateral by the crossing route, a
+    reference for complete_fourth_line's diagonal route: the line from
+    vertex 4 to the cut of g1 with the line through the crossing of g2
+    and g3 and the meet of sides 1 and 3."""
+    A = vertices
+    a5 = meet(join(A[0], A[1]), join(A[2], A[3]))
+    return join(A[3], meet(join(a5, meet(g2, g3)), g1))

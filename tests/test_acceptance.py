@@ -69,6 +69,7 @@ from harmonica.render import render_scene
 from helpers import (
     distinct_points,
     apply_matrix,
+    fourth_line_by_crossing,
     points_in_general_position,
     random_line_through,
     random_matrix,
@@ -247,9 +248,7 @@ def test_criterion_04_quadrilateral_theorem():
             # uniqueness: both solving routes reproduce the shipped g4
             again = complete_fourth_line(config.vertices, *config.g[:3])
             assert again == config.g[3]
-            crossing = complete_fourth_line(
-                config.vertices, *config.g[:3], via="crossing"
-            )
+            crossing = fourth_line_by_crossing(config.vertices, *config.g[:3])
             assert crossing == config.g[3]
 
         rng = Random(44444)

@@ -1,6 +1,11 @@
 import copy
+import gc
+import importlib
 import math
 import pickle
+import pkgutil
+import sys
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
@@ -1187,3 +1192,42 @@ def test_ratio_kernel_float_backend_on_exact_data_tests_given_coordinates():
     ):
         with pytest.raises(error):
             call()
+
+
+def _harmonica_modules() -> list[str]:
+    return [n for n in sys.modules if n == "harmonica" or n.startswith("harmonica.")]
+
+
+def _fresh_import_classes() -> list:
+    """Weak references to every class of a fresh import of each of
+    harmonica's modules; no strong reference is left behind."""
+    for name in _harmonica_modules():
+        del sys.modules[name]
+    package = importlib.import_module("harmonica")
+    refs = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"harmonica.{info.name}")
+        refs += [
+            weakref.ref(obj)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+    return refs
+
+
+def test_importing_again_frees_the_earlier_import():
+    # nothing global (such as typing's cache of Union types) may keep
+    # an earlier import's classes, and with them its modules, alive:
+    # a process that imports harmonica afresh would hold every copy
+    saved = {name: sys.modules[name] for name in _harmonica_modules()}
+    try:
+        first = _fresh_import_classes()
+        assert len(first) > 50
+        _fresh_import_classes()
+        gc.collect()
+        alive = [ref().__qualname__ for ref in first if ref() is not None]
+        assert alive == []
+    finally:
+        for name in _harmonica_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -58,6 +58,7 @@ from harmonica.registry import run_trial
 
 from helpers import (
     distinct_points,
+    fourth_line_by_crossing,
     points_in_general_position,
     random_line_through,
     random_point,
@@ -512,8 +513,8 @@ class TestQuadrilateral:
                     random_line_through(rng, v[i], avoid=(sides[(i - 1) % 4], sides[i]))
                     for i in range(3)
                 ]
-                by_diagonal = complete_fourth_line(v, *g123, via="diagonal")
-                by_crossing = complete_fourth_line(v, *g123, via="crossing")
+                by_diagonal = complete_fourth_line(v, *g123)
+                by_crossing = fourth_line_by_crossing(v, *g123)
             except Exception:
                 continue
             done += 1

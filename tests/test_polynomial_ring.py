@@ -18,6 +18,7 @@ from harmonica.reduction import (
     MenelaosGon,
     is_pseudo_collinear,
     is_pseudo_concurrent,
+    reduce_step,
 )
 
 NVARS = 8
@@ -132,3 +133,138 @@ def test_free_quadrilateral_triples_are_identically_collinear():
     (a, b, c), (d, e, f) = triples[:2]
     assert not collinear(a, b, f)
     assert not collinear(d, e, c)
+
+
+# ---------------------------------------------------------------------------
+# Lemma A: orders that remove the same slots reduce a gon to one gon
+#
+# A Menelaos step removes a vertex and a Ceva step a side, and every
+# other slot carries over, so a reduced gon is fixed by its kept slots
+# (vertices, or sides) up to the item of each merged arc: the run of
+# original slots between two kept ones.  A step merges two adjacent
+# arcs into one.  Merging is a partial operation on adjacent arcs, as
+# composition is on the arrows of a category: if merging three adjacent
+# arcs gives one item in both bracketings, then, by the general
+# associative law, every bracketing of any run of arcs gives one item,
+# for every n, so every order that removes the same slots ends in the
+# same gon.  The tests below prove the three-arc case over generic
+# items: an arc's item is a point of the line joining its end vertices
+# (Menelaos) or a line through the meet of its end sides (Ceva), and
+# a + s*b is such a member for every s.  The frame takes any four kept
+# slots in general position, and rotating the labels puts the arcs
+# across the wrap of the slot list, where the steps place the merged
+# item differently.
+
+
+def cross(p: tuple, q: tuple) -> tuple:
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def identically_equal(a, b) -> bool:
+    """Whether two points or two lines are projectively equal for every
+    value of the variables: their cross product is the zero polynomial."""
+    return all(c == 0 for c in cross(a.triple, b.triple))
+
+
+def member(a, b, s):
+    """a + s*b: a point of the line through points a and b, or a line
+    through the meet of lines a and b."""
+    return type(a)(*(p + s * q for p, q in zip(a.triple, b.triple)))
+
+
+FRAME_LINES = tuple(Line(*p.triple) for p in FRAME)
+
+
+def lemma_a_gon(kind: str):
+    """A pentagon whose slots 0-3 are the frame (vertices, or sides for
+    Ceva) with a generic item on each arc."""
+    if kind == "menelaos":
+        v = gon_vertices(5)
+        cuts = tuple(member(v[k], v[(k + 1) % 5], X[2 + k]) for k in range(5))
+        return MenelaosGon(v, cuts)
+    sides = FRAME_LINES + (Line(X[0], X[1], 1),)
+    # vertex k is the meet of sides k - 1 and k, so side k joins
+    # vertices k and k + 1
+    v = tuple(meet(sides[k - 1], sides[k]) for k in range(5))
+    cevians = tuple(member(sides[k - 1], sides[k], X[2 + k]) for k in range(5))
+    return CevaGon(v, cevians)
+
+
+def removing(gon, labels: list, removed: tuple):
+    """The gon after one step for each label in removed, in turn:
+    labels[k] names slot k, the vertex k of a Menelaos gon, which a step
+    at k + 1 removes, or the side k of a Ceva gon, which a step at k + 1
+    removes by collapsing its two vertices."""
+    labels = list(labels)
+    for label in removed:
+        k = labels.index(label)
+        gon = reduce_step(gon, k + 1)
+        del labels[k]
+    return gon
+
+
+@pytest.mark.parametrize("rotation", range(5))
+@pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+def test_merging_three_arcs_is_associative(kind, rotation):
+    # removing slot 1 then slot 2 merges the arcs (01, 12) first and
+    # then (02, 23); removing slot 2 first merges (12, 23), then (01, 13)
+    gon = lemma_a_gon(kind)
+    r = rotation
+    v, items = gon.vertices, gon.items
+    rotated = type(gon)(v[r:] + v[:r], items[r:] + items[:r])
+    labels = list(range(r, 5)) + list(range(r))
+    first = removing(rotated, labels, (1, 2))
+    second = removing(rotated, labels, (2, 1))
+    pairs = list(zip(first.vertices + first.items, second.vertices + second.items))
+    assert len(pairs) == 6
+    assert all(identically_equal(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+def test_a_wrong_merged_side_breaks_the_identity(kind):
+    # negative control: the last merge of the second bracketing made
+    # with the side of slots 0 and 2 (Menelaos; the vertex of sides 0
+    # and 2 for Ceva) instead of that of slots 0 and 3
+    gon = lemma_a_gon(kind)
+    first = removing(gon, list(range(5)), (1, 2))
+    halfway = removing(gon, list(range(5)), (2,))
+    if kind == "menelaos":
+        v, x, q = gon.vertices, halfway.items[0], halfway.items[1]
+        wrong = meet(join(v[0], v[2]), join(x, q))
+        right = first.items[0]
+    else:
+        s = FRAME_LINES
+        g, q = halfway.items[1], halfway.items[2]
+        wrong = join(meet(s[0], s[2]), meet(g, q))
+        right = first.items[1]
+    assert not identically_equal(wrong, right)
+
+
+def ratio(a: Point, d: Point, b: Point) -> tuple:
+    """The signed ratio ad/db of collinear points a, d, b, as a
+    numerator and a denominator: for d = alpha*a + beta*b it is
+    beta*b_w / (alpha*a_w), and alpha and beta are in proportion as
+    the w-components of d x b and a x d wherever that of a x b is not
+    zero, as for generic points."""
+    ta, td, tb = a.triple, d.triple, b.triple
+    return cross(ta, td)[2] * tb[2], cross(td, tb)[2] * ta[2]
+
+
+def test_a_menelaos_merge_keeps_the_ratio_of_its_arc():
+    # Menelaos on the triangle a, b, c with the transversal through x
+    # and y: the cut P that removing b puts on side ac has
+    # r(a, P, c) = -r(a, x, b) * r(b, y, c), so by induction an arc of
+    # k sides has (-1)^(k - 1) times the product of its sides' ratios
+    a, b, c = (generic_point(k) for k in range(3))
+    x, y = member(a, b, X[6]), member(b, c, X[7])
+    d = Point(0, 0, 1)
+    gon = MenelaosGon((a, b, c, d), (x, y, member(c, d, 2), member(d, a, 2)))
+    p = reduce_step(gon, 2).side_points[0]
+    (ap, pc), (ax, xb), (by, yc) = ratio(a, p, c), ratio(a, x, b), ratio(b, y, c)
+    assert ap * xb * yc + pc * ax * by == 0
+    # negative control: the identity without its sign
+    assert ap * xb * yc - pc * ax * by != 0

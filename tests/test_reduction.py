@@ -25,6 +25,7 @@ from harmonica.core import (
     GeometryError,
     Line,
     Point,
+    UndefinedFoot,
     collinear,
     concurrent,
     float_backend,
@@ -536,6 +537,103 @@ class TestStepOracles:
             for made in (step.vertex, step.line, step.point):
                 assert made is None or made.to_json() in held
         assert current.to_json() == trace.final.to_json()
+
+
+# Hand-built gons, one for each coincidence that makes a step's join or
+# meet fail: the step index and the reason the step must give.
+STEP_DEGENERACIES = [
+    # all four vertices on y = 0: both outer sides of pair (2, 3) are it
+    (
+        CevaGon(
+            (P(0, 0), P(1, 0), P(2, 0), P(3, 0)),
+            (L(1, 0, 0), L(1, 0, -1), L(1, 0, -2), L(1, 0, -3)),
+        ),
+        2,
+        "outer sides of the chosen pair coincide",
+    ),
+    # cevians 1 and 2 are both the side y = 0
+    (
+        CevaGon(
+            (P(0, 0), P(2, 0), P(2, 2), P(0, 2)),
+            (L(0, 1, 0), L(0, 1, 0), L(1, -1, 0), L(1, 1, -2)),
+        ),
+        1,
+        "the two removed cevians coincide",
+    ),
+    # the outer sides x = 0 and 2x + y = 4 of pair (1, 2) meet at (0, 4),
+    # where cevians 1 and 2 cross
+    (
+        CevaGon(
+            (P(0, 0), P(2, 0), P(1, 2), P(0, 2)),
+            (L(1, 0, 0), L(2, 1, -4), L(1, -1, 1), L(1, 1, -2)),
+        ),
+        1,
+        "new vertex equals the crossing of the removed cevians",
+    ),
+    # vertices 1 and 3, the neighbours of vertex 2, coincide
+    (
+        MenelaosGon(
+            (P(0, 0), P(2, 0), P(0, 0), P(0, 2)),
+            (P(1, 0), P(3, 0), P(0, 1), P(0, 3)),
+        ),
+        2,
+        "neighbors of the removed vertex coincide",
+    ),
+    # vertices 1, 2, 3 on y = 0, and cuts 1 and 2 both at (3, 0)
+    (
+        MenelaosGon(
+            (P(0, 0), P(1, 0), P(2, 0), P(1, 2)),
+            (P(3, 0), P(3, 0), P(Fraction(3, 2), 1), P(Fraction(1, 2), 1)),
+        ),
+        2,
+        "the two removed cuts coincide",
+    ),
+    # vertices 1, 2, 3 and cuts 1, 2 on y = 0
+    (
+        MenelaosGon(
+            (P(0, 0), P(1, 0), P(2, 0), P(1, 2)),
+            (P(3, 0), P(-1, 0), P(Fraction(3, 2), 1), P(Fraction(1, 2), 1)),
+        ),
+        2,
+        "cut transversal equals the merged side",
+    ),
+]
+
+
+class TestStepDegeneracies:
+    """Each reason a step gives for a coincidence its join or meet meets,
+    with its index, in every lane: on integer forms, on float triples,
+    and on objects of both number kinds."""
+
+    @pytest.mark.parametrize("gon, i, reason", STEP_DEGENERACIES)
+    def test_every_lane_gives_the_reason(self, gon, i, reason):
+        floats = floatify(gon)
+        step = type(gon)._step
+        runs = [
+            lambda: step(*reduction._read(gon, "_form"), i, reduction._FORMS),
+            lambda: step(
+                *reduction._read(floats, "triple"),
+                i,
+                reduction._float_lane(float_backend()),
+            ),
+            lambda: reduce_step(gon, i),
+            lambda: reduce_step(floats, i),
+        ]
+        for run in runs:
+            with pytest.raises(DegenerateStep) as info:
+                run()
+            assert (str(info.value), info.value.index) == (reason, i)
+
+    def test_a_collapsed_diagonal_leaves_no_product(self):
+        # vertices 1 and 3, the ends of the diagonal at vertex 2, coincide
+        gon = CevaGon(
+            (P(0, 0), P(2, 0), P(0, 0), P(0, 2)),
+            (L(1, -1, 0), L(1, 0, -2), L(1, 1, 0), L(0, 1, -2)),
+        )
+        for data, backend in ((gon, EXACT), (floatify(gon), float_backend())):
+            with pytest.raises(UndefinedFoot) as info:
+                ceva_product(data, backend)
+            assert str(info.value) == "diagonal at vertex 2 collapses"
 
 
 # ---------------------------------------------------------------------------
@@ -1286,7 +1384,7 @@ def lanes_outcome(gon) -> tuple:
     be = float_backend()
     walks = (
         (*reduction._read(gon, "triple"), reduction._float_lane(be)),
-        (gon.vertices, gon.items, reduction._memoized(reduction._object_lane(be))),
+        (gon.vertices, gon.items, reduction._object_lane(be)),
     )
     outcomes = []
     for A, items, lane in walks:
@@ -1410,8 +1508,7 @@ def hexed(t: tuple) -> tuple:
 
 class TestLaneConstructions:
     """Each lane's join and meet give what core's join and meet give
-    the same elements, and raise the same error class where they raise;
-    so does the memoized object lane of the exhaustive walk."""
+    the same elements, and raise the same error class where they raise."""
 
     @staticmethod
     def lanes() -> list:
@@ -1421,7 +1518,6 @@ class TestLaneConstructions:
             ("float", reduction._float_lane(be)),
             ("objects", reduction._object_lane(EXACT)),
             ("objects", reduction._object_lane(be)),
-            ("objects", reduction._memoized(reduction._object_lane(be))),
         ]
 
     @staticmethod
@@ -1472,9 +1568,6 @@ class TestLaneConstructions:
                     if expected is None:
                         with pytest.raises(error):
                             made(*args)
-                        # a memo stores nothing for a build that raised
-                        with pytest.raises(error):
-                            made(*args)
                         continue
                     got = made(*args)
                     assert made(*args) == got
@@ -1501,7 +1594,9 @@ class TestSlotSets:
     slots it has walked.  every_slot_set reduces each order on its own
     with the same rule; on exact data it must also end as every_order
     does, since gons with the same removed slots are projectively equal
-    (Lemma A of ROADMAP.md, measured here, not proved)."""
+    (Lemma A of ROADMAP.md, which test_merging_three_arcs_is_associative
+    in test_polynomial_ring.py proves where the kept slots are in general
+    position; measured here on gons where they need not be)."""
 
     @staticmethod
     def drawn_gons() -> tuple[list, list]:
