@@ -262,9 +262,23 @@ def _float_cross(error: type, a: tuple, b: tuple) -> tuple[float, float, float]:
     a1, a2, a3 = a
     b1, b2, b3 = b
     x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    if x == 0 and y == 0 and z == 0:
+    if _coincident(a, b, x, y, z):
         raise error(f"{a} and {b} are proportional")
     return _max_normalized(x, y, z)
+
+
+def _coincident(a: tuple, b: tuple, x, y, z) -> bool:
+    """Whether triples a and b, whose cross product is (x, y, z), are
+    proportional, as _proportional and so == decide.  Each component of
+    a proportional pair's cross product is 0, or NaN where two equal
+    float products overflowed to one infinity (inf - inf), so a zero
+    cross product alone would join such a pair into a NaN line."""
+    return (
+        (x == 0 or x != x)
+        and (y == 0 or y != y)
+        and (z == 0 or z != z)
+        and _proportional(a, b)
+    )
 
 
 def _built(cls, t: tuple[Scalar, Scalar, Scalar]):
@@ -574,7 +588,7 @@ def _crossed(cls, error: type, a: _Element, b: _Element):
     if type(a1) is type(a2) is type(a3) is type(b1) is type(b2) is type(b3) is float:
         return _with_form(cls, _float_cross(error, ta, tb), None)
     t = _cross(ta, tb)
-    if t[0] == 0 and t[1] == 0 and t[2] == 0:
+    if _coincident(ta, tb, *t):
         raise error
     return _built(cls, t)
 

@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from harmonica.core import Line, Point, collinear, join, meet
+from harmonica.core import Line, Point, _cross, collinear, join, meet
 from harmonica.pencils import QuadrilateralConfig, free_quadrilateral_triples
 from harmonica.reduction import (
     CevaGon,
@@ -156,18 +156,10 @@ def test_free_quadrilateral_triples_are_identically_collinear():
 # item differently.
 
 
-def cross(p: tuple, q: tuple) -> tuple:
-    return (
-        p[1] * q[2] - p[2] * q[1],
-        p[2] * q[0] - p[0] * q[2],
-        p[0] * q[1] - p[1] * q[0],
-    )
-
-
 def identically_equal(a, b) -> bool:
     """Whether two points or two lines are projectively equal for every
     value of the variables: their cross product is the zero polynomial."""
-    return all(c == 0 for c in cross(a.triple, b.triple))
+    return all(c == 0 for c in _cross(a.triple, b.triple))
 
 
 def member(a, b, s):
@@ -251,7 +243,7 @@ def ratio(a: Point, d: Point, b: Point) -> tuple:
     the w-components of d x b and a x d wherever that of a x b is not
     zero, as for generic points."""
     ta, td, tb = a.triple, d.triple, b.triple
-    return cross(ta, td)[2] * tb[2], cross(td, tb)[2] * ta[2]
+    return _cross(ta, td)[2] * tb[2], _cross(td, tb)[2] * ta[2]
 
 
 def test_a_menelaos_merge_keeps_the_ratio_of_its_arc():

@@ -600,6 +600,50 @@ STEP_DEGENERACIES = [
 ]
 
 
+def F(x, y, w=1.0):
+    return Point(float(x), float(y), float(w))
+
+
+# The coincidences between given elements once more, moved by (1, 1), on
+# float data whose coinciding pair is given by triples scaled by 1e300
+# and 2e300: == calls the two equal, but their cross product's products
+# overflow, so its components are NaN (inf - inf) where they would be 0.
+# A coincidence between built elements has no such case: the float
+# lanes normalize what they build.
+BIG, BIGGER = 1e300, 2e300
+OVERFLOWING_DEGENERACIES = [
+    (
+        CevaGon(
+            (F(1, 1), F(3, 1), F(3, 3), F(1, 3)),
+            (
+                Line(0.0, BIG, -BIG),
+                Line(0.0, BIGGER, -BIGGER),
+                Line(1.0, -1.0, 0.0),
+                Line(1.0, 1.0, -4.0),
+            ),
+        ),
+        1,
+        "the two removed cevians coincide",
+    ),
+    (
+        MenelaosGon(
+            (F(BIG, BIG, BIG), F(3, 1), F(BIGGER, BIGGER, BIGGER), F(1, 3)),
+            (F(2, 1), F(4, 1), F(1, 2), F(1, 4)),
+        ),
+        2,
+        "neighbors of the removed vertex coincide",
+    ),
+    (
+        MenelaosGon(
+            (F(1, 1), F(2, 1), F(3, 1), F(2, 3)),
+            (F(4 * BIG, BIG, BIG), F(4 * BIGGER, BIGGER, BIGGER), F(2.5, 2), F(1.5, 2)),
+        ),
+        2,
+        "the two removed cuts coincide",
+    ),
+]
+
+
 class TestStepDegeneracies:
     """Each reason a step gives for a coincidence its join or meet meets,
     with its index, in every lane: on integer forms, on float triples,
@@ -624,13 +668,44 @@ class TestStepDegeneracies:
                 run()
             assert (str(info.value), info.value.index) == (reason, i)
 
+    @pytest.mark.parametrize("gon, i, reason", OVERFLOWING_DEGENERACIES)
+    def test_overflowing_products_give_the_reason(self, gon, i, reason):
+        step = type(gon)._step
+        runs = [
+            lambda: step(
+                *reduction._read(gon, "triple"),
+                i,
+                reduction._float_lane(float_backend()),
+            ),
+            lambda: reduce_step(gon, i),
+        ]
+        for run in runs:
+            with pytest.raises(DegenerateStep) as info:
+                run()
+            assert (str(info.value), info.value.index) == (reason, i)
+
     def test_a_collapsed_diagonal_leaves_no_product(self):
-        # vertices 1 and 3, the ends of the diagonal at vertex 2, coincide
+        # vertices 1 and 3, the ends of the diagonal at vertex 2, coincide;
+        # the last gon moves this one by (1, 1) and gives the two by
+        # triples whose cross product overflows
         gon = CevaGon(
             (P(0, 0), P(2, 0), P(0, 0), P(0, 2)),
             (L(1, -1, 0), L(1, 0, -2), L(1, 1, 0), L(0, 1, -2)),
         )
-        for data, backend in ((gon, EXACT), (floatify(gon), float_backend())):
+        far = CevaGon(
+            (F(BIG, BIG, BIG), F(3, 1), F(BIGGER, BIGGER, BIGGER), F(1, 3)),
+            (
+                Line(1.0, -1.0, 0.0),
+                Line(1.0, 0.0, -3.0),
+                Line(1.0, 1.0, -2.0),
+                Line(0.0, 1.0, -3.0),
+            ),
+        )
+        for data, backend in (
+            (gon, EXACT),
+            (floatify(gon), float_backend()),
+            (far, float_backend()),
+        ):
             with pytest.raises(UndefinedFoot) as info:
                 ceva_product(data, backend)
             assert str(info.value) == "diagonal at vertex 2 collapses"
