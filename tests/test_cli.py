@@ -435,6 +435,23 @@ class TestReduce:
         assert partial.steps == []
         assert partial.verdict is None
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("0,1", "step index 0 out of range 1..5"),
+            ("6,1", "step index 6 out of range 1..5"),
+            ("1,5", "step index 5 out of range 1..4"),
+        ],
+    )
+    def test_out_of_range_index_is_a_usage_error(self, capsys, order, message):
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "figure11.hgeo"
+        code, out, err = run(
+            capsys, "reduce", str(scene), "--mode", "ceva", "--order", order
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_scene_without_matching_assertion(self, capsys, scene_file):
         path = scene_file(PENTAGON_SCENE)
         code, _, err = run(capsys, "reduce", path, "--mode", "menelaos")

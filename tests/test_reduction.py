@@ -711,6 +711,59 @@ class TestStepDegeneracies:
             assert str(info.value) == "diagonal at vertex 2 collapses"
 
 
+def pentagon(kind: str):
+    if kind == "ceva":
+        return ceva_gon_concurrent(Random(73), 5)
+    return menelaos_gon_on_transversal(Random(79), 5)
+
+
+# an order of a pentagon with one index outside 1..m, m the size of the
+# gon it steps: 5, then 4
+OUT_OF_RANGE_ORDERS = [
+    ((0, 1), "step index 0 out of range 1..5"),
+    ((6, 1), "step index 6 out of range 1..5"),
+    ((1, 0), "step index 0 out of range 1..4"),
+    ((1, 5), "step index 5 out of range 1..4"),
+]
+
+
+class TestStepIndexRange:
+    """A step index below 1 or above the size of the gon it steps is a
+    ValueError, whether it comes from an explicit order, a single step
+    or a recorded trace."""
+
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    @pytest.mark.parametrize("order, message", OUT_OF_RANGE_ORDERS)
+    def test_explicit_orders(self, kind, order, message):
+        gon = pentagon(kind)
+        with pytest.raises(ValueError) as info:
+            check_of(gon)(gon, order=order)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    @pytest.mark.parametrize("i", [0, 6])
+    def test_reduce_step(self, kind, i):
+        with pytest.raises(ValueError) as info:
+            reduce_step(pentagon(kind), i)
+        assert str(info.value) == f"step index {i} out of range 1..5"
+
+    @pytest.mark.parametrize("kind", ["ceva", "menelaos"])
+    @pytest.mark.parametrize("order, message", OUT_OF_RANGE_ORDERS)
+    def test_replay_of_an_edited_trace(self, kind, order, message):
+        gon = pentagon(kind)
+        _, trace = check_of(gon)(gon, order="first")
+        lines = trace.to_json_lines().splitlines()
+        for row, index in enumerate(order, 1):
+            step = json.loads(lines[row])
+            step["index"] = index
+            lines[row] = json.dumps(step)
+        edited = ReductionTrace.from_json_lines("\n".join(lines))
+        assert edited.indices == order
+        with pytest.raises(ValueError) as info:
+            replay_trace(edited)
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # products
 
