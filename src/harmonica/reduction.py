@@ -18,12 +18,12 @@ on the vertex and item tuples, through a lane; _Lane says which lane
 takes which data.
 
 _run_reduction reduces a gon along one order on objects.  Exhaustive
-checking starts with it on the first order, (1, ..., 1).  Then one
-walk, _first_order, takes every step choice in the prefix tree,
-reduces each shared prefix once, takes the first order's reduced gons
-from that reduction and skips a reduced gon whose removed slots it has
-walked.  The trace a caller gets is the first order's reduction if the
-walk reports that order, else the reported order reduced on objects.
+checking first finds the order to report: one walk, _first_order,
+takes every step choice in the prefix tree, reduces each shared prefix
+once and skips a reduced gon whose removed slots it has walked.
+_run_reduction then reduces the reported order, and that is the trace
+a caller gets; a check that raises InconsistentOrders reduces no order
+on objects.
 
 Step indices throughout this module are 1-based and cyclic, matching
 the usual way polygon vertices are numbered.
@@ -154,10 +154,8 @@ class _Lane(NamedTuple):
       data, ring elements, exact data under the float backend and float
       data under the exact backend).
 
-    In every lane the trace is one order reduced on objects: the first
-    order, (1, ..., 1), reduced before the walk, which reads that
-    reduction's gons in its lane instead of stepping to them, or, if the
-    walk reports another order, that order reduced after it.
+    In every lane the trace is the reported order, reduced on objects
+    after the walk.
     """
 
     join: Callable
@@ -607,20 +605,10 @@ class ReductionTrace:
 
 
 def _first_order(
-    gon: CevaGon | MenelaosGon,
-    A: tuple,
-    items: tuple,
-    lane,
-    descent: Sequence | None = None,
+    gon: CevaGon | MenelaosGon, A: tuple, items: tuple, lane
 ) -> tuple[int, ...] | None:
     """The lexicographically first order that reduces the gon (A and
     items in the lane) to a triangle, or None if every order degenerates.
-
-    descent, if given, holds in the lane the vertex and item tuples of
-    the gons that the first order, (1, ..., 1), reduced the gon to, one
-    per step that succeeded: the walk takes them for its leftmost path
-    instead of stepping, and passes over the step at which that order
-    degenerated.
 
     The walk visits the orders of all_reduction_orders in turn, reducing
     each shared prefix once, and raises InconsistentOrders at the first
@@ -636,8 +624,6 @@ def _first_order(
     order on its own would meet.
     """
     step = type(gon)._step
-    ceva = gon.kind == "ceva"  # by kind: a caller may wrap the step to count it
-    n = len(A)
     walked: set[int] = set()  # the keys of the reduced gons stepped to
     path: list[int] = []  # the step indices from gon down to the current gon
     first: tuple[bool, tuple[int, ...]] | None = None  # verdict, order
@@ -655,70 +641,46 @@ def _first_order(
                 f"order {first[1]} gave {first[0]}"
             )
 
-    def walk(
-        A: tuple, items: tuple, labels: tuple, mask: int, m: int, left: bool
-    ) -> None:
-        # m is len(A), at least 4; left: path is all ones, so descent
-        # holds the gons the step at 1 makes from here on down
+    def walk(A: tuple, items: tuple, labels: tuple, mask: int, m: int) -> None:
+        # m is len(A), at least 4
         for idx in range(1, m + 1):
             # labels, kept beside the tuples, give each position's
-            # original slot, and mask has a bit for each; the key is the
-            # mask without gone, the label the step drops, so it is known
-            # before the step: a Menelaos step drops its vertex's label,
-            # a Ceva step its pair's second, labels[0] at the wrapped
-            # pair (m, 1), whose first label moves to the front
-            if not ceva:
-                gone = labels[idx - 1]
-            elif idx < m:
-                gone = labels[idx]
-            else:
-                gone = labels[0]
-            key = mask ^ (1 << gone)
+            # original slot, and mask has a bit for each: a Menelaos
+            # position's vertex, a Ceva position's side, from its vertex
+            # to the next; step idx removes position idx - 1 in both
+            # kinds, so the key is known before the step
+            key = mask ^ (1 << labels[idx - 1])
             if key in walked:
                 continue
-            if left and idx == 1:
-                if n - m == len(descent):
-                    continue  # the first order degenerated at this step
-                A2, items2 = descent[n - m]
-            else:
-                try:
-                    A2, items2, _ = step(A, items, idx, lane)
-                except DegenerateStep:
-                    continue  # its key stays open: another path may reach it
+            try:
+                A2, items2, _ = step(A, items, idx, lane)
+            except DegenerateStep:
+                continue  # its key stays open: another path may reach it
             walked.add(key)
             path.append(idx)
             if m == 4:
                 decide(items2)
             else:
-                if not ceva:
-                    labels2 = labels[: idx - 1] + labels[idx:]
-                elif idx < m:
-                    labels2 = labels[:idx] + labels[idx + 1 :]
-                else:
-                    labels2 = labels[-1:] + labels[1:-1]
-                walk(A2, items2, labels2, key, m - 1, left and idx == 1)
+                walk(A2, items2, labels[: idx - 1] + labels[idx:], key, m - 1)
             path.pop()
 
+    n = len(A)
     try:
         if n == 3:
             decide(items)
         else:
-            walk(A, items, tuple(range(n)), (1 << n) - 1, n, descent is not None)
+            walk(A, items, tuple(range(n)), (1 << n) - 1, n)
     finally:
         del walk  # it refers to itself: drop the cycle instead of leaving it to gc
     return None if first is None else first[1]
 
 
 def _run_reduction(
-    gon: CevaGon | MenelaosGon,
-    indices: Sequence[int],
-    backend: Backend,
-    reached: list | None = None,
+    gon: CevaGon | MenelaosGon, indices: Sequence[int], backend: Backend
 ) -> tuple[bool, ReductionTrace]:
     """Reduce the gon to a triangle along one order, on objects under
     the backend.  A DegenerateStep carries the trace prefix of the
-    steps that succeeded.  Each step that succeeds appends the gon it
-    reduced to to reached, if given.
+    steps that succeeded.
     """
     n = gon.n
     if len(indices) != n - 3:
@@ -737,8 +699,6 @@ def _run_reduction(
             exc.trace = ReductionTrace(gon, steps)
             raise
         steps.append(ReductionStep(*record))
-        if reached is not None:
-            reached.append(_trusted(cls, A, items))
     verdict = lane.dependent(*items)
     final = _trusted(cls, A, items) if steps else gon
     return verdict, ReductionTrace(gon, steps, final, verdict)
@@ -783,36 +743,24 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     objs = (*gon.vertices, *gon.items)
     be = backend or _backend_of(*objs)
     indices = _resolve_order(gon, order)
-    if indices is not None:
-        return _run_reduction(gon, indices, be)
-    # an n-gon has n!/6 orders; the walk steps once per set of removed
-    # slots but along the first order, whose n - 3 steps the trace takes
-    # (4,007 at n = 12), at most sum C(n, k) (n - k) times (23,772)
-    if gon.n > 12:
-        raise ValueError("exhaustive order checking is limited to n <= 12")
-    first = (1,) * (gon.n - 3)
-    reached: list = []
-    try:
-        result = _run_reduction(gon, first, be, reached)
-    except DegenerateStep as exc:
-        # raised again below if every order degenerates; kept without its
-        # traceback, which refers to this frame
-        failed = exc.reason, exc.index, exc.trace
-    if be.kind == "exact" and all(o._form is not None for o in objs):
-        lane, field = _FORMS, "_form"
-    elif be.kind == "float" and all(type(c) is float for o in objs for c in o.triple):
-        lane, field = _float_lane(be), "triple"
-    else:
-        lane, field = _object_lane(be), None
-    descent = [_read(reduced, field) for reduced in reached]
-    found = _first_order(gon, *_read(gon, field), lane, descent)
-    if found is None:
-        # every order degenerates: the first order's DegenerateStep, with
-        # its trace prefix
-        raise DegenerateStep(*failed)
-    if found == first:
-        return result
-    return _run_reduction(gon, found, be)
+    if indices is None:
+        # an n-gon has n!/6 orders; the walk steps once per set of removed
+        # slots (4,016 at n = 12), at most sum C(n, k) (n - k) times (23,772)
+        if gon.n > 12:
+            raise ValueError("exhaustive order checking is limited to n <= 12")
+        if be.kind == "exact" and all(o._form is not None for o in objs):
+            lane, field = _FORMS, "_form"
+        elif be.kind == "float" and all(
+            type(c) is float for o in objs for c in o.triple
+        ):
+            lane, field = _float_lane(be), "triple"
+        else:
+            lane, field = _object_lane(be), None
+        # None when every order degenerates: the first order, (1, ..., 1),
+        # is the walk's first descent, so it raises the walk's first
+        # DegenerateStep, with its trace prefix
+        indices = _first_order(gon, *_read(gon, field), lane) or (1,) * (gon.n - 3)
+    return _run_reduction(gon, indices, be)
 
 
 def is_pseudo_concurrent(

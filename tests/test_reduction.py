@@ -964,8 +964,8 @@ class TestPseudoPredicates:
     @pytest.mark.parametrize("theorem", ["ceva-ngon", "menelaos-ngon", "duality"])
     def test_exhaustive_walks_forced_gons_up_to_the_cap(self, theorem, n):
         # each set of removed slots is stepped to once, 465 steps at
-        # n = 9 and 4,016 at n = 12, the first order's n - 3 on objects
-        # and the rest in the walk, in the exact and the float lane;
+        # n = 9 and 4,016 at n = 12, in the walk's exact or float lane,
+        # and the reported order's n - 3 are then taken on objects;
         # every order of a forced Ceva or Menelaos gon says True, and a
         # duality gon and its bridged dual agree; no first order
         # degenerates, so (1, ..., 1) is the one reported
@@ -1301,19 +1301,18 @@ class TestPinnedWalks:
 
     @pytest.mark.parametrize(
         "theorem, built, replay",
-        [("ceva-ngon", (114, 76), (9, 6)), ("menelaos-ngon", (76, 38), (6, 3))],
+        [("ceva-ngon", (123, 82), (9, 6)), ("menelaos-ngon", (82, 41), (6, 3))],
     )
     def test_exhaustive_float_walk_builds_each_step_afresh(
         self, monkeypatch, theorem, built, replay
     ):
-        # the first order, (1, 1, 1), is reduced on objects, n - 3 steps,
-        # and is the trace; an exhaustive walk of this floatified hexagon
-        # on its float triples takes that order's reduced gons from it
-        # and steps to the rest of the 6, 15 and 20 gons of 5, 4 and 3
-        # vertices that its sets of removed slots give, 41 - 3 = 38
-        # steps, and with no memo each step builds its own cross
-        # products: 3 joins and 2 meets (Ceva) or 2 joins and 1 meet
-        # (Menelaos)
+        # an exhaustive walk of this floatified hexagon on its float
+        # triples steps once to each of the 6, 15 and 20 gons of 5, 4 and
+        # 3 vertices that its sets of removed slots give, 41 steps, and
+        # with no memo each step builds its own cross products: 3 joins
+        # and 2 meets (Ceva) or 2 joins and 1 meet (Menelaos); the
+        # reported order is then reduced on objects, n - 3 steps, and is
+        # the trace
         calls = Counter()
         gon = floatify(forced_hexagon(theorem))
         cross = reduction._float_cross
@@ -1331,16 +1330,16 @@ class TestPinnedWalks:
         assert (calls["join"], calls["meet"]) == replay
 
     @pytest.mark.parametrize(
-        "theorem, steps", [("ceva-ngon", 38), ("menelaos-ngon", 38)]
+        "theorem, steps", [("ceva-ngon", 41), ("menelaos-ngon", 41)]
     )
     def test_exhaustive_walk_skips_walked_gons(self, monkeypatch, theorem, steps):
         # every order of a hexagon takes 6 + 30 + 120 = 156 step calls; a
         # step to a reduced gon whose removed slots the walk has walked,
         # triangles included, is not taken, so it steps once to each of
         # the 6, 15 and 20 gons of 5, 4 and 3 vertices, 6 + 15 + 20 = 41
-        # steps: n - 3 on objects along the first order, which is the
-        # trace, and the other 38 on integer forms; a one-branch order
-        # takes one step per depth, on objects
+        # steps, on integer forms; then the reported order is reduced on
+        # objects, n - 3 steps, for the trace; a one-branch order takes
+        # one step per depth, on objects
         calls = Counter()
         gon = forced_hexagon(theorem)
         count_steps(monkeypatch, calls)
@@ -1363,11 +1362,11 @@ class TestPinnedWalks:
         # which k of the n slots went, and the walk keys reduced gons on
         # that set in every lane, triangles included, testing the key
         # before the step, so it steps once to each such gon, the sum of
-        # C(n, k) steps for k = 1, ..., n - 3: n - 3 on objects along the
-        # first order, which is the trace, and the rest on integer forms
-        # (exact data), on float triples (floatified data) or on objects
-        # (exact data under the float backend)
-        steps = sum(comb(n, k) for k in range(1, n - 2)) - (n - 3)
+        # C(n, k) steps for k = 1, ..., n - 3, on integer forms (exact
+        # data), on float triples (floatified data) or on objects (exact
+        # data under the float backend); then the reported order is
+        # reduced on objects, n - 3 steps, for the trace
+        steps = sum(comb(n, k) for k in range(1, n - 2))
         expected = {
             "forms": {"form step": steps, "step": n - 3},
             "float": {"float step": steps, "step": n - 3},
@@ -1424,22 +1423,32 @@ class TestFormsWalk:
 
 
 class TestFirstOrderFallbacks:
-    """An exhaustive check reduces the first order, (1, ..., 1), on
-    objects before it walks, and the walk takes that reduction's gons
-    instead of stepping to them.  Where the first order degenerates, the
-    trace must be the reported order reduced alone, and where every
-    order degenerates, the error must be the first order's."""
+    """An exhaustive check walks in its lane, then reduces on objects
+    only the order it reports: n - 3 object steps for a trace, none when
+    orders disagree.  The trace must be the reported order reduced
+    alone, and where every order degenerates, the error must be the
+    first order's, (1, ..., 1), with its trace prefix."""
 
     @pytest.mark.parametrize("lane", ["forms", "float", "objects"])
     def test_they_end_as_one_order_reduced_alone(self, monkeypatch, lane):
         # the CI step's 1,000 small-integer gons, walked as exact data on
         # integer forms, as floatified data on float triples, and as
-        # exact data under the float backend on objects; every step of
-        # the check is either in the walk's lane or on objects
+        # exact data under the float backend on objects; calls["reduced"]
+        # counts the object steps of reductions along one order, which
+        # on objects are told from the walk's steps that way
         backend = float_backend() if lane == "objects" else None
-        walk_step = {"forms": "form step", "float": "float step"}.get(lane, "step")
         calls = Counter()
         count_steps(monkeypatch, calls)
+        run_reduction = reduction._run_reduction
+
+        def counted_reduction(*args):
+            before = calls["step"]
+            try:
+                return run_reduction(*args)
+            finally:
+                calls["reduced"] += calls["step"] - before
+
+        monkeypatch.setattr(reduction, "_run_reduction", counted_reduction)
         outcomes = Counter()
         rng = Random(2200)
         for i in range(1000):
@@ -1449,26 +1458,34 @@ class TestFirstOrderFallbacks:
                 gon = floatify(gon)
             check = check_of(gon)
             first = walk_outcome(lambda: check(gon, order="first", backend=backend))
-            if first[0] != "DegenerateStep":
-                continue
             calls.clear()
             walked = walk_outcome(
                 lambda: check(gon, order="exhaustive", backend=backend)
             )
-            assert set(calls) == {"step", walk_step}
-            outcomes[walked[0]] += 1
-            if walked[0] == "trace":
+            outcomes[walked[0], first[0] == "DegenerateStep"] += 1
+            if walked[0] == "InconsistentOrders":
+                assert calls["reduced"] == 0
+            elif walked[0] == "trace":
+                assert calls["reduced"] == gon.n - 3
                 order = ReductionTrace.from_json_lines(walked[2]).indices
                 alone = walk_outcome(lambda: check(gon, order=order, backend=backend))
                 assert walked == alone
-            elif walked[0] == "DegenerateStep":
+            else:
+                # the first order's steps up to the one that degenerates
                 assert walked == first
-        # another order reduces in some, every order degenerates in others
-        assert outcomes["trace"] and outcomes["DegenerateStep"]
+                prefix = ReductionTrace.from_json_lines(walked[3]).steps
+                assert calls["reduced"] == len(prefix) + 1
+        # orders disagree in some gons, every order degenerates in others,
+        # and the first order is reported in some, another order where the
+        # first degenerates in others
+        assert outcomes["InconsistentOrders", True]
+        assert outcomes["InconsistentOrders", False]
+        assert outcomes["DegenerateStep", True]
+        assert outcomes["trace", True] and outcomes["trace", False]
 
     def test_checks_leave_no_reference_cycles(self):
-        # a walk that raises, or a first order's DegenerateStep kept for
-        # later, must not leave frames that refer to themselves to gc
+        # a walk that raises must not leave frames that refer to
+        # themselves to gc
         rng = Random(2200)
         gons = []
         for i in range(300):
