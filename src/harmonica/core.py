@@ -129,8 +129,10 @@ def eps_from_env(default: float = DEFAULT_EPS) -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"{EPS_ENV_VAR} must be a float, got {raw!r}")
-    if not (value > 0):
-        raise ValueError(f"{EPS_ENV_VAR} must be positive, got {value}")
+    # |residual| <= scale for every incidence and determinant, so an eps
+    # of 1 or more (or inf) would pass every claim
+    if not (0 < value < 1):
+        raise ValueError(f"{EPS_ENV_VAR} must lie in (0, 1), got {value}")
     return value
 
 
@@ -174,11 +176,12 @@ class FloatBackend:
         return self.zero(a - b, max(abs(a), abs(b)))
 
     def incident(self, l, p) -> bool:
-        value, scale = _incidence(l, p)
-        return abs(value) <= self.eps * max(1.0, scale)
+        a, b, c = l[0] * p[0], l[1] * p[1], l[2] * p[2]
+        return abs(a + b + c) <= self.eps * max(1.0, abs(a) + abs(b) + abs(c))
 
     def dependent(self, p, q, r) -> bool:
-        return abs(_det3(p, q, r)) <= self.eps * max(1.0, _det3_scale(p, q, r))
+        value, scale = _det3_permanent(p, q, r)
+        return abs(value) <= self.eps * max(1.0, scale)
 
     def proportional(self, p, q) -> bool:
         bound = self.eps * max(1.0, max(map(abs, p)) * max(map(abs, q)))
@@ -262,7 +265,9 @@ def _float_cross(error: type, a: tuple, b: tuple) -> tuple[float, float, float]:
     a1, a2, a3 = a
     b1, b2, b3 = b
     x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    if _coincident(a, b, x, y, z):
+    # a first component that is neither 0 nor NaN already says "not
+    # proportional", so _coincident runs only where it may say otherwise
+    if (x == 0 or x != x) and _coincident(a, b, x, y, z):
         raise error(f"{a} and {b} are proportional")
     return _max_normalized(x, y, z)
 
@@ -389,24 +394,21 @@ def _det3(
     return p[0] * c[0] + p[1] * c[1] + p[2] * c[2]
 
 
-def _det3_scale(p, q, r) -> float:
-    # permanent of absolute values, the natural magnitude for det residuals
-    a1, a2, a3 = abs(p[0]), abs(p[1]), abs(p[2])
-    b1, b2, b3 = abs(q[0]), abs(q[1]), abs(q[2])
-    c1, c2, c3 = abs(r[0]), abs(r[1]), abs(r[2])
-    return (
+def _det3_permanent(p, q, r) -> tuple[Scalar, Scalar]:
+    """_det3 of the triples and the permanent of their absolute values,
+    the natural magnitude for det residuals."""
+    p1, p2, p3 = p
+    q1, q2, q3 = q
+    r1, r2, r3 = r
+    value = p1 * (q2 * r3 - q3 * r2) + p2 * (q3 * r1 - q1 * r3) + p3 * (q1 * r2 - q2 * r1)
+    a1, a2, a3 = abs(p1), abs(p2), abs(p3)
+    b1, b2, b3 = abs(q1), abs(q2), abs(q3)
+    c1, c2, c3 = abs(r1), abs(r2), abs(r3)
+    return value, (
         a1 * (b2 * c3 + b3 * c2)
         + a2 * (b1 * c3 + b3 * c1)
         + a3 * (b1 * c2 + b2 * c1)
     )
-
-
-def _incidence(
-    l: tuple[Scalar, Scalar, Scalar], p: tuple[Scalar, Scalar, Scalar]
-) -> tuple[Scalar, Scalar]:
-    value = l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
-    scale = abs(l[0] * p[0]) + abs(l[1] * p[1]) + abs(l[2] * p[2])
-    return value, scale
 
 
 def _proportional(p, q) -> bool:
@@ -605,8 +607,7 @@ def collinearity_residual(
     One body serves three points and, as concurrency_residual, three
     lines.
     """
-    t = (p.triple, q.triple, r.triple)
-    return _det3(*t), _det3_scale(*t)
+    return _det3_permanent(p.triple, q.triple, r.triple)
 
 
 concurrency_residual = collinearity_residual

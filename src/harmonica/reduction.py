@@ -59,6 +59,7 @@ from .core import (
     _proportional,
     collinear,
     dualize,
+    float_backend,
     incident,
     join,
     meet,
@@ -210,16 +211,6 @@ def _object_lane(backend: Backend) -> _Lane:
     )
 
 
-def _made(build: Callable, a, b, reason: str, i: int):
-    """build(a, b), a lane's join or meet in the step at index i, with
-    the coincidence that makes it raise given as DegenerateStep(reason,
-    i): the construction decides the coincidence, not a test before it."""
-    try:
-        return build(a, b)
-    except (CoincidentPoints, CoincidentLines):
-        raise DegenerateStep(reason, i)
-
-
 def _ceva_step(A: tuple, g: tuple, i: int, lane):
     """CevaGon._step: collapse the vertex pair (i, i+1) into the meet of
     its two outer sides; the new cevian joins the new vertex to the
@@ -234,17 +225,17 @@ def _ceva_step(A: tuple, g: tuple, i: int, lane):
     prev, nxt = (i0 - 1) % m, (j0 + 1) % m
     side_in = lane.join(A[prev], A[i0])
     side_out = lane.join(A[j0], A[nxt])
-    new_vertex = _made(
-        lane.meet, side_in, side_out, "outer sides of the chosen pair coincide", i
-    )
-    crossing = _made(lane.meet, g[i0], g[j0], "the two removed cevians coincide", i)
-    new_line = _made(
-        lane.join,
-        new_vertex,
-        crossing,
-        "new vertex equals the crossing of the removed cevians",
-        i,
-    )
+    # each construction decides its coincidence, not a test before it;
+    # reason names the one that raised
+    try:
+        reason = "outer sides of the chosen pair coincide"
+        new_vertex = lane.meet(side_in, side_out)
+        reason = "the two removed cevians coincide"
+        crossing = lane.meet(g[i0], g[j0])
+        reason = "new vertex equals the crossing of the removed cevians"
+        new_line = lane.join(new_vertex, crossing)
+    except (CoincidentPoints, CoincidentLines):
+        raise DegenerateStep(reason, i)
     if j0 == 0:
         # wrapped pair (m, 1): the replacement takes slot 1
         k = 0
@@ -276,13 +267,15 @@ def _menelaos_step(A: tuple, B: tuple, i: int, lane):
         raise ValueError(f"step index {i} out of range 1..{m}")
     i0 = i - 1
     prev, nxt = (i0 - 1) % m, (i0 + 1) % m
-    merged = _made(
-        lane.join, A[prev], A[nxt], "neighbors of the removed vertex coincide", i
-    )
-    transversal = _made(lane.join, B[prev], B[i0], "the two removed cuts coincide", i)
-    new_point = _made(
-        lane.meet, merged, transversal, "cut transversal equals the merged side", i
-    )
+    try:  # as in _ceva_step
+        reason = "neighbors of the removed vertex coincide"
+        merged = lane.join(A[prev], A[nxt])
+        reason = "the two removed cuts coincide"
+        transversal = lane.join(B[prev], B[i0])
+        reason = "cut transversal equals the merged side"
+        new_point = lane.meet(merged, transversal)
+    except (CoincidentPoints, CoincidentLines):
+        raise DegenerateStep(reason, i)
     if i0 == 0:
         k = m - 2
         new_vs = A[1:]
@@ -741,26 +734,35 @@ def _read(gon, field: str | None) -> tuple[tuple, tuple]:
 
 def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     objs = (*gon.vertices, *gon.items)
-    be = backend or _backend_of(*objs)
+    # one pass: does every element have an integer form, is every
+    # coordinate a float?  Either one also gives the data's lane
+    forms = floats = True
+    for o in objs:
+        if o._form is None:
+            x, y, z = o.triple
+            forms = False
+            floats = floats and type(x) is type(y) is type(z) is float
+        else:
+            floats = False
+    if backend is None:
+        backend = EXACT if forms else float_backend() if floats else _backend_of(*objs)
     indices = _resolve_order(gon, order)
     if indices is None:
         # an n-gon has n!/6 orders; the walk steps once per set of removed
         # slots (4,016 at n = 12), at most sum C(n, k) (n - k) times (23,772)
         if gon.n > 12:
             raise ValueError("exhaustive order checking is limited to n <= 12")
-        if be.kind == "exact" and all(o._form is not None for o in objs):
+        if forms and backend.kind == "exact":
             lane, field = _FORMS, "_form"
-        elif be.kind == "float" and all(
-            type(c) is float for o in objs for c in o.triple
-        ):
-            lane, field = _float_lane(be), "triple"
+        elif floats and backend.kind == "float":
+            lane, field = _float_lane(backend), "triple"
         else:
-            lane, field = _object_lane(be), None
+            lane, field = _object_lane(backend), None
         # None when every order degenerates: the first order, (1, ..., 1),
         # is the walk's first descent, so it raises the walk's first
         # DegenerateStep, with its trace prefix
         indices = _first_order(gon, *_read(gon, field), lane) or (1,) * (gon.n - 3)
-    return _run_reduction(gon, indices, be)
+    return _run_reduction(gon, indices, backend)
 
 
 def is_pseudo_concurrent(

@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import sys
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
@@ -56,6 +57,7 @@ from helpers import (
     apply_matrix,
     apply_matrix_line,
     distinct_points,
+    lane_pools,
     random_matrix,
     random_point,
 )
@@ -495,9 +497,14 @@ def test_eps_env_override(monkeypatch):
     monkeypatch.setenv("HARMONICA_EPS", "1e-3")
     assert float_backend().eps == 1e-3
     assert eps_from_env() == 1e-3
-    monkeypatch.setenv("HARMONICA_EPS", "bogus")
-    with pytest.raises(ValueError):
-        float_backend()
+    monkeypatch.setenv("HARMONICA_EPS", "0.999")
+    assert float_backend().eps == 0.999
+    # |residual| <= scale for every incidence and determinant, so an eps
+    # of 1 or more would pass every claim
+    for raw in ("bogus", "0", "-1e-9", "1", "1.5", "inf", "-inf", "nan"):
+        monkeypatch.setenv("HARMONICA_EPS", raw)
+        with pytest.raises(ValueError):
+            float_backend()
     monkeypatch.delenv("HARMONICA_EPS")
     assert float_backend().eps == 1e-9
 
@@ -773,6 +780,87 @@ def test_residuals_use_given_coordinates(kernel_pool):
         assert _typed(concurrency_residual(l, m, n)) == _typed(
             _ref_det3(l.triple, m.triple, n.triple)
         )
+
+
+@pytest.fixture(scope="module")
+def float_pool():
+    """Float triples beside kernel_pool's, where the float tests take
+    shortcuts that could diverge from the references: lane_pools' floats,
+    triples near 1e200, whose products overflow to inf and whose sums of
+    such products to nan, partners whose cross product with another has
+    a 0 or NaN first component (their last two coordinates doubled), and
+    proportional twins, also overflowing ones."""
+    rng = Random(20182)
+    triples = lane_pools(rng)["float"]
+    triples += [
+        tuple(rng.uniform(-1, 1) * s for s in scales)
+        for scales in ((1e200, 1e200, 1.0), (1.0, 1e200, 1e200), (1e200,) * 3)
+        for _ in range(3)
+    ]
+    triples += [(1e300, 1e300, 1.0), (1.0, 1e200, 1e200), (3.0, 0.0, 0.0)]
+    triples += [(rng.uniform(-1, 1), 2 * y, 2 * z) for _, y, z in triples[::3]]
+    triples += [
+        tuple(v * factor for v in t)
+        for t, factor in zip(triples[::4], [2.0, -4.0, 0.125, -1.0] * 10)
+    ]
+    return triples
+
+
+def _hexed(values):
+    return [v.hex() for v in values]
+
+
+def test_float_join_and_meet_match_the_reference(float_pool):
+    # proportional operands raise, and any other pair builds its cross
+    # product divided by its max-norm, as _ref_tidy divides
+    seen = Counter()
+    for build, cls, error in ((join, Point, CoincidentPoints), (meet, Line, CoincidentLines)):
+        for a in float_pool:
+            for b in float_pool:
+                if _ref_proportional(a, b):
+                    seen["proportional"] += 1
+                    with pytest.raises(error):
+                        build(cls(*a), cls(*b))
+                    continue
+                t = _ref_cross(a, b)
+                seen["zero" if t[0] == 0 else "nan" if t[0] != t[0] else "other"] += 1
+                seen["overflow"] += not all(map(math.isfinite, t))
+                got = build(cls(*a), cls(*b))
+                assert _hexed(got.triple) == _hexed(_ref_tidy(*t)) and got._form is None
+    assert min(seen.values()) > 50, seen
+
+
+def test_float_predicates_match_the_reference(float_pool):
+    rng = Random(20183)
+    points = [Point(*t) for t in float_pool]
+    lines = [Line(*t) for t in float_pool]
+    seen = Counter()
+    for backend in _BACKENDS:
+        for l in lines:
+            for p in points:
+                expected = backend.zero(*_ref_incidence(l.triple, p.triple))
+                assert incident(l, p, backend) is expected
+                seen["incident", expected] += 1
+        # exact equality is proportionality, which also holds where two
+        # equal products overflow to one infinity and leave a NaN
+        # component in the cross product
+        for a in points:
+            for b in points:
+                if backend.kind == "float":
+                    expected = _ref_coincide(a.triple, b.triple, backend)
+                else:
+                    expected = _ref_proportional(a.triple, b.triple)
+                assert coincide(a, b, backend) is expected
+                seen["coincide", expected] += 1
+        for _ in range(3000):
+            for pred, objs in ((collinear, points), (concurrent, lines)):
+                a, b, c = (rng.choice(objs) for _ in range(3))
+                value, scale = _ref_det3(a.triple, b.triple, c.triple)
+                assert pred(a, b, c, backend) is backend.zero(value, scale)
+                assert _hexed(collinearity_residual(a, b, c)) == _hexed((value, scale))
+                seen["dependent", backend.zero(value, scale)] += 1
+                seen["overflow"] += not math.isfinite(value) and scale == math.inf
+    assert min(seen.values()) > 50, seen
 
 
 def _state(obj):

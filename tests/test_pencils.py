@@ -771,6 +771,6 @@ def test_exact_reports_compute_no_float_scale(monkeypatch):
     def no_scale(*triples):
         raise AssertionError("the exact lane computed a float scale")
 
-    monkeypatch.setattr(core, "_det3_scale", no_scale)
+    monkeypatch.setattr(core, "_det3_permanent", no_scale)
     assert triangle_concurrency_transfer(t).all_true()
     assert desargues_quantitative(v, t2).all_true()

@@ -53,7 +53,7 @@ from harmonica.reduction import (
     replay_trace,
 )
 
-from helpers import points_in_general_position, random_point
+from helpers import lane_pools, points_in_general_position, random_point
 
 
 def P(x, y):
@@ -1603,41 +1603,6 @@ class TestFloatLane:
         gon = scaled(uniform_gon(Random(439), kind, 5, forced=True), 1.0, 1e155)
         lanes_outcome(gon)
         assert kept
-
-
-def lane_pools(rng: Random) -> dict[str, list[tuple]]:
-    """Seeded coordinate triples by number kind: ints with common
-    factors, negatives and w = 0; Fractions; mixes of ints, Fractions
-    and floats; and floats scaled from 1e-150 to 1e150."""
-
-    def small(k: int) -> int:
-        return rng.randint(-k, k)
-
-    ints = []
-    while len(ints) < 30:
-        t = (small(6), small(6), 0 if len(ints) % 5 == 0 else small(6))
-        if any(t):
-            factor = rng.choice([1, 1, 2, 3, -4, 6])
-            ints.append(tuple(v * factor for v in t))
-    fractions = []
-    while len(fractions) < 20:
-        t = tuple(Fraction(small(9), rng.randint(1, 7)) for _ in range(3))
-        if any(t):
-            fractions.append(t)
-    mixed = []
-    while len(mixed) < 20:
-        t = tuple(
-            rng.choice([small(5), Fraction(small(9), rng.randint(1, 7)), small(5) / 4])
-            for _ in range(3)
-        )
-        if any(t) and len({type(v) for v in t}) > 1:
-            mixed.append(t)
-    floats = [
-        tuple(rng.uniform(-1, 1) * scale for _ in range(3))
-        for scale in (1e-150, 1e-50, 1e-3, 1.0, 1e3, 1e50, 1e150)
-        for _ in range(4)
-    ]
-    return {"int": ints, "fraction": fractions, "mixed": mixed, "float": floats}
 
 
 def element_state(obj) -> tuple:
