@@ -68,10 +68,6 @@ class EuclideanPoint:
     def to_json(self) -> dict:
         return {"x": self.x, "y": self.y}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "EuclideanPoint":
-        return cls(float(data["x"]), float(data["y"]))
-
 
 @dataclass(frozen=True)
 class BisectorPair:

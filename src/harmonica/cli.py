@@ -42,7 +42,6 @@ from .reduction import (
     DegenerateStep,
     ReductionTrace,
     ReplayMismatch,
-    is_pseudo_collinear,
     is_pseudo_concurrent,
     replay_trace,
 )
@@ -220,9 +219,8 @@ def cmd_reduce(args) -> int:
     backend = _backend_for(args.backend)
     report = evaluate(ast, backend)
     gon = _gon_from_scene(ast, report, args.mode)
-    check = is_pseudo_concurrent if gon.kind == "ceva" else is_pseudo_collinear
     try:
-        verdict, trace = check(gon, order, backend)
+        verdict, trace = is_pseudo_concurrent(gon, order, backend)
     except DegenerateStep as exc:
         print(f"degenerate step: {exc}", file=sys.stderr)
         if exc.trace is not None:

@@ -120,11 +120,11 @@ class NoSolution(GeometryError):
 # scalar backends
 
 
-def eps_from_env(default: float = DEFAULT_EPS) -> float:
-    """Float tolerance, honoring the HARMONICA_EPS override."""
+def eps_from_env() -> float:
+    """Float tolerance: HARMONICA_EPS if set, else DEFAULT_EPS."""
     raw = os.environ.get(EPS_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_EPS
     try:
         value = float(raw)
     except ValueError:
@@ -193,9 +193,9 @@ Backend = ExactBackend | FloatBackend
 EXACT = ExactBackend()
 
 
-def float_backend(eps: float | None = None) -> FloatBackend:
-    """Float backend with the given tolerance (default honors the env)."""
-    return FloatBackend(eps_from_env() if eps is None else eps)
+def float_backend() -> FloatBackend:
+    """Float backend at the tolerance eps_from_env gives."""
+    return FloatBackend(eps_from_env())
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +537,6 @@ class Line(_Element):
     a: Scalar
     b: Scalar
     c: Scalar
-
-    def is_infinite(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 def dualize(obj: Union[Point, Line]) -> Union[Point, Line]:

@@ -79,7 +79,6 @@ from .reduction import (
     CevaGon,
     MenelaosGon,
     ceva_product,
-    is_pseudo_collinear,
     is_pseudo_concurrent,
     menelaos_product,
 )
@@ -996,8 +995,7 @@ def _eval_assertion(st, env, backend: Backend, index: int) -> AssertionResult:
     if isinstance(st, AssertPseudo):
         order = st.order if st.order is not None else "first"
         gon = _assertion_gon(st, env)
-        check = is_pseudo_concurrent if gon.kind == "ceva" else is_pseudo_collinear
-        passed, trace = check(gon, order, backend)
+        passed, trace = is_pseudo_concurrent(gon, order, backend)
         return AssertionResult(
             index,
             line,

@@ -4,7 +4,7 @@ gen_hypothesis_forcing is a pure function of a GenSpec (plus the
 theorem id and n): the seed pins the whole random stream, so identical
 inputs give bit-identical configurations.  Degeneracy is handled by
 rejection sampling; a draw that cannot satisfy its predicates within
-the retry budget raises RetryLimitExceeded instead of looping forever,
+RETRIES draws raises RetryLimitExceeded instead of looping forever,
 which is what makes tiny coordinate bounds safe.
 
 The hypothesis-forcing constructions only draw: a draw is rejected
@@ -62,12 +62,16 @@ from .reduction import CevaGon, MenelaosGon
 from .report import _plain
 
 
+# the draws each rejection-sampling loop may take before it gives up
+RETRIES = 500
+
+
 class RetryLimitExceeded(GeometryError):
-    """Rejection sampling exhausted its retry budget."""
+    """Rejection sampling exhausted its RETRIES budget."""
 
 
-class UnsupportedTheorem(GeometryError):
-    """No hypothesis-forcing construction is registered for the id."""
+class UnknownTheorem(GeometryError):
+    """Requested id is not a known theorem."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,12 @@ class GenSpec:
 
     seed: int
     bound: int = 10
-    retries: int = 500
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must lie in [0, 2**64)")
         if self.bound < 1:
             raise ValueError("coordinate bound must be positive")
-        if self.retries < 1:
-            raise ValueError("retry limit must be positive")
 
     def rng(self) -> Random:
         return Random(self.seed)
@@ -143,12 +144,10 @@ def no_three_collinear(points: Sequence[Point]) -> bool:
     return True
 
 
-def sample_general_points(
-    rng: Random, bound: int, n: int, retries: int
-) -> tuple[Point, ...]:
+def sample_general_points(rng: Random, bound: int, n: int) -> tuple[Point, ...]:
     """n >= 3 affine rational points, no three collinear, and so
     pairwise distinct: a triple through two equal points is collinear."""
-    for _ in range(retries):
+    for _ in range(RETRIES):
         pts = tuple(sample_point(rng, bound) for _ in range(n))
         if no_three_collinear(pts):
             return pts
@@ -158,14 +157,10 @@ def sample_general_points(
 
 
 def sample_line_through(
-    rng: Random,
-    bound: int,
-    p: Point,
-    avoid: Sequence[Line] = (),
-    retries: int = 500,
+    rng: Random, bound: int, p: Point, avoid: Sequence[Line] = ()
 ) -> Line:
     """Line through p distinct from every line in avoid."""
-    for _ in range(retries):
+    for _ in range(RETRIES):
         q = sample_point(rng, bound)
         if q == p:
             continue
@@ -176,11 +171,7 @@ def sample_line_through(
 
 
 def sample_point_on(
-    rng: Random,
-    bound: int,
-    l: Line,
-    avoid: Sequence[Point] = (),
-    retries: int = 500,
+    rng: Random, bound: int, l: Line, avoid: Sequence[Point] = ()
 ) -> Point:
     """Point on l distinct from every point in avoid.
 
@@ -190,7 +181,7 @@ def sample_point_on(
     (p*s*a + r*q*b) / (q*s), computed on ints when a and b are int.
     """
     base_a, base_b = _two_points_of(l)
-    for _ in range(retries):
+    for _ in range(RETRIES):
         lam = sample_rational(rng, bound)
         mu = sample_rational(rng, bound)
         p, q = lam.numerator, lam.denominator
@@ -216,12 +207,10 @@ def _two_points_of(l: Line) -> tuple[tuple, tuple]:
     return (1, 0, 0), (0, 1, 0)
 
 
-def sample_float_ngon(
-    rng: Random, bound: int, n: int, retries: int
-) -> tuple[EuclideanPoint, ...]:
+def sample_float_ngon(rng: Random, bound: int, n: int) -> tuple[EuclideanPoint, ...]:
     """Float vertex sequence with separated vertices and honest angles
     at every corner (bisector-friendly)."""
-    for _ in range(retries):
+    for _ in range(RETRIES):
         pts = tuple(
             EuclideanPoint(
                 float(sample_rational(rng, bound)),
@@ -250,10 +239,8 @@ def _float_gon_ok(pts: Sequence[EuclideanPoint]) -> bool:
     return True
 
 
-def sample_convex_float_quad(
-    rng: Random, bound: int, retries: int
-) -> tuple[EuclideanPoint, ...]:
-    for _ in range(retries):
+def sample_convex_float_quad(rng: Random, bound: int) -> tuple[EuclideanPoint, ...]:
+    for _ in range(RETRIES):
         pts = [
             EuclideanPoint(
                 float(sample_rational(rng, bound)),
@@ -291,7 +278,9 @@ def gen_hypothesis_forcing(theorem: str, spec: GenSpec, n: int | None = None) ->
     try:
         build = _FORCERS[theorem]
     except KeyError:
-        raise UnsupportedTheorem(theorem) from None
+        raise UnknownTheorem(
+            f"unknown theorem {theorem!r}; known ids: {', '.join(_FORCERS)}"
+        ) from None
     if n is not None and theorem not in DEFAULT_N:
         raise ValueError(f"theorem {theorem!r} does not take an n parameter")
     if n is None:
@@ -311,7 +300,7 @@ def _forced(build):
     nondegenerate instance or the budget runs out."""
 
     def runner(theorem: str, rng: Random, spec: GenSpec, n: int | None):
-        for _ in range(spec.retries):
+        for _ in range(RETRIES):
             try:
                 out = build(rng, spec, n)
             except GeometryError:
@@ -337,7 +326,7 @@ def _harmonic_lines_at(
         joins[i].append(l)
         joins[j].append(l)
     return tuple(
-        sample_line_through(rng, spec.bound, v, avoid, spec.retries)
+        sample_line_through(rng, spec.bound, v, avoid)
         for v, avoid in zip(vertices, joins)
     )
 
@@ -353,10 +342,7 @@ def _force_two_pencils(rng: Random, spec: GenSpec, n) -> dict:
     # the three seed points must dodge the point where t crosses the
     # vertex join, or slot-corresponding lines would coincide
     cross = meet(t, join(verts[0], verts[1]))
-    p1, p2, p3 = (
-        sample_point_on(rng, spec.bound, t, avoid=[cross], retries=spec.retries)
-        for _ in range(3)
-    )
+    p1, p2, p3 = (sample_point_on(rng, spec.bound, t, [cross]) for _ in range(3))
     if not all_distinct((p1, p2, p3)):
         raise DegenerateInput("transversal points coincide")
     pencils = tuple(
@@ -370,7 +356,7 @@ def _force_two_pencils(rng: Random, spec: GenSpec, n) -> dict:
 
 def _sample_line(rng: Random, spec: GenSpec) -> Line:
     p = sample_point(rng, spec.bound)
-    return sample_line_through(rng, spec.bound, p, (), spec.retries)
+    return sample_line_through(rng, spec.bound, p)
 
 
 def _force_cor2(rng: Random, spec: GenSpec, n) -> dict:
@@ -381,22 +367,22 @@ def _force_cor2(rng: Random, spec: GenSpec, n) -> dict:
     shared = join(v1, v2)
     pencils = []
     for v in (v1, v2):
-        a2 = sample_line_through(rng, spec.bound, v, [shared], spec.retries)
-        g = sample_line_through(rng, spec.bound, v, [shared, a2], spec.retries)
+        a2 = sample_line_through(rng, spec.bound, v, [shared])
+        g = sample_line_through(rng, spec.bound, v, [shared, a2])
         pencils.append(HarmonicPencil.complete(v, shared, a2, g))
     pencils = tuple(pencils)
     return {"pencils": pencils}
 
 
 def _force_free_triangle(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, 3, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, 3)
     g = _harmonic_lines_at(rng, spec, vertices)
     config = TriangleConfig.complete(vertices, g)
     return {"config": config}
 
 
 def _force_triangle_transfer(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, 3, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, 3)
     center = _point_off_joins(rng, spec, vertices)
     g = tuple(join(v, center) for v in vertices)
     config = TriangleConfig.complete(vertices, g)
@@ -412,7 +398,7 @@ def _point_off_joins(
         for i in range(len(vertices))
         for j in range(i + 1, len(vertices))
     ]
-    for _ in range(spec.retries):
+    for _ in range(RETRIES):
         p = sample_point(rng, spec.bound)
         if any(p == v for v in vertices):
             continue
@@ -423,14 +409,14 @@ def _point_off_joins(
 
 
 def _force_free_quad(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, 4, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, 4)
     g = _harmonic_lines_at(rng, spec, vertices)
     config = QuadrilateralConfig.complete(vertices, g)
     return {"config": config}
 
 
 def _force_quad_equivalence(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, 4, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, 4)
     partial = _harmonic_lines_at(rng, spec, vertices)[:3]
     g4 = complete_fourth_line(vertices, *partial)
     config = QuadrilateralConfig.complete(vertices, partial + (g4,))
@@ -453,7 +439,7 @@ def _force_matched_quadruples(rng: Random, spec: GenSpec, n) -> dict:
     a = []
     avoid = [x]
     for _ in range(4):
-        p = sample_point_on(rng, spec.bound, l, avoid, spec.retries)
+        p = sample_point_on(rng, spec.bound, l, avoid)
         avoid.append(p)
         a.append(p)
     b = tuple(meet(m, join(center, p)) for p in a)
@@ -464,13 +450,13 @@ def _force_desargues(rng: Random, spec: GenSpec, n) -> dict:
     center = sample_point(rng, spec.bound)
     rays = []
     for _ in range(3):
-        r = sample_line_through(rng, spec.bound, center, rays, spec.retries)
+        r = sample_line_through(rng, spec.bound, center, rays)
         rays.append(r)
     t1 = []
     t2 = []
     for r in rays:
-        p1 = sample_point_on(rng, spec.bound, r, [center], spec.retries)
-        p2 = sample_point_on(rng, spec.bound, r, [center, p1], spec.retries)
+        p1 = sample_point_on(rng, spec.bound, r, [center])
+        p2 = sample_point_on(rng, spec.bound, r, [center, p1])
         t1.append(p1)
         t2.append(p2)
     t1, t2 = tuple(t1), tuple(t2)
@@ -480,7 +466,7 @@ def _force_desargues(rng: Random, spec: GenSpec, n) -> dict:
 
 
 def _force_ceva(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, n, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, n)
     center = _point_off_joins(rng, spec, vertices)
     gon = CevaGon(vertices, tuple(join(v, center) for v in vertices))
     return {"gon": gon, "center": center}
@@ -491,8 +477,8 @@ def _force_ceva_quad(rng: Random, spec: GenSpec, n) -> dict:
 
 
 def _force_menelaos(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, n, spec.retries)
-    for _ in range(spec.retries):
+    vertices = sample_general_points(rng, spec.bound, n)
+    for _ in range(RETRIES):
         t = _sample_line(rng, spec)
         if not any(incident(t, v) for v in vertices):
             break
@@ -507,28 +493,26 @@ def _force_menelaos(rng: Random, spec: GenSpec, n) -> dict:
 
 
 def _force_duality(rng: Random, spec: GenSpec, n) -> dict:
-    vertices = sample_general_points(rng, spec.bound, n, spec.retries)
+    vertices = sample_general_points(rng, spec.bound, n)
     m = len(vertices)
     cuts = []
     for i in range(m):
         a, b = vertices[i], vertices[(i + 1) % m]
-        cuts.append(
-            sample_point_on(rng, spec.bound, join(a, b), [a, b], spec.retries)
-        )
+        cuts.append(sample_point_on(rng, spec.bound, join(a, b), [a, b]))
     gon = MenelaosGon(vertices, tuple(cuts))
     return {"gon": gon}
 
 
 def _force_bisectors_triangle(rng: Random, spec: GenSpec, n) -> dict:
-    return {"points": sample_float_ngon(rng, spec.bound, 3, spec.retries)}
+    return {"points": sample_float_ngon(rng, spec.bound, 3)}
 
 
 def _force_steiner_add_11(rng: Random, spec: GenSpec, n) -> dict:
-    return {"points": sample_convex_float_quad(rng, spec.bound, spec.retries)}
+    return {"points": sample_convex_float_quad(rng, spec.bound)}
 
 
 def _force_bisectors_ngon(rng: Random, spec: GenSpec, n) -> dict:
-    points = sample_float_ngon(rng, spec.bound, n, spec.retries)
+    points = sample_float_ngon(rng, spec.bound, n)
     k = rng.choice([k for k in range(0, n + 1, 2)])
     outs = set(rng.sample(range(n), k))
     choice = tuple(

@@ -105,13 +105,6 @@ class HarmonicPencil:
             "lines": [l.to_json() for l in self.lines],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HarmonicPencil":
-        return cls(
-            Point.from_json(data["vertex"]),
-            *(Line.from_json(l) for l in data["lines"]),
-        )
-
 
 def _check_pencil(
     vertex: Point, a1: Line, a2: Line, g: Line, h: Line, backend: Backend, where: object
@@ -183,13 +176,9 @@ def cor2_collinear_triples(
 # triangles
 
 
-def _cyc(i: int, n: int) -> int:
-    return i % n
-
-
 def _sides_around(v: Sequence[Point]) -> tuple[Line, ...]:
     n = len(v)
-    return tuple(join(v[i], v[_cyc(i + 1, n)]) for i in range(n))
+    return tuple(join(v[i], v[(i + 1) % n]) for i in range(n))
 
 
 class _PolygonConfig:
@@ -299,7 +288,7 @@ class TriangleConfig(_PolygonConfig):
 
     def side(self, i: int) -> Line:
         """Side opposite vertex i (0-based), joining the other two."""
-        return self.sides[_cyc(i + 1, 3)]
+        return self.sides[(i + 1) % 3]
 
 
 @dataclass(frozen=True)
@@ -320,7 +309,7 @@ def free_triangle_lines(t: TriangleConfig) -> FreeTriangleLines:
     u = []
     v = []
     for i in range(3):
-        j, k = _cyc(i + 1, 3), _cyc(i + 2, 3)
+        j, k = (i + 1) % 3, (i + 2) % 3
         u.append(join(A[i], meet(g[j], g[k])))
         v.append(join(A[i], meet(g[j], h[k])))
     return FreeTriangleLines(tuple(u), tuple(v))
@@ -384,7 +373,7 @@ def ceva_product_triangle(t: TriangleConfig, backend: Backend = EXACT) -> Scalar
             raise UndefinedFoot(f"g{i + 1} coincides with the opposite side")
     terms = []
     for i in range(3):
-        j, k = _cyc(i + 1, 3), _cyc(i + 2, 3)
+        j, k = (i + 1) % 3, (i + 2) % 3
         # foot of g_k divides the side from A_i to A_j
         r = signed_ratio(A[i], feet[k], A[j], backend)
         if r.is_infinite():
@@ -521,12 +510,12 @@ def quad_zeta(q: QuadrilateralConfig, backend: Backend = EXACT) -> Scalar:
     for i in range(4):
         side = q.side(i)
         for shift in (2, 3):
-            k = _cyc(i + shift, 4)
+            k = (i + shift) % 4
             foot = _foot(side, g[k], f"side {i + 1}, cevian {k + 1}")
-            r = signed_ratio(A[i], foot, A[_cyc(i + 1, 4)], backend)
+            r = signed_ratio(A[i], foot, A[(i + 1) % 4], backend)
             if r.is_infinite():
                 raise UndefinedFoot(
-                    f"foot of g{k + 1} hits vertex {_cyc(i + 1, 4) + 1}"
+                    f"foot of g{k + 1} hits vertex {(i + 1) % 4 + 1}"
                 )
             product = product * r.value
     return product
@@ -769,7 +758,7 @@ def desargues_quantitative(
 
     axis_points = []
     for i in range(3):
-        j = _cyc(i + 1, 3)
+        j = (i + 1) % 3
         s1 = join(t1[i], t1[j])
         s2 = join(t2[i], t2[j])
         if s1 == s2:
@@ -797,8 +786,8 @@ def _desargues_cr_equal(
     t1: Sequence[Point], t2: Sequence[Point], shift: int, backend: Backend
 ) -> bool:
     # cyclic relabeling (A, B, C) -> (B, C, A) of both triangles
-    a1, b1, c1 = (t1[_cyc(shift + s, 3)] for s in range(3))
-    a2, b2, c2 = (t2[_cyc(shift + s, 3)] for s in range(3))
+    a1, b1, c1 = (t1[(shift + s) % 3] for s in range(3))
+    a2, b2, c2 = (t2[(shift + s) % 3] for s in range(3))
     lab = join(a1, b2)
     lba = join(a2, b1)
     a1p = meet(lab, join(b1, c1))

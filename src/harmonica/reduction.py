@@ -17,6 +17,8 @@ its slot check and its step, which reduce_step runs once.  Steps run
 on the vertex and item tuples, through a lane; _Lane says which lane
 takes which data.
 
+One function, is_pseudo_concurrent, gives the verdict on either kind;
+is_pseudo_collinear is the same function under the Menelaos name.
 _run_reduction reduces a gon along one order on objects.  Exhaustive
 checking first finds the order to report: one walk, _first_order,
 takes every step choice in the prefix tree, reduces each shared prefix
@@ -732,7 +734,29 @@ def _read(gon, field: str | None) -> tuple[tuple, tuple]:
     return tuple(map(get, gon.vertices)), tuple(map(get, gon.items))
 
 
-def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
+def is_pseudo_concurrent(
+    gon: CevaGon | MenelaosGon, order="first", backend: Backend | None = None
+) -> tuple[bool, ReductionTrace]:
+    """Whether a Ceva gon's cevians reduce to a concurrent triangle
+    triple, or a Menelaos gon's side cuts to a collinear one.
+
+    order: "first" (always collapse the pair at index 1),
+    "exhaustive" (check every order, n <= 12, and require agreement),
+    ("seed", k) for a seeded random order, or an explicit tuple of
+    1-based indices with one entry per step.  backend None decides in
+    the data's lane (see harmonica.core).
+
+    "exhaustive" reduces each prefix shared by several orders once.
+    Before each step it skips the reduced gon, triangle or not, whose
+    set of removed slots it has walked, since such gons are
+    projectively equal (up to rounding on float data): orders that
+    remove the same slots are checked once.  It finds the
+    lexicographically first non-degenerate order, or
+    raises InconsistentOrders at the first order whose verdict differs
+    from that one's; the trace is that order reduced on objects.  When
+    every order degenerates it raises the DegenerateStep of the first
+    order, carrying that order's trace prefix.
+    """
     objs = (*gon.vertices, *gon.items)
     # one pass: does every element have an integer form, is every
     # coordinate a float?  Either one also gives the data's lane
@@ -765,43 +789,7 @@ def _pseudo_check(gon, order, backend) -> tuple[bool, ReductionTrace]:
     return _run_reduction(gon, indices, backend)
 
 
-def is_pseudo_concurrent(
-    gon: CevaGon, order="first", backend: Backend | None = None
-) -> tuple[bool, ReductionTrace]:
-    """Whether the cevians reduce to a concurrent triangle triple.
-
-    order: "first" (always collapse the pair at index 1),
-    "exhaustive" (check every order, n <= 12, and require agreement),
-    ("seed", k) for a seeded random order, or an explicit tuple of
-    1-based indices with one entry per step.  backend None decides in
-    the data's lane (see harmonica.core).
-
-    "exhaustive" reduces each prefix shared by several orders once.
-    Before each step it skips the reduced gon, triangle or not, whose
-    set of removed slots it has walked, since such gons are
-    projectively equal (up to rounding on float data): orders that
-    remove the same slots are checked once.  It finds the
-    lexicographically first non-degenerate order, or
-    raises InconsistentOrders at the first order whose verdict differs
-    from that one's; the trace is that order reduced on objects.  When
-    every order degenerates it raises the DegenerateStep of the first
-    order, carrying that order's trace prefix.
-    """
-    return _pseudo_check(gon, order, backend)
-
-
-def is_pseudo_collinear(
-    gon: MenelaosGon, order="first", backend: Backend | None = None
-) -> tuple[bool, ReductionTrace]:
-    """Whether the side cuts reduce to a collinear triangle triple.
-
-    Accepts the same orders and backend as is_pseudo_concurrent, and
-    "exhaustive" (n <= 12) likewise shares step prefixes between orders,
-    checks orders that remove the same slots once and returns the trace
-    of the lexicographically first non-degenerate order, reduced on
-    objects.
-    """
-    return _pseudo_check(gon, order, backend)
+is_pseudo_collinear = is_pseudo_concurrent
 
 
 def replay_trace(trace: ReductionTrace, backend: Backend | None = None) -> ReductionTrace:

@@ -3,7 +3,10 @@
 Each entry knows how to build a seeded positive instance (through the
 hypothesis-forcing generators) and how to check the claimed conclusion
 on it.  The verify command iterates this table, so adding a theorem
-means adding an entry here, not touching the CLI.
+touches no CLI code: it takes an entry here, its forcer's row in
+generate._FORCERS and, if the theorem takes n, a generate.DEFAULT_N
+row.  An id missing from either table raises UnknownTheorem, which this
+module re-exports from generate.
 
 Exact theorems can also be run under the float backend: the generated
 rational instance is coerced coordinate-wise to floats and the check
@@ -24,7 +27,6 @@ from .bisectors import (
 from .core import (
     EXACT,
     Backend,
-    GeometryError,
     Line,
     Point,
     all_collinear,
@@ -35,7 +37,7 @@ from .core import (
     is_harmonic_pencil,
     meet,
 )
-from .generate import DEFAULT_N, GenSpec, gen_hypothesis_forcing
+from .generate import DEFAULT_N, GenSpec, UnknownTheorem, gen_hypothesis_forcing
 from .pencils import (
     HarmonicPencil,
     QuadrilateralConfig,
@@ -59,10 +61,6 @@ from .reduction import (
     is_pseudo_concurrent,
     menelaos_product,
 )
-
-
-class UnknownTheorem(GeometryError):
-    """Requested id is not in the registry."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ from .dsl import Decl, GonDecl, SceneAst, evaluate
 # the calls whose lines are harmonically derived, so drawn dashed
 _DERIVED_LINE = ("fourth_harmonic", "complete_fourth_line")
 
+# the side of the square canvas: SVG pixels, TikZ units of 0.02cm
+CANVAS = 480.0
+
 
 @dataclass(frozen=True)
 class Viewport:
-    """Affine window rendered onto a fixed-size canvas.
+    """Affine window rendered onto the CANVAS-sized square.
 
     Geometry outside the box is clipped: lines become box segments,
     markers vanish.  Near-infinite points land far outside the box and
@@ -36,8 +39,6 @@ class Viewport:
     y0: float
     x1: float
     y1: float
-    width: float = 480.0
-    height: float = 480.0
 
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
@@ -47,8 +48,6 @@ class Viewport:
         box = (self.x0, self.y0, self.x1 - self.x0, self.y1 - self.y0)
         if not all(math.isfinite(v) for v in box):
             raise ValueError("viewport box must have finite corners and extent")
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise ValueError("viewport canvas must have finite, positive size")
 
     @classmethod
     def parse(cls, text: str) -> "Viewport":
@@ -60,8 +59,8 @@ class Viewport:
 
     def to_canvas(self, x: float, y: float) -> tuple[float, float]:
         """Box coordinates to canvas coordinates, y growing downward."""
-        sx = (x - self.x0) / (self.x1 - self.x0) * self.width
-        sy = self.height - (y - self.y0) / (self.y1 - self.y0) * self.height
+        sx = (x - self.x0) / (self.x1 - self.x0) * CANVAS
+        sy = CANVAS - (y - self.y0) / (self.y1 - self.y0) * CANVAS
         return sx, sy
 
     def contains(self, x: float, y: float) -> bool:
@@ -197,12 +196,12 @@ def _canvas(strokes, markers, vp: Viewport):
     return ends, centres
 
 
-def _render_svg(ends, centres, vp: Viewport) -> str:
-    w, h = _fmt(vp.width), _fmt(vp.height)
+def _render_svg(ends, centres) -> str:
+    side = _fmt(CANVAS)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
-        f' viewBox="0 0 {w} {h}">',
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
+        f' viewBox="0 0 {side} {side}">',
+        f'<rect x="0" y="0" width="{side}" height="{side}" fill="white"/>',
     ]
     for xa, ya, xb, yb, dashed in ends:
         dash = ' stroke-dasharray="6 4"' if dashed else ""
@@ -224,13 +223,14 @@ def _render_svg(ends, centres, vp: Viewport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_tikz(ends, centres, vp: Viewport) -> str:
+def _render_tikz(ends, centres) -> str:
     # the unit vectors carry the scale and the canvas's downward y, so a
     # 480-unit canvas is a 9.6cm picture; node anchors and the marker
     # radius are not flipped by them
+    side = _fmt(CANVAS)
     out = [
         "\\begin{tikzpicture}[x=0.02cm, y=-0.02cm]",
-        f"\\clip (0, 0) rectangle ({_fmt(vp.width)}, {_fmt(vp.height)});",
+        f"\\clip (0, 0) rectangle ({side}, {side});",
     ]
     for xa, ya, xb, yb, dashed in ends:
         style = "dashed" if dashed else "solid"
@@ -263,5 +263,5 @@ def render_scene(
     vp = viewport if viewport is not None else _box_around(markers)
     ends, centres = _canvas(strokes, markers, vp)
     if fmt == "svg":
-        return _render_svg(ends, centres, vp)
-    return _render_tikz(ends, centres, vp)
+        return _render_svg(ends, centres)
+    return _render_tikz(ends, centres)

@@ -1,5 +1,7 @@
-"""The committed BENCH_<pr>.json records: each parses and holds one run
-of every workload that BENCHMARK.json declares.  No speed is gated."""
+"""The committed BENCH_<pr>.json records: each parses and holds one
+correct run of every workload that BENCHMARK.json declares, all under
+one protocol (seed 0, 8 s, untraced), so files compare across changes.
+No speed is gated."""
 
 import json
 from pathlib import Path
@@ -17,5 +19,9 @@ def test_every_bench_file_names_every_workload():
         runs = json.loads(path.read_text(encoding="utf-8"))["workloads"]
         assert set(runs) == names, path.name
         for name, run in runs.items():
-            assert run["header"]["workload"] == name, path.name
-            assert "ops_per_s" in run["result"]["metrics"], path.name
+            header, result = run["header"], run["result"]
+            assert header["workload"] == name, path.name
+            protocol = (header["seed"], header["seconds"], header["trace"])
+            assert protocol == (0, 8.0, 0), path.name
+            assert result["correct"] is True, path.name
+            assert "ops_per_s" in result["metrics"], path.name

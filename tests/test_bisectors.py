@@ -23,6 +23,7 @@ from harmonica.bisectors import (
 )
 from harmonica.core import (
     EPS_ENV_VAR,
+    FloatBackend,
     GeometryError,
     Line,
     cross_ratio_lines,
@@ -164,7 +165,7 @@ class TestAngleBisectors:
 
     def test_harmonic_with_the_two_sides(self):
         rng = Random(11)
-        be = float_backend(1e-9)
+        be = FloatBackend(1e-9)
         for _ in range(50):
             prev, v, nxt = random_ngon(rng, 3)
             pair = angle_bisectors(prev, v, nxt)
@@ -269,7 +270,7 @@ class TestTriangleCenters:
     def test_thin_triangle_follows_the_backend_passed(self):
         # the backend reaches the config, so one tolerance decides
         report = triangle_bisector_concurrencies(
-            *THIN_TRIANGLE, backend=float_backend(1e-6)
+            *THIN_TRIANGLE, backend=FloatBackend(1e-6)
         )
         assert report.all_true()
         with pytest.raises(GeometryError):

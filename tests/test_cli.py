@@ -15,6 +15,7 @@ from harmonica import cli, reduction
 from harmonica.cli import _build_parser, _parse_order, _UsageError, main
 from harmonica.core import EPS_ENV_VAR, float_backend
 from harmonica.reduction import ReductionTrace
+from harmonica.registry import theorem_ids
 
 GOOD_SCENE = """\
 point A = (0, 0)
@@ -458,6 +459,13 @@ class TestReduce:
         assert code == 2
         assert "no menelaos assertion" in err
 
+    def test_unreadable_trace_is_a_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run(capsys, "reduce", "--replay", missing)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read trace {missing!r}: ")
+
     def test_needs_scene_or_replay(self, capsys):
         code, _, err = run(capsys, "reduce")
         assert code == 2
@@ -553,8 +561,12 @@ class TestGen:
         assert len(json.loads(out)["config"]["gon"]["vertices"]) == 7
 
     def test_unknown_theorem(self, capsys):
-        code, _, err = run(capsys, "gen", "morley")
+        # the message verify gives for an unknown id
+        code, out, err = run(capsys, "gen", "fermat")
         assert code == 2
+        assert out == ""
+        known = ", ".join(theorem_ids())
+        assert err == f"error: unknown theorem 'fermat'; known ids: {known}\n"
 
     def test_n_on_fixed_size_theorem(self, capsys):
         code, _, err = run(capsys, "gen", "two-pencils", "--n", "5")

@@ -30,6 +30,7 @@ from harmonica.core import (
     UndefinedRatio,
     _built,
     _tidy,
+    all_collinear,
     coincide,
     collinear,
     collinearity_residual,
@@ -138,6 +139,9 @@ def test_collinear_trivial_cases():
     assert collinear(a, a, b)
     assert collinear(a, b, b)
     assert not collinear(a, b, Point(1, 0, 1))
+    # fewer than two distinct points lie on a line
+    assert all_collinear([a, a, a])
+    assert all_collinear([])
 
 
 def _floated(obj):

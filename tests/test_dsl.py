@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from harmonica import dsl
-from harmonica.core import EXACT, float_backend
+from harmonica.core import EXACT, FloatBackend, float_backend
 from harmonica.dsl import (
     AssertProduct,
     AssertPseudo,
@@ -912,7 +912,7 @@ class TestEvaluation:
             "assert collinear(A, B, C)"
         )
         assert not evaluate(parse(text), EXACT).all_passed
-        assert evaluate(parse(text), float_backend(1e-6)).all_passed
+        assert evaluate(parse(text), FloatBackend(1e-6)).all_passed
 
     def test_report_json_shape(self):
         data = evaluate(parse(HARMONIC_SCENE)).to_json()

@@ -30,7 +30,7 @@ from harmonica.generate import (
     FORCED_THEOREMS,
     GenSpec,
     RetryLimitExceeded,
-    UnsupportedTheorem,
+    UnknownTheorem,
     config_to_json,
     gen_hypothesis_forcing,
     sample_general_points,
@@ -70,12 +70,10 @@ class TestGenSpec:
     def test_positive_knobs(self):
         with pytest.raises(ValueError):
             GenSpec(seed=1, bound=0)
-        with pytest.raises(ValueError):
-            GenSpec(seed=1, retries=0)
 
 
 def general_points(spec: GenSpec, n: int):
-    return sample_general_points(spec.rng(), spec.bound, n, spec.retries)
+    return sample_general_points(spec.rng(), spec.bound, n)
 
 
 class TestBasicGenerators:
@@ -108,7 +106,7 @@ class TestBasicGenerators:
 
     def test_tiny_bound_terminates_or_errors_cleanly(self):
         for seed in range(20):
-            spec = GenSpec(seed=seed, bound=1, retries=50)
+            spec = GenSpec(seed=seed, bound=1)
             try:
                 tri = general_points(spec, 3)
             except RetryLimitExceeded:
@@ -233,7 +231,6 @@ class TestHarmonicLinesAt:
                 spec.bound,
                 v,
                 [join(v, w) for w in vertices if w is not v],
-                spec.retries,
             )
             for v in vertices
         )
@@ -274,7 +271,7 @@ class TestHarmonicCompletion:
 
 class TestHypothesisForcing:
     def test_unknown_theorem(self):
-        with pytest.raises(UnsupportedTheorem):
+        with pytest.raises(UnknownTheorem, match="known ids: two-pencils, cor2"):
             gen_hypothesis_forcing("no-such-thing", GenSpec(seed=1))
 
     def test_n_rejected_where_it_does_not_apply(self):

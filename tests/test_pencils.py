@@ -13,8 +13,10 @@ import pytest
 
 from harmonica import core, pencils
 from harmonica.core import (
+    CoincidentPoints,
     DegenerateConfig,
     DegenerateInput,
+    FloatBackend,
     NoSolution,
     Point,
     Line,
@@ -180,6 +182,14 @@ class TestHarmonicPencil:
         )
         with pytest.raises(SharedLine):
             two_pencils_points(p1, p2)
+        # a second pencil at the first one's vertex, sharing no line
+        p3 = HarmonicPencil.complete(
+            a1, join(a1, P(1, 2)), join(a1, P(2, 1)), join(a1, P(1, -1))
+        )
+        for check in (two_pencils_points, cor2_collinear_triples):
+            with pytest.raises(CoincidentPoints) as info:
+                check(p1, p3)
+            assert str(info.value) == "pencils must sit at distinct vertices"
 
     def test_cor2_triples_collinear_unconditionally(self):
         rng = Random(37)
@@ -343,7 +353,7 @@ class TestFloatComplete:
             h.append(Line(a, b, -(a * p.x + b * p.y) / p.w))
         with pytest.raises(DegenerateInput):
             TriangleConfig(v, config.g, tuple(h))
-        TriangleConfig(v, config.g, tuple(h), float_backend(1e-3))
+        TriangleConfig(v, config.g, tuple(h), FloatBackend(1e-3))
 
     def test_thin_float_triangle_is_collinear_at_the_float_tolerance(self):
         v = (Point(0.0, 0.0, 1.0), Point(1.0, 1e-13, 1.0), Point(2.0, 0.0, 1.0))

@@ -504,11 +504,12 @@ class TestStepOracles:
         with pytest.raises(DegenerateStep, match=message):
             is_pseudo_concurrent(gon, order=(5, 1))
 
-    def test_step_needs_at_least_four_vertices(self):
-        rng = Random(17)
-        gon = ceva_gon_random(rng, 3)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("make", [ceva_gon_random, menelaos_gon_random])
+    def test_step_needs_at_least_four_vertices(self, make):
+        gon = make(Random(17), 3)
+        with pytest.raises(ValueError) as info:
             reduce_step(gon, 1)
+        assert str(info.value) == "reduction steps need at least a 4-gon"
 
     @pytest.mark.parametrize("index", [True, 1.0, "1"])
     def test_step_index_must_be_an_int(self, index):
@@ -684,7 +685,7 @@ class TestStepDegeneracies:
                 run()
             assert (str(info.value), info.value.index) == (reason, i)
 
-    def test_a_collapsed_diagonal_leaves_no_product(self):
+    def test_an_undefined_diagonal_cut_leaves_no_product(self):
         # vertices 1 and 3, the ends of the diagonal at vertex 2, coincide;
         # the last gon moves this one by (1, 1) and gives the two by
         # triples whose cross product overflows
@@ -709,6 +710,18 @@ class TestStepDegeneracies:
             with pytest.raises(UndefinedFoot) as info:
                 ceva_product(data, backend)
             assert str(info.value) == "diagonal at vertex 2 collapses"
+        # a diagonal that is there but carries its own line cuts it nowhere
+        A = (P(0, 0), P(1, 0), P(2, 0), P(1, 3))
+        on_diagonal = CevaGon(
+            A, (L(1, -1, 0), join(A[0], A[2]), L(1, 0, -2), L(1, 0, -1))
+        )
+        for data, backend in (
+            (on_diagonal, EXACT),
+            (floatify(on_diagonal), float_backend()),
+        ):
+            with pytest.raises(UndefinedFoot) as info:
+                ceva_product(data, backend)
+            assert str(info.value) == "line 2 lies on its diagonal"
 
 
 def pentagon(kind: str):
@@ -1084,6 +1097,28 @@ class TestTraces:
         wrong_verdict.verdict = not wrong_verdict.verdict
         with pytest.raises(ReplayMismatch):
             replay_trace(wrong_verdict)
+        swapped_final = ReductionTrace.from_json_lines(trace.to_json_lines())
+        swapped_final.final = ceva_gon_concurrent(Random(1), 3)
+        with pytest.raises(ReplayMismatch) as info:
+            replay_trace(swapped_final)
+        assert str(info.value) == "final gon differs from the recording"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "trace must start with a header line"),
+            ("\n \n", "trace must start with a header line"),
+            (
+                '{"index": 1}',
+                "trace line 1: expected the header line, with a kind",
+            ),
+        ],
+        ids=["empty", "blank-lines", "no-header"],
+    )
+    def test_trace_without_a_header(self, text, message):
+        with pytest.raises(ValueError) as info:
+            ReductionTrace.from_json_lines(text)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
