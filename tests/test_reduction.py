@@ -710,7 +710,7 @@ class TestStepDegeneracies:
             with pytest.raises(UndefinedFoot) as info:
                 ceva_product(data, backend)
             assert str(info.value) == "diagonal at vertex 2 collapses"
-        # a diagonal that is there but carries its own line cuts it nowhere
+        # cevian 2 is the diagonal at vertex 2 itself, so it meets it nowhere
         A = (P(0, 0), P(1, 0), P(2, 0), P(1, 3))
         on_diagonal = CevaGon(
             A, (L(1, -1, 0), join(A[0], A[2]), L(1, 0, -2), L(1, 0, -1))
